@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, InputError
 from .hyperfields import (HFElement, Hyperfield, elimination_member, eq, inv,
@@ -30,27 +30,38 @@ class CircuitSignature:
         self.hyperfield = hyperfield
         self.ground = ground
         kept: List[FVector] = []
+        # kept vectors by support: only vectors with equal supports can be
+        # projectively equal
+        by_support: Dict[frozenset, List[FVector]] = {}
         for v in vectors:
             if v.hyperfield != hyperfield:
                 raise InputError("vector over the wrong hyperfield")
             if v.ground != ground:
                 raise InputError("vector over the wrong ground set")
-            if dedup and any(projectively_equal(v, u) for u in kept):
+            same = by_support.setdefault(support(v), [])
+            if dedup and any(projectively_equal(v, u) for u in same):
                 continue
             kept.append(v)
+            same.append(v)
         self.classes: Tuple[FVector, ...] = tuple(kept)
+        self._first_with_support = {supp: same[0] for supp, same in by_support.items()}
+        self._matroid: Optional[ClassicalMatroid] = None
 
     def supports(self) -> List[frozenset]:
         return [support(v) for v in self.classes]
 
     def underlying_matroid(self) -> ClassicalMatroid:
-        return ClassicalMatroid(self.ground, self.supports())
+        """The matroid on the supports, built and validated on first use."""
+        if self._matroid is None:
+            self._matroid = ClassicalMatroid(self.ground, self.supports())
+        return self._matroid
 
     def class_with_support(self, supp: frozenset) -> FVector:
-        for v in self.classes:
-            if support(v) == supp:
-                return v
-        raise InputError(f"no representative with support {sorted(supp)}")
+        """The first class whose support is `supp`."""
+        try:
+            return self._first_with_support[frozenset(supp)]
+        except KeyError:
+            raise InputError(f"no representative with support {sorted(supp)}") from None
 
     def __repr__(self) -> str:
         return (f"CircuitSignature({self.hyperfield.kind}, |E|={len(self.ground)}, "

@@ -9,7 +9,7 @@ greedy bases) so outputs and witnesses are reproducible.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .circuits import CircuitSignature, check_C0_C2
@@ -57,6 +57,7 @@ class GPFunction:
         if not stored:
             raise InputError("identically zero (GP1 fails)")
         self.values = stored
+        self._matroid: Optional[ClassicalMatroid] = None
 
     def value(self, subset: Iterable) -> HFElement:
         """The stored value on an unordered r-set of distinct labels."""
@@ -83,7 +84,10 @@ class GPFunction:
         return frozenset(frozenset(k) for k in self.values)
 
     def underlying_matroid(self) -> ClassicalMatroid:
-        return ClassicalMatroid.from_bases(self.ground, self.bases_support())
+        """The matroid on the support, built and validated on first use."""
+        if self._matroid is None:
+            self._matroid = ClassicalMatroid.from_bases(self.ground, self.bases_support())
+        return self._matroid
 
     def scale(self, alpha: HFElement) -> "GPFunction":
         if alpha.is_zero:
@@ -94,10 +98,6 @@ class GPFunction:
     def __repr__(self) -> str:
         return (f"GPFunction({self.hyperfield.kind}, |E|={len(self.ground)}, "
                 f"rank={self.rank}, support={len(self.values)})")
-
-
-def gp_value(phi: GPFunction, labels: Sequence) -> HFElement:
-    return phi.evaluate(labels)
 
 
 def equivalent_gp(phi1: GPFunction, phi2: GPFunction) -> bool:
@@ -255,13 +255,12 @@ def circuits_from_gp(phi: GPFunction) -> CircuitSignature:
     """
     matroid = phi.underlying_matroid()
     pos = phi.ground.index
+    bases = sorted(matroid.bases(), key=lambda b: sorted(map(pos, b)))
     vectors = []
     for circuit in sorted(matroid.circuits, key=lambda c: sorted(map(pos, c))):
         x0 = min(circuit, key=pos)
         partial = circuit - {x0}
-        carriers = [b for b in sorted(matroid.bases(),
-                                      key=lambda b: sorted(map(pos, b)))
-                    if partial <= b]
+        carriers = list(islice(filter(partial.issubset, bases), 2))
         basis = phi.ground.sort(carriers[0])
         vector = _circuit_from_basis(phi, circuit, x0, basis)
         if len(carriers) > 1:
@@ -414,7 +413,3 @@ def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature,
                 raise InvalidDualPairError(
                     f"full dual pair gave a non-strong function: {witness}")
     return phi
-
-
-def underlying_matroid(phi: GPFunction) -> ClassicalMatroid:
-    return phi.underlying_matroid()

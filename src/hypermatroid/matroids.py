@@ -1,18 +1,92 @@
 """Classical matroids presented by their circuit sets.
 
-Everything here is exhaustive and exact; ground sets are capped (see
-`config.MAX_GROUND_SIZE`) because several operations enumerate subsets.
+Frozensets of labels at the boundary, int masks inside: every public
+function and method takes and returns labels and frozensets of labels,
+while a matroid works on masks whose bit i stands for the label at ground
+position i.  A matroid keeps a dependence table, one byte per subset of
+the ground set, set exactly when the subset contains a circuit, so
+independence is one lookup, rank, bases and fundamental circuits are short
+loops of lookups, and the circuit axioms are decided on the table.  The
+table has 2^|E| entries, so ground sets are capped
+(`config.MAX_GROUND_SIZE`).
+
+A circuit family is validated once, when it enters the class: circuits a
+user supplies, the supports of a circuit signature, or the circuits
+`from_bases` derives from a basis family such as a GP function's support.
+What is derived from a matroid afterwards -- its bases, its dual and
+fundamental circuits -- is not checked again, since the dual of a matroid
+is a matroid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional
 
 from . import config
 from .errors import InputError
 from .vectors import GroundSet
+
+# bytes.translate table that swaps the entries 0 and 1 of a table
+_FLIP = bytes([1, 0]) + bytes(254)
+
+
+def _require_cap(ground: GroundSet) -> None:
+    if len(ground) > config.MAX_GROUND_SIZE:
+        raise InputError(f"ground set larger than the cap ({config.MAX_GROUND_SIZE})")
+
+
+def _mask(ground: GroundSet, labels: Iterable) -> int:
+    mask = 0
+    for label in labels:
+        mask |= 1 << ground.index(label)
+    return mask
+
+
+def _labels(ground: GroundSet, mask: int) -> tuple:
+    """The labels of a mask, in ground order."""
+    return tuple(label for i, label in enumerate(ground.labels) if mask >> i & 1)
+
+
+def _bit_pattern(n: int, i: int, bit_set: bool) -> int:
+    """The table (as an int, byte S for subset S) that is 1 on the subsets
+    of an n-element ground set whose bit i is set, or clear."""
+    step = 1 << i
+    off, on = bytes(step), b"\x01" * step
+    block = off + on if bit_set else on + off
+    return int.from_bytes(block * ((1 << n) // (2 * step)), "little")
+
+
+def _closure(n: int, masks: Iterable[int], upward: bool) -> bytes:
+    """One byte per subset of an n-element ground set: 1 when the subset
+    contains one of `masks` (upward) or lies inside one (downward).
+
+    One sweep over the n bits, each step applied to all 2^n entries at
+    once through big-int arithmetic on the table's bytes."""
+    size = 1 << n
+    seeds = bytearray(size)
+    for mask in masks:
+        seeds[mask] = 1
+    table = int.from_bytes(seeds, "little")
+    for i in range(n):
+        shift = 8 << i
+        if upward:
+            table |= (table & _bit_pattern(n, i, False)) << shift
+        else:
+            table |= (table & _bit_pattern(n, i, True)) >> shift
+    return table.to_bytes(size, "little")
+
+
+def _minimal_sets(n: int, dep: bytes) -> List[int]:
+    """The minimal members of an upward-closed table, in mask order."""
+    table = int.from_bytes(dep, "little")
+    # 1 on the sets that stay marked after removing some element
+    shrinkable = 0
+    for i in range(n):
+        shrinkable |= (table & _bit_pattern(n, i, False)) << (8 << i)
+    minimal = (table & ~shrinkable).to_bytes(len(dep), "little")
+    return [mask for mask, flag in enumerate(minimal) if flag]
 
 
 @dataclass
@@ -25,13 +99,58 @@ class CircuitViolation:
                                       for k, v in self.detail.items()}}
 
 
+def _spans_a_matroid(n: int, dep: bytes) -> bool:
+    """Whether the sets a dependence table marks 0 are the independent sets
+    of a matroid.
+
+    They are exactly when their greedy (ground-order) rank g is a matroid
+    rank function, which holds when g(X) <= g(X + x) <= g(X) + 1 and
+    g(X + x) + g(X + y) >= g(X + x + y) + g(X) for every X and x, y outside
+    it (Oxley, Matroid Theory, Lemma 1.3.3); the independent sets of that
+    matroid are the sets g does not shrink.  Each inequality is checked
+    on all subsets at once, one byte per subset, with 0x80 added to every
+    byte so the differences stay within it."""
+    size = 1 << n
+    greedy = [0] * size
+    for s in range(1, size):
+        top = 1 << (s.bit_length() - 1)
+        picked = greedy[s ^ top]
+        greedy[s] = picked if dep[picked | top] else picked | top
+    g = int.from_bytes(bytes(p.bit_count() for p in greedy), "little")
+    # 0x01 on the subsets without bit i; times 0xFF it selects whole bytes
+    clear = [_bit_pattern(n, i, False) for i in range(n)]
+    for x in range(n):
+        sx = 8 << x
+        keep = 0xFF * clear[x]
+        gap = ((g >> sx) & keep) + 0x80 * clear[x] - (g & keep)
+        if gap & (0xFE * clear[x]) != 0x80 * clear[x]:
+            return False
+        for y in range(x + 1, n):
+            sy = 8 << y
+            both = clear[x] & clear[y]
+            keep = 0xFF * both
+            lhs = ((g >> sx) & keep) + ((g >> sy) & keep) + 0x80 * both
+            rhs = ((g >> (sx + sy)) & keep) + (g & keep)
+            if (lhs - rhs) & (0x80 * both) != 0x80 * both:
+                return False
+    return True
+
+
 def validate_circuits(ground: GroundSet, circuits: Iterable[frozenset]) -> Optional[CircuitViolation]:
     """Check the circuit axioms for a finite matroid.
 
     Empty circuits and nested circuits are rejected, then elimination is
     verified on every pair sharing an element (a stronger pass than the
     modular pairs alone, which is what makes the construction sound).
+    The first violation is reported in the order of `circuits`: pairs as
+    `itertools.combinations` lists them, elements of a pair's
+    intersection in frozenset order.  Both rules are decided on the
+    dependence table (nesting by lookups, elimination by the rank test of
+    `_spans_a_matroid`); the pairwise scan that names the first violation
+    runs only when there is one.  Ground sets above the cap raise
+    InputError.
     """
+    _require_cap(ground)
     circuits = [frozenset(c) for c in circuits]
     for c in circuits:
         if not c:
@@ -39,31 +158,57 @@ def validate_circuits(ground: GroundSet, circuits: Iterable[frozenset]) -> Optio
         for label in c:
             if label not in ground:
                 raise InputError(f"circuit label {label!r} not in ground set")
-    for c1, c2 in combinations(circuits, 2):
-        if c1 <= c2 or c2 <= c1:
-            return CircuitViolation("incomparable", {"first": c1, "second": c2})
-    family = set(circuits)
-    for c1, c2 in combinations(circuits, 2):
-        for e in c1 & c2:
-            rest = (c1 | c2) - {e}
-            if not any(c3 <= rest for c3 in family):
-                return CircuitViolation("elimination", {"first": c1, "second": c2, "element": e})
+    n = len(ground)
+    masks = [_mask(ground, c) for c in circuits]
+    dep = _closure(n, masks, upward=True)
+    pairs = list(zip(circuits, masks))
+    nested = len(set(masks)) < len(masks) or any(
+        dep[m ^ (1 << i)] for m in masks for i in range(n) if m >> i & 1)
+    if nested:
+        for (c1, m1), (c2, m2) in combinations(pairs, 2):
+            if (m1 & m2) in (m1, m2):
+                return CircuitViolation("incomparable", {"first": c1, "second": c2})
+    if not _spans_a_matroid(n, dep):
+        # an antichain of nonempty sets fails elimination exactly when the
+        # sets containing none of its members are not a matroid's
+        for (c1, m1), (c2, m2) in combinations(pairs, 2):
+            for e in c1 & c2:
+                if not dep[(m1 | m2) & ~(1 << ground.index(e))]:
+                    return CircuitViolation("elimination",
+                                            {"first": c1, "second": c2, "element": e})
     return None
 
 
 class ClassicalMatroid:
-    def __init__(self, ground: GroundSet, circuits: Iterable[frozenset],
-                 _validated: bool = False):
-        if len(ground) > config.MAX_GROUND_SIZE:
-            raise InputError(f"ground set larger than the cap ({config.MAX_GROUND_SIZE})")
+    def __init__(self, ground: GroundSet, circuits: Iterable[frozenset]):
+        circuits = frozenset(frozenset(c) for c in circuits)
+        violation = validate_circuits(ground, circuits)
+        if violation is not None:
+            raise InputError(f"not a matroid: {violation.as_json()}")
+        self._setup(ground, circuits,
+                    _closure(len(ground), [_mask(ground, c) for c in circuits], upward=True))
+
+    def _setup(self, ground: GroundSet, circuits: FrozenSet[frozenset], dep: bytes) -> None:
         self.ground = ground
-        self.circuits: FrozenSet[frozenset] = frozenset(frozenset(c) for c in circuits)
-        if not _validated:
-            violation = validate_circuits(ground, self.circuits)
-            if violation is not None:
-                raise InputError(f"not a matroid: {violation.as_json()}")
+        self.circuits: FrozenSet[frozenset] = circuits
+        self._dep = dep
         self._rank_cache: dict = {}
+        self._basis_masks: Optional[frozenset] = None
         self._bases: Optional[frozenset] = None
+        self._dual: Optional[ClassicalMatroid] = None
+
+    @classmethod
+    def _from_basis_masks(cls, ground: GroundSet, basis_masks: frozenset) -> "ClassicalMatroid":
+        """The subsets of the given bases as independent sets and the
+        minimal other sets as circuits, unchecked: a matroid only when the
+        masks are the bases of one."""
+        n = len(ground)
+        dep = _closure(n, basis_masks, upward=False).translate(_FLIP)
+        m = cls.__new__(cls)
+        m._setup(ground, frozenset(frozenset(_labels(ground, c)) for c in _minimal_sets(n, dep)),
+                 dep)
+        m._basis_masks = basis_masks
+        return m
 
     @classmethod
     def from_circuits(cls, ground: GroundSet, circuits: Iterable[frozenset]) -> "ClassicalMatroid":
@@ -71,27 +216,22 @@ class ClassicalMatroid:
 
     @classmethod
     def from_bases(cls, ground: GroundSet, bases: Iterable[frozenset]) -> "ClassicalMatroid":
+        """The matroid with the given bases.
+
+        The minimal sets outside every given basis are validated as
+        circuits, and the bases of the result must be the given family:
+        neither check alone rejects every non-matroid ({12, 34} passes
+        the second)."""
         bases = [frozenset(b) for b in bases]
         if not bases:
             raise InputError("no bases given")
         sizes = {len(b) for b in bases}
         if len(sizes) != 1:
             raise InputError("bases of unequal size")
-        r = sizes.pop()
-        independent = set()
-        for b in bases:
-            for k in range(len(b) + 1):
-                independent.update(map(frozenset, combinations(sorted(b, key=ground.index), k)))
-        circuits = []
-        for size in range(1, r + 2):
-            for cand in combinations(ground.labels, size):
-                cand_set = frozenset(cand)
-                if cand_set in independent:
-                    continue
-                if all(cand_set - {x} in independent for x in cand_set):
-                    circuits.append(cand_set)
-        m = cls(ground, circuits)
-        if m.bases() != frozenset(bases):
+        _require_cap(ground)
+        masks = frozenset(_mask(ground, b) for b in bases)
+        m = cls(ground, cls._from_basis_masks(ground, masks).circuits)
+        if m._basis_mask_set() != masks:
             raise InputError("the given family is not the basis set of a matroid")
         return m
 
@@ -104,23 +244,25 @@ class ClassicalMatroid:
 
     # -- rank machinery ---------------------------------------------------
 
+    def _greedy(self, mask: int, picked: int = 0) -> int:
+        """`picked` extended by the labels of `mask`, in ground order, that
+        keep it independent."""
+        dep = self._dep
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            if not dep[picked | low]:
+                picked |= low
+        return picked
+
     def independent(self, subset: Iterable) -> bool:
-        s = frozenset(subset)
-        return not any(c <= s for c in self.circuits)
+        return not self._dep[_mask(self.ground, subset)]
 
     def rank(self, subset: Optional[Iterable] = None) -> int:
         s = frozenset(subset) if subset is not None else frozenset(self.ground.labels)
-        key = s
-        if key in self._rank_cache:
-            return self._rank_cache[key]
-        picked: set = set()
-        for label in self.ground:
-            if label in s:
-                picked.add(label)
-                if not self.independent(picked):
-                    picked.remove(label)
-        self._rank_cache[key] = len(picked)
-        return len(picked)
+        if s not in self._rank_cache:
+            self._rank_cache[s] = self._greedy(_mask(self.ground, s)).bit_count()
+        return self._rank_cache[s]
 
     def nullity(self, subset: Iterable) -> int:
         s = frozenset(subset)
@@ -128,54 +270,61 @@ class ClassicalMatroid:
 
     def max_independent(self, subset: Iterable) -> tuple:
         """The greedy (ground-order) maximal independent subset."""
-        picked: list = []
-        for label in self.ground:
-            if label in set(subset):
-                picked.append(label)
-                if not self.independent(picked):
-                    picked.pop()
-        return tuple(picked)
+        return _labels(self.ground, self._greedy(_mask(self.ground, subset)))
+
+    def _basis_mask_set(self) -> frozenset:
+        if self._basis_masks is None:
+            r = self.rank()
+            self._basis_masks = frozenset(
+                mask for mask, flag in enumerate(self._dep) if not flag and mask.bit_count() == r)
+        return self._basis_masks
 
     def bases(self) -> frozenset:
         if self._bases is None:
-            r = self.rank()
-            self._bases = frozenset(frozenset(b) for b in combinations(self.ground.labels, r)
-                                    if self.independent(b))
+            self._bases = frozenset(frozenset(_labels(self.ground, b))
+                                    for b in self._basis_mask_set())
         return self._bases
 
     def extend_to_basis(self, independent_set: Iterable) -> tuple:
-        picked = list(self.ground.sort(independent_set))
-        if not self.independent(picked):
+        start = _mask(self.ground, independent_set)
+        if self._dep[start]:
             raise InputError("cannot extend a dependent set to a basis")
-        for label in self.ground:
-            if label in picked:
-                continue
-            picked.append(label)
-            if not self.independent(picked):
-                picked.pop()
-        return self.ground.sort(picked)
+        return _labels(self.ground, self._greedy((1 << len(self.ground)) - 1, start))
 
     # -- duality and fundamental circuits ----------------------------------
 
     def dual(self) -> "ClassicalMatroid":
-        full = frozenset(self.ground.labels)
-        co_bases = [full - b for b in self.bases()]
-        return ClassicalMatroid.from_bases(self.ground, co_bases)
+        """The dual matroid, built once from the complements of the bases."""
+        if self._dual is None:
+            full = (1 << len(self.ground)) - 1
+            dual = ClassicalMatroid._from_basis_masks(
+                self.ground, frozenset(full ^ b for b in self._basis_mask_set()))
+            dual._dual = self
+            self._dual = dual
+        return self._dual
 
     def cocircuits(self) -> frozenset:
         return self.dual().circuits
 
     def fundamental_circuit(self, basis: Iterable, e) -> frozenset:
-        """The unique circuit inside basis + {e}, for e outside the basis."""
-        b = frozenset(basis)
-        if b not in self.bases():
+        """The unique circuit inside basis + {e}, for e outside the basis:
+        e together with every f in the basis for which basis - f + e is a
+        basis."""
+        b = _mask(self.ground, basis)
+        bases = self._basis_mask_set()
+        if b not in bases:
             raise InputError("not a basis")
-        if e in b:
+        bit = 1 << self.ground.index(e)
+        if b & bit:
             raise InputError("element already in the basis")
-        hits = [c for c in self.circuits if c <= b | {e}]
-        if len(hits) != 1:
-            raise InputError("no unique fundamental circuit")
-        return hits[0]
+        circuit = bit
+        rest = b
+        while rest:
+            f = rest & -rest
+            rest ^= f
+            if (b ^ f) | bit in bases:
+                circuit |= f
+        return frozenset(_labels(self.ground, circuit))
 
     def fundamental_cocircuit(self, basis: Iterable, f) -> frozenset:
         """The unique cocircuit avoiding basis - {f}, for f in the basis."""

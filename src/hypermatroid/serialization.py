@@ -158,6 +158,16 @@ def _parse_ground(raw, where: str) -> GroundSet:
     return GroundSet(raw)
 
 
+def _is_label_list(raw, labels: set) -> bool:
+    """Whether `raw` is a JSON list of members of `labels`."""
+    if not isinstance(raw, list):
+        return False
+    try:
+        return set(raw) <= labels
+    except TypeError:  # a JSON list or object inside is unhashable
+        return False
+
+
 def _label_lookup(ground: GroundSet) -> dict:
     return {str(label): label for label in ground}
 
@@ -253,7 +263,7 @@ def gp_from_json(raw, where: str = "gp") -> GPFunction:
         if not isinstance(item, dict) or "subset" not in item or "value" not in item:
             raise InputError(f"{spot}: expected {{'subset': ..., 'value': ...}}")
         subset = item["subset"]
-        if not isinstance(subset, list) or not set(subset) <= labels:
+        if not _is_label_list(subset, labels):
             raise InputError(f"{spot}.subset: not a list of ground labels")
         key = tuple(subset)
         if key in values:
@@ -284,7 +294,7 @@ def matroid_from_json(raw, where: str = "matroid") -> ClassicalMatroid:
     labels = set(ground.labels)
     circuits = []
     for i, item in enumerate(circuits_raw):
-        if not isinstance(item, list) or not set(item) <= labels:
+        if not _is_label_list(item, labels):
             raise InputError(f"{where}.circuits[{i}]: not a list of ground labels")
         circuits.append(frozenset(item))
     return ClassicalMatroid(ground, circuits)

@@ -46,11 +46,6 @@ class GroundSet:
         """Labels ordered by their ground-set position."""
         return tuple(sorted(labels, key=self.index))
 
-    def subsets(self, size: int):
-        from itertools import combinations
-
-        return combinations(self.labels, size)
-
 
 class FVector:
     """A vector in F^E, stored sparsely (only nonzero entries)."""

@@ -1,8 +1,9 @@
-"""Independent exact-rational linear algebra used as a test oracle.
+"""Independent exact-rational linear algebra and circuit-axiom checks
+used as test oracles.
 
 Deliberately self-contained: nothing here imports the package under
-test, so determinants, kernels, and minimal-support dependencies come
-from a second, unrelated code path.
+test, so determinants, kernels, minimal-support dependencies and the
+verdicts on circuit families come from a second, unrelated code path.
 """
 
 from fractions import Fraction
@@ -106,4 +107,54 @@ def minimal_dependencies(columns):
             for slot, index in enumerate(picks):
                 full[index] = coeffs[slot]
             found[frozenset(picks)] = tuple(full)
+    return found
+
+
+def circuit_violation(ground, circuits):
+    """The first failure of the circuit axioms as (rule, detail), or None.
+
+    The direct frozenset scan: nonempty circuits, then incomparable pairs,
+    then elimination over every pair sharing an element, each in the order
+    of `circuits` (pairs as itertools.combinations lists them).
+    """
+    ground = set(ground)
+    circuits = [frozenset(c) for c in circuits]
+    for c in circuits:
+        if not c:
+            return "nonempty", {"circuit": c}
+        if not c <= ground:
+            raise ValueError(f"circuit {sorted(c)} leaves the ground set")
+    for c1, c2 in combinations(circuits, 2):
+        if c1 <= c2 or c2 <= c1:
+            return "incomparable", {"first": c1, "second": c2}
+    family = set(circuits)
+    for c1, c2 in combinations(circuits, 2):
+        for e in c1 & c2:
+            rest = (c1 | c2) - {e}
+            if not any(c3 <= rest for c3 in family):
+                return "elimination", {"first": c1, "second": c2, "element": e}
+    return None
+
+
+def binary_matroid_circuits(columns):
+    """Circuits (index sets) of the column matroid of GF(2) vectors given
+    as int bitmasks: the minimal sets of columns with zero sum."""
+    m = len(columns)
+    found = []
+    for size in range(1, m + 1):
+        for picks in combinations(range(m), size):
+            if any(c <= set(picks) for c in found):
+                continue
+            basis = {}  # pivot vectors keyed by their highest bit
+            dependent = False
+            for i in picks:
+                v = columns[i]
+                while v and v.bit_length() in basis:
+                    v ^= basis[v.bit_length()]
+                if not v:
+                    dependent = True
+                    break
+                basis[v.bit_length()] = v
+            if dependent:
+                found.append(frozenset(picks))
     return found

@@ -176,3 +176,19 @@ def test_malformed_json(capsys, tmp_path):
     path.write_text("{not json")
     code, _, err = run(capsys, "classify", str(path))
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("name, obj, field", [
+    ("gp.json", {"hyperfield": "sign", "ground_set": [1], "rank": 1,
+                 "values": [{"subset": [[1]], "value": 1}]},
+     "values[0].subset"),
+    ("matroid.json", {"ground_set": [1, 2], "circuits": [[[1], 2]]},
+     "circuits[0]"),
+])
+def test_unhashable_labels_are_input_errors(capsys, tmp_path, name, obj, field):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check-gp", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err

@@ -1,11 +1,15 @@
 """Classical matroid layer: circuit axioms, rank, bases, duality."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermatroid import (ClassicalMatroid, GroundSet, InputError,
-                          validate_circuits)
+                          corpus_entries, validate_circuits)
 from hypermatroid.matroids import (modular_family, modular_pair,
                                    union_lattice_height)
+
+import oracles
 
 U24 = ClassicalMatroid.from_circuits(
     GroundSet((1, 2, 3, 4)),
@@ -116,3 +120,80 @@ def test_not_a_matroid_constructor():
     with pytest.raises(InputError):
         ClassicalMatroid.from_circuits(g, [frozenset({1, 2, 3}),
                                            frozenset({1, 2, 4})])
+
+
+def test_from_bases_rejects_two_disjoint_pairs():
+    # the circuits derived from {12, 34} give back exactly these bases,
+    # so only circuit validation tells that they are no matroid's
+    with pytest.raises(InputError):
+        ClassicalMatroid.from_bases(U24.ground, [frozenset({1, 2}),
+                                                 frozenset({3, 4})])
+
+
+# -- the mask implementation against the frozenset scans -------------------
+
+
+@st.composite
+def circuit_families(draw):
+    """(n, family) over labels 1..n: random lists of sets, families of
+    equal-size sets, circuits of binary matroids of rank at most 3, and
+    such circuits with one dropped or one set added."""
+    n = draw(st.integers(1, 7))
+    nonempty = st.frozensets(st.integers(1, n), min_size=1, max_size=n)
+    mode = draw(st.sampled_from(["list", "antichain", "binary", "perturbed"]))
+    if mode == "list":
+        return n, draw(st.lists(nonempty, min_size=2, max_size=8))
+    if mode == "antichain":
+        k = draw(st.integers(1, n))
+        same_size = st.frozensets(st.integers(1, n), min_size=k, max_size=k)
+        return n, list(draw(st.sets(same_size, min_size=1, max_size=12)))
+    columns = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    family = [frozenset(i + 1 for i in c)
+              for c in oracles.binary_matroid_circuits(columns)]
+    family = draw(st.permutations(family))
+    if mode == "perturbed":
+        if family and draw(st.booleans()):
+            family = family[1:]
+        else:
+            family = family + [draw(st.one_of(nonempty, st.just(frozenset())))]
+    return n, family
+
+
+@settings(max_examples=400, deadline=None)
+@given(circuit_families())
+def test_validate_circuits_matches_the_scan(case):
+    n, family = case
+    violation = validate_circuits(GroundSet(range(1, n + 1)), family)
+    expected = oracles.circuit_violation(range(1, n + 1), family)
+    if expected is None:
+        assert violation is None
+    else:
+        assert violation is not None
+        assert (violation.rule, violation.detail) == expected
+
+
+def _corpus_matroids():
+    found = [("U24", U24), ("K4", K4)]
+    for entry in corpus_entries():
+        obj = entry.build()
+        try:
+            found.append((entry.name, obj.underlying_matroid()))
+        except InputError:
+            pass  # not-a-matroid
+    return found
+
+
+@pytest.mark.parametrize("name, m", _corpus_matroids(),
+                         ids=[name for name, _ in _corpus_matroids()])
+def test_derived_data_matches_the_scans(name, m):
+    for basis in m.bases():
+        for e in m.ground:
+            if e in basis:
+                continue
+            scan = [c for c in m.circuits if c <= basis | {e}]
+            assert [m.fundamental_circuit(basis, e)] == scan, (basis, e)
+    dual = m.dual()
+    assert validate_circuits(m.ground, dual.circuits) is None
+    assert oracles.circuit_violation(m.ground, dual.circuits) is None
+    assert dual.dual() == m
+    assert ClassicalMatroid.from_bases(m.ground, dual.bases()) == dual
