@@ -63,7 +63,6 @@ from .circuits import (  # noqa: F401
 
 from .gp import (  # noqa: F401
     GPFunction,
-    PlueckerVector,
     check_gp_strong,
     check_gp_weak,
     circuits_from_gp,
@@ -71,7 +70,6 @@ from .gp import (  # noqa: F401
     dual_pair_witness,
     equivalent_gp,
     gp_from_dual_pair,
-    pluecker_relation_check,
     relation_terms,
 )
 

@@ -14,8 +14,8 @@ from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, InputError
-from .hyperfields import (HFElement, Hyperfield, elimination_member, eq, inv,
-                          mul, neg, zero_in_sum)
+from .hyperfields import (HFElement, Hyperfield, elimination_member, inv, mul,
+                          neg, zero_in_sum)
 from .matroids import ClassicalMatroid, modular_family, modular_pair, validate_circuits
 from .search import first_witness
 from .sumsets import SumSet, fold
@@ -184,7 +184,7 @@ def _scaled_partner(x: FVector, y: FVector, e) -> FVector:
     return scalar_mul(factor, y)
 
 
-def check_weak_elimination(sig: CircuitSignature, workers: int = 1) -> Optional[dict]:
+def check_weak_elimination(sig: CircuitSignature) -> Optional[dict]:
     """Modular-pair elimination.
 
     For every modular pair of classes and every shared support element e,
@@ -209,11 +209,11 @@ def check_weak_elimination(sig: CircuitSignature, workers: int = 1) -> Optional[
             return None
         return {"axiom": "C3'", "X": x, "Y": y, "e": e}
 
-    return first_witness(tasks, check, workers=workers)
+    return first_witness(tasks, check)
 
 
-def check_strong_elimination(sig: CircuitSignature, k_max: Optional[int] = None,
-                             workers: int = 1) -> Optional[dict]:
+def check_strong_elimination(sig: CircuitSignature,
+                             k_max: Optional[int] = None) -> Optional[dict]:
     """Modular-family elimination.
 
     Enumerates families {X, X_1..X_k} of classes whose supports form a
@@ -265,10 +265,10 @@ def check_strong_elimination(sig: CircuitSignature, k_max: Optional[int] = None,
             return None
         return {"axiom": "C3", "X": x, "others": partners, "elements": list(es)}
 
-    return first_witness(tasks, check, workers=workers)
+    return first_witness(tasks, check)
 
 
-def check_C3_doubleprime(sig: CircuitSignature, workers: int = 1) -> Optional[dict]:
+def check_C3_doubleprime(sig: CircuitSignature) -> Optional[dict]:
     """Fundamental-circuit span: every class, rewritten against every basis
     of the underlying matroid, lies coordinatewise in the hypersum of the
     scaled fundamental-circuit classes.
@@ -279,16 +279,26 @@ def check_C3_doubleprime(sig: CircuitSignature, workers: int = 1) -> Optional[di
     bases = sorted(matroid.bases(),
                    key=lambda b: tuple(sorted(sig.ground.index(x) for x in b)))
     tasks = [(i, b) for i in range(len(sig.classes)) for b in bases]
+    # the rescaled fundamental circuits of each basis, keyed by the
+    # labels outside it
+    by_basis: Dict[frozenset, Dict[object, FVector]] = {}
+
+    def fundamentals_of(basis):
+        if basis not in by_basis:
+            found = {}
+            for e in sig.ground:
+                if e not in basis:
+                    rep = sig.class_with_support(
+                        matroid.fundamental_circuit(basis, e))
+                    found[e] = scalar_mul(inv(rep.entry(e)), rep)
+            by_basis[basis] = found
+        return by_basis[basis]
 
     def check(task):
         i, basis = task
         x = sig.classes[i]
-        outside = [e for e in sig.ground if e not in basis]
-        fundamentals = {}
-        for e in outside:
-            circ = matroid.fundamental_circuit(basis, e)
-            rep = sig.class_with_support(circ)
-            fundamentals[e] = scalar_mul(inv(rep.entry(e)), rep)
+        fundamentals = fundamentals_of(basis)
+        outside = list(fundamentals)
         for f in sig.ground:
             terms = []
             for e in outside:
@@ -302,33 +312,11 @@ def check_C3_doubleprime(sig: CircuitSignature, workers: int = 1) -> Optional[di
                         "f": f}
         return None
 
-    return first_witness(tasks, check, workers=workers)
+    return first_witness(tasks, check)
 
 
-def check_weak_nonmodular_elimination(sig: CircuitSignature) -> Optional[dict]:
-    """Support-level elimination for arbitrary (not necessarily modular)
-    pairs: whenever X(e) = -Y(e) != 0 and Y(f) != -X(f), some class Z has
-    f in its support and support inside (supp X | supp Y) - e."""
-    supports = sig.supports()
-    for i, j in combinations(range(len(sig.classes)), 2):
-        x = sig.classes[i]
-        sx, sy = supports[i], supports[j]
-        for e in sig.ground.sort(sx & sy):
-            y = _scaled_partner(x, sig.classes[j], e)
-            union = sx | sy
-            for f in sig.ground.sort(union):
-                if eq(y.entry(f), neg(x.entry(f))):
-                    continue
-                hit = any(f in supports[m] and supports[m] <= union - {e}
-                          for m in range(len(sig.classes)))
-                if not hit:
-                    return {"axiom": "nonmodular-elimination", "X": x, "Y": y,
-                            "e": e, "f": f}
-    return None
-
-
-def classify(sig: CircuitSignature, k_max: Optional[int] = None,
-             workers: int = 1) -> Classification:
+def classify(sig: CircuitSignature,
+             k_max: Optional[int] = None) -> Classification:
     """Full pipeline: projective sanity, underlying matroid, weak
     elimination, then strong elimination.
 
@@ -342,18 +330,18 @@ def classify(sig: CircuitSignature, k_max: Optional[int] = None,
     if violation is not None:
         return Classification("UnderlyingNotMatroid",
                               {"axiom": "underlying", **violation.as_json()})
-    weak = check_weak_elimination(sig, workers=workers)
+    weak = check_weak_elimination(sig)
     if weak is not None:
         return Classification("InvalidSignature", weak)
-    strong = check_strong_elimination(sig, k_max=k_max, workers=workers)
+    strong = check_strong_elimination(sig, k_max=k_max)
     if strong is not None:
-        cross = check_C3_doubleprime(sig, workers=workers)
+        cross = check_C3_doubleprime(sig)
         if cross is None:
             raise ConsistencyError(
                 "modular-family elimination failed but the fundamental-circuit "
                 "span criterion passed")
         return Classification("WeakOnly", strong)
-    cross = check_C3_doubleprime(sig, workers=workers)
+    cross = check_C3_doubleprime(sig)
     if cross is not None:
         raise ConsistencyError(
             "modular-family elimination passed but the fundamental-circuit "

@@ -6,6 +6,11 @@ passed or the requested object was produced, 1 when a checked property
 failed (the witness is printed on stdout), 2 for malformed input (the
 message goes to stderr).  The float tolerance can be overridden through
 the HFM_EPS environment variable.
+
+Every checker runs in one thread and reports the first witness in its
+canonical order.  `dressian` is the three-term sweep of `check-gp --weak`
+without the basis-exchange scan; it reports the number of three-term
+(I, J) pairs and the first failing one.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from itertools import combinations
 from typing import Optional
 
 from .axioms import check_hyperfield_axioms
@@ -23,8 +27,8 @@ from .corpus import corpus_entries, run_demo
 from .errors import (GPInconsistencyError, InputError, InvalidDualPairError,
                      RatioInconsistencyError)
 from .experiments import config_from_json, run_perfection_experiment
-from .gp import (GPFunction, PlueckerVector, check_gp_strong, check_gp_weak,
-                 circuits_from_gp, gp_from_dual_pair, pluecker_relation_check)
+from .gp import (GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp,
+                 failing_relation, gp_from_dual_pair, three_term_pairs)
 from .matroids import validate_circuits
 from .serialization import hyperfield_from_id, parse_text, serialize
 from .transforms import (contract_gp, delete_gp, dual_circuits, dual_gp,
@@ -115,7 +119,7 @@ def _cmd_check_circuits(args) -> int:
         witness = None if violation is None else violation.as_json()
         out["underlying_matroid"] = {"ok": witness is None, "witness": witness}
     if witness is None:
-        witness = check_weak_elimination(sig, workers=args.workers)
+        witness = check_weak_elimination(sig)
         out["weak_elimination"] = {"ok": witness is None, "witness": witness}
     _emit(out)
     return 1 if witness is not None else 0
@@ -123,7 +127,7 @@ def _cmd_check_circuits(args) -> int:
 
 def _cmd_classify(args) -> int:
     sig = _want(_load(args.file), (CircuitSignature,), "a circuit signature")
-    result = classify(sig, k_max=args.kmax, workers=args.workers)
+    result = classify(sig, k_max=args.kmax)
     _emit(result)
     return 0 if result.ok else 1
 
@@ -225,20 +229,12 @@ def _cmd_dressian(args) -> int:
     if phi.hyperfield.kind != "tropical":
         raise InputError("the three-term relation sweep is defined for "
                          "tropical input")
-    p = PlueckerVector(phi)
-    labels = phi.ground.labels
-    checked = 0
-    first_failure = None
-    for I in combinations(labels, phi.rank + 1):
-        for J in combinations(labels, phi.rank - 1):
-            if len(set(I) - set(J)) != 3:
-                continue
-            checked += 1
-            if first_failure is None and not pluecker_relation_check(p, I, J):
-                first_failure = {"I": list(I), "J": list(J)}
-    _emit({"relations_checked": checked, "ok": first_failure is None,
-           "witness": first_failure})
-    return 0 if first_failure is None else 1
+    witness = failing_relation(phi, True)
+    if witness is not None:
+        witness = {"I": list(witness["I"]), "J": list(witness["J"])}
+    _emit({"relations_checked": three_term_pairs(phi.rank, len(phi.ground)),
+           "ok": witness is None, "witness": witness})
+    return 0 if witness is None else 1
 
 
 def _cmd_demo(args) -> int:
@@ -300,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="support axioms, underlying matroid, and weak "
                             "elimination for a circuit signature")
     p.add_argument("file")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(run=_cmd_check_circuits)
 
     p = sub.add_parser("classify",
@@ -309,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--kmax", type=int, default=None,
                    help="cap the elimination family size")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("circuits",

@@ -29,13 +29,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .circuits import CircuitSignature
 from .errors import InputError
 from .gp import (GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp,
-                 dual_pair_witness)
+                 dual_pair_witness, three_term_pairs)
 from .hyperfields import (HFElement, Hyperfield, sample_element)
 from .transforms import dual_circuits
 from .vectors import (FVector, GroundSet, is_covector_of, is_vector_of,
@@ -44,12 +43,6 @@ from .vectors import (FVector, GroundSet, is_covector_of, is_vector_of,
 _DOUBLY_DISTRIBUTIVE = ("krasner", "sign", "tropical", "gf", "rational")
 
 _REJECTION_TRIES = 20000
-
-
-def _three_term_pairs(rank: int, m: int) -> int:
-    if rank < 2 or m < rank + 2:
-        return 0
-    return comb(m, rank + 1) * comb(rank + 1, rank - 2) * (m - rank - 1)
 
 
 def _random_unit(hf: Hyperfield, rng: random.Random) -> HFElement:
@@ -150,7 +143,7 @@ def random_weak_gp(hf: Hyperfield, rng: random.Random, max_rank: int = 3,
         raise InputError("no feasible (rank, size) pairs under the bounds")
     rank, m = sizes[rng.randrange(len(sizes))]
     labels = tuple(range(1, m + 1))
-    pairs = _three_term_pairs(rank, m)
+    pairs = three_term_pairs(rank, m)
     field_like = hf.kind in ("rational", "gf")
     if not field_like and hf.kind != "krasner" and pairs <= 24:
         ground = GroundSet(labels)

@@ -5,12 +5,19 @@ arbitrary tuples derives the alternating sign.  The relation checkers,
 the circuit extraction, and the dual-pair reconstruction all pin
 deterministic canonical choices (lexicographic subsets, least anchors,
 greedy bases) so outputs and witnesses are reproducible.
+
+The relation checkers run a kernel on int masks of ground positions: a
+mask-indexed value table gives, once per (r+1)-set I, its nonzero factors
+phi(I - i) and, once per (r-1)-set J, its nonzero factors phi(i, J), so
+each (I, J) relation multiplies only the pairs of stored values it
+meets.  `relation_terms` builds the full term list of a reported witness.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import comb
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .circuits import CircuitSignature, check_C0_C2
 from .errors import (GPInconsistencyError, InputError, InvalidDualPairError,
@@ -18,8 +25,7 @@ from .errors import (GPInconsistencyError, InputError, InvalidDualPairError,
 from .hyperfields import (HFElement, Hyperfield, eq, inv, invol, mul, neg,
                           signed, zero_in_sum)
 from .matroids import ClassicalMatroid
-from .search import first_witness
-from .vectors import FVector, GroundSet, orthogonal, scalar_mul, support, vectors_equal
+from .vectors import FVector, GroundSet, orthogonal, support, vectors_equal
 
 
 def _perm_parity(values: Sequence[int]) -> int:
@@ -31,6 +37,9 @@ def _perm_parity(values: Sequence[int]) -> int:
             if values[i] > values[j]:
                 count += 1
     return count % 2
+
+
+_UNCHECKED = object()
 
 
 class GPFunction:
@@ -58,6 +67,7 @@ class GPFunction:
             raise InputError("identically zero (GP1 fails)")
         self.values = stored
         self._matroid: Optional[ClassicalMatroid] = None
+        self._exchange: object = _UNCHECKED
 
     def value(self, subset: Iterable) -> HFElement:
         """The stored value on an unordered r-set of distinct labels."""
@@ -74,8 +84,11 @@ class GPFunction:
         if len(set(labels)) != len(labels):
             return self.hyperfield.zero()
         positions = [self.ground.index(x) for x in labels]
-        parity = _perm_parity(positions)
-        return signed(self.value(labels), parity)
+        key = tuple(self.ground.labels[i] for i in sorted(positions))
+        value = self.values.get(key)
+        if value is None:
+            return self.hyperfield.zero()
+        return signed(value, _perm_parity(positions))
 
     def __call__(self, *labels) -> HFElement:
         return self.evaluate(labels)
@@ -115,18 +128,37 @@ def equivalent_gp(phi1: GPFunction, phi2: GPFunction) -> bool:
 # -- relations ---------------------------------------------------------------
 
 
-def _exchange_witness(phi: GPFunction) -> Optional[dict]:
-    """Basis-exchange failure in the support, or None."""
-    bases = sorted(phi.values)
-    base_sets = {frozenset(b) for b in bases}
-    for b1 in bases:
-        s1 = frozenset(b1)
-        for b2 in bases:
-            s2 = frozenset(b2)
-            for x in phi.ground.sort(s1 - s2):
-                if not any((s1 - {x}) | {y} in base_sets for y in s2 - s1):
-                    return {"axiom": "exchange", "B1": b1, "B2": b2, "x": x}
+def _mask(ground: GroundSet, labels: Iterable) -> int:
+    """The int mask of the labels' ground positions."""
+    return sum(1 << ground.index(x) for x in labels)
+
+
+def _first_exchange_failure(phi: GPFunction) -> Optional[dict]:
+    """Scans (B1, B2, x) with B1, B2 in sorted key order and x in B1 - B2 in
+    ground order.  For each B1 and x it first collects the y for which
+    B1 - x + y is a basis, so each (B1, B2, x) is one mask test."""
+    bases = [(key, _mask(phi.ground, key)) for key in sorted(phi.values)]
+    masks = {m for _, m in bases}
+    n = len(phi.ground)
+    for b1, m1 in bases:
+        outside = [y for y in range(n) if not (m1 >> y) & 1]
+        swaps = {x: sum(1 << y for y in outside
+                        if (m1 ^ (1 << x)) | (1 << y) in masks)
+                 for x in range(n) if (m1 >> x) & 1}
+        for b2, m2 in bases:
+            for x, ys in swaps.items():
+                if not (m2 >> x) & 1 and not ys & m2:
+                    return {"axiom": "exchange", "B1": b1, "B2": b2,
+                            "x": phi.ground.labels[x]}
     return None
+
+
+def _exchange_witness(phi: GPFunction) -> Optional[dict]:
+    """Basis-exchange failure in the support, or None; the scan runs once
+    per function, which never changes."""
+    if phi._exchange is _UNCHECKED:
+        phi._exchange = _first_exchange_failure(phi)
+    return None if phi._exchange is None else dict(phi._exchange)
 
 
 def relation_terms(phi: GPFunction, I: Sequence, J: Sequence) -> List[HFElement]:
@@ -147,82 +179,68 @@ def relation_terms(phi: GPFunction, I: Sequence, J: Sequence) -> List[HFElement]
     return terms
 
 
-def _relation_tasks(phi: GPFunction, three_term_only: bool) -> List[tuple]:
-    labels = phi.ground.labels
-    tasks = []
-    for I in combinations(labels, phi.rank + 1):
-        for J in combinations(labels, phi.rank - 1):
-            if three_term_only and len(set(I) - set(J)) != 3:
+def three_term_pairs(rank: int, m: int) -> int:
+    """The number of (I, J) pairs with |I - J| = 3 over m labels."""
+    if rank < 2 or m < rank + 2:
+        return 0
+    return comb(m, rank + 1) * comb(rank + 1, rank - 2) * (m - rank - 1)
+
+
+def failing_relation(phi: GPFunction, three_term_only: bool) -> Optional[dict]:
+    """The first (I, J) whose relation fails, as a witness, or None.
+
+    Pairs come in the order of `combinations` over the ground order, I
+    outer and J inner; `three_term_only` keeps the pairs with |I - J| = 3.
+    A term vanishes unless phi(I - i) and phi(i, J) are both nonzero, and
+    dropping zero terms never changes `zero_in_sum` (0 is the additive
+    identity; an all-zero sum contains 0), so only the nonzero products
+    are formed, in the order and with the signs `relation_terms` uses.
+    """
+    table = {_mask(phi.ground, key): value for key, value in phi.values.items()}
+    r = phi.rank
+    positions = range(len(phi.ground))
+    lefts = []
+    for I in combinations(positions, r + 1):
+        mask = sum(1 << i for i in I)
+        factors = [(i, k, table[mask ^ (1 << i)])
+                   for k, i in enumerate(I, start=1)
+                   if mask ^ (1 << i) in table]
+        if factors:
+            lefts.append((I, mask, factors))
+    rights = []
+    for J in combinations(positions, r - 1):
+        mask = sum(1 << j for j in J)
+        factors = {x: signed(table[mask | (1 << x)],
+                             (mask & ((1 << x) - 1)).bit_count())
+                   for x in positions
+                   if not (mask >> x) & 1 and mask | (1 << x) in table}
+        if factors:
+            rights.append((J, mask, factors))
+    for I, imask, left in lefts:
+        for J, jmask, right in rights:
+            if three_term_only and (imask & ~jmask).bit_count() != 3:
                 continue
-            tasks.append((I, J))
-    return tasks
+            terms = [signed(mul(value, right[i]), k)
+                     for i, k, value in left if i in right]
+            if terms and not zero_in_sum(terms):
+                labels = phi.ground.labels
+                I = tuple(labels[i] for i in I)
+                J = tuple(labels[j] for j in J)
+                return {"axiom": "GP3'" if three_term_only else "GP3",
+                        "I": I, "J": J,
+                        "terms": relation_terms(phi, I, J)}
+    return None
 
 
-def _check_relations(phi: GPFunction, three_term_only: bool, axiom: str,
-                     workers: int = 1) -> Optional[dict]:
-    problem = _exchange_witness(phi)
-    if problem is not None:
-        return problem
-
-    def check(task):
-        I, J = task
-        terms = relation_terms(phi, I, J)
-        if zero_in_sum(terms):
-            return None
-        return {"axiom": axiom, "I": I, "J": J, "terms": terms}
-
-    return first_witness(_relation_tasks(phi, three_term_only), check, workers=workers)
-
-
-def check_gp_weak(phi: GPFunction, workers: int = 1) -> Optional[dict]:
+def check_gp_weak(phi: GPFunction) -> Optional[dict]:
     """Three-term relations (pairs with |I - J| = 3) plus basis exchange
     on the support."""
-    return _check_relations(phi, True, "GP3'", workers=workers)
+    return _exchange_witness(phi) or failing_relation(phi, True)
 
 
-def check_gp_strong(phi: GPFunction, workers: int = 1) -> Optional[dict]:
+def check_gp_strong(phi: GPFunction) -> Optional[dict]:
     """The full relation family, over all (I, J) pairs."""
-    return _check_relations(phi, False, "GP3", workers=workers)
-
-
-# -- Pluecker vector view -----------------------------------------------------
-
-
-class PlueckerVector:
-    """The same data as a GPFunction, keyed by r-subsets."""
-
-    def __init__(self, phi: GPFunction):
-        self.phi = phi
-
-    def entry(self, subset: Iterable) -> HFElement:
-        return self.phi.value(subset)
-
-    @classmethod
-    def from_entries(cls, hyperfield: Hyperfield, ground: GroundSet, rank: int,
-                     entries: Dict[frozenset, HFElement]) -> "PlueckerVector":
-        values = {ground.sort(k): v for k, v in entries.items()}
-        return cls(GPFunction(hyperfield, ground, rank, values))
-
-
-def pluecker_relation_check(p: PlueckerVector, I: Iterable, J: Iterable) -> bool:
-    """Sign-form relation on unordered I (r+1) and J (r-1): zero must lie
-    in the hypersum over i in I of sign(i; I, J) * x_{J+i} * x_{I-i},
-    where the sign counts elements of I and of J above i."""
-    phi = p.phi
-    I = phi.ground.sort(I)
-    J = phi.ground.sort(J)
-    if len(I) != phi.rank + 1 or len(J) != phi.rank - 1:
-        raise InputError("need |I| = rank+1 and |J| = rank-1")
-    terms = []
-    pos = phi.ground.index
-    for i in I:
-        if i in J:
-            continue
-        s = sum(1 for x in I if pos(i) < pos(x)) + sum(1 for j in J if pos(i) < pos(j))
-        term = mul(p.entry(tuple(sorted(J + (i,), key=pos))),
-                   p.entry(tuple(x for x in I if x != i)))
-        terms.append(signed(term, s))
-    return zero_in_sum(terms)
+    return _exchange_witness(phi) or failing_relation(phi, False)
 
 
 # -- circuits from a GP function ----------------------------------------------

@@ -1,32 +1,18 @@
 """Deterministic first-witness search over an enumerated candidate space.
 
-Checkers enumerate candidates in a fixed canonical order.  With more than
-one worker the candidates are evaluated in index chunks on a thread pool
-and results are merged by candidate index, so the reported witness never
-depends on scheduling.
+Checkers enumerate candidates in a fixed canonical order, so the reported
+witness is always the first failing candidate in that order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Optional
-
-_CHUNK = 64
+from typing import Callable, Iterable
 
 
-def first_witness(candidates: Iterable, check: Callable, workers: int = 1):
+def first_witness(candidates: Iterable, check: Callable):
     """Return check(c) for the first candidate where it is not None."""
-    if workers <= 1:
-        for cand in candidates:
-            result = check(cand)
-            if result is not None:
-                return result
-        return None
-    items = list(candidates)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for base in range(0, len(items), _CHUNK * workers):
-            chunk = items[base:base + _CHUNK * workers]
-            for result in pool.map(check, chunk):
-                if result is not None:
-                    return result
+    for cand in candidates:
+        result = check(cand)
+        if result is not None:
+            return result
     return None

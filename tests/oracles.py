@@ -1,13 +1,18 @@
-"""Independent exact-rational linear algebra and circuit-axiom checks
-used as test oracles.
+"""Independent exact-rational linear algebra, circuit-axiom checks and
+relation scans used as test oracles.
 
-Deliberately self-contained: nothing here imports the package under
-test, so determinants, kernels, minimal-support dependencies and the
-verdicts on circuit families come from a second, unrelated code path.
+Determinants, kernels, minimal-support dependencies and the verdicts on
+circuit families come from a second, unrelated code path: none of them
+uses the package under test.  The GP relation scan reuses the package's
+`relation_terms` and `zero_in_sum`, since what it checks is the
+enumeration: every (I, J) pair in order, each decided on its full term
+list, zeros included.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from hypermatroid import relation_terms, zero_in_sum
 
 
 def det(rows):
@@ -158,3 +163,45 @@ def binary_matroid_circuits(columns):
             if dependent:
                 found.append(frozenset(picks))
     return found
+
+
+def exchange_witness(phi):
+    """The first basis-exchange failure of a GP function's support, by
+    the frozenset scan over (B1, B2, x), or None."""
+    bases = sorted(phi.values)
+    base_sets = {frozenset(b) for b in bases}
+    for b1 in bases:
+        s1 = frozenset(b1)
+        for b2 in bases:
+            s2 = frozenset(b2)
+            for x in phi.ground.sort(s1 - s2):
+                if not any((s1 - {x}) | {y} in base_sets for y in s2 - s1):
+                    return {"axiom": "exchange", "B1": b1, "B2": b2, "x": x}
+    return None
+
+
+def relation_pairs(phi, three_term_only):
+    """Every (I, J) of the relation family, I outer and J inner, both in
+    `combinations` order; three-term pairs have |I - J| = 3."""
+    labels = phi.ground.labels
+    for I in combinations(labels, phi.rank + 1):
+        for J in combinations(labels, phi.rank - 1):
+            if not three_term_only or len(set(I) - set(J)) == 3:
+                yield I, J
+
+
+def relation_witness(phi, three_term_only):
+    """The first pair whose full term list, zeros included, fails
+    zero_in_sum, as a witness, or None."""
+    axiom = "GP3'" if three_term_only else "GP3"
+    for I, J in relation_pairs(phi, three_term_only):
+        terms = relation_terms(phi, I, J)
+        if not zero_in_sum(terms):
+            return {"axiom": axiom, "I": I, "J": J, "terms": terms}
+    return None
+
+
+def gp_witness(phi, three_term_only):
+    """The verdict of check_gp_weak (three_term_only) or check_gp_strong
+    by the direct scans: basis exchange, then every relation."""
+    return exchange_witness(phi) or relation_witness(phi, three_term_only)

@@ -6,11 +6,16 @@ needed.
 """
 
 import json
+import random
+from itertools import combinations
 
 import pytest
 
-from hypermatroid import CORPUS, serialize
+from hypermatroid import (CORPUS, TROPICAL, GPFunction, GroundSet,
+                          sample_element, serialize)
 from hypermatroid.cli import main
+
+import oracles
 
 
 def write(tmp_path, name, obj):
@@ -134,6 +139,35 @@ def test_dressian(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["ok"] and report["relations_checked"] >= 1
+
+
+def test_dressian_matches_the_three_term_scan(capsys, tmp_path):
+    """The count of three-term pairs and the first failing one, basis
+    exchange left aside, on tropical functions with random values and
+    supports over shuffled ground orders."""
+    rng = random.Random(11)
+    outcomes = set()
+    for n in range(40):
+        rank = rng.randint(1, 4)
+        labels = rng.sample(range(1, 8), rng.randint(rank, 7))
+        keys = [k for k in combinations(labels, rank) if rng.random() < 0.8]
+        values = {k: sample_element(TROPICAL, rng, nonzero=True)
+                  for k in keys or [tuple(labels[:rank])]}
+        phi = GPFunction(TROPICAL, GroundSet(labels), rank, values)
+        code, out, _ = run(capsys, "dressian",
+                           write(tmp_path, f"t{n}.json", phi))
+        report = json.loads(out)
+        want = oracles.relation_witness(phi, True)
+        assert report["relations_checked"] == \
+            len(list(oracles.relation_pairs(phi, True)))
+        if want is None:
+            assert code == 0 and report["witness"] is None
+        else:
+            assert code == 1
+            assert report["witness"] == {"I": list(want["I"]),
+                                         "J": list(want["J"])}
+        outcomes.add((code, oracles.exchange_witness(phi) is None))
+    assert outcomes >= {(0, True), (1, True), (1, False)}
 
 
 def test_demo_list_and_run(capsys):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermatroid import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
                           TRIANGLE, TROPICAL, HFElement, InputError,
@@ -167,3 +169,27 @@ def test_reversibility():
             for payload in s.sample():
                 z = HFElement(hf, payload)
                 assert member_of_sum(x, [z, neg(y)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(ALL),
+       st.lists(st.sampled_from(["zero", "new", "negated"]), min_size=1,
+                max_size=6),
+       st.integers(0, 2 ** 32))
+def test_zero_terms_never_decide_zero_in_sum(hf, plan, seed):
+    """The relation kernel drops zero terms; an all-zero list counts as
+    containing 0.  "negated" repeats the last nonzero term negated, so
+    sums containing 0 come up over every kind."""
+    rng = random.Random(seed)
+    terms, nonzero = [], []
+    for step in plan:
+        if step == "zero":
+            terms.append(hf.zero())
+            continue
+        if step == "new" or not nonzero:
+            term = sample_element(hf, rng, nonzero=True)
+        else:
+            term = neg(nonzero[-1])
+        terms.append(term)
+        nonzero.append(term)
+    assert zero_in_sum(terms) == (not nonzero or zero_in_sum(nonzero))
