@@ -51,21 +51,21 @@ from .matroids import ClassicalMatroid, validate_circuits  # noqa: F401
 from .axioms import check_hyperfield_axioms, double_distributivity_witness  # noqa: F401
 
 from .circuits import (  # noqa: F401
-    Classification,
     CircuitSignature,
     check_C0_C2,
     check_C3_doubleprime,
     check_strong_elimination,
     check_weak_elimination,
-    classify,
     same_signature,
 )
 
 from .gp import (  # noqa: F401
+    Classification,
     GPFunction,
     check_gp_strong,
     check_gp_weak,
     circuits_from_gp,
+    classify,
     cocircuit_signature_from_circuits,
     dual_pair_witness,
     equivalent_gp,

@@ -5,18 +5,22 @@ closure under nonzero scaling is implicit and scalings are generated on
 demand.  All checkers are scale-equivariant, so they pin one canonical
 scaling per quantified object instead of ranging over the (possibly
 infinite) unit group.
+
+`gp.classify` decides strength by dual-pair orthogonality and calls
+`check_strong_elimination` only to name the C3 witness of a weak-only
+signature; `check_C3_doubleprime`, a third equivalent criterion, runs in
+the tests alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ConsistencyError, InputError
+from .errors import InputError
 from .hyperfields import (HFElement, Hyperfield, elimination_member, inv, mul,
                           neg, zero_in_sum)
-from .matroids import ClassicalMatroid, modular_family, modular_pair, validate_circuits
+from .matroids import ClassicalMatroid, modular_family, modular_pair
 from .search import first_witness
 from .sumsets import SumSet, fold
 from .vectors import FVector, GroundSet, projectively_equal, scalar_mul, support
@@ -79,16 +83,6 @@ def same_signature(a: CircuitSignature, b: CircuitSignature) -> bool:
                    for x in a.classes)
     except InputError:
         return False
-
-
-@dataclass
-class Classification:
-    verdict: str  # InvalidSignature | UnderlyingNotMatroid | WeakOnly | Strong
-    witness: Optional[dict] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == "Strong"
 
 
 # -- (C0)-(C2) ----------------------------------------------------------------
@@ -212,8 +206,7 @@ def check_weak_elimination(sig: CircuitSignature) -> Optional[dict]:
     return first_witness(tasks, check)
 
 
-def check_strong_elimination(sig: CircuitSignature,
-                             k_max: Optional[int] = None) -> Optional[dict]:
+def check_strong_elimination(sig: CircuitSignature) -> Optional[dict]:
     """Modular-family elimination.
 
     Enumerates families {X, X_1..X_k} of classes whose supports form a
@@ -223,8 +216,7 @@ def check_strong_elimination(sig: CircuitSignature,
     """
     matroid = sig.underlying_matroid()
     corank = len(sig.ground) - matroid.rank()
-    limit = corank - 1 if k_max is None else min(k_max, corank - 1)
-    limit = min(limit, len(sig.classes) - 1)
+    limit = min(corank - 1, len(sig.classes) - 1)
     supports = sig.supports()
     index = {i: s for i, s in enumerate(supports)}
 
@@ -313,37 +305,3 @@ def check_C3_doubleprime(sig: CircuitSignature) -> Optional[dict]:
         return None
 
     return first_witness(tasks, check)
-
-
-def classify(sig: CircuitSignature,
-             k_max: Optional[int] = None) -> Classification:
-    """Full pipeline: projective sanity, underlying matroid, weak
-    elimination, then strong elimination.
-
-    A Strong verdict is cross-checked against the fundamental-circuit
-    span criterion; disagreement raises, since the two must coincide.
-    """
-    basic = check_C0_C2(sig)
-    if basic is not None:
-        return Classification("InvalidSignature", basic)
-    violation = validate_circuits(sig.ground, sig.supports())
-    if violation is not None:
-        return Classification("UnderlyingNotMatroid",
-                              {"axiom": "underlying", **violation.as_json()})
-    weak = check_weak_elimination(sig)
-    if weak is not None:
-        return Classification("InvalidSignature", weak)
-    strong = check_strong_elimination(sig, k_max=k_max)
-    if strong is not None:
-        cross = check_C3_doubleprime(sig)
-        if cross is None:
-            raise ConsistencyError(
-                "modular-family elimination failed but the fundamental-circuit "
-                "span criterion passed")
-        return Classification("WeakOnly", strong)
-    cross = check_C3_doubleprime(sig)
-    if cross is not None:
-        raise ConsistencyError(
-            "modular-family elimination passed but the fundamental-circuit "
-            "span criterion failed")
-    return Classification("Strong", None)

@@ -8,9 +8,13 @@ message goes to stderr).  The float tolerance can be overridden through
 the HFM_EPS environment variable.
 
 Every checker runs in one thread and reports the first witness in its
-canonical order.  `dressian` is the three-term sweep of `check-gp --weak`
-without the basis-exchange scan; it reports the number of three-term
-(I, J) pairs and the first failing one.
+canonical order.  `classify` decides strength by dual-pair orthogonality:
+a weak signature is strong exactly when every circuit is orthogonal to
+every cocircuit of its derived cocircuit signature; for a weak-only one,
+modular-family elimination names the failing C3 instance.  `dressian` is
+the three-term sweep of `check-gp --weak` without the basis-exchange
+scan; it reports the number of three-term (I, J) pairs and the first
+failing one.
 """
 
 from __future__ import annotations
@@ -22,13 +26,14 @@ from dataclasses import replace
 from typing import Optional
 
 from .axioms import check_hyperfield_axioms
-from .circuits import CircuitSignature, check_C0_C2, check_weak_elimination, classify
+from .circuits import CircuitSignature, check_C0_C2, check_weak_elimination
 from .corpus import corpus_entries, run_demo
 from .errors import (GPInconsistencyError, InputError, InvalidDualPairError,
                      RatioInconsistencyError)
 from .experiments import config_from_json, run_perfection_experiment
 from .gp import (GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp,
-                 failing_relation, gp_from_dual_pair, three_term_pairs)
+                 classify, failing_relation, gp_from_dual_pair,
+                 three_term_pairs)
 from .matroids import validate_circuits
 from .serialization import hyperfield_from_id, parse_text, serialize
 from .transforms import (contract_gp, delete_gp, dual_circuits, dual_gp,
@@ -127,7 +132,7 @@ def _cmd_check_circuits(args) -> int:
 
 def _cmd_classify(args) -> int:
     sig = _want(_load(args.file), (CircuitSignature,), "a circuit signature")
-    result = classify(sig, k_max=args.kmax)
+    result = classify(sig)
     _emit(result)
     return 0 if result.ok else 1
 
@@ -302,8 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="full verdict: Strong, WeakOnly, "
                             "InvalidSignature, or UnderlyingNotMatroid")
     p.add_argument("file")
-    p.add_argument("--kmax", type=int, default=None,
-                   help="cap the elimination family size")
     p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("circuits",

@@ -42,9 +42,3 @@ def set_eps(value: float) -> None:
     if not value > 0:
         raise ValueError("tolerance must be positive")
     _eps = value
-
-
-def reset_eps() -> None:
-    """Restore the tolerance from the environment (or the default)."""
-    global _eps
-    _eps = _eps_from_env()

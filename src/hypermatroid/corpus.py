@@ -15,9 +15,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Tuple
 
-from .circuits import CircuitSignature, classify
+from .circuits import CircuitSignature
 from .errors import InputError
-from .gp import GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp
+from .gp import GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp, classify
 from .hyperfields import (KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE, TROPICAL,
                           gf, neg)
 from .vectors import FVector, GroundSet, support

@@ -4,7 +4,8 @@ Values are stored on position-sorted r-subsets only; evaluation on
 arbitrary tuples derives the alternating sign.  The relation checkers,
 the circuit extraction, and the dual-pair reconstruction all pin
 deterministic canonical choices (lexicographic subsets, least anchors,
-greedy bases) so outputs and witnesses are reproducible.
+greedy bases) so outputs and witnesses are reproducible.  `classify`
+lives here, next to the dual-pair check that decides it.
 
 The relation checkers run a kernel on int masks of ground positions: a
 mask-indexed value table gives, once per (r+1)-set I, its nonzero factors
@@ -15,16 +16,18 @@ meets.  `relation_terms` builds the full term list of a reported witness.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from .circuits import CircuitSignature, check_C0_C2
-from .errors import (GPInconsistencyError, InputError, InvalidDualPairError,
-                     RatioInconsistencyError)
+from .circuits import (CircuitSignature, check_C0_C2, check_strong_elimination,
+                       check_weak_elimination)
+from .errors import (ConsistencyError, GPInconsistencyError, InputError,
+                     InvalidDualPairError, RatioInconsistencyError)
 from .hyperfields import (HFElement, Hyperfield, eq, inv, invol, mul, neg,
                           signed, zero_in_sum)
-from .matroids import ClassicalMatroid
+from .matroids import ClassicalMatroid, validate_circuits
 from .vectors import FVector, GroundSet, orthogonal, support, vectors_equal
 
 
@@ -134,10 +137,13 @@ def _mask(ground: GroundSet, labels: Iterable) -> int:
 
 
 def _first_exchange_failure(phi: GPFunction) -> Optional[dict]:
-    """Scans (B1, B2, x) with B1, B2 in sorted key order and x in B1 - B2 in
-    ground order.  For each B1 and x it first collects the y for which
-    B1 - x + y is a basis, so each (B1, B2, x) is one mask test."""
-    bases = [(key, _mask(phi.ground, key)) for key in sorted(phi.values)]
+    """Scans (B1, B2, x) with B1, B2 in the lex order of their ground
+    positions and x in B1 - B2 in ground order.  For each B1 and x it first
+    collects the y for which B1 - x + y is a basis, so each (B1, B2, x) is
+    one mask test."""
+    pos = phi.ground.index
+    bases = [(key, _mask(phi.ground, key))
+             for key in sorted(phi.values, key=lambda k: tuple(map(pos, k)))]
     masks = {m for _, m in bases}
     n = len(phi.ground)
     for b1, m1 in bases:
@@ -269,21 +275,19 @@ def circuits_from_gp(phi: GPFunction) -> CircuitSignature:
     at value 1 on the circuit's least element.
 
     Well-definedness across the choice of completing basis is asserted by
-    recomputing against a second basis whenever one exists.
+    recomputing against a second basis whenever one exists.  The two
+    bases are the first ones containing the circuit minus its anchor, in
+    the lex order of their ground positions.
     """
     matroid = phi.underlying_matroid()
     pos = phi.ground.index
-    bases = sorted(matroid.bases(), key=lambda b: sorted(map(pos, b)))
     vectors = []
     for circuit in sorted(matroid.circuits, key=lambda c: sorted(map(pos, c))):
         x0 = min(circuit, key=pos)
-        partial = circuit - {x0}
-        carriers = list(islice(filter(partial.issubset, bases), 2))
-        basis = phi.ground.sort(carriers[0])
-        vector = _circuit_from_basis(phi, circuit, x0, basis)
+        carriers = list(islice(matroid.bases_containing(circuit - {x0}), 2))
+        vector = _circuit_from_basis(phi, circuit, x0, carriers[0])
         if len(carriers) > 1:
-            other = phi.ground.sort(carriers[1])
-            again = _circuit_from_basis(phi, circuit, x0, other)
+            again = _circuit_from_basis(phi, circuit, x0, carriers[1])
             if not vectors_equal(vector, again):
                 raise GPInconsistencyError(
                     f"circuit {sorted(circuit)} depends on the completing basis")
@@ -431,3 +435,48 @@ def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature,
                 raise InvalidDualPairError(
                     f"full dual pair gave a non-strong function: {witness}")
     return phi
+
+
+# -- classification ----------------------------------------------------------
+
+
+@dataclass
+class Classification:
+    verdict: str  # InvalidSignature | UnderlyingNotMatroid | WeakOnly | Strong
+    witness: Optional[dict] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.verdict == "Strong"
+
+
+def classify(sig: CircuitSignature) -> Classification:
+    """The verdict on a circuit signature, with its witness.
+
+    In order: the support axioms C0-C2 (InvalidSignature), the circuit
+    axioms of the supports (UnderlyingNotMatroid), and modular-pair
+    elimination C3' (InvalidSignature).  A weak signature is Strong
+    exactly when it forms a dual pair with its derived cocircuit
+    signature, every circuit orthogonal to every cocircuit (Baker-Bowler);
+    that is the deciding criterion.  If it fails, modular-family
+    elimination runs only to name the C3 witness of the WeakOnly verdict;
+    finding none would contradict the theorem and raises.
+    """
+    basic = check_C0_C2(sig)
+    if basic is not None:
+        return Classification("InvalidSignature", basic)
+    violation = validate_circuits(sig.ground, sig.supports())
+    if violation is not None:
+        return Classification("UnderlyingNotMatroid",
+                              {"axiom": "underlying", **violation.as_json()})
+    weak = check_weak_elimination(sig)
+    if weak is not None:
+        return Classification("InvalidSignature", weak)
+    if dual_pair_witness(sig, cocircuit_signature_from_circuits(sig)) is None:
+        return Classification("Strong")
+    strong = check_strong_elimination(sig)
+    if strong is None:
+        raise ConsistencyError(
+            "the signature and its cocircuits are not orthogonal, but "
+            "modular-family elimination finds no failure")
+    return Classification("WeakOnly", strong)

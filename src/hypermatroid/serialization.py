@@ -26,9 +26,9 @@ import warnings
 from fractions import Fraction
 from typing import Optional
 
-from .circuits import CircuitSignature, Classification
+from .circuits import CircuitSignature
 from .errors import InputError
-from .gp import GPFunction
+from .gp import Classification, GPFunction
 from .hyperfields import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
                           TRIANGLE, TROPICAL, HFElement, Hyperfield, gf,
                           norm_angle)

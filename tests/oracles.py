@@ -1,18 +1,21 @@
-"""Independent exact-rational linear algebra, circuit-axiom checks and
-relation scans used as test oracles.
+"""Independent exact-rational linear algebra, circuit-axiom checks,
+relation scans and a second classification route used as test oracles.
 
 Determinants, kernels, minimal-support dependencies and the verdicts on
 circuit families come from a second, unrelated code path: none of them
 uses the package under test.  The GP relation scan reuses the package's
 `relation_terms` and `zero_in_sum`, since what it checks is the
 enumeration: every (I, J) pair in order, each decided on its full term
-list, zeros included.
+list, zeros included.  `classify_by_elimination` decides strength by the
+package's two elimination criteria instead of orthogonality.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from hypermatroid import relation_terms, zero_in_sum
+from hypermatroid import (Classification, check_C0_C2, check_C3_doubleprime,
+                          check_strong_elimination, check_weak_elimination,
+                          relation_terms, validate_circuits, zero_in_sum)
 
 
 def det(rows):
@@ -167,8 +170,9 @@ def binary_matroid_circuits(columns):
 
 def exchange_witness(phi):
     """The first basis-exchange failure of a GP function's support, by
-    the frozenset scan over (B1, B2, x), or None."""
-    bases = sorted(phi.values)
+    the frozenset scan over (B1, B2, x) with the bases in the lex order of
+    their ground positions, or None."""
+    bases = sorted(phi.values, key=lambda b: [phi.ground.index(x) for x in b])
     base_sets = {frozenset(b) for b in bases}
     for b1 in bases:
         s1 = frozenset(b1)
@@ -205,3 +209,25 @@ def gp_witness(phi, three_term_only):
     """The verdict of check_gp_weak (three_term_only) or check_gp_strong
     by the direct scans: basis exchange, then every relation."""
     return exchange_witness(phi) or relation_witness(phi, three_term_only)
+
+
+def classify_by_elimination(sig):
+    """classify's verdict by modular-family elimination: Strong when no
+    C3 instance fails, else WeakOnly with the first failure; the
+    fundamental-circuit span criterion C3'' must agree."""
+    basic = check_C0_C2(sig)
+    if basic is not None:
+        return Classification("InvalidSignature", basic)
+    violation = validate_circuits(sig.ground, sig.supports())
+    if violation is not None:
+        return Classification("UnderlyingNotMatroid",
+                              {"axiom": "underlying", **violation.as_json()})
+    weak = check_weak_elimination(sig)
+    if weak is not None:
+        return Classification("InvalidSignature", weak)
+    strong = check_strong_elimination(sig)
+    assert (strong is None) == (check_C3_doubleprime(sig) is None), \
+        "C3 and C3'' disagree"
+    if strong is None:
+        return Classification("Strong")
+    return Classification("WeakOnly", strong)

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from hypermatroid import (CORPUS, TROPICAL, GPFunction, GroundSet,
+from hypermatroid import (CORPUS, SIGN, TROPICAL, GPFunction, GroundSet,
                           sample_element, serialize)
 from hypermatroid.cli import main
 
@@ -226,3 +226,23 @@ def test_unhashable_labels_are_input_errors(capsys, tmp_path, name, obj, field):
     assert code == 2 and out == ""
     assert err.startswith("error:") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("keys, want", [
+    ([("a", 1), ("a", 2), (1, 2)], 0),
+    ([("a", 1), (2, 3)], 1),  # fails basis exchange
+])
+def test_mixed_labels_give_a_verdict(capsys, tmp_path, keys, want):
+    """Labels of different types are ordered by ground position, never
+    compared with each other."""
+    ground = GroundSet(("a", 1, 2, 3))
+    phi = GPFunction(SIGN, ground, 2, {key: SIGN.one() for key in keys})
+    path = write(tmp_path, "gp.json", phi)
+    code, out, err = run(capsys, "check-gp", "--both", path)
+    assert code == want and err == ""
+    report = json.loads(out)
+    assert report["weak"]["ok"] is (want == 0)
+    if want:
+        assert report["weak"]["witness"]["axiom"] == "exchange"
+    code, out, err = run(capsys, "circuits", path)
+    assert code == want and err == ""

@@ -192,6 +192,13 @@ def test_derived_data_matches_the_scans(name, m):
                 continue
             scan = [c for c in m.circuits if c <= basis | {e}]
             assert [m.fundamental_circuit(basis, e)] == scan, (basis, e)
+    pos = m.ground.index
+    ordered = sorted(m.bases(), key=lambda b: sorted(map(pos, b)))
+    for circuit in m.circuits:
+        for x in circuit:
+            partial = circuit - {x}
+            scan = [m.ground.sort(b) for b in ordered if partial <= b]
+            assert list(m.bases_containing(partial)) == scan, partial
     dual = m.dual()
     assert validate_circuits(m.ground, dual.circuits) is None
     assert oracles.circuit_violation(m.ground, dual.circuits) is None
