@@ -70,6 +70,7 @@ from .gp import (  # noqa: F401
     dual_pair_witness,
     equivalent_gp,
     gp_from_dual_pair,
+    orthogonality_verdict,
     relation_terms,
 )
 

@@ -6,10 +6,12 @@ demand.  All checkers are scale-equivariant, so they pin one canonical
 scaling per quantified object instead of ranging over the (possibly
 infinite) unit group.
 
-`gp.classify` decides strength by dual-pair orthogonality and calls
-`check_strong_elimination` only to name the C3 witness of a weak-only
-signature; `check_C3_doubleprime`, a third equivalent criterion, runs in
-the tests alone.
+`gp.orthogonality_verdict` decides weakness and strength by orthogonality
+with the derived cocircuit signature.  The elimination scans only name
+witnesses: `check_weak_elimination` the C3' instance of a signature that
+is not weak, `check_strong_elimination` the C3 instance of a weak-only
+one.  `check_C3_doubleprime`, a third equivalent criterion, runs in the
+tests alone.
 """
 
 from __future__ import annotations

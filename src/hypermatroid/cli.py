@@ -8,10 +8,14 @@ message goes to stderr).  The float tolerance can be overridden through
 the HFM_EPS environment variable.
 
 Every checker runs in one thread and reports the first witness in its
-canonical order.  `classify` decides strength by dual-pair orthogonality:
-a weak signature is strong exactly when every circuit is orthogonal to
-every cocircuit of its derived cocircuit signature; for a weak-only one,
-modular-family elimination names the failing C3 instance.  `dressian` is
+canonical order.  `check-circuits` and `classify` decide by orthogonality
+with the cocircuit signature derived from the circuits: a signature is
+weak when the derivation is consistent and every circuit and cocircuit
+meeting in at most 3 elements are orthogonal, and strong when every
+circuit is orthogonal to every cocircuit.  The elimination scans only
+name the failing instance: modular-pair elimination (C3') for a
+signature that is not weak, modular-family elimination (C3) for a
+weak-only one.  `dressian` is
 the three-term sweep of `check-gp --weak` without the basis-exchange
 scan; it reports the number of three-term (I, J) pairs and the first
 failing one.
@@ -26,14 +30,14 @@ from dataclasses import replace
 from typing import Optional
 
 from .axioms import check_hyperfield_axioms
-from .circuits import CircuitSignature, check_C0_C2, check_weak_elimination
+from .circuits import CircuitSignature, check_C0_C2
 from .corpus import corpus_entries, run_demo
 from .errors import (GPInconsistencyError, InputError, InvalidDualPairError,
                      RatioInconsistencyError)
 from .experiments import config_from_json, run_perfection_experiment
 from .gp import (GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp,
                  classify, failing_relation, gp_from_dual_pair,
-                 three_term_pairs)
+                 orthogonality_verdict, three_term_pairs)
 from .matroids import validate_circuits
 from .serialization import hyperfield_from_id, parse_text, serialize
 from .transforms import (contract_gp, delete_gp, dual_circuits, dual_gp,
@@ -124,7 +128,8 @@ def _cmd_check_circuits(args) -> int:
         witness = None if violation is None else violation.as_json()
         out["underlying_matroid"] = {"ok": witness is None, "witness": witness}
     if witness is None:
-        witness = check_weak_elimination(sig)
+        result = orthogonality_verdict(sig)
+        witness = result.witness if result.verdict == "InvalidSignature" else None
         out["weak_elimination"] = {"ok": witness is None, "witness": witness}
     _emit(out)
     return 1 if witness is not None else 0

@@ -5,7 +5,8 @@ arbitrary tuples derives the alternating sign.  The relation checkers,
 the circuit extraction, and the dual-pair reconstruction all pin
 deterministic canonical choices (lexicographic subsets, least anchors,
 greedy bases) so outputs and witnesses are reproducible.  `classify`
-lives here, next to the dual-pair check that decides it.
+lives here, next to the cocircuit derivation whose orthogonality with
+the circuits decides it.
 
 The relation checkers run a kernel on int masks of ground positions: a
 mask-indexed value table gives, once per (r+1)-set I, its nonzero factors
@@ -304,8 +305,10 @@ def cocircuit_signature_from_circuits(sig: CircuitSignature) -> CircuitSignature
 
     For a cocircuit D and a maximal independent set A in its complement,
     each pair e, f in D determines a unique circuit inside A + {e, f}; the
-    ratio W(e)/W(f) is the negated inverted circuit ratio, and consistency
-    of all pairs against the anchored representative is verified.
+    ratio W(e)/W(f) is the negated inverted circuit ratio.  The pairs with
+    the least element f0 of D define the representative anchored at
+    W(f0) = 1, so they hold by construction; every other pair is checked
+    against it.
 
     Orthogonality pairs a circuit entry with the involution of a cocircuit
     entry, so the ratios are built under the involution; with the identity
@@ -331,7 +334,7 @@ def cocircuit_signature_from_circuits(sig: CircuitSignature) -> CircuitSignature
             rep = circuit_between(e, f0)
             entries[e] = invol(neg(mul(rep.entry(f0), inv(rep.entry(e)))))
         vector = FVector(hf, sig.ground, entries)
-        for e, f in combinations(ordered, 2):
+        for e, f in combinations(ordered[1:], 2):
             rep = circuit_between(e, f)
             lhs = mul(vector.entry(e), inv(vector.entry(f)))
             rhs = invol(neg(mul(rep.entry(f), inv(rep.entry(e)))))
@@ -450,17 +453,61 @@ class Classification:
         return self.verdict == "Strong"
 
 
+def orthogonality_verdict(sig: CircuitSignature) -> Classification:
+    """Strong, WeakOnly or InvalidSignature for a signature that satisfies
+    C0-C2 and whose supports are the circuits of a matroid.
+
+    Weak signatures are the circuit sides of weak dual pairs, strong ones
+    those of full dual pairs (Baker-Bowler), and the only candidate
+    partner is the cocircuit signature D derived from circuit ratios.  So
+    the signature is not weak when D cannot be derived consistently or a
+    circuit X and a cocircuit Y with |X & Y| <= 3 are not orthogonal, and
+    it is strong when every pair is orthogonal.  One pass over C x D
+    decides; after the first non-orthogonal pair with a larger overlap it
+    checks only the pairs with overlap at most 3.
+
+    The elimination scans only name the witness: modular-pair elimination
+    C3' for InvalidSignature, modular-family elimination C3 for WeakOnly.
+    A scan that finds none would contradict the theorem and raises.
+    """
+    try:
+        cocircuits = [(y, support(y)) for y in
+                      cocircuit_signature_from_circuits(sig).classes]
+    except RatioInconsistencyError:
+        weak, strong = False, False
+    else:
+        weak, strong = True, True
+        for x in sig.classes:
+            sx = support(x)
+            for y, sy in cocircuits:
+                small = len(sx & sy) <= 3
+                if (strong or small) and not orthogonal(x, y):
+                    strong = False
+                    if small:
+                        weak = False
+                        break
+            if not weak:
+                break
+    if strong:
+        return Classification("Strong")
+    if weak:
+        verdict, witness = "WeakOnly", check_strong_elimination(sig)
+    else:
+        verdict, witness = "InvalidSignature", check_weak_elimination(sig)
+    if witness is None:
+        raise ConsistencyError(
+            f"orthogonality with the derived cocircuits makes the signature "
+            f"{verdict}, but elimination finds no failing instance")
+    return Classification(verdict, witness)
+
+
 def classify(sig: CircuitSignature) -> Classification:
     """The verdict on a circuit signature, with its witness.
 
     In order: the support axioms C0-C2 (InvalidSignature), the circuit
-    axioms of the supports (UnderlyingNotMatroid), and modular-pair
-    elimination C3' (InvalidSignature).  A weak signature is Strong
-    exactly when it forms a dual pair with its derived cocircuit
-    signature, every circuit orthogonal to every cocircuit (Baker-Bowler);
-    that is the deciding criterion.  If it fails, modular-family
-    elimination runs only to name the C3 witness of the WeakOnly verdict;
-    finding none would contradict the theorem and raises.
+    axioms of the supports (UnderlyingNotMatroid), then orthogonality with
+    the derived cocircuit signature (`orthogonality_verdict`), which
+    decides between InvalidSignature, WeakOnly and Strong.
     """
     basic = check_C0_C2(sig)
     if basic is not None:
@@ -469,14 +516,4 @@ def classify(sig: CircuitSignature) -> Classification:
     if violation is not None:
         return Classification("UnderlyingNotMatroid",
                               {"axiom": "underlying", **violation.as_json()})
-    weak = check_weak_elimination(sig)
-    if weak is not None:
-        return Classification("InvalidSignature", weak)
-    if dual_pair_witness(sig, cocircuit_signature_from_circuits(sig)) is None:
-        return Classification("Strong")
-    strong = check_strong_elimination(sig)
-    if strong is None:
-        raise ConsistencyError(
-            "the signature and its cocircuits are not orthogonal, but "
-            "modular-family elimination finds no failure")
-    return Classification("WeakOnly", strong)
+    return orthogonality_verdict(sig)

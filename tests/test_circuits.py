@@ -1,23 +1,28 @@
 """Circuit signatures: support axioms, elimination, classification."""
 
+import json
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
-                          TRIANGLE, TROPICAL, CircuitSignature, FVector,
-                          GroundSet, check_C0_C2, check_C3_doubleprime,
-                          check_strong_elimination, check_weak_elimination,
-                          circuits_from_gp, classify, corpus_entries, gf,
-                          random_weak_signature, same_signature, scalar_mul,
+from hypermatroid import (CORPUS, PHASE, RATIONALS, SIGN, TRIANGLE, TROPICAL,
+                          CircuitSignature, FVector, GPFunction, GroundSet,
+                          RatioInconsistencyError, check_C0_C2,
+                          check_C3_doubleprime, check_strong_elimination,
+                          check_weak_elimination, circuits_from_gp, classify,
+                          cocircuit_signature_from_circuits, corpus_entries,
+                          eq, gf, orthogonal, random_weak_signature,
+                          same_signature, sample_element, scalar_mul,
                           serialize)
+from hypermatroid.cli import main
 
 import oracles
+from strategies import ALL_KINDS, units
 
-ALL_KINDS = [KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE, PHASE_PLAIN, RATIONALS,
-             gf(3)]
 
 
 def sign_vec(g, entries):
@@ -143,24 +148,152 @@ def test_classify_matches_elimination():
 WEAK_ONLY = ["triangle-weak-not-strong", "phase-weak-not-strong"]
 
 
-@st.composite
-def weak_only_variants(draw):
-    """A weak-only corpus signature in a permuted ground order with every
-    class scaled by a unit: triangle units in [1e-3, 1e3], since smaller
-    values meet the absolute float tolerance, and any phase angle."""
-    sig = circuits_from_gp(CORPUS[draw(st.sampled_from(WEAK_ONLY))].build())
+def permuted_rescaled(draw, sig, dedup=True):
+    """sig in a permuted ground order with every class scaled by a unit."""
     hf = sig.hyperfield
     ground = GroundSet(draw(st.permutations(sig.ground.labels)))
-    if hf.kind == "triangle":
-        units = st.floats(1e-3, 1e3)
-    else:
-        units = st.floats(0.01, 6.28)
     return CircuitSignature(hf, ground, [
-        scalar_mul(hf.element(draw(units)), FVector(hf, ground, v.entries))
-        for v in sig.classes])
+        scalar_mul(draw(units(hf)), FVector(hf, ground, v.entries))
+        for v in sig.classes], dedup=dedup)
+
+
+@st.composite
+def weak_only_variants(draw):
+    """A weak-only corpus signature, permuted and rescaled."""
+    sig = circuits_from_gp(CORPUS[draw(st.sampled_from(WEAK_ONLY))].build())
+    return permuted_rescaled(draw, sig)
 
 
 @settings(max_examples=25, deadline=None)
 @given(weak_only_variants())
 def test_classify_matches_elimination_on_weak_only_variants(sig):
     assert _same_classification(sig).verdict == "WeakOnly"
+
+
+# -- weakness by orthogonality against the C3' oracle -------------------------
+
+
+def perturbed(sig, rng):
+    """sig with one entry of one class replaced by a random unit that
+    differs from it where the hyperfield has one (Krasner has not)."""
+    hf = sig.hyperfield
+    i = rng.randrange(len(sig.classes))
+    x = sig.classes[i]
+    label = rng.choice(sig.ground.sort(x.entries))
+    for _ in range(20):
+        value = sample_element(hf, rng, nonzero=True)
+        if not eq(value, x.entries[label]):
+            break
+    classes = list(sig.classes)
+    classes[i] = FVector(hf, sig.ground, {**x.entries, label: value})
+    return CircuitSignature(hf, sig.ground, classes, dedup=False)
+
+
+def not_weak_route(sig):
+    """How orthogonality finds sig not weak: "ratio" when its cocircuit
+    signature cannot be derived consistently, else "perpendicular" (a
+    circuit and a cocircuit meeting in at most 3 elements are not
+    orthogonal)."""
+    try:
+        cocircuit_signature_from_circuits(sig)
+    except RatioInconsistencyError:
+        return "ratio"
+    return "perpendicular"
+
+
+def u24_failing_three_term(hf, value):
+    """The circuits of a U(2,4) function failing its three-term relation:
+    every value is 1 but phi(1, 3) = value.  The circuits and their
+    derived cocircuits meet in 2 elements orthogonally by construction, so
+    the only failing pair is a 3-element overlap, the relation itself."""
+    values = {key: hf.one() for key in combinations((1, 2, 3, 4), 2)}
+    values[(1, 3)] = hf.element(value)
+    return circuits_from_gp(GPFunction(hf, GroundSet((1, 2, 3, 4)), 2, values))
+
+
+FAILING_THREE_TERM = [(SIGN, -1), (TROPICAL, 2), (TRIANGLE, 3.0),
+                      (RATIONALS, 1), (gf(3), 1), (PHASE, -1)]
+
+
+def test_orthogonality_matches_weak_elimination(tmp_path, capsys):
+    """classify gives the verdict and witness of the elimination route on
+    random weak signatures with one perturbed entry over every
+    hyperfield, and check-circuits reports the C3' scan's witness.  Both
+    ways of failing weakness occur: an inconsistent derivation, and a
+    non-orthogonal pair with overlap at most 3 on consistent cocircuits
+    (the U(2,4) instances, which random perturbations rarely reach)."""
+    rng = random.Random(1204)
+    signatures = [perturbed(random_weak_signature(
+        ALL_KINDS[n % len(ALL_KINDS)], rng, max_rank=3, max_ground=7), rng)
+        for n in range(96)]
+    signatures += [u24_failing_three_term(hf, value)
+                   for hf, value in FAILING_THREE_TERM]
+    path = tmp_path / "sig.json"
+    routes = Counter()
+    for sig in signatures:
+        got = _same_classification(sig)
+        weak = check_weak_elimination(sig)
+        assert (got.verdict == "InvalidSignature") == (weak is not None)
+        if weak is not None:
+            routes[not_weak_route(sig)] += 1
+        path.write_text(serialize(sig))
+        code = main(["check-circuits", str(path)])
+        out, err = capsys.readouterr()
+        assert code == (weak is not None) and err == ""
+        assert json.loads(out)["weak_elimination"] == {
+            "ok": weak is None, "witness": json.loads(serialize(weak))}
+    assert routes["ratio"] > 0
+    assert routes["perpendicular"] >= len(FAILING_THREE_TERM)
+
+
+@pytest.mark.parametrize("hf, value", FAILING_THREE_TERM,
+                         ids=[str(hf) for hf, _ in FAILING_THREE_TERM])
+def test_three_element_overlap_decides(hf, value):
+    """The only non-orthogonal circuit-cocircuit pairs meet in 3 elements,
+    and that is enough to fail weakness."""
+    sig = u24_failing_three_term(hf, value)
+    cocircuits = cocircuit_signature_from_circuits(sig).classes
+    overlaps = {len(set(x.entries) & set(y.entries))
+                for x in sig.classes for y in cocircuits
+                if not orthogonal(x, y)}
+    assert overlaps == {3}
+    result = classify(sig)
+    assert result.verdict == "InvalidSignature"
+    assert result.witness["axiom"] == "C3'"
+
+
+def test_weak_only_summand_does_not_hide_a_failure():
+    """The circuits of a direct sum: the weak-only triangle entry on
+    1..6, then a triangle U(2,4) failing its relation on 7..10.  The pass
+    meets the first summand's non-orthogonal pairs, whose overlaps exceed
+    3, before the second summand's, and must still find the latter."""
+    first = circuits_from_gp(CORPUS["triangle-weak-not-strong"].build())
+    second = u24_failing_three_term(TRIANGLE, 3.0)
+    ground = GroundSet(first.ground.labels + (7, 8, 9, 10))
+    sig = CircuitSignature(TRIANGLE, ground, [
+        FVector(TRIANGLE, ground, x.entries) for x in first.classes] + [
+        FVector(TRIANGLE, ground, {label + 6: v for label, v in x.entries.items()})
+        for x in second.classes])
+    assert _same_classification(sig).verdict == "InvalidSignature"
+
+
+# -- invariance -----------------------------------------------------------------
+
+
+@st.composite
+def signature_variants(draw):
+    """A random weak signature, or one with a perturbed entry, and the same
+    signature permuted and rescaled."""
+    hf = draw(st.sampled_from(ALL_KINDS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    sig = random_weak_signature(hf, rng, max_rank=3, max_ground=6)
+    if draw(st.booleans()):
+        sig = perturbed(sig, rng)
+    return sig, permuted_rescaled(draw, sig, dedup=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(signature_variants())
+def test_classify_verdict_is_invariant(pair):
+    sig, variant = pair
+    assert classify(variant).verdict == classify(sig).verdict

@@ -5,13 +5,16 @@ inspects the exit code plus captured stdout/stderr, so no subprocess is
 needed.
 """
 
+import copy
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from hypermatroid import (CORPUS, SIGN, TROPICAL, GPFunction, GroundSet,
+                          circuits_from_gp, corpus_entries, dual_circuits,
                           sample_element, serialize)
 from hypermatroid.cli import main
 
@@ -246,3 +249,81 @@ def test_mixed_labels_give_a_verdict(capsys, tmp_path, keys, want):
         assert report["weak"]["witness"]["axiom"] == "exchange"
     code, out, err = run(capsys, "circuits", path)
     assert code == want and err == ""
+
+
+# -- fuzzing ---------------------------------------------------------------------
+
+
+def fuzz_documents():
+    """JSON documents of every input shape: the corpus functions and
+    signatures, the circuits of a function, and a dual pair."""
+    docs = [json.loads(serialize(entry.build())) for entry in corpus_entries()]
+    sig = circuits_from_gp(CORPUS["sign-k4"].build())
+    docs.append(json.loads(serialize(sig)))
+    docs.append({"circuits": json.loads(serialize(sig)),
+                 "cocircuits": json.loads(serialize(dual_circuits(sig)))})
+    return docs
+
+
+DROP = object()
+RETYPED = [None, True, 0, -1, 2.5, "x", "1/2", "gf(4)", [], {}, [[1]]]
+
+
+def nodes(doc, path=()):
+    """Every (path, value) below the root, depth first."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from nodes(value, path + (key,))
+
+
+def replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def mutated(doc, rng):
+    """The document as text after one seeded mutation: a value retyped,
+    wrapped in a list or dropped, or the text truncated."""
+    text = json.dumps(doc)
+    how = rng.choice(["retype", "wrap", "drop", "truncate"])
+    if how == "truncate":
+        return text[:rng.randrange(len(text))]
+    path, value = rng.choice(list(nodes(doc)))
+    if how == "retype":
+        value = rng.choice(RETYPED)
+    elif how == "wrap":
+        value = [value]
+    else:
+        value = DROP
+    return json.dumps(replaced(doc, path, value))
+
+
+def test_cli_survives_mutated_input(capsys, tmp_path):
+    """Every command exits 0, 1 or 2 on mutated input and never ends in a
+    traceback; exit 2 prints one error line and nothing else."""
+    rng = random.Random(1601)
+    docs = fuzz_documents()
+    path = tmp_path / "input.json"
+    codes = Counter()
+    for _ in range(400):
+        path.write_text(mutated(rng.choice(docs), rng))
+        for command in ("check-gp", "circuits", "check-circuits", "classify",
+                        "dual", "gp"):
+            code, out, err = run(capsys, command, str(path))
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert out == "" and err.startswith("error: ")
+                assert err.count("\n") == 1
+            else:
+                assert err == ""
+            codes[code] += 1
+    assert codes[0] and codes[1] and codes[2]

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           TROPICAL, HFElement, HyperfieldHom, InputError,
@@ -12,7 +14,10 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           equivalent_gp, gf, identity_hom, minimal_covectors,
                           minor_circuits, pushforward_circuits,
                           pushforward_gp, rational_padic, rational_sign,
-                          same_signature, to_krasner, validate_hom)
+                          random_weak_gp, same_signature, to_krasner,
+                          validate_hom)
+
+from strategies import ALL_KINDS
 
 GP_NAMES = ("krasner-u24", "krasner-k4", "sign-u13", "sign-u24", "sign-k4",
             "gf3-u24", "rational-u24", "rational-k4", "tropical-u24",
@@ -199,10 +204,15 @@ def test_hom_source_mismatch():
         hom(SIGN.element(1))
 
 
-def test_pushforward_preserves_weak_validity():
-    rng = random.Random(77)
-    from hypermatroid import random_weak_gp
-    for _ in range(6):
-        phi = random_weak_gp(RATIONALS, rng, max_rank=3, max_ground=5)
-        for hom in (rational_sign(), rational_padic(3), to_krasner(RATIONALS)):
-            assert check_gp_weak(pushforward_gp(hom, phi)) is None
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), st.sampled_from(ALL_KINDS))
+def test_pushforward_preserves_weak_validity(seed, hf):
+    """Along the sign map, the p-adic absolute values and the map to
+    Krasner from every hyperfield."""
+    rng = random.Random(seed)
+    rational = random_weak_gp(RATIONALS, rng, max_rank=3, max_ground=6)
+    for hom in (rational_sign(), rational_padic(2), rational_padic(3),
+                to_krasner(RATIONALS)):
+        assert check_gp_weak(pushforward_gp(hom, rational)) is None
+    phi = random_weak_gp(hf, rng, max_rank=3, max_ground=6)
+    assert check_gp_weak(pushforward_gp(to_krasner(hf), phi)) is None
