@@ -21,7 +21,6 @@ from .hyperfields import (  # noqa: F401
     phase,
     sample_element,
     signed,
-    sum_set,
     zero_in_sum,
 )
 
@@ -109,5 +108,3 @@ from .experiments import (  # noqa: F401
     random_weak_signature,
     run_perfection_experiment,
 )
-
-from .config import get_eps, set_eps  # noqa: F401

@@ -9,16 +9,12 @@ separates the perfect hyperfields from the triangle and phase ones.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import sumsets
 from .hyperfields import (
-    HFElement,
     Hyperfield,
-    TAU,
     eq,
     fold_sum,
     inv,
@@ -173,15 +169,6 @@ def check_hyperfield_axioms(hf: Hyperfield, sample_budget: int = 24,
     return report
 
 
-# quadruples worth trying first when hunting a double distributivity failure
-_DD_PRESETS = {
-    "triangle": [(1.0, 2.0, 1.0, 2.0), (1.0, 1.0, 1.0, 1.0), (2.0, 3.0, 1.0, 4.0)],
-    "phase": [(1, 4.0 * math.pi / 3.0, 1, 2.0 * math.pi / 3.0),
-              (1, -1, 1, -1),
-              (0.3, 0.3 + math.pi, 1.8, 2.9)],
-}
-
-
 def double_distributivity_witness(hf: Hyperfield, seed: int = 0,
                                   tries: int = 1000):
     """Search for x, y, z, t with (x+y)(z+t) != xz + xt + yz + yt.
@@ -193,7 +180,7 @@ def double_distributivity_witness(hf: Hyperfield, seed: int = 0,
     """
     rng = random.Random(seed)
     quads = []
-    for raw in _DD_PRESETS.get(hf.kind, []):
+    for raw in hf.dd_presets:
         quads.append(tuple(hf.element(v) for v in raw))
     while len(quads) < tries:
         quads.append(tuple(sample_element(hf, rng) for _ in range(4)))
@@ -202,9 +189,9 @@ def double_distributivity_witness(hf: Hyperfield, seed: int = 0,
         rhs = fold_sum([mul(x, z), mul(x, t), mul(y, z), mul(y, t)])
         if lhs.equals(rhs):
             continue
-        found, payload = sumsets.difference_sample(rhs, lhs)
+        found, payload = rhs.difference_sample(lhs)
         if not found:
-            found, payload = sumsets.difference_sample(lhs, rhs)
+            found, payload = lhs.difference_sample(rhs)
             side = "lhs-only" if found else "unsampled"
         else:
             side = "rhs-only"

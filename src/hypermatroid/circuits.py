@@ -40,7 +40,7 @@ class CircuitSignature:
         # projectively equal
         by_support: Dict[frozenset, List[FVector]] = {}
         for v in vectors:
-            if v.hyperfield != hyperfield:
+            if v.hyperfield is not hyperfield:
                 raise InputError("vector over the wrong hyperfield")
             if v.ground != ground:
                 raise InputError("vector over the wrong ground set")
@@ -76,7 +76,7 @@ class CircuitSignature:
 
 def same_signature(a: CircuitSignature, b: CircuitSignature) -> bool:
     """Whether two signatures carry the same projective classes."""
-    if a.hyperfield != b.hyperfield or a.ground != b.ground:
+    if a.hyperfield is not b.hyperfield or a.ground != b.ground:
         return False
     if len(a.classes) != len(b.classes):
         return False
@@ -125,10 +125,10 @@ def eliminating_circuits(sig: CircuitSignature, terms: Sequence[FVector],
     and, at every coordinate f, 0 in neg(Z(f)) + (hypersum of the terms at
     f) under the n-ary zero rule (see elimination_member).
 
-    For every built-in hyperfield except phase that condition is exactly
-    "Z(f) lies in the coordinatewise hypersum": the fold is associative and
-    reversible.  Phase needs the zero-based reading, since its n-ary rule
-    is not the iterated binary fold.  Concretely, the constraint a support
+    Where the n-ary zero rule is the iterated binary fold (the family's
+    `nary_zero_is_fold`, every built-in but phase) that condition is
+    exactly "Z(f) lies in the coordinatewise hypersum": the fold is
+    associative and reversible.  Phase needs the zero-based reading.  Concretely, the constraint a support
     coordinate puts on the candidate's scalar is vacuous when 0 already
     lies in the hypersum of the terms there, and otherwise is the closure
     of the folded sum (ends of open arcs count).
@@ -140,7 +140,7 @@ def eliminating_circuits(sig: CircuitSignature, terms: Sequence[FVector],
     """
     union = frozenset().union(*(support(t) for t in terms))
     banned = frozenset(zeros_at)
-    is_phase = sig.hyperfield.kind == "phase"
+    folds = sig.hyperfield.nary_zero_is_fold
     found: List[FVector] = []
     for cand in sig.classes:
         supp = support(cand)
@@ -153,7 +153,7 @@ def eliminating_circuits(sig: CircuitSignature, terms: Sequence[FVector],
                 continue
             values = [t.entry(f) for t in terms]
             if f in supp:
-                if is_phase and zero_in_sum(values):
+                if not folds and zero_in_sum(values):
                     continue
                 constraint = fold(values).closure().scale(inv(cand.entry(f)))
                 alpha_set = constraint if alpha_set is None else alpha_set.intersect(constraint)

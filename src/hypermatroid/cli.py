@@ -4,8 +4,7 @@ JSON objects come in on a file argument (or "-" for stdin) and results
 go out as JSON on stdout.  Exit codes: 0 when every requested check
 passed or the requested object was produced, 1 when a checked property
 failed (the witness is printed on stdout), 2 for malformed input (the
-message goes to stderr).  The float tolerance can be overridden through
-the HFM_EPS environment variable.
+message goes to stderr).
 
 Every checker runs in one thread and reports the first witness in its
 canonical order.  `check-circuits` and `classify` decide by orthogonality
@@ -15,10 +14,10 @@ meeting in at most 3 elements are orthogonal, and strong when every
 circuit is orthogonal to every cocircuit.  The elimination scans only
 name the failing instance: modular-pair elimination (C3') for a
 signature that is not weak, modular-family elimination (C3) for a
-weak-only one.  `dressian` is
-the three-term sweep of `check-gp --weak` without the basis-exchange
-scan; it reports the number of three-term (I, J) pairs and the first
-failing one.
+weak-only one; `check-circuits` reports weakness alone, so it runs only
+the first.  `dressian` is the three-term sweep of `check-gp --weak`
+without the basis-exchange scan; it reports the number of three-term
+(I, J) pairs and the first failing one.
 """
 
 from __future__ import annotations
@@ -36,8 +35,9 @@ from .errors import (GPInconsistencyError, InputError, InvalidDualPairError,
                      RatioInconsistencyError)
 from .experiments import config_from_json, run_perfection_experiment
 from .gp import (GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp,
-                 classify, failing_relation, gp_from_dual_pair,
-                 orthogonality_verdict, three_term_pairs)
+                 classify, elimination_witness, failing_relation,
+                 gp_from_dual_pair, orthogonality_verdict, three_term_pairs)
+from .hyperfields import TROPICAL
 from .matroids import validate_circuits
 from .serialization import hyperfield_from_id, parse_text, serialize
 from .transforms import (contract_gp, delete_gp, dual_circuits, dual_gp,
@@ -128,8 +128,9 @@ def _cmd_check_circuits(args) -> int:
         witness = None if violation is None else violation.as_json()
         out["underlying_matroid"] = {"ok": witness is None, "witness": witness}
     if witness is None:
-        result = orthogonality_verdict(sig)
-        witness = result.witness if result.verdict == "InvalidSignature" else None
+        verdict = orthogonality_verdict(sig)
+        witness = elimination_witness(sig, verdict) \
+            if verdict == "InvalidSignature" else None
         out["weak_elimination"] = {"ok": witness is None, "witness": witness}
     _emit(out)
     return 1 if witness is not None else 0
@@ -214,7 +215,7 @@ def _resolve_hom(name: str, source):
     else:
         raise InputError(f"unknown homomorphism {name!r} "
                          "(use krasner, sign, or padic:<p>)")
-    if hom.source != source:
+    if hom.source is not source:
         raise InputError(f"homomorphism {name!r} starts at {hom.source}, "
                          f"but the input lives over {source}")
     return hom
@@ -236,7 +237,7 @@ def _cmd_pushforward(args) -> int:
 
 def _cmd_dressian(args) -> int:
     phi = _want(_load(args.file), (GPFunction,), "a Grassmann-Pluecker object")
-    if phi.hyperfield.kind != "tropical":
+    if phi.hyperfield is not TROPICAL:
         raise InputError("the three-term relation sweep is defined for "
                          "tropical input")
     witness = failing_relation(phi, True)

@@ -35,28 +35,12 @@ from .circuits import CircuitSignature
 from .errors import InputError
 from .gp import (GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp,
                  dual_pair_witness, three_term_pairs)
-from .hyperfields import (HFElement, Hyperfield, sample_element)
+from .hyperfields import Hyperfield, sample_element
 from .transforms import dual_circuits
 from .vectors import (FVector, GroundSet, is_covector_of, is_vector_of,
                       orthogonal)
 
-_DOUBLY_DISTRIBUTIVE = ("krasner", "sign", "tropical", "gf", "rational")
-
 _REJECTION_TRIES = 20000
-
-
-def _random_unit(hf: Hyperfield, rng: random.Random) -> HFElement:
-    kind = hf.kind
-    if kind == "sign":
-        return hf.element(rng.choice((1, -1)))
-    if kind == "tropical":
-        return hf.element(Fraction(2) ** rng.randint(0, 3))
-    if kind == "triangle":
-        return hf.element(float(2 ** rng.randint(0, 3)))
-    if kind == "phase":
-        angle = rng.uniform(0.0, 6.283)
-        return hf.element(1) if angle == 0.0 else hf.element(angle)
-    return sample_element(hf, rng, nonzero=True)
 
 
 def _minor_det(columns: List[Tuple[Fraction, ...]], picks: Tuple[int, ...]) -> Fraction:
@@ -72,32 +56,6 @@ def _minor_det(columns: List[Tuple[Fraction, ...]], picks: Tuple[int, ...]) -> F
             + c[0] * (a[1] * b[2] - a[2] * b[1]))
 
 
-def _element_from_det(hf: Hyperfield, det: Fraction, rng: random.Random) -> HFElement:
-    kind = hf.kind
-    if det == 0:
-        return hf.zero()
-    if kind == "rational":
-        return hf.element(det)
-    if kind == "sign":
-        return hf.element(1 if det > 0 else -1)
-    if kind == "krasner":
-        return hf.one()
-    if kind == "gf":
-        value = int(det) % hf.p
-        return hf.element(value)
-    if kind == "tropical":
-        n, two = abs(int(det)), 0
-        while n % 2 == 0:
-            n //= 2
-            two += 1
-        return hf.element(Fraction(2) ** (-two))
-    if kind == "triangle":
-        return hf.element(float(abs(det)))
-    if kind == "phase":
-        return hf.element(1 if det > 0 else -1)
-    raise AssertionError(kind)
-
-
 def _matrix_seeded(hf: Hyperfield, rng: random.Random, rank: int,
                    labels: tuple) -> Optional[GPFunction]:
     """An exact realizable instance from a random integer matrix, pushed
@@ -108,7 +66,8 @@ def _matrix_seeded(hf: Hyperfield, rng: random.Random, rank: int,
     ground = GroundSet(labels)
     values = {}
     for picks in combinations(range(m), rank):
-        el = _element_from_det(hf, _minor_det(columns, picks), rng)
+        det = _minor_det(columns, picks)
+        el = hf.from_rational(det) if det else hf.zero()
         if not el.is_zero:
             values[tuple(labels[i] for i in picks)] = el
     if not values:
@@ -126,7 +85,7 @@ def _mutate(phi: GPFunction, rng: random.Random, rounds: int) -> GPFunction:
     for _ in range(rounds):
         key = keys[rng.randrange(len(keys))]
         values = dict(current.values)
-        values[key] = _random_unit(current.hyperfield, rng)
+        values[key] = current.hyperfield.random_unit(rng)
         candidate = GPFunction(current.hyperfield, current.ground,
                                current.rank, values)
         if check_gp_weak(candidate) is None:
@@ -144,11 +103,10 @@ def random_weak_gp(hf: Hyperfield, rng: random.Random, max_rank: int = 3,
     rank, m = sizes[rng.randrange(len(sizes))]
     labels = tuple(range(1, m + 1))
     pairs = three_term_pairs(rank, m)
-    field_like = hf.kind in ("rational", "gf")
-    if not field_like and hf.kind != "krasner" and pairs <= 24:
+    if hf.perturbable and pairs <= 24:
         ground = GroundSet(labels)
         for _ in range(_REJECTION_TRIES):
-            values = {key: _random_unit(hf, rng)
+            values = {key: hf.random_unit(rng)
                       for key in combinations(labels, rank)}
             phi = GPFunction(hf, ground, rank, values)
             if check_gp_weak(phi) is None:
@@ -157,7 +115,7 @@ def random_weak_gp(hf: Hyperfield, rng: random.Random, max_rank: int = 3,
         phi = _matrix_seeded(hf, rng, rank, labels)
         if phi is None:
             continue
-        if field_like or hf.kind == "krasner":
+        if not hf.perturbable:
             return phi
         return _mutate(phi, rng, rounds=rng.randint(1, 3))
     raise InputError(f"could not sample a weak-valid instance over {hf}")
@@ -214,14 +172,10 @@ def _seed_instances(hf: Hyperfield) -> List[GPFunction]:
     """Known weak-only corpus instances leading the sample list."""
     from .corpus import CORPUS
 
-    names = {"triangle": "triangle-weak-not-strong",
-             "phase": "phase-weak-not-strong"}
-    name = names.get(hf.kind)
-    if name is None:
+    if hf.weak_only_example is None:
         return []
-    entry = CORPUS[name]
-    instance = entry.build()
-    return [instance] if instance.hyperfield == hf else []
+    instance = CORPUS[hf.weak_only_example].build()
+    return [instance] if instance.hyperfield is hf else []
 
 
 def _random_candidate(hf: Hyperfield, ground: GroundSet,
@@ -239,7 +193,7 @@ def run_perfection_experiment(cfg: ExperimentConfig) -> dict:
     docstring for the exact protocol."""
     rng = random.Random(cfg.seed)
     hf = cfg.hyperfield
-    strict = hf.kind in _DOUBLY_DISTRIBUTIVE
+    strict = hf.doubly_distributive
     instances = _seed_instances(hf)
     while len(instances) < cfg.samples:
         instances.append(random_weak_gp(hf, rng, cfg.max_rank, cfg.max_ground))

@@ -63,7 +63,7 @@ class GPFunction:
                 raise InputError(f"subset {key} is not an {rank}-set")
             if ground.sort(key) != key:
                 raise InputError(f"subset {key} is not in ground order")
-            if value.hyperfield != hyperfield:
+            if value.hyperfield is not hyperfield:
                 raise InputError("value over the wrong hyperfield")
             if not value.is_zero:
                 stored[key] = value
@@ -453,9 +453,10 @@ class Classification:
         return self.verdict == "Strong"
 
 
-def orthogonality_verdict(sig: CircuitSignature) -> Classification:
-    """Strong, WeakOnly or InvalidSignature for a signature that satisfies
-    C0-C2 and whose supports are the circuits of a matroid.
+def orthogonality_verdict(sig: CircuitSignature) -> str:
+    """The verdict "Strong", "WeakOnly" or "InvalidSignature" for a
+    signature that satisfies C0-C2 and whose supports are the circuits of
+    a matroid.
 
     Weak signatures are the circuit sides of weak dual pairs, strong ones
     those of full dual pairs (Baker-Bowler), and the only candidate
@@ -465,10 +466,6 @@ def orthogonality_verdict(sig: CircuitSignature) -> Classification:
     it is strong when every pair is orthogonal.  One pass over C x D
     decides; after the first non-orthogonal pair with a larger overlap it
     checks only the pairs with overlap at most 3.
-
-    The elimination scans only name the witness: modular-pair elimination
-    C3' for InvalidSignature, modular-family elimination C3 for WeakOnly.
-    A scan that finds none would contradict the theorem and raises.
     """
     try:
         cocircuits = [(y, support(y)) for y in
@@ -488,17 +485,22 @@ def orthogonality_verdict(sig: CircuitSignature) -> Classification:
                         break
             if not weak:
                 break
-    if strong:
-        return Classification("Strong")
-    if weak:
-        verdict, witness = "WeakOnly", check_strong_elimination(sig)
-    else:
-        verdict, witness = "InvalidSignature", check_weak_elimination(sig)
+    return "Strong" if strong else "WeakOnly" if weak else "InvalidSignature"
+
+
+def elimination_witness(sig: CircuitSignature, verdict: str) -> dict:
+    """The failing elimination instance behind an orthogonality verdict:
+    modular-pair elimination C3' for InvalidSignature, modular-family
+    elimination C3 for WeakOnly.  A scan that finds none would contradict
+    the theorem and raises."""
+    scan = check_weak_elimination if verdict == "InvalidSignature" \
+        else check_strong_elimination
+    witness = scan(sig)
     if witness is None:
         raise ConsistencyError(
             f"orthogonality with the derived cocircuits makes the signature "
             f"{verdict}, but elimination finds no failing instance")
-    return Classification(verdict, witness)
+    return witness
 
 
 def classify(sig: CircuitSignature) -> Classification:
@@ -507,7 +509,8 @@ def classify(sig: CircuitSignature) -> Classification:
     In order: the support axioms C0-C2 (InvalidSignature), the circuit
     axioms of the supports (UnderlyingNotMatroid), then orthogonality with
     the derived cocircuit signature (`orthogonality_verdict`), which
-    decides between InvalidSignature, WeakOnly and Strong.
+    decides between InvalidSignature, WeakOnly and Strong, and the
+    elimination scans name the witness (`elimination_witness`).
     """
     basic = check_C0_C2(sig)
     if basic is not None:
@@ -516,4 +519,7 @@ def classify(sig: CircuitSignature) -> Classification:
     if violation is not None:
         return Classification("UnderlyingNotMatroid",
                               {"axiom": "underlying", **violation.as_json()})
-    return orthogonality_verdict(sig)
+    verdict = orthogonality_verdict(sig)
+    if verdict == "Strong":
+        return Classification(verdict)
+    return Classification(verdict, elimination_witness(sig, verdict))

@@ -8,7 +8,7 @@ the ground set, set exactly when the subset contains a circuit, so
 independence is one lookup, rank, bases and fundamental circuits are short
 loops of lookups, and the circuit axioms are decided on the table.  The
 table has 2^|E| entries, so ground sets are capped
-(`config.MAX_GROUND_SIZE`).
+(`MAX_GROUND_SIZE`).
 
 A circuit family is validated once, when it enters the class: circuits a
 user supplies, the supports of a circuit signature, or the circuits
@@ -24,17 +24,19 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, Iterable, Iterator, List, Optional
 
-from . import config
 from .errors import InputError
 from .vectors import GroundSet
+
+# Exhaustive matroid enumeration is capped to keep accidental blow-ups out.
+MAX_GROUND_SIZE = 16
 
 # bytes.translate table that swaps the entries 0 and 1 of a table
 _FLIP = bytes([1, 0]) + bytes(254)
 
 
 def _require_cap(ground: GroundSet) -> None:
-    if len(ground) > config.MAX_GROUND_SIZE:
-        raise InputError(f"ground set larger than the cap ({config.MAX_GROUND_SIZE})")
+    if len(ground) > MAX_GROUND_SIZE:
+        raise InputError(f"ground set larger than the cap ({MAX_GROUND_SIZE})")
 
 
 def _mask(ground: GroundSet, labels: Iterable) -> int:

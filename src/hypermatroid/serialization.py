@@ -24,26 +24,17 @@ import json
 import re
 import warnings
 from fractions import Fraction
-from typing import Optional
 
 from .circuits import CircuitSignature
 from .errors import InputError
 from .gp import Classification, GPFunction
 from .hyperfields import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
-                          TRIANGLE, TROPICAL, HFElement, Hyperfield, gf,
-                          norm_angle)
+                          TRIANGLE, TROPICAL, HFElement, Hyperfield, gf)
 from .matroids import ClassicalMatroid
 from .vectors import FVector, GroundSet
 
-_NAMED = {
-    "krasner": KRASNER,
-    "sign": SIGN,
-    "tropical": TROPICAL,
-    "triangle": TRIANGLE,
-    "phase": PHASE,
-    "phase[identity]": PHASE_PLAIN,
-    "rational": RATIONALS,
-}
+_NAMED = {str(hf): hf for hf in (KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE,
+                                   PHASE_PLAIN, RATIONALS)}
 
 
 def hyperfield_to_id(hf: Hyperfield) -> str:
@@ -68,27 +59,6 @@ def hyperfield_from_id(text, where: str = "hyperfield") -> Hyperfield:
 # -- scalars ---------------------------------------------------------------
 
 
-def _decimal_string(q: Fraction) -> Optional[str]:
-    """Exact decimal form, or None when the expansion does not terminate."""
-    rest = q.denominator
-    twos = fives = 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
-        return None
-    places = max(twos, fives)
-    scaled = q.numerator * 10 ** places // q.denominator
-    if places == 0:
-        return str(scaled)
-    sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
-
-
 def element_to_json(el: HFElement):
     """The canonical JSON form of one scalar.
 
@@ -97,51 +67,16 @@ def element_to_json(el: HFElement):
     Triangle: the shortest roundtripping decimal string.  Phase: 0 for
     zero, {"angle": radians} otherwise.  Rationals: "p/q" (or "p").
     """
-    kind = el.hyperfield.kind
-    if kind in ("krasner", "sign", "gf"):
-        return el.value
-    if kind == "tropical":
-        return _decimal_string(el.value) or \
-            f"{el.value.numerator}/{el.value.denominator}"
-    if kind == "triangle":
-        return repr(el.value)
-    if kind == "phase":
-        return 0 if el.is_zero else {"angle": el.value}
-    if kind == "rational":
-        return str(el.value)
-    raise AssertionError(kind)
+    return el.hyperfield.to_json(el)
 
 
 def element_from_json(hf: Hyperfield, raw, where: str) -> HFElement:
-    kind = hf.kind
     try:
-        if kind in ("krasner", "sign", "gf"):
-            if not isinstance(raw, int) or isinstance(raw, bool):
-                raise ValueError(f"expected an integer, got {raw!r}")
-            return hf.element(raw)
-        if kind in ("tropical", "rational"):
-            if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-                raise ValueError(f"expected an integer or string, got {raw!r}")
-            return hf.element(Fraction(raw))
-        if kind == "triangle":
-            if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-                raise ValueError(f"expected a number or string, got {raw!r}")
-            return hf.element(float(raw))
-        if kind == "phase":
-            if raw == 0 and not isinstance(raw, bool):
-                return hf.zero()
-            if isinstance(raw, dict) and set(raw) == {"angle"}:
-                angle = raw["angle"]
-                if isinstance(angle, bool) or not isinstance(angle, (int, float)):
-                    raise ValueError(f"angle must be a number, got {angle!r}")
-                angle = norm_angle(float(angle))
-                return hf.element(1) if angle == 0.0 else hf.element(angle)
-            raise ValueError(f'expected 0 or {{"angle": radians}}, got {raw!r}')
+        return hf.from_json(raw)
     except InputError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{where}: {exc}") from None
-    raise AssertionError(kind)
 
 
 # -- ground sets and labels --------------------------------------------------
@@ -187,7 +122,7 @@ def fvector_from_json(raw, hf: Hyperfield, ground: GroundSet,
         raise InputError(f"{where}: expected an object with an 'entries' field")
     if "hyperfield" in raw:
         inner = hyperfield_from_id(raw["hyperfield"], f"{where}.hyperfield")
-        if inner != hf:
+        if inner is not hf:
             raise InputError(f"{where}.hyperfield: {raw['hyperfield']!r} does "
                              f"not match the enclosing {hyperfield_to_id(hf)}")
     entries_raw = raw["entries"]

@@ -1,19 +1,22 @@
-"""Exact symbolic representations of iterated hypersums.
+"""Exact representations of iterated hypersums, and the angle geometry
+they share with the phase hyperfield.
 
-A hypersum of finitely many elements is represented exactly, per hyperfield
-family:
+Each hyperfield family keeps its hypersums in one of four classes (the
+family's `sums` attribute):
 
-  finite kinds and fields   explicit finite set of payloads
-  tropical                  a point {a} or a down-set {c : c <= a}
-  triangle                  a finite union of disjoint closed intervals
-  phase                     a zero flag, isolated unit points, and open
-                            counterclockwise arcs (start, length)
+  FiniteSet     Krasner, sign and the fields: a finite set of payloads
+  TropicalSet   tropical: a point {a} or a down-set {c : c <= a}
+  IntervalSet   triangle: a finite union of disjoint closed intervals
+  ArcSet        phase: a zero flag, isolated unit points, and open
+                counterclockwise arcs (start, length)
 
-`fold` is the ground-truth n-ary hypersum, kept closed inside these
-representations: a left fold of the binary rule, except that for phase the
-zero flag of a sum of three or more terms is decided globally from the term
-directions (see `fold`).  The closed-form membership predicates in
-`hyperfields` are validated against it by the test suite.
+The public methods of `SumSet` check that their operands share one
+hyperfield and hand the payloads to the representation.  `fold` is the
+ground-truth n-ary hypersum, kept closed inside these representations: a
+left fold of the binary rule, except that for phase the zero flag of a
+sum of three or more terms is decided globally from the term directions
+(see `fold`).  The closed-form membership predicates in `hyperfields` are
+validated against it by the test suite.
 """
 
 from __future__ import annotations
@@ -21,503 +24,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import config
 from .errors import MismatchError
-from .hyperfields import HFElement, Hyperfield, TAU, angle_close, norm_angle
 
-GROUP = {
-    "krasner": "finite",
-    "sign": "finite",
-    "gf": "finite",
-    "rational": "finite",
-    "tropical": "tropical",
-    "triangle": "interval",
-    "phase": "arc",
-}
+if TYPE_CHECKING:
+    from .hyperfields import HFElement, Hyperfield
+
+EPS = 1e-9
+"""Absolute tolerance of the float-backed families, triangle and phase."""
+
+TAU = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class SumSet:
-    """An exact hypersum value.  `data` is shaped by the hyperfield family."""
-
-    hyperfield: Hyperfield
-    data: object
-
-    @property
-    def group(self) -> str:
-        return GROUP[self.hyperfield.kind]
-
-    # -- membership -------------------------------------------------------
-
-    def contains(self, el: HFElement) -> bool:
-        if el.hyperfield != self.hyperfield:
-            raise MismatchError("element from a different hyperfield")
-        return self._contains_payload(el.value)
-
-    def _contains_payload(self, payload) -> bool:
-        group = self.group
-        if group == "finite":
-            return payload in self.data
-        if group == "tropical":
-            tag, a = self.data
-            return payload <= a if tag == "down" else payload == a
-        if group == "interval":
-            eps = config.get_eps()
-            return any(lo - eps <= payload <= hi + eps for lo, hi in self.data)
-        if group == "arc":
-            has_zero, points, arcs = self.data
-            if payload is None:
-                return has_zero
-            if any(angle_close(payload, p) for p in points):
-                return True
-            eps = config.get_eps()
-            for start, length in arcs:
-                d = _ccw(start, payload)
-                if eps < d < length - eps:
-                    return True
-            return False
-        raise AssertionError(group)
-
-    def contains_zero(self) -> bool:
-        group = self.group
-        if group == "finite":
-            zero = self.hyperfield.zero().value
-            return zero in self.data
-        if group == "tropical":
-            tag, a = self.data
-            return tag == "down" or a == 0
-        if group == "interval":
-            return self.data[0][0] <= config.get_eps()
-        if group == "arc":
-            return self.data[0]
-        raise AssertionError(group)
-
-    def has_nonzero(self) -> bool:
-        group = self.group
-        if group == "finite":
-            zero = self.hyperfield.zero().value
-            return any(p != zero for p in self.data)
-        if group == "tropical":
-            return self.data[1] > 0
-        if group == "interval":
-            return any(hi > config.get_eps() for _, hi in self.data)
-        if group == "arc":
-            _, points, arcs = self.data
-            return bool(points) or bool(arcs)
-        raise AssertionError(group)
-
-    def closure(self) -> "SumSet":
-        """The topological closure of the set.
-
-        Only the phase representation has non-closed pieces (open arcs);
-        their ends become points of the set.  Every other representation is
-        already closed, so this is the identity there.
-        """
-        if self.group != "arc" or not self.data[2]:
-            return self
-        has_zero, points, arcs = self.data
-        pts = list(points)
-        for start, length in arcs:
-            pts.append(start)
-            pts.append(norm_angle(start + length))
-        return SumSet(self.hyperfield, _canon_phase(has_zero, pts, list(arcs)))
-
-    # -- algebra ----------------------------------------------------------
-
-    def add_term(self, el: HFElement) -> "SumSet":
-        """Pointwise hypersum of this set with a single element."""
-        if el.hyperfield != self.hyperfield:
-            raise MismatchError("element from a different hyperfield")
-        if el.is_zero:
-            return self
-        group = self.group
-        if group == "finite":
-            out = set()
-            for payload in self.data:
-                out |= _finite_binary(self.hyperfield, payload, el.value)
-            return SumSet(self.hyperfield, frozenset(out))
-        if group == "tropical":
-            tag, a = self.data
-            b = el.value
-            if tag == "down":
-                return _trop(self.hyperfield, "down", a) if b <= a else _trop(self.hyperfield, "point", b)
-            if a == b:
-                return _trop(self.hyperfield, "down", a)
-            return _trop(self.hyperfield, "point", max(a, b))
-        if group == "interval":
-            b = el.value
-            pieces = []
-            for lo, hi in self.data:
-                gap = max(lo - b, b - hi, 0.0)
-                pieces.append((gap, hi + b))
-            return SumSet(self.hyperfield, _canon_intervals(pieces))
-        if group == "arc":
-            has_zero, points, arcs = self.data
-            b = el.value
-            z, pts, acs = False, [], []
-            if has_zero:
-                pts.append(b)
-            for p in points:
-                z2, pts2, acs2 = _phase_point_plus(p, b)
-                z |= z2
-                pts += pts2
-                acs += acs2
-            for arc in arcs:
-                z2, pts2, acs2 = _phase_arc_plus(arc, b)
-                z |= z2
-                pts += pts2
-                acs += acs2
-            return SumSet(self.hyperfield, _canon_phase(z, pts, acs))
-        raise AssertionError(group)
-
-    def scale(self, el: HFElement) -> "SumSet":
-        """Multiply every member by a fixed nonzero element."""
-        if el.hyperfield != self.hyperfield:
-            raise MismatchError("element from a different hyperfield")
-        if el.is_zero:
-            raise ValueError("scaling a hypersum by zero")
-        group = self.group
-        hf = self.hyperfield
-        if group == "finite":
-            return SumSet(hf, frozenset((hf.element(p) * el).value if p != hf.zero().value else p
-                                        for p in self.data))
-        if group == "tropical":
-            tag, a = self.data
-            return _trop(hf, tag, a * el.value)
-        if group == "interval":
-            c = el.value
-            return SumSet(hf, _canon_intervals([(lo * c, hi * c) for lo, hi in self.data]))
-        if group == "arc":
-            has_zero, points, arcs = self.data
-            rot = el.value
-            return SumSet(hf, _canon_phase(
-                has_zero,
-                [norm_angle(p + rot) for p in points],
-                [(norm_angle(s + rot), length) for s, length in arcs]))
-        raise AssertionError(group)
-
-    def mul(self, other: "SumSet") -> "SumSet":
-        """Pointwise product of two hypersum sets."""
-        if other.hyperfield != self.hyperfield:
-            raise MismatchError("sets over different hyperfields")
-        group = self.group
-        hf = self.hyperfield
-        if group == "finite":
-            out = set()
-            for a in self.data:
-                for b in other.data:
-                    out.add((hf.element(a) * hf.element(b)).value)
-            return SumSet(hf, frozenset(out))
-        if group == "tropical":
-            tag_a, a = self.data
-            tag_b, b = other.data
-            value = a * b
-            if value == 0:
-                return _trop(hf, "point", Fraction(0))
-            tag = "down" if "down" in (tag_a, tag_b) else "point"
-            return _trop(hf, tag, value)
-        if group == "interval":
-            pieces = [(lo1 * lo2, hi1 * hi2)
-                      for lo1, hi1 in self.data for lo2, hi2 in other.data]
-            return SumSet(hf, _canon_intervals(pieces))
-        if group == "arc":
-            z1, pts1, arcs1 = self.data
-            z2, pts2, arcs2 = other.data
-            z = z1 or z2
-            pts = [norm_angle(p + q) for p in pts1 for q in pts2]
-            acs = []
-            for p in pts1:
-                acs += [(norm_angle(p + s), length) for s, length in arcs2]
-            for q in pts2:
-                acs += [(norm_angle(q + s), length) for s, length in arcs1]
-            for s1, l1 in arcs1:
-                for s2, l2 in arcs2:
-                    total = l1 + l2
-                    start = norm_angle(s1 + s2)
-                    if total > TAU + config.get_eps():
-                        acs.append((0.0, TAU))
-                        pts.append(0.0)
-                    else:
-                        acs.append((start, min(total, TAU)))
-            return SumSet(hf, _canon_phase(z, pts, acs))
-        raise AssertionError(group)
-
-    def intersect(self, other: "SumSet") -> Optional["SumSet"]:
-        """Intersection, or None when empty."""
-        if other.hyperfield != self.hyperfield:
-            raise MismatchError("sets over different hyperfields")
-        group = self.group
-        hf = self.hyperfield
-        if group == "finite":
-            out = self.data & other.data
-            return SumSet(hf, out) if out else None
-        if group == "tropical":
-            tag_a, a = self.data
-            tag_b, b = other.data
-            if tag_a == "point" and tag_b == "point":
-                return self if a == b else None
-            if tag_a == "point":
-                return self if a <= b else None
-            if tag_b == "point":
-                return other if b <= a else None
-            return _trop(hf, "down", min(a, b))
-        if group == "interval":
-            eps = config.get_eps()
-            pieces = []
-            for lo1, hi1 in self.data:
-                for lo2, hi2 in other.data:
-                    lo, hi = max(lo1, lo2), min(hi1, hi2)
-                    if hi >= lo - eps:
-                        pieces.append((min(lo, hi), max(lo, hi)))
-            if not pieces:
-                return None
-            return SumSet(hf, _canon_intervals(pieces))
-        if group == "arc":
-            z1, pts1, arcs1 = self.data
-            z2, pts2, arcs2 = other.data
-            z = z1 and z2
-            pts = [p for p in pts1 if other._contains_payload(p)]
-            pts += [q for q in pts2 if self._contains_payload(q)]
-            acs = []
-            for a1 in arcs1:
-                for a2 in arcs2:
-                    acs += _arc_intersect(a1, a2)
-            if not z and not pts and not acs:
-                return None
-            return SumSet(hf, _canon_phase(z, pts, acs))
-        raise AssertionError(group)
-
-    def equals(self, other: "SumSet") -> bool:
-        if other.hyperfield != self.hyperfield:
-            raise MismatchError("sets over different hyperfields")
-        group = self.group
-        if group in ("finite", "tropical"):
-            return self.data == other.data
-        eps = config.get_eps()
-        if group == "interval":
-            if len(self.data) != len(other.data):
-                return False
-            return all(abs(lo1 - lo2) <= eps and abs(hi1 - hi2) <= eps
-                       for (lo1, hi1), (lo2, hi2) in zip(self.data, other.data))
-        if group == "arc":
-            z1, pts1, arcs1 = self.data
-            z2, pts2, arcs2 = other.data
-            if z1 != z2 or len(pts1) != len(pts2) or len(arcs1) != len(arcs2):
-                return False
-            if not all(angle_close(p, q) for p, q in zip(pts1, pts2)):
-                return False
-            return all(angle_close(s1, s2) and abs(l1 - l2) <= eps
-                       for (s1, l1), (s2, l2) in zip(arcs1, arcs2))
-        raise AssertionError(group)
-
-    def sample(self) -> list:
-        """Representative payloads of this set (zero included when present)."""
-        group = self.group
-        if group == "finite":
-            return sorted(self.data, key=repr)
-        if group == "tropical":
-            tag, a = self.data
-            if tag == "point":
-                return [a]
-            out = [Fraction(0), a]
-            if a > 0:
-                out.append(a / 2)
-            return out
-        if group == "interval":
-            out = []
-            for lo, hi in self.data:
-                out.append(lo)
-                if hi > lo:
-                    out += [(lo + hi) / 2.0, hi]
-            return out
-        if group == "arc":
-            has_zero, points, arcs = self.data
-            out: list = [None] if has_zero else []
-            out += list(points)
-            out += [norm_angle(s + length / 2.0) for s, length in arcs]
-            return out
-        raise AssertionError(group)
-
-    def describe(self) -> dict:
-        group = self.group
-        if group == "finite":
-            return {"kind": "set", "members": sorted((repr(p) for p in self.data))}
-        if group == "tropical":
-            tag, a = self.data
-            return {"kind": tag, "value": str(a)}
-        if group == "interval":
-            return {"kind": "intervals", "pieces": [[lo, hi] for lo, hi in self.data]}
-        if group == "arc":
-            has_zero, points, arcs = self.data
-            return {"kind": "arcs", "zero": has_zero,
-                    "points": list(points),
-                    "arcs": [[s, length] for s, length in arcs]}
-        raise AssertionError(group)
+def norm_angle(theta: float) -> float:
+    """Reduce an angle to [0, 2pi), snapping values near 2pi to 0."""
+    theta = math.fmod(theta, TAU)
+    if theta < 0:
+        theta += TAU
+    if TAU - theta <= EPS:
+        return 0.0
+    return theta
 
 
-# -- construction ----------------------------------------------------------
-
-
-def singleton(el: HFElement) -> SumSet:
-    hf = el.hyperfield
-    group = GROUP[hf.kind]
-    if group == "finite":
-        return SumSet(hf, frozenset([el.value]))
-    if group == "tropical":
-        return _trop(hf, "point", el.value)
-    if group == "interval":
-        return SumSet(hf, ((el.value, el.value),))
-    if group == "arc":
-        if el.is_zero:
-            return SumSet(hf, (True, (), ()))
-        return SumSet(hf, (False, (el.value,), ()))
-    raise AssertionError(group)
-
-
-def fold(terms: list) -> SumSet:
-    """The n-ary hypersum of the terms.
-
-    For every hyperfield except phase this is the left fold of the binary
-    rule, which is associative on these representations.  For phase the
-    nonzero part is still the folded arc set (the phases of strictly
-    positive combinations), but whether 0 belongs is decided globally: 0
-    lies in the sum iff it is a nonnegative combination of the terms with
-    not all weights zero, i.e. iff the directions do not fit inside an open
-    half-plane.  Folding the binary rule would lose 0 from sums such as
-    x + (-x) + y, where the cancelling pair is killed by the third term.
-    """
-    if not terms:
-        raise ValueError("empty term list")
-    hf = terms[0].hyperfield
-    for t in terms:
-        if t.hyperfield != hf:
-            raise MismatchError("mixed hyperfields in a hypersum")
-    acc = singleton(terms[0])
-    for t in terms[1:]:
-        acc = acc.add_term(t)
-    if hf.kind == "phase" and len(terms) > 2:
-        from .hyperfields import _zero_in_phase_sum
-
-        has_zero = _zero_in_phase_sum([t.value for t in terms if not t.is_zero])
-        _, points, arcs = acc.data
-        acc = SumSet(hf, _canon_phase(has_zero, list(points), list(arcs)))
-    return acc
-
-
-def difference_sample(a: SumSet, b: SumSet) -> tuple:
-    """(found, payload): a payload in a \\ b, if any.
-
-    Used to extract concrete witnesses when two hypersum expressions that
-    ought to agree do not.  For interval and arc sets the search refines
-    `a` by the boundaries of `b` and probes piece midpoints.
-    """
-    if b.hyperfield != a.hyperfield:
-        raise MismatchError("sets over different hyperfields")
-    group = a.group
-    if group == "finite":
-        out = a.data - b.data
-        return (True, sorted(out, key=repr)[0]) if out else (False, None)
-    if group == "tropical":
-        for payload in a.sample():
-            if not b._contains_payload(payload):
-                return True, payload
-        tag_a, va = a.data
-        tag_b, vb = b.data
-        if tag_a == "down" and tag_b == "point" and va > 0:
-            probe = va / 3 if va / 3 != vb else va / 5
-            if not b._contains_payload(probe):
-                return True, probe
-        return False, None
-    if group == "interval":
-        cuts = set()
-        for lo, hi in b.data:
-            cuts.add(lo)
-            cuts.add(hi)
-        for lo, hi in a.data:
-            marks = sorted({lo, hi} | {c for c in cuts if lo < c < hi})
-            probes = list(marks)
-            probes += [(x + y) / 2.0 for x, y in zip(marks, marks[1:])]
-            for probe in probes:
-                if not b._contains_payload(probe):
-                    return True, probe
-        return False, None
-    if group == "arc":
-        za, pa, aa = a.data
-        zb = b.data[0]
-        if za and not zb:
-            return True, None
-        for p in pa:
-            if not b._contains_payload(p):
-                return True, p
-        cuts = []
-        for s, length in b.data[2]:
-            cuts += [s, norm_angle(s + length)]
-        cuts += list(b.data[1])
-        eps = config.get_eps()
-        for s, length in aa:
-            marks = sorted({0.0, length} |
-                           {d for d in (_ccw(s, c) for c in cuts) if eps < d < length - eps})
-            probes = [(x + y) / 2.0 for x, y in zip(marks, marks[1:])]
-            for off in probes:
-                payload = norm_angle(s + off)
-                if a._contains_payload(payload) and not b._contains_payload(payload):
-                    return True, payload
-        return False, None
-    raise AssertionError(group)
-
-
-# -- finite kinds ------------------------------------------------------------
-
-
-def _finite_binary(hf: Hyperfield, a, b) -> set:
-    """Binary hypersum on raw payloads for the finite kinds and fields."""
-    kind = hf.kind
-    zero = 0 if kind != "rational" else Fraction(0)
-    if kind == "krasner":
-        if a == 0:
-            return {b}
-        if b == 0:
-            return {a}
-        return {0, 1}
-    if kind == "sign":
-        if a == 0:
-            return {b}
-        if b == 0:
-            return {a}
-        if a == b:
-            return {a}
-        return {-1, 0, 1}
-    if kind == "gf":
-        return {(a + b) % hf.p}
-    if kind == "rational":
-        return {a + b}
-    raise AssertionError(kind)
-
-
-def _trop(hf: Hyperfield, tag: str, value: Fraction) -> SumSet:
-    if value == 0:
-        tag = "point"
-    return SumSet(hf, (tag, value))
-
-
-# -- interval algebra --------------------------------------------------------
-
-
-def _canon_intervals(pieces: list) -> tuple:
-    eps = config.get_eps()
-    cleaned = sorted((max(lo, 0.0), hi) for lo, hi in pieces)
-    merged: list = []
-    for lo, hi in cleaned:
-        if merged and lo <= merged[-1][1] + eps:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
-
-
-# -- arc algebra -------------------------------------------------------------
+def angle_close(x: float, y: float) -> bool:
+    d = abs(x - y)
+    if d > math.pi:
+        d = TAU - d
+    return d <= EPS
 
 
 def _ccw(start: float, theta: float) -> float:
@@ -528,13 +62,474 @@ def _ccw(start: float, theta: float) -> float:
     return d
 
 
+@dataclass(frozen=True)
+class SumSet:
+    """An exact hypersum value.  `data` is shaped by the subclass."""
+
+    hyperfield: Hyperfield
+    data: object
+
+    def _same(self, hf: Hyperfield, what: str) -> None:
+        if hf is not self.hyperfield:
+            raise MismatchError(what)
+
+    def contains(self, el: HFElement) -> bool:
+        self._same(el.hyperfield, "element from a different hyperfield")
+        return self._contains(el.value)
+
+    def add_term(self, el: HFElement) -> "SumSet":
+        """Pointwise hypersum of this set with a single element."""
+        self._same(el.hyperfield, "element from a different hyperfield")
+        return self if el.is_zero else self._add(el.value)
+
+    def scale(self, el: HFElement) -> "SumSet":
+        """Multiply every member by a fixed nonzero element."""
+        self._same(el.hyperfield, "element from a different hyperfield")
+        if el.is_zero:
+            raise ValueError("scaling a hypersum by zero")
+        return self._scale(el)
+
+    def mul(self, other: "SumSet") -> "SumSet":
+        """Pointwise product of two hypersum sets."""
+        self._same(other.hyperfield, "sets over different hyperfields")
+        return self._mul(other)
+
+    def intersect(self, other: "SumSet") -> Optional["SumSet"]:
+        """Intersection, or None when empty."""
+        self._same(other.hyperfield, "sets over different hyperfields")
+        return self._intersect(other)
+
+    def equals(self, other: "SumSet") -> bool:
+        self._same(other.hyperfield, "sets over different hyperfields")
+        return self._equals(other)
+
+    def _equals(self, other: "SumSet") -> bool:
+        return self.data == other.data
+
+    def difference_sample(self, other: "SumSet") -> tuple:
+        """(found, payload): a payload in self \\ other, if any.
+
+        Used to extract concrete witnesses when two hypersum expressions
+        that ought to agree do not.  For interval and arc sets the search
+        refines self by the boundaries of other and probes piece midpoints.
+        """
+        self._same(other.hyperfield, "sets over different hyperfields")
+        return self._difference_sample(other)
+
+    def closure(self) -> "SumSet":
+        """The topological closure of the set.
+
+        Only the phase representation has non-closed pieces (open arcs);
+        every other representation is already closed.
+        """
+        return self
+
+
+class FiniteSet(SumSet):
+    """A finite set of payloads; the family gives the binary rule `add`."""
+
+    @classmethod
+    def singleton(cls, el: HFElement) -> "FiniteSet":
+        return cls(el.hyperfield, frozenset([el.value]))
+
+    def _contains(self, payload) -> bool:
+        return payload in self.data
+
+    def contains_zero(self) -> bool:
+        return self.hyperfield.zero_payload in self.data
+
+    def has_nonzero(self) -> bool:
+        return any(p != self.hyperfield.zero_payload for p in self.data)
+
+    def _add(self, b) -> "FiniteSet":
+        out = set()
+        for payload in self.data:
+            out |= self.hyperfield.add(payload, b)
+        return FiniteSet(self.hyperfield, frozenset(out))
+
+    def _scale(self, el: HFElement) -> "FiniteSet":
+        hf = self.hyperfield
+        return FiniteSet(hf, frozenset((hf.element(p) * el).value
+                                       if p != hf.zero_payload else p
+                                       for p in self.data))
+
+    def _mul(self, other: "FiniteSet") -> "FiniteSet":
+        hf = self.hyperfield
+        return FiniteSet(hf, frozenset((hf.element(a) * hf.element(b)).value
+                                       for a in self.data for b in other.data))
+
+    def _intersect(self, other: "FiniteSet") -> Optional["FiniteSet"]:
+        out = self.data & other.data
+        return FiniteSet(self.hyperfield, out) if out else None
+
+    def sample(self) -> list:
+        """Representative payloads of this set (zero included when present)."""
+        return sorted(self.data, key=repr)
+
+    def describe(self) -> dict:
+        return {"kind": "set", "members": sorted((repr(p) for p in self.data))}
+
+    def _difference_sample(self, other: "FiniteSet") -> tuple:
+        out = self.data - other.data
+        return (True, sorted(out, key=repr)[0]) if out else (False, None)
+
+
+def _trop(hf: Hyperfield, tag: str, value: Fraction) -> "TropicalSet":
+    if value == 0:
+        tag = "point"
+    return TropicalSet(hf, (tag, value))
+
+
+class TropicalSet(SumSet):
+    """("point", a) for {a}, or ("down", a) for {c : c <= a}."""
+
+    @classmethod
+    def singleton(cls, el: HFElement) -> "TropicalSet":
+        return _trop(el.hyperfield, "point", el.value)
+
+    def _contains(self, payload) -> bool:
+        tag, a = self.data
+        return payload <= a if tag == "down" else payload == a
+
+    def contains_zero(self) -> bool:
+        tag, a = self.data
+        return tag == "down" or a == 0
+
+    def has_nonzero(self) -> bool:
+        return self.data[1] > 0
+
+    def _add(self, b) -> "TropicalSet":
+        tag, a = self.data
+        if tag == "down":
+            return _trop(self.hyperfield, "down", a) if b <= a else _trop(self.hyperfield, "point", b)
+        if a == b:
+            return _trop(self.hyperfield, "down", a)
+        return _trop(self.hyperfield, "point", max(a, b))
+
+    def _scale(self, el: HFElement) -> "TropicalSet":
+        tag, a = self.data
+        return _trop(self.hyperfield, tag, a * el.value)
+
+    def _mul(self, other: "TropicalSet") -> "TropicalSet":
+        tag_a, a = self.data
+        tag_b, b = other.data
+        value = a * b
+        if value == 0:
+            return _trop(self.hyperfield, "point", Fraction(0))
+        tag = "down" if "down" in (tag_a, tag_b) else "point"
+        return _trop(self.hyperfield, tag, value)
+
+    def _intersect(self, other: "TropicalSet") -> Optional["TropicalSet"]:
+        tag_a, a = self.data
+        tag_b, b = other.data
+        if tag_a == "point" and tag_b == "point":
+            return self if a == b else None
+        if tag_a == "point":
+            return self if a <= b else None
+        if tag_b == "point":
+            return other if b <= a else None
+        return _trop(self.hyperfield, "down", min(a, b))
+
+    def sample(self) -> list:
+        tag, a = self.data
+        if tag == "point":
+            return [a]
+        out = [Fraction(0), a]
+        if a > 0:
+            out.append(a / 2)
+        return out
+
+    def describe(self) -> dict:
+        tag, a = self.data
+        return {"kind": tag, "value": str(a)}
+
+    def _difference_sample(self, other: "TropicalSet") -> tuple:
+        for payload in self.sample():
+            if not other._contains(payload):
+                return True, payload
+        tag_a, va = self.data
+        tag_b, vb = other.data
+        if tag_a == "down" and tag_b == "point" and va > 0:
+            probe = va / 3 if va / 3 != vb else va / 5
+            if not other._contains(probe):
+                return True, probe
+        return False, None
+
+
+def _canon_intervals(pieces: list) -> tuple:
+    cleaned = sorted((max(lo, 0.0), hi) for lo, hi in pieces)
+    merged: list = []
+    for lo, hi in cleaned:
+        if merged and lo <= merged[-1][1] + EPS:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
+class IntervalSet(SumSet):
+    """Sorted disjoint closed intervals (lo, hi) of nonnegative reals."""
+
+    @classmethod
+    def singleton(cls, el: HFElement) -> "IntervalSet":
+        return cls(el.hyperfield, ((el.value, el.value),))
+
+    def _contains(self, payload) -> bool:
+        return any(lo - EPS <= payload <= hi + EPS for lo, hi in self.data)
+
+    def contains_zero(self) -> bool:
+        return self.data[0][0] <= EPS
+
+    def has_nonzero(self) -> bool:
+        return any(hi > EPS for _, hi in self.data)
+
+    def _add(self, b) -> "IntervalSet":
+        pieces = []
+        for lo, hi in self.data:
+            gap = max(lo - b, b - hi, 0.0)
+            pieces.append((gap, hi + b))
+        return IntervalSet(self.hyperfield, _canon_intervals(pieces))
+
+    def _scale(self, el: HFElement) -> "IntervalSet":
+        c = el.value
+        return IntervalSet(self.hyperfield,
+                           _canon_intervals([(lo * c, hi * c) for lo, hi in self.data]))
+
+    def _mul(self, other: "IntervalSet") -> "IntervalSet":
+        pieces = [(lo1 * lo2, hi1 * hi2)
+                  for lo1, hi1 in self.data for lo2, hi2 in other.data]
+        return IntervalSet(self.hyperfield, _canon_intervals(pieces))
+
+    def _intersect(self, other: "IntervalSet") -> Optional["IntervalSet"]:
+        pieces = []
+        for lo1, hi1 in self.data:
+            for lo2, hi2 in other.data:
+                lo, hi = max(lo1, lo2), min(hi1, hi2)
+                if hi >= lo - EPS:
+                    pieces.append((min(lo, hi), max(lo, hi)))
+        if not pieces:
+            return None
+        return IntervalSet(self.hyperfield, _canon_intervals(pieces))
+
+    def _equals(self, other: "IntervalSet") -> bool:
+        if len(self.data) != len(other.data):
+            return False
+        return all(abs(lo1 - lo2) <= EPS and abs(hi1 - hi2) <= EPS
+                   for (lo1, hi1), (lo2, hi2) in zip(self.data, other.data))
+
+    def sample(self) -> list:
+        out = []
+        for lo, hi in self.data:
+            out.append(lo)
+            if hi > lo:
+                out += [(lo + hi) / 2.0, hi]
+        return out
+
+    def describe(self) -> dict:
+        return {"kind": "intervals", "pieces": [[lo, hi] for lo, hi in self.data]}
+
+    def _difference_sample(self, other: "IntervalSet") -> tuple:
+        cuts = set()
+        for lo, hi in other.data:
+            cuts.add(lo)
+            cuts.add(hi)
+        for lo, hi in self.data:
+            marks = sorted({lo, hi} | {c for c in cuts if lo < c < hi})
+            probes = list(marks)
+            probes += [(x + y) / 2.0 for x, y in zip(marks, marks[1:])]
+            for probe in probes:
+                if not other._contains(probe):
+                    return True, probe
+        return False, None
+
+
+class ArcSet(SumSet):
+    """(has_zero, points, arcs): unit points and open counterclockwise
+    arcs (start, length) of the circle, plus whether 0 belongs."""
+
+    @classmethod
+    def singleton(cls, el: HFElement) -> "ArcSet":
+        if el.is_zero:
+            return cls(el.hyperfield, (True, (), ()))
+        return cls(el.hyperfield, (False, (el.value,), ()))
+
+    def with_zero(self, has_zero: bool) -> "ArcSet":
+        """The same nonzero part, with 0 present iff has_zero."""
+        _, points, arcs = self.data
+        return ArcSet(self.hyperfield, _canon_phase(has_zero, list(points), list(arcs)))
+
+    def _contains(self, payload) -> bool:
+        has_zero, points, arcs = self.data
+        if payload is None:
+            return has_zero
+        if any(angle_close(payload, p) for p in points):
+            return True
+        for start, length in arcs:
+            d = _ccw(start, payload)
+            if EPS < d < length - EPS:
+                return True
+        return False
+
+    def contains_zero(self) -> bool:
+        return self.data[0]
+
+    def has_nonzero(self) -> bool:
+        _, points, arcs = self.data
+        return bool(points) or bool(arcs)
+
+    def closure(self) -> "ArcSet":
+        """The ends of the open arcs become points of the set."""
+        if not self.data[2]:
+            return self
+        has_zero, points, arcs = self.data
+        pts = list(points)
+        for start, length in arcs:
+            pts.append(start)
+            pts.append(norm_angle(start + length))
+        return ArcSet(self.hyperfield, _canon_phase(has_zero, pts, list(arcs)))
+
+    def _add(self, b) -> "ArcSet":
+        has_zero, points, arcs = self.data
+        z, pts, acs = False, [], []
+        if has_zero:
+            pts.append(b)
+        for p in points:
+            z2, pts2, acs2 = _phase_point_plus(p, b)
+            z |= z2
+            pts += pts2
+            acs += acs2
+        for arc in arcs:
+            z2, pts2, acs2 = _phase_arc_plus(arc, b)
+            z |= z2
+            pts += pts2
+            acs += acs2
+        return ArcSet(self.hyperfield, _canon_phase(z, pts, acs))
+
+    def _scale(self, el: HFElement) -> "ArcSet":
+        has_zero, points, arcs = self.data
+        rot = el.value
+        return ArcSet(self.hyperfield, _canon_phase(
+            has_zero,
+            [norm_angle(p + rot) for p in points],
+            [(norm_angle(s + rot), length) for s, length in arcs]))
+
+    def _mul(self, other: "ArcSet") -> "ArcSet":
+        z1, pts1, arcs1 = self.data
+        z2, pts2, arcs2 = other.data
+        z = z1 or z2
+        pts = [norm_angle(p + q) for p in pts1 for q in pts2]
+        acs = []
+        for p in pts1:
+            acs += [(norm_angle(p + s), length) for s, length in arcs2]
+        for q in pts2:
+            acs += [(norm_angle(q + s), length) for s, length in arcs1]
+        for s1, l1 in arcs1:
+            for s2, l2 in arcs2:
+                total = l1 + l2
+                start = norm_angle(s1 + s2)
+                if total > TAU + EPS:
+                    acs.append((0.0, TAU))
+                    pts.append(0.0)
+                else:
+                    acs.append((start, min(total, TAU)))
+        return ArcSet(self.hyperfield, _canon_phase(z, pts, acs))
+
+    def _intersect(self, other: "ArcSet") -> Optional["ArcSet"]:
+        z1, pts1, arcs1 = self.data
+        z2, pts2, arcs2 = other.data
+        z = z1 and z2
+        pts = [p for p in pts1 if other._contains(p)]
+        pts += [q for q in pts2 if self._contains(q)]
+        acs = []
+        for a1 in arcs1:
+            for a2 in arcs2:
+                acs += _arc_intersect(a1, a2)
+        if not z and not pts and not acs:
+            return None
+        return ArcSet(self.hyperfield, _canon_phase(z, pts, acs))
+
+    def _equals(self, other: "ArcSet") -> bool:
+        z1, pts1, arcs1 = self.data
+        z2, pts2, arcs2 = other.data
+        if z1 != z2 or len(pts1) != len(pts2) or len(arcs1) != len(arcs2):
+            return False
+        if not all(angle_close(p, q) for p, q in zip(pts1, pts2)):
+            return False
+        return all(angle_close(s1, s2) and abs(l1 - l2) <= EPS
+                   for (s1, l1), (s2, l2) in zip(arcs1, arcs2))
+
+    def sample(self) -> list:
+        has_zero, points, arcs = self.data
+        out: list = [None] if has_zero else []
+        out += list(points)
+        out += [norm_angle(s + length / 2.0) for s, length in arcs]
+        return out
+
+    def describe(self) -> dict:
+        has_zero, points, arcs = self.data
+        return {"kind": "arcs", "zero": has_zero,
+                "points": list(points),
+                "arcs": [[s, length] for s, length in arcs]}
+
+    def _difference_sample(self, other: "ArcSet") -> tuple:
+        za, pa, aa = self.data
+        zb = other.data[0]
+        if za and not zb:
+            return True, None
+        for p in pa:
+            if not other._contains(p):
+                return True, p
+        cuts = []
+        for s, length in other.data[2]:
+            cuts += [s, norm_angle(s + length)]
+        cuts += list(other.data[1])
+        for s, length in aa:
+            marks = sorted({0.0, length} |
+                           {d for d in (_ccw(s, c) for c in cuts) if EPS < d < length - EPS})
+            probes = [(x + y) / 2.0 for x, y in zip(marks, marks[1:])]
+            for off in probes:
+                payload = norm_angle(s + off)
+                if self._contains(payload) and not other._contains(payload):
+                    return True, payload
+        return False, None
+
+
+def fold(terms: list) -> SumSet:
+    """The n-ary hypersum of the terms.
+
+    For every hyperfield whose `nary_zero_is_fold` holds this is the left
+    fold of the binary rule, which is associative on these
+    representations.  For phase the nonzero part is still the folded arc
+    set (the phases of strictly positive combinations), but whether 0
+    belongs is decided globally: 0 lies in the sum iff it is a nonnegative
+    combination of the terms with not all weights zero, i.e. iff the
+    directions do not fit inside an open half-plane.  Folding the binary
+    rule would lose 0 from sums such as x + (-x) + y, where the cancelling
+    pair is killed by the third term.
+    """
+    if not terms:
+        raise ValueError("empty term list")
+    hf = terms[0].hyperfield
+    for t in terms:
+        if t.hyperfield is not hf:
+            raise MismatchError("mixed hyperfields in a hypersum")
+    acc = hf.sums.singleton(terms[0])
+    for t in terms[1:]:
+        acc = acc.add_term(t)
+    if not hf.nary_zero_is_fold and len(terms) > 2:
+        acc = acc.with_zero(hf.zero_in_sum(terms))
+    return acc
+
+
+# -- arc algebra -------------------------------------------------------------
+
+
 def _phase_point_plus(p: float, b: float) -> tuple:
     """p + b for unit payloads: (zero?, points, arcs)."""
     d = _ccw(p, b)
-    eps = config.get_eps()
-    if d <= eps or TAU - d <= eps:
+    if d <= EPS or TAU - d <= EPS:
         return False, [p], []
-    if abs(d - math.pi) <= eps:
+    if abs(d - math.pi) <= EPS:
         return True, [p, b], []
     if d < math.pi:
         return False, [], [(p, d)]
@@ -551,7 +546,6 @@ def _phase_arc_plus(arc: tuple, b: float) -> tuple:
     contributes {0, b, -b}.
     """
     s, length = arc
-    eps = config.get_eps()
     a0 = _ccw(b, s)
     # unrolled components of the arc in b-centered coordinates
     if a0 + length <= TAU:
@@ -561,20 +555,20 @@ def _phase_arc_plus(arc: tuple, b: float) -> tuple:
     zero = False
     points: list = []
     arcs: list = []
-    if a0 < TAU - eps and a0 + length > TAU + eps:
+    if a0 < TAU - EPS and a0 + length > TAU + EPS:
         points.append(b)  # b lies strictly inside the arc
     for lo, hi in comps:
         # The antipode of b must lie strictly inside the open arc to give a
         # cancellation; landing on an excluded endpoint (up to tolerance)
         # does not.
-        if lo + eps < math.pi < hi - eps:
+        if lo + EPS < math.pi < hi - EPS:
             zero = True
             points += [b, norm_angle(b + math.pi)]
         cut_lo, cut_hi = max(lo, 0.0), min(hi, math.pi)
-        if cut_hi - cut_lo > eps:
+        if cut_hi - cut_lo > EPS:
             arcs.append((b, cut_hi))
         cut_lo, cut_hi = max(lo, math.pi), min(hi, TAU)
-        if cut_hi - cut_lo > eps:
+        if cut_hi - cut_lo > EPS:
             arcs.append((norm_angle(b + cut_lo), TAU - cut_lo))
     return zero, points, arcs
 
@@ -583,29 +577,27 @@ def _arc_intersect(a: tuple, b: tuple) -> list:
     """Intersection pieces of two open arcs."""
     s1, l1 = a
     s2, l2 = b
-    eps = config.get_eps()
     d = _ccw(s1, s2)
     comps = [(d, d + l2)] if d + l2 <= TAU else [(d, TAU), (0.0, d + l2 - TAU)]
     out = []
     for lo, hi in comps:
         cut_lo, cut_hi = max(lo, 0.0), min(hi, l1)
-        if cut_hi - cut_lo > eps:
+        if cut_hi - cut_lo > EPS:
             out.append((norm_angle(s1 + cut_lo), cut_hi - cut_lo))
     return out
 
 
 def _canon_phase(has_zero: bool, points: list, arcs: list) -> tuple:
-    eps = config.get_eps()
     pts: list = []
     for p in points:
         p = norm_angle(p)
         if not any(angle_close(p, q) for q in pts):
             pts.append(p)
-    acs = [(norm_angle(s), min(length, TAU)) for s, length in arcs if length > eps]
+    acs = [(norm_angle(s), min(length, TAU)) for s, length in arcs if length > EPS]
 
     def inside(arc, theta):
         d = _ccw(arc[0], theta)
-        return eps < d < arc[1] - eps
+        return EPS < d < arc[1] - EPS
 
     changed = True
     while changed:
@@ -618,10 +610,10 @@ def _canon_phase(has_zero: bool, points: list, arcs: list) -> tuple:
                 s1, l1 = acs[i]
                 s2, l2 = acs[j]
                 d = _ccw(s1, s2)
-                if d < l1 - eps or d <= eps:
+                if d < l1 - EPS or d <= EPS:
                     new_len = max(l1, d + l2)
                     keep = [acs[k] for k in range(len(acs)) if k not in (i, j)]
-                    if new_len > TAU + eps:
+                    if new_len > TAU + EPS:
                         keep.append((0.0, TAU))
                         pts.append(0.0)
                     else:
@@ -654,7 +646,7 @@ def _canon_phase(has_zero: bool, points: list, arcs: list) -> tuple:
                 l2 = acs[right][1]
                 keep = [acs[k] for k in range(len(acs)) if k not in (left, right)]
                 total = l1 + l2
-                if total > TAU + eps:
+                if total > TAU + EPS:
                     keep.append((0.0, TAU))
                     pts.append(0.0)
                 else:

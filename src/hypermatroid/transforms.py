@@ -180,7 +180,7 @@ class HyperfieldHom:
     rule: Callable[[HFElement], HFElement]
 
     def __call__(self, el: HFElement) -> HFElement:
-        if el.hyperfield != self.source:
+        if el.hyperfield is not self.source:
             raise MismatchError(
                 f"{self.name} expects elements of {self.source}, got {el.hyperfield}")
         return self.rule(el)
@@ -279,7 +279,7 @@ def pushforward_circuits(hom: HyperfieldHom,
                          sig: CircuitSignature) -> CircuitSignature:
     """Apply the hom to every entry.  Supports are unchanged; classes that
     become projectively equal merge."""
-    if sig.hyperfield != hom.source:
+    if sig.hyperfield is not hom.source:
         raise MismatchError(f"{hom.name} does not apply to {sig.hyperfield}")
     vectors = [FVector(hom.target, sig.ground,
                        {label: hom(el) for label, el in v.entries.items()})
@@ -290,7 +290,7 @@ def pushforward_circuits(hom: HyperfieldHom,
 def pushforward_gp(hom: HyperfieldHom, phi: GPFunction) -> GPFunction:
     """Apply the hom to every value.  Homs carry units to units, so the
     support, hence the underlying matroid, is unchanged."""
-    if phi.hyperfield != hom.source:
+    if phi.hyperfield is not hom.source:
         raise MismatchError(f"{hom.name} does not apply to {phi.hyperfield}")
     return GPFunction(hom.target, phi.ground, phi.rank,
                       {key: hom(val) for key, val in phi.values.items()})

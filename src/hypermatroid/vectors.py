@@ -60,7 +60,7 @@ class FVector:
                 raise MismatchError(f"label {label!r} not in ground set")
             if not isinstance(el, HFElement):
                 el = hyperfield.element(el)
-            if el.hyperfield != hyperfield:
+            if el.hyperfield is not hyperfield:
                 raise MismatchError("entry from a different hyperfield")
             if not el.is_zero:
                 clean[label] = el
@@ -92,7 +92,7 @@ def support(x: FVector) -> frozenset:
 
 
 def scalar_mul(alpha: HFElement, x: FVector) -> FVector:
-    if alpha.hyperfield != x.hyperfield:
+    if alpha.hyperfield is not x.hyperfield:
         raise MismatchError("scalar from a different hyperfield")
     if alpha.is_zero:
         return FVector(x.hyperfield, x.ground, {})
@@ -101,7 +101,7 @@ def scalar_mul(alpha: HFElement, x: FVector) -> FVector:
 
 
 def _require_compatible(x: FVector, y: FVector):
-    if x.hyperfield != y.hyperfield:
+    if x.hyperfield is not y.hyperfield:
         raise MismatchError("vectors over different hyperfields")
     if x.ground != y.ground:
         raise MismatchError("vectors over different ground sets")

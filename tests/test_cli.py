@@ -73,6 +73,26 @@ def test_check_circuits(capsys, tmp_path):
     assert report["weak_elimination"]["ok"]
 
 
+@pytest.mark.parametrize("name", ["triangle-weak-not-strong",
+                                  "phase-weak-not-strong"])
+def test_check_circuits_skips_the_strong_scan(capsys, tmp_path, monkeypatch,
+                                              name):
+    """check-circuits reports weakness alone, so on a weak-only signature
+    it must not run modular-family elimination (C3)."""
+    path = write(tmp_path, "sig.json",
+                 circuits_from_gp(CORPUS[name].build()))
+    expected = run(capsys, "check-circuits", path)
+    assert expected[0] == 0
+    assert json.loads(expected[1])["weak_elimination"] == {"ok": True,
+                                                           "witness": None}
+
+    def refuse(sig):
+        raise AssertionError("check-circuits ran the C3 scan")
+
+    monkeypatch.setattr("hypermatroid.gp.check_strong_elimination", refuse)
+    assert run(capsys, "check-circuits", path) == expected
+
+
 def test_classify_verdicts(capsys, tmp_path):
     from hypermatroid import circuits_from_gp
     good = write(tmp_path, "good.json",

@@ -1,0 +1,108 @@
+"""Byte identity of the CLI against recorded outputs.
+
+`golden_cli.json` records, for a fixed list of `hfm` commands over the
+corpus and the built-in hyperfields, the exit code and the sha256 of
+stdout, plus the sha256 of every input file the commands read.  The
+inputs are written from the corpus into a temporary directory, and the
+commands run in process.  Regenerate the file (only when an output
+change is intended) with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from hypermatroid import circuits_from_gp, corpus_entries, serialize
+from hypermatroid.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "golden_cli.json")
+
+HYPERFIELDS = ("krasner", "sign", "tropical", "triangle", "phase",
+               "phase[identity]", "rational", "gf(3)")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def write_inputs(directory: str) -> dict:
+    """Write every input file into `directory`; {file name: sha256}."""
+    files = {}
+    for entry in corpus_entries():
+        obj = entry.build()
+        if entry.kind == "gp":
+            files[f"gp-{entry.name}.json"] = serialize(obj)
+            files[f"sig-{entry.name}.json"] = serialize(circuits_from_gp(obj))
+        else:
+            files[f"sig-{entry.name}.json"] = serialize(obj)
+    for i, hf in enumerate(HYPERFIELDS):
+        files[f"exp-{i}.json"] = json.dumps({"hyperfield": hf, "samples": 10})
+    for name, text in files.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.write(text)
+    return {name: _sha(text) for name, text in sorted(files.items())}
+
+
+def commands() -> list:
+    out = []
+    for entry in corpus_entries():
+        out.append(["demo", entry.name])
+    for i, hf in enumerate(HYPERFIELDS):
+        out.append(["axioms", "--hyperfield", hf])
+        out.append(["experiment", "--config", f"exp-{i}.json"])
+    for entry in corpus_entries():
+        sig = f"sig-{entry.name}.json"
+        if entry.kind == "gp":
+            gp = f"gp-{entry.name}.json"
+            out += [["check-gp", "--both", gp], ["circuits", gp], ["dual", gp],
+                    ["pushforward", "--hom", "krasner", gp]]
+            if entry.name.startswith("tropical"):
+                out.append(["dressian", gp])
+        out += [["classify", sig], ["check-circuits", sig], ["dual", sig]]
+    return out
+
+
+def run(directory: str, argv: list) -> dict:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    old = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        os.chdir(old)
+    return {"argv": argv, "exit": code, "stdout_sha256": _sha(stdout.getvalue())}
+
+
+def record(directory: str) -> dict:
+    return {"inputs": write_inputs(directory),
+            "commands": [run(directory, argv) for argv in commands()]}
+
+
+def test_cli_outputs_match_the_golden_file(tmp_path):
+    with open(GOLDEN, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    inputs = write_inputs(str(tmp_path))
+    changed = [name for name in golden["inputs"]
+               if inputs.get(name) != golden["inputs"][name]]
+    assert not changed, f"input files differ: {changed}"
+    assert [c["argv"] for c in golden["commands"]] == commands()
+    for want in golden["commands"]:
+        got = run(str(tmp_path), want["argv"])
+        assert got == want, f"hfm {' '.join(want['argv'])}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as directory:
+        data = record(directory)
+    with open(GOLDEN, "w", encoding="utf-8") as handle:
+        json.dump(data, handle, indent=1)
+        handle.write("\n")
+    print(f"wrote {len(data['commands'])} commands to {GOLDEN}", file=sys.stderr)

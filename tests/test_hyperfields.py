@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermatroid import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
-                          TRIANGLE, TROPICAL, HFElement, InputError,
-                          MismatchError, check_hyperfield_axioms,
+                          TRIANGLE, TROPICAL, FVector, GroundSet, HFElement,
+                          InputError, MismatchError, check_hyperfield_axioms,
                           double_distributivity_witness, eq, fold_sum, gf,
                           inv, invol, member_of_sum, mul, neg, sample_element,
-                          signed, sum_set, zero_in_sum)
+                          signed, zero_in_sum)
+
+from strategies import ALL_KINDS
 
 ALL = (KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE, PHASE_PLAIN, RATIONALS, gf(3), gf(5))
 
@@ -44,30 +46,30 @@ def test_zero_one_distinct():
 
 def test_krasner_absorbing_sum():
     one = KRASNER.one()
-    s = sum_set(one, one)
+    s = fold_sum([one, one])
     assert s.contains(one) and s.contains_zero()
 
 
 def test_sign_sum_table():
     plus, minus, zero = SIGN.element(1), SIGN.element(-1), SIGN.zero()
-    assert sum_set(plus, plus).contains(plus)
-    assert not sum_set(plus, plus).contains_zero()
-    mixed = sum_set(plus, minus)
+    assert fold_sum([plus, plus]).contains(plus)
+    assert not fold_sum([plus, plus]).contains_zero()
+    mixed = fold_sum([plus, minus])
     assert mixed.contains(plus) and mixed.contains(minus) and mixed.contains_zero()
-    assert sum_set(plus, zero).contains(plus)
+    assert fold_sum([plus, zero]).contains(plus)
 
 
 def test_tropical_max_rule():
     a, b = TROPICAL.element(Fraction(4)), TROPICAL.element(Fraction(1))
-    s = sum_set(a, b)
+    s = fold_sum([a, b])
     assert s.contains(a) and not s.contains(b)
-    tie = sum_set(a, TROPICAL.element(Fraction(4)))
+    tie = fold_sum([a, TROPICAL.element(Fraction(4))])
     assert tie.contains(b) and tie.contains_zero()
 
 
 def test_triangle_interval_rule():
     a, b = TRIANGLE.element(3.0), TRIANGLE.element(1.0)
-    s = sum_set(a, b)
+    s = fold_sum([a, b])
     assert s.contains(TRIANGLE.element(2.0))
     assert s.contains(TRIANGLE.element(4.0))
     assert not s.contains(TRIANGLE.element(1.5))
@@ -77,10 +79,10 @@ def test_triangle_interval_rule():
 def test_phase_arc_rule():
     x = PHASE.element(0.5)
     y = PHASE.element(1.5)
-    s = sum_set(x, y)
+    s = fold_sum([x, y])
     assert s.contains(PHASE.element(1.0))
     assert not s.contains(x), "open arcs exclude their endpoints"
-    anti = sum_set(x, neg(x))
+    anti = fold_sum([x, neg(x)])
     assert anti.contains_zero() and anti.contains(x) and anti.contains(neg(x))
 
 
@@ -113,8 +115,19 @@ def test_mul_inv_neg():
 
 
 def test_cross_hyperfield_mismatch():
-    with pytest.raises(MismatchError):
-        mul(SIGN.element(1), KRASNER.one())
+    """Hyperfields are told apart by identity, also within one family."""
+    pairs = [(SIGN.element(1), KRASNER.one()),
+             (gf(3).element(1), gf(5).element(1)),
+             (PHASE.element(1.0), PHASE_PLAIN.element(1.0))]
+    for a, b in pairs:
+        with pytest.raises(MismatchError):
+            mul(a, b)
+        with pytest.raises(MismatchError):
+            zero_in_sum([a, b])
+        with pytest.raises(MismatchError):
+            fold_sum([a, b])
+        with pytest.raises(MismatchError):
+            FVector(a.hyperfield, GroundSet((1, 2)), {1: a, 2: b})
 
 
 def test_axiom_suite_all_builtin():
@@ -125,12 +138,13 @@ def test_axiom_suite_all_builtin():
 
 
 def test_double_distributivity_split():
-    for hf in (KRASNER, SIGN, TROPICAL, RATIONALS, gf(3)):
-        found, _ = double_distributivity_witness(hf, seed=1, tries=300)
-        assert not found, str(hf)
-    for hf in (TRIANGLE, PHASE):
-        found, witness = double_distributivity_witness(hf, seed=1, tries=300)
-        assert found and witness["separating_point"], str(hf)
+    """The search finds a witness exactly where the family's flag says
+    double distributivity fails (triangle and phase)."""
+    for hf in ALL_KINDS + [gf(5)]:
+        found, witness = double_distributivity_witness(hf, seed=1)
+        assert found == (not hf.doubly_distributive), str(hf)
+        if found:
+            assert witness["separating_point"], str(hf)
 
 
 def test_fold_oracle_agreement():
@@ -165,7 +179,7 @@ def test_reversibility():
         for _ in range(80):
             x = sample_element(hf, rng)
             y = sample_element(hf, rng)
-            s = sum_set(x, y)
+            s = fold_sum([x, y])
             for payload in s.sample():
                 z = HFElement(hf, payload)
                 assert member_of_sum(x, [z, neg(y)])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -11,15 +12,19 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           TROPICAL, CircuitSignature, GPFunction,
                           InputError, corpus_entries, eq, equivalent_gp, gf,
                           hyperfield_from_id, parse_text, same_signature,
-                          serialize)
+                          sample_element, serialize)
 from hypermatroid.serialization import (element_from_json, element_to_json,
                                         parse_object)
+
+from strategies import ALL_KINDS
 
 
 def test_hyperfield_identifiers_roundtrip():
     for ident in ("krasner", "sign", "tropical", "triangle", "phase",
                   "phase[identity]", "rational", "gf(3)", "gf(11)"):
         assert str(hyperfield_from_id(ident, "t")) == ident
+    for hf in ALL_KINDS + [gf(11)]:
+        assert hyperfield_from_id(str(hf), "t") is hf
     for bad in ("", "K", "gf(4)", "gf(x)", "signs"):
         with pytest.raises(InputError):
             hyperfield_from_id(bad, "t")
@@ -38,6 +43,13 @@ def test_element_encodings():
         assert element_to_json(el) == encoded
         back = element_from_json(el.hyperfield, encoded, "t")
         assert eq(back, el)
+    rng = random.Random(5)
+    for hf in ALL_KINDS:
+        for _ in range(50):
+            el = sample_element(hf, rng)
+            back = element_from_json(hf, element_to_json(el), "t")
+            assert back == el and repr(back.value) == repr(el.value), str(hf)
+            assert type(back.value) is type(el.value)
 
 
 def test_triangle_float_encoding_is_exact():
