@@ -70,7 +70,7 @@ class CircuitSignature:
             raise InputError(f"no representative with support {sorted(supp)}") from None
 
     def __repr__(self) -> str:
-        return (f"CircuitSignature({self.hyperfield.kind}, |E|={len(self.ground)}, "
+        return (f"CircuitSignature({self.hyperfield}, |E|={len(self.ground)}, "
                 f"classes={len(self.classes)})")
 
 

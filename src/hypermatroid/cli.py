@@ -7,11 +7,18 @@ failed (the witness is printed on stdout), 2 for malformed input (the
 message goes to stderr).
 
 Every checker runs in one thread and reports the first witness in its
-canonical order.  `check-circuits` and `classify` decide by orthogonality
-with the cocircuit signature derived from the circuits: a signature is
-weak when the derivation is consistent and every circuit and cocircuit
-meeting in at most 3 elements are orthogonal, and strong when every
-circuit is orthogonal to every cocircuit.  The elimination scans only
+canonical order.  `check-gp` decides Strong by the three-term relations
+and basis exchange of `--weak` over the doubly distributive hyperfields
+(Krasner, sign, tropical, the rationals, GF(p)), where weak and strong
+coincide, and by every (I, J) relation over triangle and phase; a
+function that is not strong gets the witness of the full scan (basis
+exchange, then the first failing (I, J) relation).  `check-circuits`
+and `classify` decide by orthogonality with the cocircuit signature
+derived from the circuits: a signature is weak when the derivation is
+consistent and every circuit and cocircuit meeting in at most 3 elements
+are orthogonal.  A weak signature is strong over the doubly distributive
+hyperfields, and over triangle and phase when every circuit is
+orthogonal to every cocircuit.  The elimination scans only
 name the failing instance: modular-pair elimination (C3') for a
 signature that is not weak, modular-family elimination (C3) for a
 weak-only one; `check-circuits` reports weakness alone, so it runs only

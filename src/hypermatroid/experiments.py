@@ -15,7 +15,10 @@ anyway.
 The perfection sweep samples weak-valid functions and records which are
 strong.  Over the doubly distributive hyperfields (Krasner, sign,
 tropical, finite fields, the rationals) a weak-only find is a
-contract violation, reported as such.  Triangle and phase runs seed the
+contract violation, reported as such.  The sweep is an empirical test
+of the theorem that `check_gp_strong` relies on there, so it runs the
+full relation scan itself; the samples are weak-valid, so the
+basis-exchange scan would add nothing.  Triangle and phase runs seed the
 sample list with the known weak-only corpus instances, so those runs
 always record at least one weak-only find.  Each sample also gets the
 bounded-overlap orthogonality sweep between derived circuits and
@@ -33,8 +36,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .circuits import CircuitSignature
 from .errors import InputError
-from .gp import (GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp,
-                 dual_pair_witness, three_term_pairs)
+from .gp import (GPFunction, check_gp_weak, circuits_from_gp,
+                 dual_pair_witness, failing_relation, three_term_pairs)
 from .hyperfields import Hyperfield, sample_element
 from .transforms import dual_circuits
 from .vectors import (FVector, GroundSet, is_covector_of, is_vector_of,
@@ -44,16 +47,17 @@ _REJECTION_TRIES = 20000
 
 
 def _minor_det(columns: List[Tuple[Fraction, ...]], picks: Tuple[int, ...]) -> Fraction:
-    cols = [columns[i] for i in picks]
+    """The determinant of the picked columns' first len(picks) entries, by
+    cofactor expansion along the last of those rows."""
     r = len(picks)
     if r == 1:
-        return cols[0][0]
+        return columns[picks[0]][0]
     if r == 2:
-        return cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-    a, b, c = cols
-    return (a[0] * (b[1] * c[2] - b[2] * c[1])
-            - b[0] * (a[1] * c[2] - a[2] * c[1])
-            + c[0] * (a[1] * b[2] - a[2] * b[1]))
+        a, b = columns[picks[0]], columns[picks[1]]
+        return a[0] * b[1] - a[1] * b[0]
+    return sum((-1) ** (k + r - 1) * columns[p][r - 1]
+               * _minor_det(columns, picks[:k] + picks[k + 1:])
+               for k, p in enumerate(picks))
 
 
 def _matrix_seeded(hf: Hyperfield, rng: random.Random, rank: int,
@@ -207,7 +211,7 @@ def run_perfection_experiment(cfg: ExperimentConfig) -> dict:
     orthogonality_failures: List[dict] = []
 
     for index, phi in enumerate(instances):
-        witness = check_gp_strong(phi)
+        witness = failing_relation(phi, False)
         is_strong = witness is None
         if is_strong:
             strong_count += 1

@@ -8,6 +8,15 @@ greedy bases) so outputs and witnesses are reproducible.  `classify`
 lives here, next to the cocircuit derivation whose orthogonality with
 the circuits decides it.
 
+Which criterion decides Strong depends on the hyperfield.  Over a doubly
+distributive one (Krasner, sign, tropical, the rationals, GF(p)) weak and
+strong matroids coincide (Baker-Bowler), so Strong is decided by the
+weak criterion: the three-term relations for a function, orthogonality
+of the circuit/cocircuit pairs meeting in at most 3 elements for a
+signature.  Over triangle and phase Strong needs the full criterion:
+every (I, J) relation, every circuit/cocircuit pair.  The full scans
+still run over every hyperfield to name the witness of a failure.
+
 The relation checkers run a kernel on int masks of ground positions: a
 mask-indexed value table gives, once per (r+1)-set I, its nonzero factors
 phi(I - i) and, once per (r-1)-set J, its nonzero factors phi(i, J), so
@@ -72,6 +81,7 @@ class GPFunction:
         self.values = stored
         self._matroid: Optional[ClassicalMatroid] = None
         self._exchange: object = _UNCHECKED
+        self._weak: object = _UNCHECKED
 
     def value(self, subset: Iterable) -> HFElement:
         """The stored value on an unordered r-set of distinct labels."""
@@ -113,7 +123,7 @@ class GPFunction:
                           {k: mul(alpha, v) for k, v in self.values.items()})
 
     def __repr__(self) -> str:
-        return (f"GPFunction({self.hyperfield.kind}, |E|={len(self.ground)}, "
+        return (f"GPFunction({self.hyperfield}, |E|={len(self.ground)}, "
                 f"rank={self.rank}, support={len(self.values)})")
 
 
@@ -239,14 +249,30 @@ def failing_relation(phi: GPFunction, three_term_only: bool) -> Optional[dict]:
     return None
 
 
+def _weak_witness(phi: GPFunction) -> Optional[dict]:
+    """`check_gp_weak`'s witness, or None; the scans run once per
+    function, so `check-gp --both` pays for them once."""
+    if phi._weak is _UNCHECKED:
+        phi._weak = _exchange_witness(phi) or failing_relation(phi, True)
+    return None if phi._weak is None else dict(phi._weak)
+
+
 def check_gp_weak(phi: GPFunction) -> Optional[dict]:
     """Three-term relations (pairs with |I - J| = 3) plus basis exchange
     on the support."""
-    return _exchange_witness(phi) or failing_relation(phi, True)
+    return _weak_witness(phi)
 
 
 def check_gp_strong(phi: GPFunction) -> Optional[dict]:
-    """The full relation family, over all (I, J) pairs."""
+    """The full relation family, over all (I, J) pairs.
+
+    Over a doubly distributive hyperfield a weak function is strong
+    (Baker-Bowler), so there the weak check decides a pass and the full
+    scan runs only to name the first failing relation of a function that
+    is not weak.  Over triangle and phase the full scan decides.
+    """
+    if phi.hyperfield.doubly_distributive and _weak_witness(phi) is None:
+        return None
     return _exchange_witness(phi) or failing_relation(phi, False)
 
 
@@ -381,16 +407,17 @@ def dual_pair_witness(C: CircuitSignature, D: CircuitSignature,
     return None
 
 
-def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature,
-                      _check: bool = True) -> GPFunction:
+def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature) -> GPFunction:
     """Reconstruct the function whose circuit signature is C, from a weak
     dual pair (C, D).
 
     Walks the basis-exchange graph from the lexicographically least basis
     (pinned to value 1); each exchange edge determines the value ratio
-    through the circuit crossing it.  Revisits must agree, weak relations
-    must hold afterwards, and when (C, D) is a full dual pair the strong
-    relations are verified too.
+    through the circuit crossing it.  Revisits must agree and weak
+    relations must hold afterwards.  Over triangle and phase, when (C, D)
+    is a full dual pair the strong relations are verified too; over a
+    doubly distributive hyperfield the weak relations already make the
+    function strong (Baker-Bowler), so neither full check runs.
     """
     problem = dual_pair_witness(C, D, max_overlap=3)
     if problem is not None:
@@ -428,15 +455,15 @@ def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature,
                     values[new_key] = value
                     queue.append(new_basis)
     phi = GPFunction(hf, ground, matroid.rank(), values)
-    if _check:
-        witness = check_gp_weak(phi)
+    witness = check_gp_weak(phi)
+    if witness is not None:
+        raise InvalidDualPairError(f"reconstruction is not weak-valid: {witness}")
+    if not hf.doubly_distributive and \
+            dual_pair_witness(C, D, max_overlap=None) is None:
+        witness = check_gp_strong(phi)
         if witness is not None:
-            raise InvalidDualPairError(f"reconstruction is not weak-valid: {witness}")
-        if dual_pair_witness(C, D, max_overlap=None) is None:
-            witness = check_gp_strong(phi)
-            if witness is not None:
-                raise InvalidDualPairError(
-                    f"full dual pair gave a non-strong function: {witness}")
+            raise InvalidDualPairError(
+                f"full dual pair gave a non-strong function: {witness}")
     return phi
 
 
@@ -462,10 +489,12 @@ def orthogonality_verdict(sig: CircuitSignature) -> str:
     those of full dual pairs (Baker-Bowler), and the only candidate
     partner is the cocircuit signature D derived from circuit ratios.  So
     the signature is not weak when D cannot be derived consistently or a
-    circuit X and a cocircuit Y with |X & Y| <= 3 are not orthogonal, and
-    it is strong when every pair is orthogonal.  One pass over C x D
-    decides; after the first non-orthogonal pair with a larger overlap it
-    checks only the pairs with overlap at most 3.
+    circuit X and a cocircuit Y with |X & Y| <= 3 are not orthogonal.  Over
+    a doubly distributive hyperfield a weak signature is strong, so only
+    those pairs are checked; elsewhere it is strong when every pair is
+    orthogonal.  One pass over C x D decides; after the first
+    non-orthogonal pair with a larger overlap it checks only the pairs with
+    overlap at most 3.
     """
     try:
         cocircuits = [(y, support(y)) for y in
@@ -474,11 +503,12 @@ def orthogonality_verdict(sig: CircuitSignature) -> str:
         weak, strong = False, False
     else:
         weak, strong = True, True
+        full = not sig.hyperfield.doubly_distributive
         for x in sig.classes:
             sx = support(x)
             for y, sy in cocircuits:
                 small = len(sx & sy) <= 3
-                if (strong or small) and not orthogonal(x, y):
+                if (small or (strong and full)) and not orthogonal(x, y):
                     strong = False
                     if small:
                         weak = False

@@ -115,6 +115,9 @@ class Hyperfield:
     zero_payload: object = 0
     sums = FiniteSet
     is_finite = True
+    # whether (a + b)(c + d) = ac + ad + bc + bd; this decides verdicts
+    # (weak implies strong, so the checkers skip the full relation scan
+    # and full orthogonality), so a wrong True gives wrong answers
     doubly_distributive = True
     # whether 0 in x1 + ... + xk is decided by the left fold of binary sums
     nary_zero_is_fold = True

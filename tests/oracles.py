@@ -7,15 +7,20 @@ uses the package under test.  The GP relation scan reuses the package's
 `relation_terms` and `zero_in_sum`, since what it checks is the
 enumeration: every (I, J) pair in order, each decided on its full term
 list, zeros included.  `classify_by_elimination` decides strength by the
-package's two elimination criteria instead of orthogonality.
+package's two elimination criteria instead of orthogonality, and
+`full_orthogonality_verdict` by every circuit/cocircuit pair over every
+hyperfield.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from hypermatroid import (Classification, check_C0_C2, check_C3_doubleprime,
+from hypermatroid import (Classification, RatioInconsistencyError,
+                          check_C0_C2, check_C3_doubleprime,
                           check_strong_elimination, check_weak_elimination,
-                          relation_terms, validate_circuits, zero_in_sum)
+                          cocircuit_signature_from_circuits,
+                          dual_pair_witness, relation_terms,
+                          validate_circuits, zero_in_sum)
 
 
 def det(rows):
@@ -231,3 +236,22 @@ def classify_by_elimination(sig):
     if strong is None:
         return Classification("Strong")
     return Classification("WeakOnly", strong)
+
+
+def full_orthogonality_verdict(sig):
+    """orthogonality_verdict's verdict by the dual-pair check with the
+    derived cocircuits: Strong when every circuit/cocircuit pair is
+    orthogonal, WeakOnly when only the pairs meeting in at most 3
+    elements are, else InvalidSignature (also when no consistent
+    cocircuit signature exists)."""
+    try:
+        cocircuits = cocircuit_signature_from_circuits(sig)
+    except RatioInconsistencyError:
+        return "InvalidSignature"
+    full = dual_pair_witness(sig, cocircuits, None)
+    if full is None:
+        return "Strong"
+    assert full["axiom"] == "DP3", full
+    if dual_pair_witness(sig, cocircuits, 3) is None:
+        return "WeakOnly"
+    return "InvalidSignature"

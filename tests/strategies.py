@@ -10,6 +10,9 @@ from hypermatroid import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
 ALL_KINDS = [KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE, PHASE_PLAIN, RATIONALS,
              gf(3)]
 
+# the hyperfields over which weak and strong coincide
+DOUBLY_DISTRIBUTIVE = [KRASNER, SIGN, TROPICAL, RATIONALS, gf(3), gf(5)]
+
 
 def units(hf):
     """Units of hf: triangle moduli in [1e-3, 1e3], since much smaller ones

@@ -15,14 +15,14 @@ from hypermatroid import (CORPUS, PHASE, RATIONALS, SIGN, TRIANGLE, TROPICAL,
                           check_C3_doubleprime, check_strong_elimination,
                           check_weak_elimination, circuits_from_gp, classify,
                           cocircuit_signature_from_circuits, corpus_entries,
-                          eq, gf, orthogonal, random_weak_signature,
+                          eq, gf, orthogonal, orthogonality_verdict,
+                          random_weak_signature,
                           same_signature, sample_element, scalar_mul,
                           serialize)
 from hypermatroid.cli import main
 
 import oracles
-from strategies import ALL_KINDS, units
-
+from strategies import ALL_KINDS, DOUBLY_DISTRIBUTIVE, units
 
 
 def sign_vec(g, entries):
@@ -187,6 +187,20 @@ def perturbed(sig, rng):
     classes = list(sig.classes)
     classes[i] = FVector(hf, sig.ground, {**x.entries, label: value})
     return CircuitSignature(hf, sig.ground, classes, dedup=False)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(DOUBLY_DISTRIBUTIVE), st.integers(0, 2 ** 32),
+       st.booleans())
+def test_orthogonality_verdict_matches_full_orthogonality(hf, seed, perturb):
+    """Over a doubly distributive hyperfield the verdict checks only the
+    pairs meeting in at most 3 elements; the check of every pair must
+    agree, on weak signatures and on ones with a perturbed entry."""
+    rng = random.Random(seed)
+    sig = random_weak_signature(hf, rng, max_rank=4, max_ground=8)
+    if perturb:
+        sig = perturbed(sig, rng)
+    assert orthogonality_verdict(sig) == oracles.full_orthogonality_verdict(sig)
 
 
 def not_weak_route(sig):

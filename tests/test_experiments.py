@@ -8,6 +8,7 @@ from hypermatroid import (KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE, TROPICAL,
                           ExperimentConfig, InputError, check_gp_weak,
                           config_from_json, gf, random_weak_gp,
                           run_perfection_experiment)
+from hypermatroid import experiments
 
 
 def test_sampler_output_is_weak_valid():
@@ -52,6 +53,19 @@ def test_sweep_doubly_distributive_all_strong():
         assert report["strong"] == report["samples"], str(hf)
         assert not report["weak_only"] and not report["contract_violation"]
         assert not report["orthogonality_failures"]
+
+
+def test_sweep_runs_the_full_relation_scan(monkeypatch):
+    """The sweep tests the theorem that lets check_gp_strong stop at the
+    weak check over sign, so it must run the full scan itself: a failing
+    full relation there is a contract violation."""
+    monkeypatch.setattr(
+        experiments, "failing_relation",
+        lambda phi, three_term_only: None if three_term_only else
+        {"axiom": "GP3"})
+    report = run_perfection_experiment(ExperimentConfig(SIGN, samples=3, seed=2))
+    assert report["strong"] == 0 and len(report["weak_only"]) == 3
+    assert report["contract_violation"] is True
 
 
 def test_sweep_triangle_records_weak_only():

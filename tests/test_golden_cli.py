@@ -1,9 +1,10 @@
 """Byte identity of the CLI against recorded outputs.
 
 `golden_cli.json` records, for a fixed list of `hfm` commands over the
-corpus and the built-in hyperfields, the exit code and the sha256 of
-stdout, plus the sha256 of every input file the commands read.  The
-inputs are written from the corpus into a temporary directory, and the
+corpus, its dual pairs (circuits with derived cocircuits), two functions
+failing a three-term relation, and the built-in hyperfields, the exit
+code and the sha256 of stdout, plus the sha256 of every input file the
+commands read.  The inputs are written from the corpus into a temporary directory, and the
 commands run in process.  Regenerate the file (only when an output
 change is intended) with
 
@@ -18,7 +19,10 @@ import os
 import sys
 import tempfile
 
-from hypermatroid import circuits_from_gp, corpus_entries, serialize
+from hypermatroid import (CORPUS, SIGN, TROPICAL, GPFunction, InputError,
+                          RatioInconsistencyError, circuits_from_gp,
+                          cocircuit_signature_from_circuits, corpus_entries,
+                          serialize)
 from hypermatroid.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -32,16 +36,46 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# U(2,4) functions failing their three-term relation: one value of a
+# corpus entry changed so that phi(1, 4) phi(2, 3) breaks the balance.
+BROKEN = {"sign-u24": SIGN.element(-1), "tropical-u24": TROPICAL.element(2)}
+
+
+def broken(name: str) -> GPFunction:
+    phi = CORPUS[name].build()
+    return GPFunction(phi.hyperfield, phi.ground, phi.rank,
+                      {**phi.values, (1, 4): BROKEN[name]})
+
+
+def signature(entry):
+    """A corpus entry's circuit signature: its own, or its function's."""
+    obj = entry.build()
+    return circuits_from_gp(obj) if entry.kind == "gp" else obj
+
+
+def dual_pair(sig):
+    """The circuits with their derived cocircuits, or None when the
+    derivation fails."""
+    try:
+        return {"circuits": sig,
+                "cocircuits": cocircuit_signature_from_circuits(sig)}
+    except (InputError, RatioInconsistencyError):
+        return None
+
+
 def write_inputs(directory: str) -> dict:
     """Write every input file into `directory`; {file name: sha256}."""
     files = {}
     for entry in corpus_entries():
-        obj = entry.build()
         if entry.kind == "gp":
-            files[f"gp-{entry.name}.json"] = serialize(obj)
-            files[f"sig-{entry.name}.json"] = serialize(circuits_from_gp(obj))
-        else:
-            files[f"sig-{entry.name}.json"] = serialize(obj)
+            files[f"gp-{entry.name}.json"] = serialize(entry.build())
+        sig = signature(entry)
+        files[f"sig-{entry.name}.json"] = serialize(sig)
+        pair = dual_pair(sig)
+        if pair is not None:
+            files[f"pair-{entry.name}.json"] = serialize(pair)
+    for name in BROKEN:
+        files[f"gp-{name}-broken.json"] = serialize(broken(name))
     for i, hf in enumerate(HYPERFIELDS):
         files[f"exp-{i}.json"] = json.dumps({"hyperfield": hf, "samples": 10})
     for name, text in files.items():
@@ -66,6 +100,15 @@ def commands() -> list:
             if entry.name.startswith("tropical"):
                 out.append(["dressian", gp])
         out += [["classify", sig], ["check-circuits", sig], ["dual", sig]]
+    for entry in corpus_entries():
+        if entry.kind == "gp":
+            gp = f"gp-{entry.name}.json"
+            out += [["check-gp", "--strong", gp], ["check-gp", "--weak", gp]]
+    for entry in corpus_entries():
+        if dual_pair(signature(entry)) is not None:
+            out.append(["gp", f"pair-{entry.name}.json"])
+    for name in BROKEN:
+        out.append(["check-gp", "--strong", f"gp-{name}-broken.json"])
     return out
 
 

@@ -14,12 +14,12 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS,
                           check_gp_weak, circuits_from_gp,
                           cocircuit_signature_from_circuits, corpus_entries,
                           dual_pair_witness, eq, equivalent_gp, gf,
-                          gp_from_dual_pair, mul, relation_terms,
-                          sample_element, zero_in_sum)
+                          gp_from_dual_pair, mul, random_weak_gp,
+                          relation_terms, sample_element, zero_in_sum)
 from hypermatroid.corpus import gp_from_matrix
 
 import oracles
-from strategies import units
+from strategies import DOUBLY_DISTRIBUTIVE, units
 
 
 def rational_u24():
@@ -212,6 +212,17 @@ def test_relation_checks_match_the_scans(phi):
     assert check_gp_strong(phi) == oracles.gp_witness(phi, False)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(DOUBLY_DISTRIBUTIVE), st.integers(0, 2 ** 32))
+def test_weak_functions_are_strong_over_doubly_distributive(hf, seed):
+    """The theorem check_gp_strong relies on: over a doubly distributive
+    hyperfield every relation of the full scan holds on a weak function.
+    From rank 3 on, the family has pairs with |I - J| = 4 or more."""
+    phi = random_weak_gp(hf, random.Random(seed), max_rank=4, max_ground=8)
+    assert check_gp_weak(phi) is None
+    assert oracles.gp_witness(phi, False) is None
+
+
 @pytest.mark.parametrize("name", [e.name for e in corpus_entries()
                                   if e.kind == "gp"])
 def test_corpus_relation_checks_match_the_scans(name):
@@ -258,7 +269,7 @@ def tied_triangle():
 
 
 @pytest.mark.xfail(strict=True, reason="triangle sums are decided against "
-                   "the absolute tolerance HFM_EPS: scaled by 1e-6 the "
+                   "the absolute tolerance sumsets.EPS: scaled by 1e-6 the "
                    "failing relation of the weak-only entry falls below it, "
                    "and scaled by 682.89... the tie's two products differ "
                    "by one float step, which the rounding of sum minus top "
