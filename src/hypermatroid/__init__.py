@@ -69,6 +69,7 @@ from .gp import (  # noqa: F401
     dual_pair_witness,
     equivalent_gp,
     gp_from_dual_pair,
+    nonorthogonal_pair,
     orthogonality_verdict,
     relation_terms,
 )

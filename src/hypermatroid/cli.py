@@ -22,14 +22,17 @@ orthogonal to every cocircuit.  The elimination scans only
 name the failing instance: modular-pair elimination (C3') for a
 signature that is not weak, modular-family elimination (C3) for a
 weak-only one; `check-circuits` reports weakness alone, so it runs only
-the first.  `dressian` is the three-term sweep of `check-gp --weak`
-without the basis-exchange scan; it reports the number of three-term
-(I, J) pairs and the first failing one.
+the first.  `gp` rejects a pair that is not a weak dual pair, and over
+triangle and phase checks the rebuilt function strong when the pair is a
+full one; `gp.nonorthogonal_pair` decides both.  `dressian` is the
+three-term sweep of `check-gp --weak` without the basis-exchange scan; it
+reports the number of three-term (I, J) pairs and the first failing one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -284,7 +287,9 @@ def _cmd_experiment(args) -> int:
 # -- parser wiring ------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on the first call."""
     parser = argparse.ArgumentParser(
         prog="hfm",
         description="Check and transform matroid data over hyperfields.")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 from .circuits import CircuitSignature
 from .errors import InputError
@@ -39,31 +39,32 @@ class CorpusEntry:
 # -- exact determinants for the realizable builders ------------------------
 
 
-def _det2(a, b) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _det3(a, b, c) -> Fraction:
-    return (a[0] * (b[1] * c[2] - b[2] * c[1])
-            - b[0] * (a[1] * c[2] - a[2] * c[1])
-            + c[0] * (a[1] * b[2] - a[2] * b[1]))
+def _minor_det(columns: List[Tuple[Fraction, ...]], picks: Tuple[int, ...]) -> Fraction:
+    """The determinant of the picked columns' first len(picks) entries, by
+    cofactor expansion along the last of those rows."""
+    r = len(picks)
+    if r == 1:
+        return columns[picks[0]][0]
+    if r == 2:
+        a, b = columns[picks[0]], columns[picks[1]]
+        return a[0] * b[1] - a[1] * b[0]
+    return sum((-1) ** (k + r - 1) * columns[p][r - 1]
+               * _minor_det(columns, picks[:k] + picks[k + 1:])
+               for k, p in enumerate(picks))
 
 
 def gp_from_matrix(labels: Tuple, columns) -> GPFunction:
-    """The rational minor-determinant function of a full-rank matrix with
-    1, 2, or 3 rows, one column per label."""
+    """The rational minor-determinant function of a full-rank matrix, one
+    column per label."""
     rank = len(columns[0])
-    if any(len(col) != rank for col in columns) or rank not in (1, 2, 3):
-        raise InputError("need columns of equal height 1, 2, or 3")
-    ground = GroundSet(labels)
-    dets = {1: lambda cols: cols[0][0], 2: lambda cols: _det2(*cols),
-            3: lambda cols: _det3(*cols)}[rank]
+    if any(len(col) != rank for col in columns):
+        raise InputError("need columns of equal height")
     values = {}
-    for key in combinations(labels, rank):
-        d = dets([columns[labels.index(x)] for x in key])
+    for picks in combinations(range(len(labels)), rank):
+        d = _minor_det(columns, picks)
         if d != 0:
-            values[key] = RATIONALS.element(Fraction(d))
-    return GPFunction(RATIONALS, ground, rank, values)
+            values[tuple(labels[i] for i in picks)] = RATIONALS.element(Fraction(d))
+    return GPFunction(RATIONALS, GroundSet(labels), rank, values)
 
 
 # U(2,4): four points on a line in general position.

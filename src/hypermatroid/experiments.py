@@ -21,8 +21,11 @@ full relation scan itself; the samples are weak-valid, so the
 basis-exchange scan would add nothing.  Triangle and phase runs seed the
 sample list with the known weak-only corpus instances, so those runs
 always record at least one weak-only find.  Each sample also gets the
-bounded-overlap orthogonality sweep between derived circuits and
-cocircuits, and random vector/covector pairs are tested for
+bounded-overlap orthogonality levels between derived circuits and
+cocircuits: level k passes when every pair meeting in at most k elements
+is orthogonal, read off the least overlap of a non-orthogonal pair.  That
+scan is the full one over every hyperfield, for the same reason as the
+relation scan.  Random vector/covector pairs are tested for
 orthogonality on strong instances.
 """
 
@@ -32,32 +35,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .circuits import CircuitSignature
+from .corpus import CORPUS, _minor_det
 from .errors import InputError
 from .gp import (GPFunction, check_gp_weak, circuits_from_gp,
-                 dual_pair_witness, failing_relation, three_term_pairs)
+                 failing_relation, nonorthogonal_pair, three_term_pairs)
 from .hyperfields import Hyperfield, sample_element
 from .transforms import dual_circuits
 from .vectors import (FVector, GroundSet, is_covector_of, is_vector_of,
                       orthogonal)
 
 _REJECTION_TRIES = 20000
-
-
-def _minor_det(columns: List[Tuple[Fraction, ...]], picks: Tuple[int, ...]) -> Fraction:
-    """The determinant of the picked columns' first len(picks) entries, by
-    cofactor expansion along the last of those rows."""
-    r = len(picks)
-    if r == 1:
-        return columns[picks[0]][0]
-    if r == 2:
-        a, b = columns[picks[0]], columns[picks[1]]
-        return a[0] * b[1] - a[1] * b[0]
-    return sum((-1) ** (k + r - 1) * columns[p][r - 1]
-               * _minor_det(columns, picks[:k] + picks[k + 1:])
-               for k, p in enumerate(picks))
 
 
 def _matrix_seeded(hf: Hyperfield, rng: random.Random, rank: int,
@@ -174,8 +164,6 @@ def config_from_json(raw, where: str = "config") -> ExperimentConfig:
 
 def _seed_instances(hf: Hyperfield) -> List[GPFunction]:
     """Known weak-only corpus instances leading the sample list."""
-    from .corpus import CORPUS
-
     if hf.weak_only_example is None:
         return []
     instance = CORPUS[hf.weak_only_example].build()
@@ -219,10 +207,11 @@ def run_perfection_experiment(cfg: ExperimentConfig) -> dict:
             weak_only.append({"sample": index, "gp": phi, "witness": witness})
         circuits = circuits_from_gp(phi)
         cocircuits = dual_circuits(circuits)
+        pair = nonorthogonal_pair(circuits, cocircuits, full=True)
         m = len(phi.ground)
         for k in range(3, m + 1):
             hierarchy_total[k] = hierarchy_total.get(k, 0) + 1
-            if dual_pair_witness(circuits, cocircuits, max_overlap=k) is None:
+            if pair is None or pair[0] > k:
                 hierarchy[k] = hierarchy.get(k, 0) + 1
         if is_strong:
             candidates = [_random_candidate(hf, phi.ground, rng)

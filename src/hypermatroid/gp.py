@@ -14,8 +14,10 @@ strong matroids coincide (Baker-Bowler), so Strong is decided by the
 weak criterion: the three-term relations for a function, orthogonality
 of the circuit/cocircuit pairs meeting in at most 3 elements for a
 signature.  Over triangle and phase Strong needs the full criterion:
-every (I, J) relation, every circuit/cocircuit pair.  The full scans
-still run over every hyperfield to name the witness of a failure.
+every (I, J) relation, every circuit/cocircuit pair.  The full relation
+scan still runs over every hyperfield to name the witness of a failure.
+One scan, `nonorthogonal_pair`, answers every circuit/cocircuit
+orthogonality question.
 
 The relation checkers run a kernel on int masks of ground positions: a
 mask-indexed value table gives, once per (r+1)-set I, its nonzero factors
@@ -37,7 +39,7 @@ from .errors import (ConsistencyError, GPInconsistencyError, InputError,
                      InvalidDualPairError, RatioInconsistencyError)
 from .hyperfields import (HFElement, Hyperfield, eq, inv, invol, mul, neg,
                           signed, zero_in_sum)
-from .matroids import ClassicalMatroid, validate_circuits
+from .matroids import ClassicalMatroid, _mask, validate_circuits
 from .vectors import FVector, GroundSet, orthogonal, support, vectors_equal
 
 
@@ -140,11 +142,6 @@ def equivalent_gp(phi1: GPFunction, phi2: GPFunction) -> bool:
 
 
 # -- relations ---------------------------------------------------------------
-
-
-def _mask(ground: GroundSet, labels: Iterable) -> int:
-    """The int mask of the labels' ground positions."""
-    return sum(1 << ground.index(x) for x in labels)
 
 
 def _first_exchange_failure(phi: GPFunction) -> Optional[dict]:
@@ -381,13 +378,34 @@ def _signature_of(sig: CircuitSignature, matroid: ClassicalMatroid) -> bool:
     return frozenset(sig.supports()) == matroid.circuits
 
 
-def dual_pair_witness(C: CircuitSignature, D: CircuitSignature,
-                      max_overlap: Optional[int] = None) -> Optional[dict]:
-    """First failure of the dual-pair requirements, or None.
+def nonorthogonal_pair(C: CircuitSignature, D: CircuitSignature,
+                       full: bool) -> Optional[tuple]:
+    """(overlap, X, Y) for the first X in C and Y in D, in C x D order,
+    that meet in at most 3 elements and are not orthogonal; failing that,
+    with `full` set, for the first non-orthogonal pair of least overlap;
+    else None.  A pair whose overlap cannot lower the least one found so
+    far is skipped."""
+    cocircuits = [(y, support(y)) for y in D.classes]
+    best = None
+    for x in C.classes:
+        sx = support(x)
+        for y, sy in cocircuits:
+            overlap = len(sx & sy)
+            if overlap > 3 and not (full and (best is None or overlap < best[0])):
+                continue
+            if not orthogonal(x, y):
+                if overlap <= 3:
+                    return overlap, x, y
+                best = overlap, x, y
+    return best
 
-    `max_overlap` bounds the support overlap for the orthogonality clause
-    (3 for the weak form, None for the full form).
-    """
+
+def dual_pair_witness(C: CircuitSignature, D: CircuitSignature,
+                      full: bool = True) -> Optional[dict]:
+    """First failure of the dual-pair requirements, or None: DP1 and DP2
+    (signatures of a matroid and its dual), then DP3' (not a weak dual
+    pair) or, with `full` set, DP3 (weak but not full), named by the pair
+    `nonorthogonal_pair` finds."""
     try:
         matroid = C.underlying_matroid()
     except InputError:
@@ -396,15 +414,11 @@ def dual_pair_witness(C: CircuitSignature, D: CircuitSignature,
         return {"axiom": "DP1", "reason": "not a signature of a matroid"}
     if not _signature_of(D, matroid.dual()):
         return {"axiom": "DP2", "reason": "not a signature of the dual matroid"}
-    for x in C.classes:
-        for y in D.classes:
-            if max_overlap is not None and \
-                    len(support(x) & support(y)) > max_overlap:
-                continue
-            if not orthogonal(x, y):
-                return {"axiom": "DP3" if max_overlap is None else "DP3'",
-                        "X": x, "Y": y}
-    return None
+    pair = nonorthogonal_pair(C, D, full)
+    if pair is None:
+        return None
+    overlap, x, y = pair
+    return {"axiom": "DP3'" if overlap <= 3 else "DP3", "X": x, "Y": y}
 
 
 def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature) -> GPFunction:
@@ -419,10 +433,10 @@ def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature) -> GPFunction:
     doubly distributive hyperfield the weak relations already make the
     function strong (Baker-Bowler), so neither full check runs.
     """
-    problem = dual_pair_witness(C, D, max_overlap=3)
-    if problem is not None:
-        raise InvalidDualPairError(str(problem))
     hf = C.hyperfield
+    problem = dual_pair_witness(C, D, full=not hf.doubly_distributive)
+    if problem is not None and problem["axiom"] != "DP3":
+        raise InvalidDualPairError(str(problem))
     ground = C.ground
     pos = ground.index
     matroid = C.underlying_matroid()
@@ -458,8 +472,7 @@ def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature) -> GPFunction:
     witness = check_gp_weak(phi)
     if witness is not None:
         raise InvalidDualPairError(f"reconstruction is not weak-valid: {witness}")
-    if not hf.doubly_distributive and \
-            dual_pair_witness(C, D, max_overlap=None) is None:
+    if problem is None and not hf.doubly_distributive:
         witness = check_gp_strong(phi)
         if witness is not None:
             raise InvalidDualPairError(
@@ -489,33 +502,20 @@ def orthogonality_verdict(sig: CircuitSignature) -> str:
     those of full dual pairs (Baker-Bowler), and the only candidate
     partner is the cocircuit signature D derived from circuit ratios.  So
     the signature is not weak when D cannot be derived consistently or a
-    circuit X and a cocircuit Y with |X & Y| <= 3 are not orthogonal.  Over
-    a doubly distributive hyperfield a weak signature is strong, so only
-    those pairs are checked; elsewhere it is strong when every pair is
-    orthogonal.  One pass over C x D decides; after the first
-    non-orthogonal pair with a larger overlap it checks only the pairs with
-    overlap at most 3.
+    circuit X and a cocircuit Y with |X & Y| <= 3 are not orthogonal
+    (`nonorthogonal_pair`).  Over a doubly distributive hyperfield a weak
+    signature is strong, so only those pairs are checked; elsewhere it is
+    strong when every pair is orthogonal.
     """
     try:
-        cocircuits = [(y, support(y)) for y in
-                      cocircuit_signature_from_circuits(sig).classes]
+        cocircuits = cocircuit_signature_from_circuits(sig)
     except RatioInconsistencyError:
-        weak, strong = False, False
-    else:
-        weak, strong = True, True
-        full = not sig.hyperfield.doubly_distributive
-        for x in sig.classes:
-            sx = support(x)
-            for y, sy in cocircuits:
-                small = len(sx & sy) <= 3
-                if (small or (strong and full)) and not orthogonal(x, y):
-                    strong = False
-                    if small:
-                        weak = False
-                        break
-            if not weak:
-                break
-    return "Strong" if strong else "WeakOnly" if weak else "InvalidSignature"
+        return "InvalidSignature"
+    pair = nonorthogonal_pair(sig, cocircuits,
+                              full=not sig.hyperfield.doubly_distributive)
+    if pair is None:
+        return "Strong"
+    return "WeakOnly" if pair[0] > 3 else "InvalidSignature"
 
 
 def elimination_witness(sig: CircuitSignature, verdict: str) -> dict:

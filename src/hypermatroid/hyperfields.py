@@ -320,15 +320,15 @@ class Triangle(_Infinite):
             raise ValueError(f"triangle payload must be a finite nonnegative number, got {raw!r}")
         return value
 
+    # Both tolerances are relative to the largest value, so scaling every
+    # value by one unit changes no verdict; a single term must be 0.
     def eq(self, a: HFElement, b: HFElement) -> bool:
-        return abs(a.value - b.value) <= EPS
+        return abs(a.value - b.value) <= EPS * max(a.value, b.value)
 
     def zero_in_sum(self, terms: list) -> bool:
-        if len(terms) == 1:
-            return terms[0].value <= EPS
         top = max(t.value for t in terms)
         rest = sum(t.value for t in terms) - top
-        return top <= rest + EPS
+        return top - rest <= EPS * top
 
     def sample_unit(self, rng) -> HFElement:
         if rng.random() < 0.5:

@@ -15,9 +15,10 @@ DOUBLY_DISTRIBUTIVE = [KRASNER, SIGN, TROPICAL, RATIONALS, gf(3), gf(5)]
 
 
 def units(hf):
-    """Units of hf: triangle moduli in [1e-3, 1e3], since much smaller ones
-    meet the absolute float tolerance, any phase angle, and the sampler's
-    units elsewhere."""
+    """Units of hf: triangle moduli in [1e-3, 1e3], since the triangle
+    hypersums of the elimination scans (`IntervalSet`) still use an
+    absolute float tolerance, any phase angle, and the sampler's units
+    elsewhere."""
     if hf.kind == "triangle":
         return st.floats(1e-3, 1e3).map(hf.element)
     if hf.kind == "phase":

@@ -1,10 +1,10 @@
 """Byte identity of the CLI against recorded outputs.
 
 `golden_cli.json` records, for a fixed list of `hfm` commands over the
-corpus, its dual pairs (circuits with derived cocircuits), two functions
-failing a three-term relation, and the built-in hyperfields, the exit
-code and the sha256 of stdout, plus the sha256 of every input file the
-commands read.  The inputs are written from the corpus into a temporary directory, and the
+corpus, its dual pairs (circuits with derived cocircuits), dual pairs
+broken on purpose, two functions failing a three-term relation, and the
+built-in hyperfields, the exit code and the sha256 of stdout, plus the
+sha256 of every input file the commands read.  The inputs are written from the corpus into a temporary directory, and the
 commands run in process.  Regenerate the file (only when an output
 change is intended) with
 
@@ -19,10 +19,11 @@ import os
 import sys
 import tempfile
 
-from hypermatroid import (CORPUS, SIGN, TROPICAL, GPFunction, InputError,
+from hypermatroid import (CORPUS, PHASE, SIGN, TROPICAL, CircuitSignature,
+                          FVector, GPFunction, InputError,
                           RatioInconsistencyError, circuits_from_gp,
                           cocircuit_signature_from_circuits, corpus_entries,
-                          serialize)
+                          mul, serialize)
 from hypermatroid.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -30,6 +31,9 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 HYPERFIELDS = ("krasner", "sign", "tropical", "triangle", "phase",
                "phase[identity]", "rational", "gf(3)")
+
+# perfection sweeps up to the largest ground set the configuration allows
+LARGE_SWEEPS = ("triangle", "phase")
 
 
 def _sha(text: str) -> str:
@@ -63,6 +67,30 @@ def dual_pair(sig):
         return None
 
 
+# Dual pairs of two corpus entries that `gp` must reject: the first
+# cocircuit's first entry multiplied by a unit (a circuit meeting it in at
+# most 3 elements is no longer orthogonal to it), or the last cocircuit
+# dropped (the cocircuit supports are no longer those of the dual matroid).
+TWISTS = {"sign-u24": SIGN.element(-1), "phase-weak-not-strong": PHASE.element(2.0)}
+
+
+def broken_pairs(name: str) -> dict:
+    """{file name: broken dual pair} for a corpus entry in TWISTS."""
+    pair = dual_pair(signature(CORPUS[name]))
+    cocircuits = pair["cocircuits"]
+    hf, ground = cocircuits.hyperfield, cocircuits.ground
+    first, rest = cocircuits.classes[0], cocircuits.classes[1:]
+    label = ground.sort(first.entries)[0]
+    twisted = FVector(hf, ground, {**first.entries,
+                                   label: mul(TWISTS[name], first.entries[label])})
+    return {
+        f"pair-{name}-twisted.json":
+            {**pair, "cocircuits": CircuitSignature(hf, ground, (twisted,) + rest)},
+        f"pair-{name}-dropped.json":
+            {**pair, "cocircuits": CircuitSignature(hf, ground, cocircuits.classes[:-1])},
+    }
+
+
 def write_inputs(directory: str) -> dict:
     """Write every input file into `directory`; {file name: sha256}."""
     files = {}
@@ -76,8 +104,14 @@ def write_inputs(directory: str) -> dict:
             files[f"pair-{entry.name}.json"] = serialize(pair)
     for name in BROKEN:
         files[f"gp-{name}-broken.json"] = serialize(broken(name))
+    for name in TWISTS:
+        for file, pair in broken_pairs(name).items():
+            files[file] = serialize(pair)
     for i, hf in enumerate(HYPERFIELDS):
         files[f"exp-{i}.json"] = json.dumps({"hyperfield": hf, "samples": 10})
+    for hf in LARGE_SWEEPS:
+        files[f"exp-{hf}-7.json"] = json.dumps(
+            {"hyperfield": hf, "samples": 10, "max_ground": 7})
     for name, text in files.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -109,6 +143,10 @@ def commands() -> list:
             out.append(["gp", f"pair-{entry.name}.json"])
     for name in BROKEN:
         out.append(["check-gp", "--strong", f"gp-{name}-broken.json"])
+    for name in TWISTS:
+        out += [["gp", file] for file in broken_pairs(name)]
+    for hf in LARGE_SWEEPS:
+        out.append(["experiment", "--config", f"exp-{hf}-7.json"])
     return out
 
 

@@ -204,7 +204,7 @@ def test_hom_source_mismatch():
         hom(SIGN.element(1))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from(ALL_KINDS))
 def test_pushforward_preserves_weak_validity(seed, hf):
     """Along the sign map, the p-adic absolute values and the map to
