@@ -19,18 +19,20 @@ scan still runs over every hyperfield to name the witness of a failure.
 One scan, `nonorthogonal_pair`, answers every circuit/cocircuit
 orthogonality question.
 
-The relation checkers run a kernel on int masks of ground positions: a
-mask-indexed value table gives, once per (r+1)-set I, its nonzero factors
-phi(I - i) and, once per (r-1)-set J, its nonzero factors phi(i, J), so
-each (I, J) relation multiplies only the pairs of stored values it
-meets.  `relation_terms` builds the full term list of a reported witness.
+The relation checkers run a kernel on int masks of ground positions and
+raw payloads: a mask-indexed table gives, once per (r+1)-set I, its signed
+nonzero factors phi(I - i) and, once per (r-1)-set J, its signed nonzero
+factors phi(i, J), so each (I, J) relation multiplies only the pairs of
+stored values it meets, and builds no element per term.  `relation_terms`
+builds the full term list of a reported witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, islice
-from math import comb
+from math import comb, lcm
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .circuits import (CircuitSignature, check_C0_C2, check_strong_elimination,
@@ -38,7 +40,7 @@ from .circuits import (CircuitSignature, check_C0_C2, check_strong_elimination,
 from .errors import (ConsistencyError, GPInconsistencyError, InputError,
                      InvalidDualPairError, RatioInconsistencyError)
 from .hyperfields import (HFElement, Hyperfield, eq, inv, invol, mul, neg,
-                          signed, zero_in_sum)
+                          signed)
 from .matroids import ClassicalMatroid, _mask, validate_circuits
 from .vectors import FVector, GroundSet, orthogonal, support, vectors_equal
 
@@ -206,17 +208,32 @@ def failing_relation(phi: GPFunction, three_term_only: bool) -> Optional[dict]:
     Pairs come in the order of `combinations` over the ground order, I
     outer and J inner; `three_term_only` keeps the pairs with |I - J| = 3.
     A term vanishes unless phi(I - i) and phi(i, J) are both nonzero, and
-    dropping zero terms never changes `zero_in_sum` (0 is the additive
+    dropping zero terms never changes "0 in the sum" (0 is the additive
     identity; an all-zero sum contains 0), so only the nonzero products
-    are formed, in the order and with the signs `relation_terms` uses.
+    are formed.  The scan runs on raw payloads through the family's
+    `product`, `negative` and `zero_in`: the sign (-1)^k of the k-th term
+    sits on the left factor phi(I - i) and the parity sign on the right
+    factor phi(i, J), so each term is one payload product.  `Fraction`
+    payloads (tropical, rationals) are read once as integers over the
+    function's common denominator L: every product is then L^2 times the
+    true one, which keeps the maximum, its ties and zero sums exactly.
+    Only a failing relation builds elements, through `relation_terms`.
     """
-    table = {_mask(phi.ground, key): value for key, value in phi.values.items()}
+    hf = phi.hyperfield
+    product, negative, zero_in = hf.product, hf.negative, hf.zero_in
+    table = {_mask(phi.ground, key): value.value
+             for key, value in phi.values.items()}
+    if isinstance(next(iter(table.values())), Fraction):
+        scale = lcm(*(q.denominator for q in table.values()))
+        table = {m: q.numerator * (scale // q.denominator)
+                 for m, q in table.items()}
+    negated = {m: negative(x) for m, x in table.items()}
     r = phi.rank
     positions = range(len(phi.ground))
     lefts = []
     for I in combinations(positions, r + 1):
         mask = sum(1 << i for i in I)
-        factors = [(i, k, table[mask ^ (1 << i)])
+        factors = [(i, (negated if k % 2 else table)[mask ^ (1 << i)])
                    for k, i in enumerate(I, start=1)
                    if mask ^ (1 << i) in table]
         if factors:
@@ -224,8 +241,8 @@ def failing_relation(phi: GPFunction, three_term_only: bool) -> Optional[dict]:
     rights = []
     for J in combinations(positions, r - 1):
         mask = sum(1 << j for j in J)
-        factors = {x: signed(table[mask | (1 << x)],
-                             (mask & ((1 << x) - 1)).bit_count())
+        factors = {x: (negated if (mask & ((1 << x) - 1)).bit_count() % 2
+                       else table)[mask | (1 << x)]
                    for x in positions
                    if not (mask >> x) & 1 and mask | (1 << x) in table}
         if factors:
@@ -234,9 +251,8 @@ def failing_relation(phi: GPFunction, three_term_only: bool) -> Optional[dict]:
         for J, jmask, right in rights:
             if three_term_only and (imask & ~jmask).bit_count() != 3:
                 continue
-            terms = [signed(mul(value, right[i]), k)
-                     for i, k, value in left if i in right]
-            if terms and not zero_in_sum(terms):
+            terms = [product(value, right[i]) for i, value in left if i in right]
+            if terms and not zero_in(terms):
                 labels = phi.ground.labels
                 I = tuple(labels[i] for i in I)
                 J = tuple(labels[j] for j in J)

@@ -24,11 +24,15 @@ so hyperfields compare by identity:
   PrimeField    gf(p): the prime field GF(p) (int payload mod p)
 
 A family owns payload normalisation, one interned zero and one, the scalar
-operations, a closed form for "0 in x1 + ... + xk", sampling, the JSON
-codec, its flags, and the `sumsets` class that represents its hypersums
-exactly (`sums`).  The module-level functions (`mul`, `neg`, `zero_in_sum`,
-...) check that their operands share one hyperfield and call its family;
-the fold oracle in `sumsets` cross-checks the closed forms.
+operations, sampling, the JSON codec, its flags, and the `sumsets` class
+that represents its hypersums exactly (`sums`).  Its arithmetic is stated
+once, on raw payloads: the product of two nonzero payloads (`product`),
+the hyperinverse (`negative`) and the closed form for "0 in x1 + ... + xk"
+(`zero_in`).  The element operations `mul`, `neg` and `zero_in_sum` wrap
+these, and the GP relation kernel calls them directly, so both share one
+formula.  The module-level functions (`mul`, `neg`, `zero_in_sum`, ...)
+check that their operands share one hyperfield and call its family; the
+fold oracle in `sumsets` cross-checks the closed forms.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ class Hyperfield:
     """A hyperfield: one interned instance of its family's class.
 
     A family sets `kind` and `sums`, and implements `normalise` and
-    `zero_in_sum`; its operations take elements of its own (the
+    `zero_in`; its element operations take elements of its own (the
     module-level functions check that).  The other defaults here are
     products of payloads, hyperinverse -x = x, and the behaviour of the
     finite families.
@@ -157,13 +161,27 @@ class Hyperfield:
         """All elements (finite hyperfields only)."""
         raise ValueError(f"{self} is not finite")
 
+    def product(self, a, b):
+        """The product of two nonzero payloads."""
+        return a * b
+
+    def negative(self, a):
+        """The payload of the hyperinverse of a nonzero payload."""
+        return a
+
     def mul(self, a: HFElement, b: HFElement) -> HFElement:
         if a.is_zero or b.is_zero:
             return self._zero
-        return HFElement(self, a.value * b.value)
+        return HFElement(self, self.product(a.value, b.value))
 
     def neg(self, a: HFElement) -> HFElement:
-        return a
+        if a.is_zero:
+            return a
+        value = self.negative(a.value)
+        return a if value == a.value else HFElement(self, value)
+
+    def zero_in_sum(self, terms: list) -> bool:
+        return self.zero_in([t.value for t in terms])
 
     def inv(self, a: HFElement) -> HFElement:
         return HFElement(self, 1 / a.value)
@@ -233,20 +251,19 @@ class FiniteTable(Hyperfield):
             return set(self._payloads)
         return {a}
 
-    def neg(self, a: HFElement) -> HFElement:
-        return a if a.is_zero else HFElement(self, self._neg[a.value])
+    def negative(self, a):
+        return self._neg[a]
 
     def inv(self, a: HFElement) -> HFElement:
         return a
 
-    def zero_in_sum(self, terms: list) -> bool:
+    def zero_in(self, payloads: list) -> bool:
         seen = set()
-        for t in terms:
-            if t.is_zero:
-                continue
-            if self._neg[t.value] in seen:
-                return True
-            seen.add(t.value)
+        for x in payloads:
+            if x:
+                if self._neg[x] in seen:
+                    return True
+                seen.add(x)
         return not seen
 
 
@@ -271,11 +288,9 @@ class Tropical(_Infinite):
             raise ValueError(f"tropical payload must be nonnegative, got {raw!r}")
         return value
 
-    def zero_in_sum(self, terms: list) -> bool:
-        top = max(t.value for t in terms)
-        if top == 0:
-            return True
-        return sum(1 for t in terms if t.value == top) >= 2
+    def zero_in(self, payloads: list) -> bool:
+        top = max(payloads)
+        return top == 0 or payloads.count(top) >= 2
 
     def sample_unit(self, rng) -> HFElement:
         num = rng.randint(1, 8)
@@ -325,10 +340,9 @@ class Triangle(_Infinite):
     def eq(self, a: HFElement, b: HFElement) -> bool:
         return abs(a.value - b.value) <= EPS * max(a.value, b.value)
 
-    def zero_in_sum(self, terms: list) -> bool:
-        top = max(t.value for t in terms)
-        rest = sum(t.value for t in terms) - top
-        return top - rest <= EPS * top
+    def zero_in(self, payloads: list) -> bool:
+        top = max(payloads)
+        return top - (sum(payloads) - top) <= EPS * top
 
     def sample_unit(self, rng) -> HFElement:
         if rng.random() < 0.5:
@@ -391,13 +405,11 @@ class Phase(_Infinite):
             return None
         return norm_angle(value)
 
-    def mul(self, a: HFElement, b: HFElement) -> HFElement:
-        if a.is_zero or b.is_zero:
-            return self._zero
-        return HFElement(self, norm_angle(a.value + b.value))
+    def product(self, a, b):
+        return norm_angle(a + b)
 
-    def neg(self, a: HFElement) -> HFElement:
-        return a if a.is_zero else HFElement(self, norm_angle(a.value + math.pi))
+    def negative(self, a):
+        return norm_angle(a + math.pi)
 
     def inv(self, a: HFElement) -> HFElement:
         return HFElement(self, norm_angle(-a.value))
@@ -410,8 +422,8 @@ class Phase(_Infinite):
             return a.is_zero and b.is_zero
         return angle_close(a.value, b.value)
 
-    def zero_in_sum(self, terms: list) -> bool:
-        return _zero_in_phase_sum([t.value for t in terms if not t.is_zero])
+    def zero_in(self, payloads: list) -> bool:
+        return _zero_in_phase_sum([a for a in payloads if a is not None])
 
     def member_of_sum(self, z: HFElement, terms: list) -> bool:
         """A nonzero z is tested directly as a positive combination."""
@@ -454,11 +466,11 @@ class Rationals(_Infinite):
     def add(self, a, b) -> set:
         return {a + b}
 
-    def neg(self, a: HFElement) -> HFElement:
-        return a if a.is_zero else HFElement(self, -a.value)
+    def negative(self, a):
+        return -a
 
-    def zero_in_sum(self, terms: list) -> bool:
-        return sum(t.value for t in terms) == 0
+    def zero_in(self, payloads: list) -> bool:
+        return sum(payloads) == 0
 
     def sample_unit(self, rng) -> HFElement:
         num = rng.randint(-9, 9) or 1
@@ -497,19 +509,17 @@ class PrimeField(Hyperfield):
     def add(self, a, b) -> set:
         return {(a + b) % self.p}
 
-    def mul(self, a: HFElement, b: HFElement) -> HFElement:
-        if a.is_zero or b.is_zero:
-            return self._zero
-        return HFElement(self, (a.value * b.value) % self.p)
+    def product(self, a, b):
+        return a * b % self.p
 
-    def neg(self, a: HFElement) -> HFElement:
-        return a if a.is_zero else HFElement(self, (-a.value) % self.p)
+    def negative(self, a):
+        return -a % self.p
 
     def inv(self, a: HFElement) -> HFElement:
         return HFElement(self, pow(a.value, -1, self.p))
 
-    def zero_in_sum(self, terms: list) -> bool:
-        return sum(t.value for t in terms) % self.p == 0
+    def zero_in(self, payloads: list) -> bool:
+        return sum(payloads) % self.p == 0
 
     def from_rational(self, q: Fraction) -> HFElement:
         return self.element(int(q))
@@ -658,9 +668,15 @@ def sample_element(hf: Hyperfield, rng, nonzero: bool = False) -> HFElement:
 
 
 def _phase_distinct(angles: list) -> list:
+    """The angles, each dropped when it is `angle_close` to one kept
+    before it (inlined: this is the inner loop of the phase zero test)."""
     distinct: list = []
     for theta in angles:
-        if not any(angle_close(theta, d) for d in distinct):
+        for d in distinct:
+            gap = abs(theta - d)
+            if gap <= EPS or TAU - gap <= EPS:
+                break
+        else:
             distinct.append(theta)
     return distinct
 

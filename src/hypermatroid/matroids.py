@@ -95,9 +95,12 @@ def _minimal_sets(n: int, dep: bytes) -> List[int]:
 class CircuitViolation:
     rule: str
     detail: dict
+    ground: GroundSet
 
     def as_json(self) -> dict:
-        return {"rule": self.rule, **{k: sorted(v) if isinstance(v, (set, frozenset)) else v
+        """The rule and detail, each set listed in ground order."""
+        return {"rule": self.rule, **{k: list(self.ground.sort(v))
+                                      if isinstance(v, frozenset) else v
                                       for k, v in self.detail.items()}}
 
 
@@ -156,7 +159,7 @@ def validate_circuits(ground: GroundSet, circuits: Iterable[frozenset]) -> Optio
     circuits = [frozenset(c) for c in circuits]
     for c in circuits:
         if not c:
-            return CircuitViolation("nonempty", {"circuit": c})
+            return CircuitViolation("nonempty", {"circuit": c}, ground)
         for label in c:
             if label not in ground:
                 raise InputError(f"circuit label {label!r} not in ground set")
@@ -169,7 +172,8 @@ def validate_circuits(ground: GroundSet, circuits: Iterable[frozenset]) -> Optio
     if nested:
         for (c1, m1), (c2, m2) in combinations(pairs, 2):
             if (m1 & m2) in (m1, m2):
-                return CircuitViolation("incomparable", {"first": c1, "second": c2})
+                return CircuitViolation("incomparable", {"first": c1, "second": c2},
+                                        ground)
     if not _spans_a_matroid(n, dep):
         # an antichain of nonempty sets fails elimination exactly when the
         # sets containing none of its members are not a matroid's
@@ -177,7 +181,8 @@ def validate_circuits(ground: GroundSet, circuits: Iterable[frozenset]) -> Optio
             for e in c1 & c2:
                 if not dep[(m1 | m2) & ~(1 << ground.index(e))]:
                     return CircuitViolation("elimination",
-                                            {"first": c1, "second": c2, "element": e})
+                                            {"first": c1, "second": c2, "element": e},
+                                            ground)
     return None
 
 

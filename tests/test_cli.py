@@ -13,9 +13,10 @@ from itertools import combinations
 
 import pytest
 
-from hypermatroid import (CORPUS, SIGN, TROPICAL, GPFunction, GroundSet,
-                          circuits_from_gp, corpus_entries, dual_circuits,
-                          sample_element, serialize)
+from hypermatroid import (CORPUS, SIGN, TROPICAL, CircuitSignature, FVector,
+                          GPFunction, GroundSet, circuits_from_gp,
+                          corpus_entries, dual_circuits, sample_element,
+                          serialize)
 from hypermatroid.cli import main
 
 import oracles
@@ -269,6 +270,35 @@ def test_mixed_labels_give_a_verdict(capsys, tmp_path, keys, want):
         assert report["weak"]["witness"]["axiom"] == "exchange"
     code, out, err = run(capsys, "circuits", path)
     assert code == want and err == ""
+
+
+def test_mixed_labels_name_the_circuit_violation(capsys, tmp_path):
+    """Supports over labels of different types that fail circuit
+    elimination get a verdict, their sets listed in ground order."""
+    ground = GroundSet(("a", 1, 2))
+    sig = CircuitSignature(SIGN, ground, [
+        FVector(SIGN, ground, {"a": SIGN.one(), 1: SIGN.one()}),
+        FVector(SIGN, ground, {1: SIGN.one(), 2: SIGN.one()})])
+    path = write(tmp_path, "sig.json", sig)
+    violation = {"rule": "elimination", "first": ["a", 1], "second": [1, 2],
+                 "element": 1}
+    code, out, err = run(capsys, "classify", path)
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"verdict": "UnderlyingNotMatroid",
+                               "witness": {"axiom": "underlying", **violation}}
+    code, out, err = run(capsys, "check-circuits", path)
+    assert code == 1 and err == ""
+    assert json.loads(out)["underlying_matroid"] == {"ok": False,
+                                                     "witness": violation}
+
+
+def test_mixed_labels_minor_of_a_non_matroid_support(capsys, tmp_path):
+    ground = GroundSet(("a", 1, 2, 3))
+    phi = GPFunction(SIGN, ground, 2, {("a", 1): SIGN.one(), (2, 3): SIGN.one()})
+    path = write(tmp_path, "gp.json", phi)
+    code, out, err = run(capsys, "minor", "--delete", "a", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: not a matroid:") and err.count("\n") == 1
 
 
 # -- fuzzing ---------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 `golden_cli.json` records, for a fixed list of `hfm` commands over the
 corpus, its dual pairs (circuits with derived cocircuits), dual pairs
-broken on purpose, two functions failing a three-term relation, and the
+broken on purpose, two functions failing a three-term relation, tropical
+and rational functions with mixed denominators (passing, and with one
+value changed), the two weak-only entries scaled by a unit, and the
 built-in hyperfields, the exit code and the sha256 of stdout, plus the
 sha256 of every input file the commands read.  The inputs are written from the corpus into a temporary directory, and the
 commands run in process.  Regenerate the file (only when an output
@@ -19,12 +21,16 @@ import os
 import sys
 import tempfile
 
-from hypermatroid import (CORPUS, PHASE, SIGN, TROPICAL, CircuitSignature,
-                          FVector, GPFunction, InputError,
+from fractions import Fraction
+from itertools import combinations
+
+from hypermatroid import (CORPUS, PHASE, SIGN, TRIANGLE, TROPICAL,
+                          CircuitSignature, FVector, GPFunction, InputError,
                           RatioInconsistencyError, circuits_from_gp,
                           cocircuit_signature_from_circuits, corpus_entries,
                           mul, serialize)
 from hypermatroid.cli import main
+from hypermatroid.corpus import gp_from_matrix
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_cli.json")
@@ -49,6 +55,58 @@ def broken(name: str) -> GPFunction:
     phi = CORPUS[name].build()
     return GPFunction(phi.hyperfield, phi.ground, phi.rank,
                       {**phi.values, (1, 4): BROKEN[name]})
+
+
+# Rank 3 on six labels, with denominators 3, 5, 7, 9 and one above 2**64.
+MIXED_LABELS = (1, 2, 3, 4, 5, 6)
+MIXED_COLUMNS = [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                 (Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)),
+                 (Fraction(5, 9), 1, Fraction(-4, 3)),
+                 (Fraction(2, 7), Fraction(1, 2 ** 64 + 13), Fraction(6, 5))]
+# per-label tropical weights; multiplying phi(B) by the weights of B
+# keeps a valuated matroid valuated
+MIXED_WEIGHTS = (Fraction(1, 3), Fraction(3, 5), Fraction(5, 7),
+                 Fraction(2, 9), Fraction(7, 3), Fraction(9, 2 ** 64 + 13))
+
+
+def three_adic(q: Fraction) -> Fraction:
+    """The 3-adic absolute value of a nonzero rational."""
+    value, n, d = Fraction(1), q.numerator, q.denominator
+    while n % 3 == 0:
+        n, value = n // 3, value / 3
+    while d % 3 == 0:
+        d, value = d // 3, value * 3
+    return value
+
+
+def mixed(name: str) -> GPFunction:
+    """A passing rational or tropical function with mixed denominators."""
+    rational = gp_from_matrix(MIXED_LABELS, [tuple(map(Fraction, col))
+                                             for col in MIXED_COLUMNS])
+    if name == "rational-mixed":
+        return rational
+    values = {}
+    for key, value in rational.values.items():
+        weight = three_adic(value.value)
+        for label in key:
+            weight *= MIXED_WEIGHTS[label - 1]
+        values[key] = TROPICAL.element(weight)
+    return GPFunction(TROPICAL, rational.ground, 3, values)
+
+
+def mixed_broken(name: str) -> GPFunction:
+    """The mixed function with its first value multiplied by 5/3, which
+    breaks a relation."""
+    phi = mixed(name)
+    key = next(iter(combinations(MIXED_LABELS, 3)))
+    hf = phi.hyperfield
+    return GPFunction(hf, phi.ground, 3, {
+        **phi.values, key: mul(hf.element(Fraction(5, 3)), phi.values[key])})
+
+
+# the weak-only entries times a unit
+SCALED = {"triangle-weak-not-strong": TRIANGLE.element(7.3),
+          "phase-weak-not-strong": PHASE.element(1.0)}
 
 
 def signature(entry):
@@ -107,6 +165,11 @@ def write_inputs(directory: str) -> dict:
     for name in TWISTS:
         for file, pair in broken_pairs(name).items():
             files[file] = serialize(pair)
+    for name in ("tropical-mixed", "rational-mixed"):
+        files[f"gp-{name}.json"] = serialize(mixed(name))
+        files[f"gp-{name}-broken.json"] = serialize(mixed_broken(name))
+    for name, unit in SCALED.items():
+        files[f"gp-{name}-scaled.json"] = serialize(CORPUS[name].build().scale(unit))
     for i, hf in enumerate(HYPERFIELDS):
         files[f"exp-{i}.json"] = json.dumps({"hyperfield": hf, "samples": 10})
     for hf in LARGE_SWEEPS:
@@ -147,6 +210,11 @@ def commands() -> list:
         out += [["gp", file] for file in broken_pairs(name)]
     for hf in LARGE_SWEEPS:
         out.append(["experiment", "--config", f"exp-{hf}-7.json"])
+    for name in ("tropical-mixed", "rational-mixed"):
+        out += [["check-gp", "--both", f"gp-{name}.json"],
+                ["check-gp", "--both", f"gp-{name}-broken.json"]]
+    for name in SCALED:
+        out.append(["check-gp", "--both", f"gp-{name}-scaled.json"])
     return out
 
 

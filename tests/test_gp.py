@@ -174,6 +174,30 @@ def _pushed(hf, det):
     return hf.element(float(abs(det)))
 
 
+# non-dyadic denominators, a few above 2**64, for tropical and rational
+# values: a kernel that rounds through float loses their exact ties
+DENOMINATORS = (3, 5, 7, 9, 2 ** 64 + 13, 3 ** 41, 5 ** 28)
+
+
+def reweighted(phi, rng):
+    """phi times one random weight per label on every r-subset, with
+    denominators from DENOMINATORS.  Over tropical and the rationals this
+    keeps a valid function valid (for a realizable one, it scales the
+    matrix columns)."""
+    hf = phi.hyperfield
+    weights = {x: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                           rng.choice(DENOMINATORS))
+               for x in phi.ground.labels}
+    values = {}
+    for key, value in phi.values.items():
+        weight = Fraction(1)
+        for x in key:
+            weight *= weights[x]
+        values[key] = mul(hf.element(abs(weight) if hf is TROPICAL else weight),
+                          value)
+    return GPFunction(hf, phi.ground, phi.rank, values)
+
+
 @st.composite
 def gp_functions(draw):
     """Functions of rank 1-4 on 3 to 7 labels in shuffled ground order,
@@ -181,7 +205,8 @@ def gp_functions(draw):
     [identity | random] integer matrices with shuffled columns
     (realizable), random units on every r-subset (which often fail the
     relations), and random units on a random set of r-subsets (which
-    often fail basis exchange)."""
+    often fail basis exchange).  Tropical and rational functions are
+    `reweighted` half of the time."""
     hf = draw(st.sampled_from([KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE,
                                PHASE_PLAIN, RATIONALS, gf(5)]))
     rank = draw(st.integers(1, 4))
@@ -202,7 +227,10 @@ def gp_functions(draw):
         if mode == "support":
             keys = [key for key in keys if rng.random() < 0.5] or keys[:1]
         values = {key: sample_element(hf, rng, nonzero=True) for key in keys}
-    return GPFunction(hf, GroundSet(labels), rank, values)
+    phi = GPFunction(hf, GroundSet(labels), rank, values)
+    if hf in (TROPICAL, RATIONALS) and draw(st.booleans()):
+        return reweighted(phi, rng)
+    return phi
 
 
 @settings(max_examples=300, deadline=None)
@@ -223,6 +251,22 @@ def test_weak_functions_are_strong_over_doubly_distributive(hf, seed):
     assert oracles.gp_witness(phi, False) is None
 
 
+@pytest.mark.parametrize("hf, values", [
+    # phi(1, 4) phi(2, 3) = (1/3)(3/5) = 1/5 = phi(1, 3) phi(2, 4) is the
+    # maximum, attained twice; through float it is 0.19999999999999998
+    (TROPICAL, {(1, 2): Fraction(1, 7), (1, 3): Fraction(1, 5), (1, 4): Fraction(1, 3),
+                (2, 3): Fraction(3, 5), (2, 4): Fraction(1), (3, 4): Fraction(1, 7)}),
+    # 1/5 - 2/5 + (1/3)(3/5) = 0 exactly, but not through float
+    (RATIONALS, {(1, 2): Fraction(1, 5), (1, 3): Fraction(1, 5), (1, 4): Fraction(1, 3),
+                 (2, 3): Fraction(3, 5), (2, 4): Fraction(2), (3, 4): Fraction(1)}),
+], ids=["tropical", "rational"])
+def test_exact_ties_hold(hf, values):
+    phi = GPFunction(hf, GroundSet((1, 2, 3, 4)), 2,
+                     {key: hf.element(v) for key, v in values.items()})
+    assert oracles.gp_witness(phi, True) is None
+    assert check_gp_weak(phi) is None
+
+
 @pytest.mark.parametrize("name", [e.name for e in corpus_entries()
                                   if e.kind == "gp"])
 def test_corpus_relation_checks_match_the_scans(name):
@@ -240,16 +284,21 @@ def verdicts(phi):
     return check_gp_weak(phi) is None, check_gp_strong(phi) is None
 
 
+def reordered(phi, labels):
+    """phi over the ground order `labels`, each value re-signed by the
+    parity of its reordering."""
+    ground = GroundSet(labels)
+    return GPFunction(phi.hyperfield, ground, phi.rank, {
+        ground.sort(key): phi.evaluate(ground.sort(key)) for key in phi.values})
+
+
 @st.composite
 def gp_variants(draw):
     """A function from gp_functions, its multiple by a unit, and the same
-    function over a permuted ground order, each value re-signed by the
-    parity of its reordering."""
+    function over a permuted ground order."""
     phi = draw(gp_functions())
-    ground = GroundSet(draw(st.permutations(phi.ground.labels)))
-    permuted = GPFunction(phi.hyperfield, ground, phi.rank, {
-        ground.sort(key): phi.evaluate(ground.sort(key)) for key in phi.values})
-    return phi, phi.scale(draw(units(phi.hyperfield))), permuted
+    return (phi, phi.scale(draw(units(phi.hyperfield))),
+            reordered(phi, draw(st.permutations(phi.ground.labels))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -258,6 +307,24 @@ def test_relation_verdicts_are_invariant(variants):
     phi, scaled, permuted = variants
     assert verdicts(scaled) == verdicts(phi)
     assert verdicts(permuted) == verdicts(phi)
+
+
+@st.composite
+def weak_only_variants(draw):
+    """A weak-only corpus function times a unit, over a permuted ground."""
+    phi = CORPUS[draw(st.sampled_from(["triangle-weak-not-strong",
+                                       "phase-weak-not-strong"]))].build()
+    phi = phi.scale(draw(units(phi.hyperfield)))
+    return reordered(phi, draw(st.permutations(phi.ground.labels)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(weak_only_variants())
+def test_weak_only_functions_fail_the_full_scan(phi):
+    """Reaches the failing full scan over triangle and phase, which the
+    random functions above do not."""
+    assert check_gp_strong(phi) == oracles.gp_witness(phi, False)
+    assert verdicts(phi) == (True, False)
 
 
 def tied_triangle():
