@@ -4,10 +4,14 @@
 corpus, its dual pairs (circuits with derived cocircuits), dual pairs
 broken on purpose, two functions failing a three-term relation, tropical
 and rational functions with mixed denominators (passing, and with one
-value changed), the two weak-only entries scaled by a unit, and the
-built-in hyperfields, the exit code and the sha256 of stdout, plus the
-sha256 of every input file the commands read.  The inputs are written from the corpus into a temporary directory, and the
-commands run in process.  Regenerate the file (only when an output
+value changed), the two weak-only entries scaled by a unit, sign and
+tropical functions of rank 3 and 4 with one value changed (one over a
+ground whose label order is not its position order), a support failing
+basis exchange past its first basis, a rank-1 function on 20 labels, and
+the built-in hyperfields, the exit code and the sha256 of stdout, plus
+the sha256 of every input file the commands read.  The inputs are
+written from the corpus into a temporary directory, and the commands run
+in process.  Regenerate the file (only when an output
 change is intended) with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -25,8 +29,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from hypermatroid import (CORPUS, PHASE, SIGN, TRIANGLE, TROPICAL,
-                          CircuitSignature, FVector, GPFunction, InputError,
-                          RatioInconsistencyError, circuits_from_gp,
+                          CircuitSignature, FVector, GPFunction, GroundSet,
+                          InputError, RatioInconsistencyError, circuits_from_gp,
                           cocircuit_signature_from_circuits, corpus_entries,
                           mul, serialize)
 from hypermatroid.cli import main
@@ -109,6 +113,63 @@ SCALED = {"triangle-weak-not-strong": TRIANGLE.element(7.3),
           "phase-weak-not-strong": PHASE.element(1.0)}
 
 
+# Realizable functions of rank 3 on seven labels and rank 4 on eight,
+# pushed into sign (the sign of each minor) and tropical (its 3-adic
+# absolute value), then with the value on the last r-subset of the
+# support negated (sign) or tripled (tropical).  Their first failing
+# three-term relation lies past the first classes of the scan, and for
+# some of them the first failing class in scan order is not the one
+# holding the least failing (I, J).
+PERTURBED_COLUMNS = {
+    3: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-2, 1, 1), (-2, -1, 1), (0, 2, 1),
+        (-3, 1, -3)],
+    4: [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (3, 0, -1, 1),
+        (-2, -2, 2, 0), (1, 3, 1, 0), (0, 2, 3, -2)],
+}
+# the rank-3 labels again, listed out of their own order
+RELABELED = ("d", "b", "a", "c", "e", "f", "g")
+
+
+def perturbed(hf, rank: int, labels=None) -> GPFunction:
+    columns = PERTURBED_COLUMNS[rank]
+    labels = labels or tuple(range(1, len(columns) + 1))
+    rational = gp_from_matrix(labels, [tuple(map(Fraction, col)) for col in columns])
+    if hf is SIGN:
+        values = {key: SIGN.element(1 if v.value > 0 else -1)
+                  for key, v in rational.values.items()}
+    else:
+        values = {key: TROPICAL.element(three_adic(v.value))
+                  for key, v in rational.values.items()}
+    last = max(values, key=lambda key: [labels.index(x) for x in key])
+    values[last] = mul(hf.element(-1 if hf is SIGN else 3), values[last])
+    return GPFunction(hf, rational.ground, rank, values)
+
+
+# a rank-3 support whose first basis-exchange failure has B1 the fourth
+# basis, B2 the third and x the larger of the two elements of B1 - B2
+LATE_EXCHANGE = [(1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 4, 5),
+                 (1, 4, 6), (1, 5, 6), (1, 5, 7), (1, 6, 7), (2, 3, 4), (2, 3, 5),
+                 (2, 3, 6), (2, 4, 7), (2, 5, 7), (2, 6, 7), (3, 4, 6), (4, 5, 7),
+                 (5, 6, 7)]
+
+
+def weak_check_inputs() -> dict:
+    """{file name: function} for the inputs above, and a rank-1 tropical
+    function on 20 labels, larger than any ground set a matroid may have."""
+    files = {}
+    for hf in (SIGN, TROPICAL):
+        for rank in PERTURBED_COLUMNS:
+            files[f"gp-{hf}-r{rank}-perturbed.json"] = perturbed(hf, rank)
+        files[f"gp-{hf}-relabeled-perturbed.json"] = perturbed(hf, 3, RELABELED)
+    files["gp-sign-late-exchange.json"] = GPFunction(
+        SIGN, GroundSet(range(1, 8)), 3,
+        {key: SIGN.element(1) for key in LATE_EXCHANGE})
+    files["gp-tropical-rank1-e20.json"] = GPFunction(
+        TROPICAL, GroundSet(range(1, 21)), 1,
+        {(x,): TROPICAL.element(Fraction(x, 3)) for x in range(1, 21) if x % 4})
+    return files
+
+
 def signature(entry):
     """A corpus entry's circuit signature: its own, or its function's."""
     obj = entry.build()
@@ -172,6 +233,8 @@ def write_inputs(directory: str) -> dict:
         files[f"gp-{name}-scaled.json"] = serialize(CORPUS[name].build().scale(unit))
     for i, hf in enumerate(HYPERFIELDS):
         files[f"exp-{i}.json"] = json.dumps({"hyperfield": hf, "samples": 10})
+    for name, phi in weak_check_inputs().items():
+        files[name] = serialize(phi)
     for hf in LARGE_SWEEPS:
         files[f"exp-{hf}-7.json"] = json.dumps(
             {"hyperfield": hf, "samples": 10, "max_ground": 7})
@@ -215,6 +278,10 @@ def commands() -> list:
                 ["check-gp", "--both", f"gp-{name}-broken.json"]]
     for name in SCALED:
         out.append(["check-gp", "--both", f"gp-{name}-scaled.json"])
+    for name in weak_check_inputs():
+        out += [["check-gp", "--weak", name], ["check-gp", "--both", name]]
+        if "tropical" in name:
+            out.append(["dressian", name])
     return out
 
 
