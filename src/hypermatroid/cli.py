@@ -26,7 +26,8 @@ the first.  `gp` rejects a pair that is not a weak dual pair, and over
 triangle and phase checks the rebuilt function strong when the pair is a
 full one; `gp.nonorthogonal_pair` decides both.  `dressian` is the
 three-term sweep of `check-gp --weak` without the basis-exchange scan; it
-reports the number of three-term (I, J) pairs and the first failing one.
+reports the number of three-term (I, J) pairs, four per relation though
+it decides each relation once, and the first failing one.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (GPInconsistencyError, InputError, InvalidDualPairError,
                      RatioInconsistencyError)
 from .experiments import config_from_json, run_perfection_experiment
 from .gp import (GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp,
-                 classify, elimination_witness, failing_relation,
+                 classify, elimination_witness, failing_three_term,
                  gp_from_dual_pair, orthogonality_verdict, three_term_pairs)
 from .hyperfields import TROPICAL
 from .matroids import validate_circuits
@@ -250,7 +251,7 @@ def _cmd_dressian(args) -> int:
     if phi.hyperfield is not TROPICAL:
         raise InputError("the three-term relation sweep is defined for "
                          "tropical input")
-    witness = failing_relation(phi, True)
+    witness = failing_three_term(phi)
     if witness is not None:
         witness = {"I": list(witness["I"]), "J": list(witness["J"])}
     _emit({"relations_checked": three_term_pairs(phi.rank, len(phi.ground)),

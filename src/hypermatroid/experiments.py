@@ -199,7 +199,7 @@ def run_perfection_experiment(cfg: ExperimentConfig) -> dict:
     orthogonality_failures: List[dict] = []
 
     for index, phi in enumerate(instances):
-        witness = failing_relation(phi, False)
+        witness = failing_relation(phi)
         is_strong = witness is None
         if is_strong:
             strong_count += 1

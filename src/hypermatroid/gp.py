@@ -19,20 +19,21 @@ scan still runs over every hyperfield to name the witness of a failure.
 One scan, `nonorthogonal_pair`, answers every circuit/cocircuit
 orthogonality question.
 
-The relation checkers run a kernel on int masks of ground positions and
-raw payloads: a mask-indexed table gives, once per (r+1)-set I, its signed
-nonzero factors phi(I - i) and, once per (r-1)-set J, its signed nonzero
-factors phi(i, J), so each (I, J) relation multiplies only the pairs of
-stored values it meets, and builds no element per term.  `relation_terms`
-builds the full term list of a reported witness.
+The relation checkers run on raw payloads keyed by int masks of ground
+positions and build elements only for a witness (`relation_terms`).  The
+weak check takes the paper's form: each three-term Pluecker relation once
+(`failing_three_term`), and basis exchange by ANDs of per-element bitsets
+over the bases.  The full check walks every (I, J) (`failing_relation`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, islice
 from math import comb, lcm
+from operator import and_, or_
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .circuits import (CircuitSignature, check_C0_C2, check_strong_elimination,
@@ -84,7 +85,6 @@ class GPFunction:
             raise InputError("identically zero (GP1 fails)")
         self.values = stored
         self._matroid: Optional[ClassicalMatroid] = None
-        self._exchange: object = _UNCHECKED
         self._weak: object = _UNCHECKED
 
     def value(self, subset: Iterable) -> HFElement:
@@ -147,34 +147,29 @@ def equivalent_gp(phi1: GPFunction, phi2: GPFunction) -> bool:
 
 
 def _first_exchange_failure(phi: GPFunction) -> Optional[dict]:
-    """Scans (B1, B2, x) with B1, B2 in the lex order of their ground
-    positions and x in B1 - B2 in ground order.  For each B1 and x it first
-    collects the y for which B1 - x + y is a basis, so each (B1, B2, x) is
-    one mask test."""
-    pos = phi.ground.index
-    bases = [(key, _mask(phi.ground, key))
-             for key in sorted(phi.values, key=lambda k: tuple(map(pos, k)))]
+    """The first (B1, B2, x) failing basis exchange, or None: B1 outer and
+    B2 inner in the lex order of their ground positions, x in B1 - B2 in
+    ground order.  Bit k of `avoid[e]` is set when basis k misses e; the
+    B2 failing at x are the bits of the AND of `avoid` over x and every y
+    with B1 - x + y a basis: the lowest bit names B2, the least x holding
+    it x.  GP ground sets are uncapped, so no 2^n-subset table is built."""
+    bases = [(key, _mask(phi.ground, key)) for key in
+             sorted(phi.values, key=lambda k: tuple(map(phi.ground.index, k)))]
     masks = {m for _, m in bases}
     n = len(phi.ground)
+    avoid = [int("".join("0" if m >> e & 1 else "1" for _, m in reversed(bases)), 2)
+             for e in range(n)]
     for b1, m1 in bases:
-        outside = [y for y in range(n) if not (m1 >> y) & 1]
-        swaps = {x: sum(1 << y for y in outside
-                        if (m1 ^ (1 << x)) | (1 << y) in masks)
-                 for x in range(n) if (m1 >> x) & 1}
-        for b2, m2 in bases:
-            for x, ys in swaps.items():
-                if not (m2 >> x) & 1 and not ys & m2:
-                    return {"axiom": "exchange", "B1": b1, "B2": b2,
-                            "x": phi.ground.labels[x]}
+        free = [(x, reduce(and_, [avoid[y] for y in range(n) if not m1 >> y & 1
+                                  and (m1 ^ 1 << x) | 1 << y in masks], avoid[x]))
+                for x in range(n) if m1 >> x & 1]
+        low = reduce(or_, (bits for _, bits in free))
+        if low:
+            low &= -low
+            x = next(x for x, bits in free if bits & low)
+            return {"axiom": "exchange", "B1": b1,
+                    "B2": bases[low.bit_length() - 1][0], "x": phi.ground.labels[x]}
     return None
-
-
-def _exchange_witness(phi: GPFunction) -> Optional[dict]:
-    """Basis-exchange failure in the support, or None; the scan runs once
-    per function, which never changes."""
-    if phi._exchange is _UNCHECKED:
-        phi._exchange = _first_exchange_failure(phi)
-    return None if phi._exchange is None else dict(phi._exchange)
 
 
 def relation_terms(phi: GPFunction, I: Sequence, J: Sequence) -> List[HFElement]:
@@ -202,31 +197,88 @@ def three_term_pairs(rank: int, m: int) -> int:
     return comb(m, rank + 1) * comb(rank + 1, rank - 2) * (m - rank - 1)
 
 
-def failing_relation(phi: GPFunction, three_term_only: bool) -> Optional[dict]:
-    """The first (I, J) whose relation fails, as a witness, or None.
+def _witness(phi: GPFunction, axiom: str, I: tuple, J: tuple) -> dict:
+    """The witness of the relation on position tuples I and J."""
+    I, J = (tuple(phi.ground.labels[i] for i in part) for part in (I, J))
+    return {"axiom": axiom, "I": I, "J": J, "terms": relation_terms(phi, I, J)}
 
-    Pairs come in the order of `combinations` over the ground order, I
-    outer and J inner; `three_term_only` keeps the pairs with |I - J| = 3.
-    A term vanishes unless phi(I - i) and phi(i, J) are both nonzero, and
-    dropping zero terms never changes "0 in the sum" (0 is the additive
-    identity; an all-zero sum contains 0), so only the nonzero products
-    are formed.  The scan runs on raw payloads through the family's
-    `product`, `negative` and `zero_in`: the sign (-1)^k of the k-th term
-    sits on the left factor phi(I - i) and the parity sign on the right
-    factor phi(i, J), so each term is one payload product.  `Fraction`
-    payloads (tropical, rationals) are read once as integers over the
-    function's common denominator L: every product is then L^2 times the
-    true one, which keeps the maximum, its ties and zero sums exactly.
-    Only a failing relation builds elements, through `relation_terms`.
-    """
-    hf = phi.hyperfield
-    product, negative, zero_in = hf.product, hf.negative, hf.zero_in
+
+def _payloads(phi: GPFunction) -> dict:
+    """{position mask: payload} of the stored values; `Fraction` payloads
+    become integers over their common denominator, which keeps products
+    and their maxima, ties and zero sums exact."""
     table = {_mask(phi.ground, key): value.value
              for key, value in phi.values.items()}
     if isinstance(next(iter(table.values())), Fraction):
         scale = lcm(*(q.denominator for q in table.values()))
         table = {m: q.numerator * (scale // q.denominator)
                  for m, q in table.items()}
+    return table
+
+
+def _failing_class(S: tuple, rest: list, pair: list, hf: Hyperfield) -> Optional[tuple]:
+    """(I, J) of the first failing a < b < c < d in `rest`, or None, given
+    pair[x][y] = phi(S + rest[x] + rest[y]) as a payload, None for zero."""
+    product, negative, zero_in = hf.product, hf.negative, hf.zero_in
+    for a, b, c in combinations(range(len(pair)), 3):
+        ab, ac, bc = pair[a][b], pair[a][c], pair[b][c]
+        if ab is None and ac is None and bc is None:
+            continue
+        ab = None if ab is None else negative(ab)
+        bc = None if bc is None else negative(bc)
+        ad, bd, cd = pair[a], pair[b], pair[c]
+        for d in range(c + 1, len(pair)):
+            terms = []
+            if bc is not None and ad[d] is not None:
+                terms.append(product(bc, ad[d]))
+            if ac is not None and bd[d] is not None:
+                terms.append(product(ac, bd[d]))
+            if ab is not None and cd[d] is not None:
+                terms.append(product(ab, cd[d]))
+            if terms and not zero_in(terms):
+                return (tuple(sorted(S + (rest[a], rest[b], rest[c]))),
+                        tuple(sorted(S + (rest[d],))))
+    return None
+
+
+def failing_three_term(phi: GPFunction) -> Optional[dict]:
+    """The least failing (I, J) with |I - J| = 3, in `failing_relation`
+    order, as a witness, or None.  Such pairs come four to a three-term
+    Pluecker relation: S of r - 2 positions and a < b < c < d outside it
+    give I = S plus three, J = S plus the fourth.  The least, Sabc and Sd,
+    has the terms -phi(Sbc) phi(Sad), phi(Sac) phi(Sbd), -phi(Sab) phi(Scd),
+    the others these up to a global sign, which keeps "0 in the sum".  For
+    one S, `combinations` order on (a, b, c, d) is that of the least
+    members, so the scan keeps each S's first failure, skips an S whose
+    least I comes after the best, and reports the least."""
+    n, r = len(phi.ground), phi.rank
+    if r < 2:
+        return None
+    table, best = _payloads(phi), None
+    for S in combinations(range(n), r - 2):
+        s = sum(1 << i for i in S)
+        rest = [x for x in range(n) if not s >> x & 1]
+        if best is not None and tuple(sorted(S + tuple(rest[:3]))) > best[0]:
+            continue
+        pair = [[table.get(s | 1 << x | 1 << y) for y in rest] for x in rest]
+        key = _failing_class(S, rest, pair, phi.hyperfield)
+        if key is not None and (best is None or key < best):
+            best = key
+    return None if best is None else _witness(phi, "GP3'", *best)
+
+
+def failing_relation(phi: GPFunction) -> Optional[dict]:
+    """The first (I, J) whose relation fails, as a witness, or None.
+
+    Pairs come in the order of `combinations` over the ground order, I
+    outer and J inner.  Dropping zero terms never changes "0 in the sum"
+    (0 is the additive identity; an all-zero sum contains 0), so only the
+    nonzero products phi(I - i) phi(i, J) are formed, on payloads, with
+    the sign (-1)^k on the left factor and the parity sign on the right.
+    """
+    hf = phi.hyperfield
+    product, negative, zero_in = hf.product, hf.negative, hf.zero_in
+    table = _payloads(phi)
     negated = {m: negative(x) for m, x in table.items()}
     r = phi.rank
     positions = range(len(phi.ground))
@@ -237,7 +289,7 @@ def failing_relation(phi: GPFunction, three_term_only: bool) -> Optional[dict]:
                    for k, i in enumerate(I, start=1)
                    if mask ^ (1 << i) in table]
         if factors:
-            lefts.append((I, mask, factors))
+            lefts.append((I, factors))
     rights = []
     for J in combinations(positions, r - 1):
         mask = sum(1 << j for j in J)
@@ -246,47 +298,34 @@ def failing_relation(phi: GPFunction, three_term_only: bool) -> Optional[dict]:
                    for x in positions
                    if not (mask >> x) & 1 and mask | (1 << x) in table}
         if factors:
-            rights.append((J, mask, factors))
-    for I, imask, left in lefts:
-        for J, jmask, right in rights:
-            if three_term_only and (imask & ~jmask).bit_count() != 3:
-                continue
+            rights.append((J, factors))
+    for I, left in lefts:
+        for J, right in rights:
             terms = [product(value, right[i]) for i, value in left if i in right]
             if terms and not zero_in(terms):
-                labels = phi.ground.labels
-                I = tuple(labels[i] for i in I)
-                J = tuple(labels[j] for j in J)
-                return {"axiom": "GP3'" if three_term_only else "GP3",
-                        "I": I, "J": J,
-                        "terms": relation_terms(phi, I, J)}
+                return _witness(phi, "GP3", I, J)
     return None
 
 
-def _weak_witness(phi: GPFunction) -> Optional[dict]:
-    """`check_gp_weak`'s witness, or None; the scans run once per
-    function, so `check-gp --both` pays for them once."""
+def check_gp_weak(phi: GPFunction) -> Optional[dict]:
+    """Basis exchange on the support, then the three-term relations; the
+    scans run once per function, so `check-gp --both` pays for them once."""
     if phi._weak is _UNCHECKED:
-        phi._weak = _exchange_witness(phi) or failing_relation(phi, True)
+        phi._weak = _first_exchange_failure(phi) or failing_three_term(phi)
     return None if phi._weak is None else dict(phi._weak)
 
 
-def check_gp_weak(phi: GPFunction) -> Optional[dict]:
-    """Three-term relations (pairs with |I - J| = 3) plus basis exchange
-    on the support."""
-    return _weak_witness(phi)
-
-
 def check_gp_strong(phi: GPFunction) -> Optional[dict]:
-    """The full relation family, over all (I, J) pairs.
-
+    """Basis exchange, then the full relation family over all (I, J).
     Over a doubly distributive hyperfield a weak function is strong
-    (Baker-Bowler), so there the weak check decides a pass and the full
-    scan runs only to name the first failing relation of a function that
-    is not weak.  Over triangle and phase the full scan decides.
-    """
-    if phi.hyperfield.doubly_distributive and _weak_witness(phi) is None:
+    (Baker-Bowler), so there the full scan only names the witness of a
+    function that is not weak; over triangle and phase it decides."""
+    weak = check_gp_weak(phi)
+    if weak is None and phi.hyperfield.doubly_distributive:
         return None
-    return _exchange_witness(phi) or failing_relation(phi, False)
+    if weak is not None and weak["axiom"] == "exchange":
+        return weak
+    return failing_relation(phi)
 
 
 # -- circuits from a GP function ----------------------------------------------

@@ -61,8 +61,7 @@ def test_sweep_runs_the_full_relation_scan(monkeypatch):
     full relation there is a contract violation."""
     monkeypatch.setattr(
         experiments, "failing_relation",
-        lambda phi, three_term_only: None if three_term_only else
-        {"axiom": "GP3"})
+        lambda phi: {"axiom": "GP3"})
     report = run_perfection_experiment(ExperimentConfig(SIGN, samples=3, seed=2))
     assert report["strong"] == 0 and len(report["weak_only"]) == 3
     assert report["contract_violation"] is True
