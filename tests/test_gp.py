@@ -20,7 +20,7 @@ from hypermatroid.corpus import gp_from_matrix
 from hypermatroid.gp import failing_three_term
 
 import oracles
-from strategies import DOUBLY_DISTRIBUTIVE, units
+from strategies import ALL_KINDS, DOUBLY_DISTRIBUTIVE, units
 
 
 def rational_u24():
@@ -389,14 +389,10 @@ def test_three_term_classes_decide_as_one(phi):
     assert failing_three_term(phi) == oracles.relation_witness(phi, True)
 
 
-EXCHANGE_HYPERFIELDS = [KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE, PHASE_PLAIN,
-                        RATIONALS, gf(3), gf(5)]
-
-
 def random_family(rng, rank, labels, density):
     """Random units on a random family of rank-subsets of `labels`, in
     that ground order, not filtered to the bases of a matroid."""
-    hf = rng.choice(EXCHANGE_HYPERFIELDS)
+    hf = rng.choice(ALL_KINDS + [gf(5)])
     keys = [key for key in combinations(labels, rank) if rng.random() < density]
     keys = keys or [tuple(labels[:rank])]
     return GPFunction(hf, GroundSet(labels), rank,
