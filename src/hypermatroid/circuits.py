@@ -7,23 +7,24 @@ scaling per quantified object instead of ranging over the (possibly
 infinite) unit group.
 
 `gp.orthogonality_verdict` decides weakness and strength by orthogonality
-with the derived cocircuit signature.  The elimination scans only name
-witnesses: `check_weak_elimination` the C3' instance of a signature that
-is not weak, `check_strong_elimination` the C3 instance of a weak-only
-one.  `check_C3_doubleprime`, a third equivalent criterion, runs in the
-tests alone.
+with the derived cocircuit signature.  One lazy walk over the elimination
+instances only names witnesses: `check_weak_elimination` the C3' instance
+of a signature that is not weak, `check_strong_elimination` the C3
+instance of a weak-only one.  C3 on a pair is C3', and orthogonality has
+shown that every modular pair of a weak-only signature eliminates, so the
+C3 scan starts at families of three circuits.  `check_C3_doubleprime`, a
+third equivalent criterion, runs in the tests alone.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .hyperfields import (HFElement, Hyperfield, elimination_member, inv, mul,
                           neg, zero_in_sum)
-from .matroids import ClassicalMatroid, modular_family, modular_pair
-from .search import first_witness
+from .matroids import ClassicalMatroid, modular_family
 from .sumsets import SumSet, fold
 from .vectors import FVector, GroundSet, projectively_equal, scalar_mul, support
 
@@ -180,86 +181,71 @@ def _scaled_partner(x: FVector, y: FVector, e) -> FVector:
     return scalar_mul(factor, y)
 
 
-def check_weak_elimination(sig: CircuitSignature) -> Optional[dict]:
-    """Modular-pair elimination.
-
-    For every modular pair of classes and every shared support element e,
-    scalings with X(e) = -Y(e) != 0 are pinned canonically and a signature
-    member Z with Z(e) = 0 and Z(f) in X(f) + Y(f) must exist.
-    """
+def _failed_eliminations(sig: CircuitSignature, sizes: Iterable[int]
+                         ) -> Iterator[Tuple[FVector, List[FVector], list]]:
+    """The elimination instances with no eliminating circuit, built and
+    checked one at a time in canonical order, for k in `sizes`: a class X,
+    k partner classes whose supports form a modular family with X's and do
+    not cover it, each scaled to cancel X at its e_i, and distinct e_1..e_k
+    with e_i shared by X and the i-th partner only.  At k = 1 the pair
+    i < j is taken once, as X = class i: swapping the roles rescales it."""
     matroid = sig.underlying_matroid()
-    tasks = []
-    for i, j in combinations(range(len(sig.classes)), 2):
-        x, y = sig.classes[i], sig.classes[j]
-        sx, sy = support(x), support(y)
-        if not modular_pair(matroid, sx, sy):
-            continue
-        for e in sig.ground.sort(sx & sy):
-            tasks.append((i, j, e))
-
-    def check(task):
-        i, j, e = task
-        x = sig.classes[i]
-        y = _scaled_partner(x, sig.classes[j], e)
-        if eliminating_circuits(sig, [x, y], [e]):
-            return None
-        return {"axiom": "C3'", "X": x, "Y": y, "e": e}
-
-    return first_witness(tasks, check)
-
-
-def check_strong_elimination(sig: CircuitSignature) -> Optional[dict]:
-    """Modular-family elimination.
-
-    Enumerates families {X, X_1..X_k} of classes whose supports form a
-    modular family of size k+1 with the support of X not covered by the
-    others, all valid element lists (e_1..e_k), and requires a signature
-    member vanishing on the e_i and lying coordinatewise in the hypersum.
-    """
-    matroid = sig.underlying_matroid()
-    corank = len(sig.ground) - matroid.rank()
-    limit = min(corank - 1, len(sig.classes) - 1)
     supports = sig.supports()
-    index = {i: s for i, s in enumerate(supports)}
-
-    tasks = []
-    for k in range(1, limit + 1):
-        for xi in range(len(sig.classes)):
-            x_supp = index[xi]
-            rest = [i for i in range(len(sig.classes)) if i != xi]
+    n = len(supports)
+    for k in sizes:
+        for xi, x_supp in enumerate(supports):
+            rest = range(xi + 1, n) if k == 1 else \
+                [i for i in range(n) if i != xi]
             for combo in combinations(rest, k):
-                other_supps = [index[i] for i in combo]
-                covered = frozenset().union(*other_supps)
-                if x_supp <= covered:
+                other_supps = [supports[i] for i in combo]
+                if x_supp <= frozenset().union(*other_supps):
                     continue
                 if not modular_family(matroid, [x_supp] + other_supps):
                     continue
                 slots = []
-                ok = True
                 for i, si in enumerate(other_supps):
-                    others = [s for j, s in enumerate(other_supps) if j != i]
-                    blocked = frozenset().union(*others) if others else frozenset()
-                    usable = sig.ground.sort((x_supp & si) - blocked)
-                    if not usable:
-                        ok = False
-                        break
-                    slots.append(usable)
-                if not ok:
-                    continue
+                    blocked = frozenset().union(
+                        *(s for j, s in enumerate(other_supps) if j != i))
+                    slots.append(sig.ground.sort((x_supp & si) - blocked))
+                x = sig.classes[xi]
                 for es in product(*slots):
-                    if len(set(es)) == len(es):
-                        tasks.append((xi, combo, es))
+                    if len(set(es)) < k:
+                        continue
+                    partners = [_scaled_partner(x, sig.classes[i], e)
+                                for i, e in zip(combo, es)]
+                    if not eliminating_circuits(sig, [x] + partners, es):
+                        yield x, partners, list(es)
 
-    def check(task):
-        xi, combo, es = task
-        x = sig.classes[xi]
-        partners = [_scaled_partner(x, sig.classes[i], e)
-                    for i, e in zip(combo, es)]
-        if eliminating_circuits(sig, [x] + partners, list(es)):
-            return None
-        return {"axiom": "C3", "X": x, "others": partners, "elements": list(es)}
 
-    return first_witness(tasks, check)
+def check_weak_elimination(sig: CircuitSignature) -> Optional[dict]:
+    """Modular-pair elimination (C3'), the first failing instance or None.
+
+    For every modular pair of classes and every shared support element e,
+    scalings with X(e) = -Y(e) != 0 are pinned canonically and a signature
+    member Z with Z(e) = 0 and Z(f) in X(f) + Y(f) must exist.  C3 on a
+    pair of circuits is this axiom.
+    """
+    for x, (y,), (e,) in _failed_eliminations(sig, [1]):
+        return {"axiom": "C3'", "X": x, "Y": y, "e": e}
+    return None
+
+
+def check_strong_elimination(sig: CircuitSignature) -> Optional[dict]:
+    """Modular-family elimination (C3) on families of three or more
+    circuits, the first failing instance or None.
+
+    For every family {X, X_1..X_k}, k >= 2, whose supports form a modular
+    family with the support of X not covered by the others, and every
+    valid element list (e_1..e_k), a signature member vanishing on the e_i
+    and lying coordinatewise in the hypersum must exist.  C3 on a pair is
+    C3', so callers run `check_weak_elimination` first, as
+    `gp.elimination_witness` does through orthogonality.
+    """
+    corank = len(sig.ground) - sig.underlying_matroid().rank()
+    sizes = range(2, min(corank, len(sig.classes)))
+    for x, partners, es in _failed_eliminations(sig, sizes):
+        return {"axiom": "C3", "X": x, "others": partners, "elements": es}
+    return None
 
 
 def check_C3_doubleprime(sig: CircuitSignature) -> Optional[dict]:
@@ -272,38 +258,24 @@ def check_C3_doubleprime(sig: CircuitSignature) -> Optional[dict]:
     matroid = sig.underlying_matroid()
     bases = sorted(matroid.bases(),
                    key=lambda b: tuple(sorted(sig.ground.index(x) for x in b)))
-    tasks = [(i, b) for i in range(len(sig.classes)) for b in bases]
     # the rescaled fundamental circuits of each basis, keyed by the
-    # labels outside it
+    # labels outside it, built on first use
     by_basis: Dict[frozenset, Dict[object, FVector]] = {}
-
-    def fundamentals_of(basis):
-        if basis not in by_basis:
-            found = {}
-            for e in sig.ground:
-                if e not in basis:
-                    rep = sig.class_with_support(
-                        matroid.fundamental_circuit(basis, e))
-                    found[e] = scalar_mul(inv(rep.entry(e)), rep)
-            by_basis[basis] = found
-        return by_basis[basis]
-
-    def check(task):
-        i, basis = task
-        x = sig.classes[i]
-        fundamentals = fundamentals_of(basis)
-        outside = list(fundamentals)
-        for f in sig.ground:
-            terms = []
-            for e in outside:
-                xe = x.entry(e)
-                if xe.is_zero:
-                    continue
-                terms.append(mul(xe, fundamentals[e].entry(f)))
-            target = x.entry(f)
-            if not elimination_member(target, terms):
-                return {"axiom": "C3''", "X": x, "basis": sig.ground.sort(basis),
-                        "f": f}
-        return None
-
-    return first_witness(tasks, check)
+    for x in sig.classes:
+        for basis in bases:
+            if basis not in by_basis:
+                by_basis[basis] = {}
+                for e in sig.ground:
+                    if e not in basis:
+                        rep = sig.class_with_support(
+                            matroid.fundamental_circuit(basis, e))
+                        by_basis[basis][e] = scalar_mul(inv(rep.entry(e)), rep)
+            fundamentals = by_basis[basis]
+            for f in sig.ground:
+                terms = [mul(x.entry(e), y.entry(f))
+                         for e, y in fundamentals.items()
+                         if not x.entry(e).is_zero]
+                if not elimination_member(x.entry(f), terms):
+                    return {"axiom": "C3''", "X": x,
+                            "basis": sig.ground.sort(basis), "f": f}
+    return None

@@ -21,13 +21,16 @@ hyperfields, and over triangle and phase when every circuit is
 orthogonal to every cocircuit.  The elimination scans only
 name the failing instance: modular-pair elimination (C3') for a
 signature that is not weak, modular-family elimination (C3) for a
-weak-only one; `check-circuits` reports weakness alone, so it runs only
-the first.  `gp` rejects a pair that is not a weak dual pair, and over
-triangle and phase checks the rebuilt function strong when the pair is a
-full one; `gp.nonorthogonal_pair` decides both.  `dressian` is the
-three-term sweep of `check-gp --weak` without the basis-exchange scan; it
-reports the number of three-term (I, J) pairs, four per relation though
-it decides each relation once, and the first failing one.
+weak-only one.  C3 on a pair is C3', and orthogonality has shown that
+every modular pair of a weak-only signature eliminates, so that scan
+starts at families of three circuits.  `check-circuits` reports weakness
+alone, so it runs only the first.  `gp` rejects a pair that is not a weak
+dual pair, and over triangle and phase checks the rebuilt function strong
+when the pair is a full one; `gp.nonorthogonal_pair` decides both.
+`dressian` is the three-term sweep of `check-gp --weak` without the
+basis-exchange scan; it reports the number of three-term (I, J) pairs,
+four per relation though it decides each relation once, and the first
+failing one.
 """
 
 from __future__ import annotations

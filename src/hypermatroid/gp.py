@@ -576,8 +576,10 @@ def orthogonality_verdict(sig: CircuitSignature) -> str:
 def elimination_witness(sig: CircuitSignature, verdict: str) -> dict:
     """The failing elimination instance behind an orthogonality verdict:
     modular-pair elimination C3' for InvalidSignature, modular-family
-    elimination C3 for WeakOnly.  A scan that finds none would contradict
-    the theorem and raises."""
+    elimination C3 for WeakOnly.  C3 on a pair is C3', and orthogonality
+    has shown that every modular pair of a WeakOnly signature eliminates,
+    so its scan starts at families of three circuits.  A scan that finds
+    none would contradict the theorem and raises."""
     scan = check_weak_elimination if verdict == "InvalidSignature" \
         else check_strong_elimination
     witness = scan(sig)

@@ -362,22 +362,11 @@ class ClassicalMatroid:
 # -- modularity -------------------------------------------------------------
 
 
-def modular_pair(m: ClassicalMatroid, c1: frozenset, c2: frozenset) -> bool:
-    """Whether two distinct circuits form a modular pair:
-    rank(C1 | C2) = |C1 | C2| - 2."""
-    c1, c2 = frozenset(c1), frozenset(c2)
-    if c1 not in m.circuits or c2 not in m.circuits:
-        raise InputError("modular_pair needs circuits of the matroid")
-    if c1 == c2:
-        raise InputError("modular_pair needs two distinct circuits")
-    union = c1 | c2
-    return m.rank(union) == len(union) - 2
-
-
 def modular_family(m: ClassicalMatroid, supports: Iterable[frozenset]) -> bool:
     """Whether distinct circuits form a modular family: the nullity of their
     union equals the family size (the union's height in the lattice of
-    circuit unions)."""
+    circuit unions).  On two circuits this is a modular pair:
+    rank(C1 | C2) = |C1 | C2| - 2."""
     supports = [frozenset(s) for s in supports]
     if len(set(supports)) != len(supports):
         return False
@@ -387,32 +376,3 @@ def modular_family(m: ClassicalMatroid, supports: Iterable[frozenset]) -> bool:
     union = frozenset().union(*supports)
     return m.nullity(union) == len(supports)
 
-
-def union_lattice_height(circuits: Iterable[frozenset], target: frozenset) -> int:
-    """Height of `target` in the lattice of unions of the given circuits.
-
-    Independent oracle for `modular_family`, exponential in the number of
-    circuits under the target; use on small instances only.
-    """
-    target = frozenset(target)
-    atoms = [c for c in {frozenset(c) for c in circuits} if c <= target]
-    unions = {frozenset()}
-    frontier = {frozenset()}
-    while frontier:
-        new = set()
-        for u in frontier:
-            for a in atoms:
-                cand = u | a
-                if cand not in unions:
-                    new.add(cand)
-        unions |= new
-        frontier = new
-    if target not in unions:
-        raise InputError("target is not a union of circuits")
-    heights = {frozenset(): 0}
-    ordered = sorted(unions, key=len)
-    for u in ordered:
-        if u not in heights:
-            below = [heights[v] for v in ordered if v < u and v in heights]
-            heights[u] = 1 + max(below)
-    return heights[target]

@@ -172,6 +172,25 @@ def binary_matroid_circuits(columns):
     return found
 
 
+def union_lattice_height(circuits, target):
+    """Height of `target` in the lattice of unions of the given circuits,
+    by building the lattice: the independent oracle for `modular_family`.
+    Exponential in the number of circuits under the target."""
+    target = frozenset(target)
+    atoms = [c for c in {frozenset(c) for c in circuits} if c <= target]
+    unions = {frozenset()}
+    frontier = {frozenset()}
+    while frontier:
+        frontier = {u | a for u in frontier for a in atoms} - unions
+        unions |= frontier
+    if target not in unions:
+        raise ValueError("target is not a union of circuits")
+    heights = {}
+    for u in sorted(unions, key=len):
+        heights[u] = 1 + max((heights[v] for v in heights if v < u),
+                             default=-1)
+    return heights[target]
+
 def exchange_witness(phi):
     """The first basis-exchange failure of a GP function's support, by
     the frozenset scan over (B1, B2, x) with the bases in the lex order of
@@ -216,8 +235,9 @@ def gp_witness(phi, three_term_only):
 
 
 def classify_by_elimination(sig):
-    """classify's verdict by modular-family elimination: Strong when no
-    C3 instance fails, else WeakOnly with the first failure; the
+    """classify's verdict by elimination: InvalidSignature with the first
+    failing C3' instance, else Strong when no C3 instance on three or more
+    circuits fails and WeakOnly with the first failure; the
     fundamental-circuit span criterion C3'' must agree."""
     basic = check_C0_C2(sig)
     if basic is not None:

@@ -20,6 +20,7 @@ from hypermatroid import (CORPUS, PHASE, RATIONALS, SIGN, TRIANGLE, TROPICAL,
                           random_weak_signature,
                           same_signature, sample_element, scalar_mul,
                           serialize)
+import hypermatroid.circuits
 from hypermatroid.cli import main
 
 import oracles
@@ -165,10 +166,37 @@ def weak_only_variants(draw):
     return permuted_rescaled(draw, sig)
 
 
+def _classify_weak_only_without_pairs(sig):
+    """classify on a weak-only signature, asserting that its witness scan
+    asks `eliminating_circuits` about families of three or more circuits
+    only: orthogonality has shown that every modular pair eliminates.  The
+    verdict and witness must still be those of the full elimination route
+    (C3', then C3 from three circuits, then C3'')."""
+    terms_per_call = []
+    real = hypermatroid.circuits.eliminating_circuits
+
+    def counting(sig, terms, zeros_at):
+        terms_per_call.append(len(terms))
+        return real(sig, terms, zeros_at)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hypermatroid.circuits, "eliminating_circuits", counting)
+        got = classify(sig)
+    assert got.verdict == "WeakOnly"
+    assert terms_per_call and min(terms_per_call) >= 3
+    assert serialize(got) == serialize(oracles.classify_by_elimination(sig))
+
+
+@pytest.mark.parametrize("name", WEAK_ONLY)
+def test_weak_only_witness_checks_no_pair(name):
+    _classify_weak_only_without_pairs(
+        circuits_from_gp(CORPUS[name].build()))
+
+
 @settings(max_examples=25, deadline=None)
 @given(weak_only_variants())
 def test_classify_matches_elimination_on_weak_only_variants(sig):
-    assert _same_classification(sig).verdict == "WeakOnly"
+    _classify_weak_only_without_pairs(sig)
 
 
 # -- weakness by orthogonality against the C3' oracle -------------------------

@@ -1,13 +1,14 @@
 """Classical matroid layer: circuit axioms, rank, bases, duality."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermatroid import (ClassicalMatroid, GroundSet, InputError,
                           corpus_entries, validate_circuits)
-from hypermatroid.matroids import (modular_family, modular_pair,
-                                   union_lattice_height)
+from hypermatroid.matroids import modular_family
 
 import oracles
 
@@ -92,19 +93,33 @@ def test_fundamental_circuit():
 def test_modular_pairs():
     c1 = frozenset({"ab", "bc", "ac"})
     c2 = frozenset({"ab", "bd", "ad"})
-    assert modular_pair(K4, c1, c2), "two triangles sharing an edge"
+    assert modular_family(K4, [c1, c2]), "two triangles sharing an edge"
     q1 = frozenset({"ab", "bc", "cd", "ad"})
     q2 = frozenset({"ab", "bd", "cd", "ac"})
-    assert not modular_pair(K4, q1, q2), \
+    assert not modular_family(K4, [q1, q2]), \
         "the two quadrilaterals cover all six edges (nullity three)"
-    assert modular_family(K4, [c1, c2])
 
 
 def test_union_lattice_height():
     c1 = frozenset({"ab", "bc", "ac"})
     c2 = frozenset({"ab", "bd", "ad"})
-    assert union_lattice_height(K4.circuits, c1) == 1
-    assert union_lattice_height(K4.circuits, c1 | c2) == 2
+    assert oracles.union_lattice_height(K4.circuits, c1) == 1
+    assert oracles.union_lattice_height(K4.circuits, c1 | c2) == 2
+
+
+def test_modular_family_matches_union_lattice_height():
+    """A family of circuits is modular exactly when its union sits at
+    height |F| in the lattice of circuit unions, on every family of two
+    and of three K4 circuits; both outcomes occur at both sizes."""
+    outcomes = set()
+    for size in (2, 3):
+        for family in combinations(K4_CIRCUITS, size):
+            union = frozenset().union(*family)
+            modular = modular_family(K4, family)
+            assert modular == (
+                oracles.union_lattice_height(K4.circuits, union) == size)
+            outcomes.add((size, modular))
+    assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
 
 
 def test_from_bases_roundtrip():
