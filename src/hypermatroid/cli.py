@@ -10,15 +10,20 @@ Every checker runs in one thread and reports the first witness in its
 canonical order.  `check-gp` decides Strong by the three-term relations
 and basis exchange of `--weak` over the doubly distributive hyperfields
 (Krasner, sign, tropical, the rationals, GF(p)), where weak and strong
-coincide, and by every (I, J) relation over triangle and phase; a
-function that is not strong gets the witness of the full scan (basis
-exchange, then the first failing (I, J) relation).  `check-circuits`
-and `classify` decide by orthogonality with the cocircuit signature
-derived from the circuits: a signature is weak when the derivation is
-consistent and every circuit and cocircuit meeting in at most 3 elements
-are orthogonal.  A weak signature is strong over the doubly distributive
-hyperfields, and over triangle and phase when every circuit is
-orthogonal to every cocircuit.  The elimination scans only
+coincide, and by the full relation family over triangle and phase.  For
+a weak function an (I, J) relation is, up to a unit, the orthogonality
+sum of the circuit inside I and the cocircuit off cl(J) (Baker-Bowler),
+and weakness makes the pairs meeting in at most 3 elements orthogonal,
+so one (I, J) per circuit/cocircuit pair meeting in 4 or more is
+checked.  A function that is not strong gets the witness of the full
+scan (basis exchange, then the least failing (I, J) relation); the walk
+over every (I, J) is the test oracle in `tests/oracles.py`.
+`check-circuits` and `classify` decide by orthogonality with the
+cocircuit signature derived from the circuits: a signature is weak when
+the derivation is consistent and every circuit and cocircuit meeting in
+at most 3 elements are orthogonal.  A weak signature is strong over the
+doubly distributive hyperfields, and over triangle and phase when every
+circuit is orthogonal to every cocircuit.  The elimination scans only
 name the failing instance: modular-pair elimination (C3') for a
 signature that is not weak, modular-family elimination (C3) for a
 weak-only one.  C3 on a pair is C3', and orthogonality has shown that

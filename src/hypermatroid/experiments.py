@@ -17,9 +17,12 @@ strong.  Over the doubly distributive hyperfields (Krasner, sign,
 tropical, finite fields, the rationals) a weak-only find is a
 contract violation, reported as such.  The sweep is an empirical test
 of the theorem that `check_gp_strong` relies on there, so it runs the
-full relation scan itself; the samples are weak-valid, so the
-basis-exchange scan would add nothing.  Triangle and phase runs seed the
-sample list with the known weak-only corpus instances, so those runs
+full relation scan (`failing_relation`) itself; the samples are
+weak-valid, so the basis-exchange scan would add nothing, and the scan
+checks one (I, J) per circuit/cocircuit pair meeting in 4 or more
+elements, the pairs weakness leaves open (Baker-Bowler).  Triangle and
+phase runs seed the sample list with the known weak-only corpus
+instances, so those runs
 always record at least one weak-only find.  Each sample also gets the
 bounded-overlap orthogonality levels between derived circuits and
 cocircuits: level k passes when every pair meeting in at most k elements

@@ -14,16 +14,22 @@ strong matroids coincide (Baker-Bowler), so Strong is decided by the
 weak criterion: the three-term relations for a function, orthogonality
 of the circuit/cocircuit pairs meeting in at most 3 elements for a
 signature.  Over triangle and phase Strong needs the full criterion:
-every (I, J) relation, every circuit/cocircuit pair.  The full relation
-scan still runs over every hyperfield to name the witness of a failure.
-One scan, `nonorthogonal_pair`, answers every circuit/cocircuit
-orthogonality question.
+every circuit orthogonal to every cocircuit.  For a weak function the
+(I, J) relation is, up to a unit, the orthogonality sum of the circuit
+inside I and the cocircuit off cl(J) (Baker-Bowler), and the pairs
+meeting in at most 3 elements are orthogonal already, so the full check
+tests one (I, J) per circuit/cocircuit pair meeting in 4 or more.  The
+full relation scan still runs over every hyperfield to name the witness
+of a failure.  One scan, `nonorthogonal_pair`, answers every
+circuit/cocircuit orthogonality question.
 
 The relation checkers run on raw payloads keyed by int masks of ground
 positions and build elements only for a witness (`relation_terms`).  The
 weak check takes the paper's form: each three-term Pluecker relation once
 (`failing_three_term`), and basis exchange by ANDs of per-element bitsets
-over the bases.  The full check walks every (I, J) (`failing_relation`).
+over the bases.  The full check (`failing_relation`) keys each I by its
+circuit and each J by its cocircuit and decides each pair of keys once;
+the walk over every (I, J) is the test oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -268,42 +274,56 @@ def failing_three_term(phi: GPFunction) -> Optional[dict]:
 
 
 def failing_relation(phi: GPFunction) -> Optional[dict]:
-    """The first (I, J) whose relation fails, as a witness, or None.
+    """The least failing (I, J), I outer and J inner in the order of
+    `combinations` over the ground order, as a witness, or None.
 
-    Pairs come in the order of `combinations` over the ground order, I
-    outer and J inner.  Dropping zero terms never changes "0 in the sum"
-    (0 is the additive identity; an all-zero sum contains 0), so only the
-    nonzero products phi(I - i) phi(i, J) are formed, on payloads, with
-    the sign (-1)^k on the left factor and the parity sign on the right.
+    Dropping zero terms never changes "0 in the sum" (0 is the additive
+    identity; an all-zero sum contains 0), so only the nonzero products
+    phi(I - i) phi(i, J) are formed, on payloads, with the sign (-1)^k on
+    the left factor and the parity sign on the right.  They sit on the
+    circuit mask of I (the i with I - i a basis, the circuit inside I)
+    and the cocircuit mask of J (the x with J + x a basis, the cocircuit
+    off cl(J)).  For a weak function the relation is, up to a unit, the
+    orthogonality sum of that circuit and cocircuit (Baker-Bowler), so
+    it depends on the two masks alone, and it holds when they meet in at
+    most 3 positions.  So each mask keeps its first I or J, and only mask
+    pairs meeting in 4 or more are checked: the first failure in that
+    order is the least failing (I, J).  For a function that is not weak
+    each I and J is its own key and every pair that meets is checked.
+    The exhaustive walk is the test oracle `oracles.relation_witness`.
     """
     hf = phi.hyperfield
     product, negative, zero_in = hf.product, hf.negative, hf.zero_in
     table = _payloads(phi)
     negated = {m: negative(x) for m, x in table.items()}
+    weak = check_gp_weak(phi) is None
+    least = 4 if weak else 1
     r = phi.rank
     positions = range(len(phi.ground))
-    lefts = []
+    lefts = {}
     for I in combinations(positions, r + 1):
         mask = sum(1 << i for i in I)
-        factors = [(i, (negated if k % 2 else table)[mask ^ (1 << i)])
-                   for k, i in enumerate(I, start=1)
-                   if mask ^ (1 << i) in table]
-        if factors:
-            lefts.append((I, factors))
-    rights = []
+        circuit = sum(1 << i for i in I if mask ^ (1 << i) in table)
+        if circuit and (circuit if weak else mask) not in lefts:
+            lefts[circuit if weak else mask] = (I, circuit, [
+                (i, (negated if k % 2 else table)[mask ^ (1 << i)])
+                for k, i in enumerate(I, start=1) if circuit >> i & 1])
+    rights = {}
     for J in combinations(positions, r - 1):
         mask = sum(1 << j for j in J)
-        factors = {x: (negated if (mask & ((1 << x) - 1)).bit_count() % 2
-                       else table)[mask | (1 << x)]
-                   for x in positions
-                   if not (mask >> x) & 1 and mask | (1 << x) in table}
-        if factors:
-            rights.append((J, factors))
-    for I, left in lefts:
-        for J, right in rights:
-            terms = [product(value, right[i]) for i, value in left if i in right]
-            if terms and not zero_in(terms):
-                return _witness(phi, "GP3", I, J)
+        cocircuit = sum(1 << x for x in positions
+                        if not mask >> x & 1 and mask | (1 << x) in table)
+        if cocircuit and (cocircuit if weak else mask) not in rights:
+            rights[cocircuit if weak else mask] = (J, cocircuit, {
+                x: (negated if (mask & ((1 << x) - 1)).bit_count() % 2
+                    else table)[mask | (1 << x)]
+                for x in positions if cocircuit >> x & 1})
+    for I, circuit, left in lefts.values():
+        for J, cocircuit, right in rights.values():
+            if (circuit & cocircuit).bit_count() >= least:
+                terms = [product(value, right[i]) for i, value in left if i in right]
+                if not zero_in(terms):
+                    return _witness(phi, "GP3", I, J)
     return None
 
 
@@ -316,10 +336,14 @@ def check_gp_weak(phi: GPFunction) -> Optional[dict]:
 
 
 def check_gp_strong(phi: GPFunction) -> Optional[dict]:
-    """Basis exchange, then the full relation family over all (I, J).
-    Over a doubly distributive hyperfield a weak function is strong
-    (Baker-Bowler), so there the full scan only names the witness of a
-    function that is not weak; over triangle and phase it decides."""
+    """Basis exchange, then the least failing (I, J) of the full relation
+    family (`failing_relation`).  Over a doubly distributive hyperfield a
+    weak function is strong (Baker-Bowler), so there the full scan only
+    names the witness of a function that is not weak.  Over triangle and
+    phase it decides, and on a weak function it checks one (I, J) per
+    circuit/cocircuit pair meeting in 4 or more elements, since the
+    relation is their orthogonality sum up to a unit (Baker-Bowler); the
+    walk over every (I, J) is the test oracle in `tests/oracles.py`."""
     weak = check_gp_weak(phi)
     if weak is None and phi.hyperfield.doubly_distributive:
         return None

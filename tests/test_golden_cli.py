@@ -7,9 +7,10 @@ and rational functions with mixed denominators (passing, and with one
 value changed), the two weak-only entries scaled by a unit, sign and
 tropical functions of rank 3 and 4 with one value changed (one over a
 ground whose label order is not its position order), a support failing
-basis exchange past its first basis, a rank-1 function on 20 labels, and
-the built-in hyperfields, the exit code and the sha256 of stdout, plus
-the sha256 of every input file the commands read.  The inputs are
+basis exchange past its first basis, a rank-1 function on 20 labels,
+functions with parallel labels (the weak-only entries and a realizable
+phase function), and the built-in hyperfields, the exit code and the
+sha256 of stdout, plus the sha256 of every input file the commands read.  The inputs are
 written from the corpus into a temporary directory, and the commands run
 in process.  Regenerate the file (only when an output
 change is intended) with
@@ -35,6 +36,8 @@ from hypermatroid import (CORPUS, PHASE, SIGN, TRIANGLE, TROPICAL,
                           mul, serialize)
 from hypermatroid.cli import main
 from hypermatroid.corpus import gp_from_matrix
+
+from strategies import parallel_extension, phase_minors
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_cli.json")
@@ -170,6 +173,23 @@ def weak_check_inputs() -> dict:
     return files
 
 
+def parallel_inputs() -> dict:
+    """{file name: function} for functions in which many (I, J) share one
+    circuit and cocircuit: each weak-only entry with a label parallel to
+    one of its failing relation's I, times a unit, and the phase function
+    of a rank-3 complex matrix with a column parallel to another."""
+    files = {}
+    for name, label, new, unit in (
+            ("phase-weak-not-strong", "t", "p", PHASE.element(2.0)),
+            ("triangle-weak-not-strong", 4, 7, TRIANGLE.element(3.0))):
+        files[f"gp-{name}-parallel.json"] = parallel_extension(
+            CORPUS[name].build(), label, new, unit)
+    phi = phase_minors(PERTURBED_COLUMNS[3], [0.4 * k + 0.2 for k in range(7)])
+    files["gp-phase-r3-parallel.json"] = parallel_extension(
+        phi, 5, 8, PHASE.element(1.3))
+    return files
+
+
 def signature(entry):
     """A corpus entry's circuit signature: its own, or its function's."""
     obj = entry.build()
@@ -233,7 +253,7 @@ def write_inputs(directory: str) -> dict:
         files[f"gp-{name}-scaled.json"] = serialize(CORPUS[name].build().scale(unit))
     for i, hf in enumerate(HYPERFIELDS):
         files[f"exp-{i}.json"] = json.dumps({"hyperfield": hf, "samples": 10})
-    for name, phi in weak_check_inputs().items():
+    for name, phi in {**weak_check_inputs(), **parallel_inputs()}.items():
         files[name] = serialize(phi)
     for hf in LARGE_SWEEPS:
         files[f"exp-{hf}-7.json"] = json.dumps(
@@ -282,6 +302,8 @@ def commands() -> list:
         out += [["check-gp", "--weak", name], ["check-gp", "--both", name]]
         if "tropical" in name:
             out.append(["dressian", name])
+    for name in parallel_inputs():
+        out.append(["check-gp", "--both", name])
     return out
 
 

@@ -13,14 +13,17 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS,
                           InputError, InvalidDualPairError, check_gp_strong,
                           check_gp_weak, circuits_from_gp,
                           cocircuit_signature_from_circuits, corpus_entries,
-                          dual_pair_witness, eq, equivalent_gp, gf,
-                          gp_from_dual_pair, mul, random_weak_gp,
-                          relation_terms, sample_element, zero_in_sum)
+                          dual_circuits, dual_gp, dual_pair_witness, eq,
+                          equivalent_gp, gf, gp_from_dual_pair, mul,
+                          nonorthogonal_pair, random_weak_gp, relation_terms,
+                          sample_element, zero_in_sum)
 from hypermatroid.corpus import gp_from_matrix
-from hypermatroid.gp import failing_three_term
+from hypermatroid.gp import failing_relation, failing_three_term
 
 import oracles
-from strategies import ALL_KINDS, DOUBLY_DISTRIBUTIVE, units
+from strategies import (ALL_KINDS, DOUBLY_DISTRIBUTIVE, NOT_DOUBLY_DISTRIBUTIVE,
+                        phase_minors, reordered, units, weak_candidate,
+                        weak_functions)
 
 
 def rational_u24():
@@ -286,14 +289,6 @@ def verdicts(phi):
     return check_gp_weak(phi) is None, check_gp_strong(phi) is None
 
 
-def reordered(phi, labels):
-    """phi over the ground order `labels`, each value re-signed by the
-    parity of its reordering."""
-    ground = GroundSet(labels)
-    return GPFunction(phi.hyperfield, ground, phi.rank, {
-        ground.sort(key): phi.evaluate(ground.sort(key)) for key in phi.values})
-
-
 @st.composite
 def gp_variants(draw):
     """A function from gp_functions, its multiple by a unit, and the same
@@ -437,3 +432,86 @@ def test_exchange_on_grounds_above_the_matroid_cap(rank, size):
             assert got == want
         outcomes.add(want is None)
     assert outcomes == ({True} if rank == 1 else {True, False})
+
+
+# -- Strong on weak functions: one relation per circuit-cocircuit pair -------
+
+
+@settings(max_examples=100, deadline=None)
+@given(weak_functions())
+def test_strong_check_matches_the_walk_on_weak_functions(phi):
+    """Parallel labels and direct sums give many (I, J) the same circuit
+    and cocircuit, so the keyed scan must still name the least failing
+    pair of the full walk."""
+    assert check_gp_strong(phi) == oracles.gp_witness(phi, False)
+
+
+def test_weak_candidates_reach_weak_only_functions():
+    """Over each of the three hyperfields, which `random_weak_gp` alone
+    does not reach."""
+    found = set()
+    for seed in range(30):
+        phi = weak_candidate(random.Random(seed))
+        if check_gp_weak(phi) is None and check_gp_strong(phi) is not None:
+            found.add(phi.hyperfield)
+    assert found == set(NOT_DOUBLY_DISTRIBUTIVE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weak_functions())
+def test_failing_relations_are_the_nonorthogonal_pairs(phi):
+    """Baker-Bowler: a weak function is strong exactly when every circuit
+    is orthogonal to every cocircuit, and weakness already makes the
+    pairs meeting in at most 3 elements orthogonal."""
+    circuits = circuits_from_gp(phi)
+    pair = nonorthogonal_pair(circuits, dual_circuits(circuits), full=True)
+    witness = failing_relation(phi)
+    assert (witness is None) == (pair is None)
+    if pair is not None:
+        assert pair[0] >= 4
+        assert sum(not term.is_zero for term in witness["terms"]) >= 4
+
+
+def zero_in_calls(monkeypatch, phi):
+    """The payload lists that `check_gp_strong(phi)` hands to the family's
+    `zero_in`, after the weak check has run unwatched."""
+    assert check_gp_weak(phi) is None
+    calls = []
+    family = type(phi.hyperfield)
+    zero_in = family.zero_in
+
+    def counted(self, payloads):
+        calls.append(len(payloads))
+        return zero_in(self, payloads)
+
+    monkeypatch.setattr(family, "zero_in", counted)
+    assert check_gp_strong(phi) is None
+    return calls
+
+
+# rank 4 on ten labels, with a parallel pair (1 and 5) and a column in the
+# span of two others (6)
+COUNT_COLUMNS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                 (2, 0, 0, 0), (1, -1, 0, 0), (1, 1, 1, 1), (1, -1, 2, 0),
+                 (0, 1, -1, 3), (3, 0, 1, -2)]
+
+
+def test_strong_check_tests_each_wide_pair_once(monkeypatch):
+    phi = phase_minors(COUNT_COLUMNS, [0.3 * k + 0.1 for k in range(10)])
+    matroid = phi.underlying_matroid()
+    overlaps = sorted(len(C & D) for C in matroid.circuits
+                      for D in matroid.cocircuits() if len(C & D) >= 4)
+    assert len(phi.values) < 210 and overlaps
+    assert sorted(zero_in_calls(monkeypatch, phi)) == overlaps
+
+
+@pytest.mark.parametrize("corank", [False, True])
+def test_strong_check_tests_nothing_at_rank_or_corank_2(monkeypatch, corank):
+    """At rank 2 every circuit, and at corank 2 every cocircuit, has at
+    most three elements.  The 24 labels fall into four parallel classes."""
+    columns = [(1, x % 4) for x in range(24)]
+    phi = phase_minors(columns, [0.1 * x + 0.05 for x in range(24)])
+    if corank:
+        phi = dual_gp(phi)
+    assert len(phi.values) < 276
+    assert zero_in_calls(monkeypatch, phi) == []
