@@ -26,7 +26,6 @@ from .hyperfields import (  # noqa: F401
 
 from .errors import (  # noqa: F401
     ConsistencyError,
-    GPInconsistencyError,
     InputError,
     InvalidDualPairError,
     MismatchError,

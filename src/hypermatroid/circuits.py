@@ -22,10 +22,10 @@ from itertools import combinations, product
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .hyperfields import (HFElement, Hyperfield, elimination_member, inv, mul,
-                          neg, zero_in_sum)
+from .hyperfields import (Hyperfield, elimination_member, inv, mul, neg,
+                          zero_in_sum)
 from .matroids import ClassicalMatroid, modular_family
-from .sumsets import SumSet, fold
+from .sumsets import fold
 from .vectors import FVector, GroundSet, projectively_equal, scalar_mul, support
 
 
@@ -112,19 +112,14 @@ def check_C0_C2(sig: CircuitSignature) -> Optional[dict]:
 # -- elimination machinery ----------------------------------------------------
 
 
-def _nonzero_member(s: SumSet) -> Optional[HFElement]:
-    for payload in s.sample():
-        el = HFElement(s.hyperfield, payload)
-        if not el.is_zero:
-            return el
-    return None
-
-
 def eliminating_circuits(sig: CircuitSignature, terms: Sequence[FVector],
-                         zeros_at: Sequence) -> List[FVector]:
-    """All signature members Z (concretely scaled) with Z = 0 on `zeros_at`
-    and, at every coordinate f, 0 in neg(Z(f)) + (hypersum of the terms at
-    f) under the n-ary zero rule (see elimination_member).
+                         zeros_at: Sequence) -> Optional[FVector]:
+    """The first signature class Z, in signature order, some nonzero
+    multiple of which vanishes on `zeros_at` and has, at every coordinate
+    f, 0 in neg(Z(f)) + (hypersum of the terms at f) under the n-ary zero
+    rule (see elimination_member); None when no class does.  The callers
+    only ask whether an eliminating circuit exists (C3 and C3' in
+    Baker-Bowler), so the scaled multiple is not built.
 
     Where the n-ary zero rule is the iterated binary fold (the family's
     `nary_zero_is_fold`, every built-in but phase) that condition is
@@ -142,12 +137,11 @@ def eliminating_circuits(sig: CircuitSignature, terms: Sequence[FVector],
     union = frozenset().union(*(support(t) for t in terms))
     banned = frozenset(zeros_at)
     folds = sig.hyperfield.nary_zero_is_fold
-    found: List[FVector] = []
     for cand in sig.classes:
         supp = support(cand)
         if not supp or not supp <= union - banned:
             continue
-        alpha_set: Optional[SumSet] = None
+        alpha_set = None
         feasible = True
         for f in sig.ground:
             if f not in union:
@@ -164,15 +158,9 @@ def eliminating_circuits(sig: CircuitSignature, terms: Sequence[FVector],
             elif not zero_in_sum(values):
                 feasible = False
                 break
-        if not feasible:
-            continue
-        if alpha_set is None:
-            found.append(cand)
-        else:
-            alpha = _nonzero_member(alpha_set)
-            if alpha is not None:
-                found.append(scalar_mul(alpha, cand))
-    return found
+        if feasible:
+            return cand
+    return None
 
 
 def _scaled_partner(x: FVector, y: FVector, e) -> FVector:
@@ -213,7 +201,7 @@ def _failed_eliminations(sig: CircuitSignature, sizes: Iterable[int]
                         continue
                     partners = [_scaled_partner(x, sig.classes[i], e)
                                 for i, e in zip(combo, es)]
-                    if not eliminating_circuits(sig, [x] + partners, es):
+                    if eliminating_circuits(sig, [x] + partners, es) is None:
                         yield x, partners, list(es)
 
 

@@ -29,9 +29,12 @@ signature that is not weak, modular-family elimination (C3) for a
 weak-only one.  C3 on a pair is C3', and orthogonality has shown that
 every modular pair of a weak-only signature eliminates, so that scan
 starts at families of three circuits.  `check-circuits` reports weakness
-alone, so it runs only the first.  `gp` rejects a pair that is not a weak
-dual pair, and over triangle and phase checks the rebuilt function strong
-when the pair is a full one; `gp.nonorthogonal_pair` decides both.
+alone, so it runs only the first.  `gp` admits a weak dual pair by DP1,
+DP2 and DP3' (`gp.nonorthogonal_pair` decides DP3') and rebuilds its
+function without re-checking it: a weak dual pair determines one weak
+function up to a unit, and a full dual pair a strong one (Baker-Bowler).
+`circuits` admits a weak function and reads each circuit off one basis,
+since the circuits of a weak function do not depend on the basis used.
 `dressian` is the three-term sweep of `check-gp --weak` without the
 basis-exchange scan; it reports the number of three-term (I, J) pairs,
 four per relation though it decides each relation once, and the first
@@ -50,8 +53,7 @@ from typing import Optional
 from .axioms import check_hyperfield_axioms
 from .circuits import CircuitSignature, check_C0_C2
 from .corpus import corpus_entries, run_demo
-from .errors import (GPInconsistencyError, InputError, InvalidDualPairError,
-                     RatioInconsistencyError)
+from .errors import InputError, InvalidDualPairError, RatioInconsistencyError
 from .experiments import config_from_json, run_perfection_experiment
 from .gp import (GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp,
                  classify, elimination_witness, failing_three_term,
@@ -63,8 +65,7 @@ from .transforms import (contract_gp, delete_gp, dual_circuits, dual_gp,
                          minor_circuits, pushforward_circuits, pushforward_gp,
                          rational_padic, rational_sign, to_krasner)
 
-_PROPERTY_ERRORS = (GPInconsistencyError, InvalidDualPairError,
-                    RatioInconsistencyError)
+_PROPERTY_ERRORS = (InvalidDualPairError, RatioInconsistencyError)
 
 
 def _read_text(path: str) -> str:

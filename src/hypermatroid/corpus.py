@@ -18,8 +18,8 @@ from typing import Callable, List, Tuple
 from .circuits import CircuitSignature
 from .errors import InputError
 from .gp import GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp, classify
-from .hyperfields import (KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE, TROPICAL,
-                          gf, neg)
+from .hyperfields import (KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE, HFElement,
+                          Hyperfield, gf, neg)
 from .vectors import FVector, GroundSet, support
 from .transforms import (pushforward_gp, rational_padic, rational_sign,
                          to_krasner)
@@ -273,6 +273,15 @@ def get_entry(name: str) -> CorpusEntry:
     except KeyError:
         known = ", ".join(sorted(CORPUS))
         raise InputError(f"unknown demo {name!r} (known: {known})") from None
+
+
+def weak_only_function(hf: Hyperfield) -> GPFunction:
+    """The weak-only corpus function of hf's family (`weak_only_example`),
+    with its payloads over hf itself: the relations do not involve the
+    involution, so the phase entry is weak-only over phase[identity] too."""
+    phi = CORPUS[hf.weak_only_example].build()
+    return GPFunction(hf, phi.ground, phi.rank, {
+        key: HFElement(hf, value.value) for key, value in phi.values.items()})
 
 
 def _expectation(check: str, expected, got, detail=None) -> dict:

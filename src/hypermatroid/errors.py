@@ -9,10 +9,6 @@ class MismatchError(InputError):
     """Operands belong to different hyperfields or ground sets."""
 
 
-class GPInconsistencyError(ValueError):
-    """A Grassmann-Pluecker function produced contradictory derived data."""
-
-
 class InvalidDualPairError(ValueError):
     """Circuit/cocircuit input does not form a dual pair."""
 

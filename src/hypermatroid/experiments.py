@@ -6,8 +6,11 @@ small, values are drawn independently (signs, dyadic magnitudes, angles)
 and rejection-sampled on the weak check.  At larger sizes blind
 rejection is hopeless (the pass probability decays like 0.75 to the
 number of relations), so a random integer matrix seeds an exact
-realizable instance, which is then perturbed by single-value mutations
-that are kept only when the weak check still passes.  Over fields the
+realizable instance.  Its push-forward into the hyperfield is weak
+without a check, since pushing a realizable function forward along a
+hyperfield homomorphism gives a GP function (Baker-Bowler); it is then
+perturbed by single-value mutations that are kept only when the weak
+check still passes.  Over fields the
 matrix instance is used as drawn: a random assignment over a field is
 never weak-valid, and every weak-valid function there is realizable
 anyway.
@@ -20,10 +23,11 @@ of the theorem that `check_gp_strong` relies on there, so it runs the
 full relation scan (`failing_relation`) itself; the samples are
 weak-valid, so the basis-exchange scan would add nothing, and the scan
 checks one (I, J) per circuit/cocircuit pair meeting in 4 or more
-elements, the pairs weakness leaves open (Baker-Bowler).  Triangle and
-phase runs seed the sample list with the known weak-only corpus
-instances, so those runs
-always record at least one weak-only find.  Each sample also gets the
+elements, the pairs weakness leaves open (Baker-Bowler).  Triangle,
+phase and phase[identity] runs seed the sample list with the family's
+weak-only corpus function, its payloads over the swept hyperfield
+(`corpus.weak_only_function`), so those runs always record at least one
+weak-only find.  Each sample also gets the
 bounded-overlap orthogonality levels between derived circuits and
 cocircuits: level k passes when every pair meeting in at most k elements
 is orthogonal, read off the least overlap of a non-orthogonal pair.  That
@@ -41,7 +45,7 @@ from itertools import combinations
 from typing import Dict, List, Optional
 
 from .circuits import CircuitSignature
-from .corpus import CORPUS, _minor_det
+from .corpus import _minor_det, weak_only_function
 from .errors import InputError
 from .gp import (GPFunction, check_gp_weak, circuits_from_gp,
                  failing_relation, nonorthogonal_pair, three_term_pairs)
@@ -56,7 +60,9 @@ _REJECTION_TRIES = 20000
 def _matrix_seeded(hf: Hyperfield, rng: random.Random, rank: int,
                    labels: tuple) -> Optional[GPFunction]:
     """An exact realizable instance from a random integer matrix, pushed
-    into the hyperfield; None when the push-forward loses full rank."""
+    into the hyperfield; None when every r-minor vanishes there.  The
+    push-forward of a realizable function along a hyperfield homomorphism
+    is a GP function (Baker-Bowler), so it is weak without a check."""
     m = len(labels)
     columns = [tuple(Fraction(rng.randint(-4, 4)) for _ in range(rank))
                for _ in range(m)]
@@ -69,10 +75,7 @@ def _matrix_seeded(hf: Hyperfield, rng: random.Random, rank: int,
             values[tuple(labels[i] for i in picks)] = el
     if not values:
         return None
-    phi = GPFunction(hf, ground, rank, values)
-    if check_gp_weak(phi) is not None:
-        return None
-    return phi
+    return GPFunction(hf, ground, rank, values)
 
 
 def _mutate(phi: GPFunction, rng: random.Random, rounds: int) -> GPFunction:
@@ -165,14 +168,6 @@ def config_from_json(raw, where: str = "config") -> ExperimentConfig:
     return ExperimentConfig(hf, **ints)
 
 
-def _seed_instances(hf: Hyperfield) -> List[GPFunction]:
-    """Known weak-only corpus instances leading the sample list."""
-    if hf.weak_only_example is None:
-        return []
-    instance = CORPUS[hf.weak_only_example].build()
-    return [instance] if instance.hyperfield is hf else []
-
-
 def _random_candidate(hf: Hyperfield, ground: GroundSet,
                       rng: random.Random) -> FVector:
     entries = {}
@@ -189,7 +184,8 @@ def run_perfection_experiment(cfg: ExperimentConfig) -> dict:
     rng = random.Random(cfg.seed)
     hf = cfg.hyperfield
     strict = hf.doubly_distributive
-    instances = _seed_instances(hf)
+    # the known weak-only function over hf leads the sample list
+    instances = [] if hf.weak_only_example is None else [weak_only_function(hf)]
     while len(instances) < cfg.samples:
         instances.append(random_weak_gp(hf, rng, cfg.max_rank, cfg.max_ground))
     instances = instances[:cfg.samples]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from .errors import MismatchError
-from .hyperfields import HFElement, Hyperfield, eq, inv, invol, mul, neg, zero_in_sum
+from .hyperfields import HFElement, Hyperfield, eq, inv, invol, mul, zero_in_sum
 
 
 class GroundSet:

@@ -9,17 +9,20 @@ enumeration: every (I, J) pair in order, each decided on its full term
 list, zeros included.  `classify_by_elimination` decides strength by the
 package's two elimination criteria instead of orthogonality, and
 `full_orthogonality_verdict` by the package's `orthogonal` on every
-circuit/cocircuit pair over every hyperfield.
+circuit/cocircuit pair over every hyperfield.  `circuit_by_every_basis`
+computes a circuit vector of a GP function against every basis that can
+carry it, where `circuits_from_gp` uses the first.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from hypermatroid import (Classification, RatioInconsistencyError,
+from hypermatroid import (Classification, FVector, RatioInconsistencyError,
                           check_C0_C2, check_C3_doubleprime,
                           check_strong_elimination, check_weak_elimination,
-                          cocircuit_signature_from_circuits, orthogonal,
-                          relation_terms, validate_circuits, zero_in_sum)
+                          cocircuit_signature_from_circuits, inv, mul,
+                          orthogonal, relation_terms, signed,
+                          validate_circuits, zero_in_sum)
 
 
 def det(rows):
@@ -232,6 +235,22 @@ def gp_witness(phi, three_term_only):
     """The verdict of check_gp_weak (three_term_only) or check_gp_strong
     by the direct scans: basis exchange, then every relation."""
     return exchange_witness(phi) or relation_witness(phi, three_term_only)
+
+
+def circuit_by_every_basis(phi, circuit):
+    """The vector of a circuit of phi's support anchored at 1 on its least
+    element x0, once per basis B containing C - x0:
+    X(x_i) = (-1)^i phi(x0, B - x_i) / phi(B) for the i-th x_i of B in C."""
+    x0 = min(circuit, key=phi.ground.index)
+    hf = phi.hyperfield
+    for basis in phi.underlying_matroid().bases_containing(circuit - {x0}):
+        denom = inv(phi.value(basis))
+        entries = {x0: hf.one()}
+        for i, xi in enumerate(basis, start=1):
+            if xi in circuit:
+                rest = tuple(b for b in basis if b != xi)
+                entries[xi] = signed(mul(phi.evaluate((x0,) + rest), denom), i)
+        yield FVector(hf, phi.ground, entries)
 
 
 def classify_by_elimination(sig):

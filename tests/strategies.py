@@ -8,10 +8,10 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
-                          TRIANGLE, TROPICAL, GPFunction, GroundSet, HFElement,
-                          gf, mul, random_weak_gp, sample_element)
-from hypermatroid.corpus import gp_from_matrix
+from hypermatroid import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
+                          TRIANGLE, TROPICAL, GPFunction, GroundSet, gf, mul,
+                          random_weak_gp, sample_element)
+from hypermatroid.corpus import gp_from_matrix, weak_only_function
 
 import oracles
 
@@ -82,15 +82,6 @@ def phase_minors(columns, angles):
         for key, value in rational.values.items()})
 
 
-def weak_only_entry(hf):
-    """The weak-only corpus function of hf's family, with its payloads
-    over hf itself: the relations do not involve the involution, so the
-    phase entry is weak-only over phase[identity] too."""
-    phi = CORPUS[hf.weak_only_example].build()
-    return GPFunction(hf, phi.ground, phi.rank, {
-        key: HFElement(hf, value.value) for key, value in phi.values.items()})
-
-
 def random_unit(hf, rng):
     """A triangle modulus in [1e-3, 1e3] or a phase angle, as in `units`."""
     if hf.kind == "triangle":
@@ -113,7 +104,7 @@ def weak_candidate(rng):
     ground."""
     hf = rng.choice(NOT_DOUBLY_DISTRIBUTIVE)
     if rng.random() < 0.75:
-        phi = weak_only_entry(hf)
+        phi = weak_only_function(hf)
     else:
         phi = random_weak_gp(hf, rng, max_rank=3, max_ground=6)
     step = rng.choice(["parallel", "sum", "both"])

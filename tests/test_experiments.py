@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from hypermatroid import (KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE, TROPICAL,
-                          ExperimentConfig, InputError, check_gp_weak,
-                          config_from_json, gf, random_weak_gp,
+from hypermatroid import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
+                          TRIANGLE, TROPICAL, ExperimentConfig, InputError,
+                          check_gp_weak, config_from_json, gf, random_weak_gp,
                           run_perfection_experiment)
 from hypermatroid import experiments
+
+from strategies import ALL_KINDS
 
 
 def test_sampler_output_is_weak_valid():
@@ -82,3 +84,23 @@ def test_sweep_bounded_orthogonality_level_three_always_passes():
             ExperimentConfig(hf, samples=n, seed=4))
         level3 = report["bounded_orthogonality"]["3"]
         assert level3["passed"] == level3["of"], str(hf)
+
+
+@pytest.mark.parametrize("hf", [TRIANGLE, PHASE, PHASE_PLAIN], ids=str)
+def test_sweep_records_weak_only_over_every_weak_only_family(hf):
+    """The family's weak-only function leads the samples over hf itself,
+    phase[identity] included."""
+    report = run_perfection_experiment(ExperimentConfig(hf, samples=10, seed=0))
+    assert report["weak_only"] and report["weak_only"][0]["sample"] == 0
+
+
+@pytest.mark.parametrize("hf", ALL_KINDS + [gf(2)], ids=str)
+def test_matrix_seeded_functions_are_weak(hf):
+    """A realizable function pushed forward along a hyperfield
+    homomorphism is a GP function, so the sampler keeps it unchecked."""
+    rng = random.Random(41)
+    for _ in range(30):
+        rank = rng.randint(1, 4)
+        labels = tuple(range(1, rng.randint(rank + 1, 9) + 1))
+        phi = experiments._matrix_seeded(hf, rng, rank, labels)
+        assert phi is None or check_gp_weak(phi) is None

@@ -16,9 +16,11 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS,
                           dual_circuits, dual_gp, dual_pair_witness, eq,
                           equivalent_gp, gf, gp_from_dual_pair, mul,
                           nonorthogonal_pair, random_weak_gp, relation_terms,
-                          sample_element, zero_in_sum)
+                          sample_element, support, zero_in_sum)
+import hypermatroid.gp
 from hypermatroid.corpus import gp_from_matrix
 from hypermatroid.gp import failing_relation, failing_three_term
+from hypermatroid.vectors import vectors_equal
 
 import oracles
 from strategies import (ALL_KINDS, DOUBLY_DISTRIBUTIVE, NOT_DOUBLY_DISTRIBUTIVE,
@@ -515,3 +517,56 @@ def test_strong_check_tests_nothing_at_rank_or_corank_2(monkeypatch, corank):
         phi = dual_gp(phi)
     assert len(phi.values) < 276
     assert zero_in_calls(monkeypatch, phi) == []
+
+
+# -- data derived from a weak function, re-checked ---------------------------
+
+
+def assert_derived_data_agrees(phi):
+    """Baker-Bowler, on what `circuits_from_gp` and `gp_from_dual_pair`
+    derive without checking: every basis containing C - x0 gives the same
+    circuit vector, and the dual pair of the circuits rebuilds phi up to
+    a unit, weak, and strong exactly when phi is."""
+    circuits = circuits_from_gp(phi)
+    for vector in circuits.classes:
+        for again in oracles.circuit_by_every_basis(phi, support(vector)):
+            assert vectors_equal(again, vector)
+    rebuilt = gp_from_dual_pair(circuits,
+                                cocircuit_signature_from_circuits(circuits))
+    assert equivalent_gp(rebuilt, phi)
+    assert check_gp_weak(rebuilt) is None
+    if not phi.hyperfield.doubly_distributive:
+        assert (check_gp_strong(rebuilt) is None) == \
+            (check_gp_strong(phi) is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weak_functions())
+def test_derived_data_agrees_on_weak_functions(phi):
+    assert_derived_data_agrees(phi)
+
+
+@pytest.mark.parametrize("hf", ALL_KINDS + [gf(5)], ids=str)
+def test_derived_data_agrees_on_sampled_functions(hf):
+    rng = random.Random(23)
+    for _ in range(12):
+        assert_derived_data_agrees(
+            random_weak_gp(hf, rng, max_rank=4, max_ground=7))
+
+
+@pytest.mark.parametrize("name", ["sign-k4", "rational-k4",
+                                  "triangle-weak-not-strong",
+                                  "phase-weak-not-strong", "phase-u24-real"])
+def test_gp_from_dual_pair_checks_no_relation(monkeypatch, name):
+    """The admission of a weak dual pair decides; the rebuilt function is
+    not re-checked, on a full pair over phase either."""
+    circuits = circuits_from_gp(CORPUS[name].build())
+    cocircuits = cocircuit_signature_from_circuits(circuits)
+
+    def forbidden(phi):
+        raise AssertionError("gp_from_dual_pair re-checked its output")
+
+    for checker in ("check_gp_weak", "check_gp_strong", "failing_relation"):
+        monkeypatch.setattr(hypermatroid.gp, checker, forbidden)
+    assert equivalent_gp(gp_from_dual_pair(circuits, cocircuits),
+                         CORPUS[name].build())
