@@ -9,8 +9,10 @@ tropical functions of rank 3 and 4 with one value changed (one over a
 ground whose label order is not its position order), a support failing
 basis exchange past its first basis, a rank-1 function on 20 labels,
 functions with parallel labels (the weak-only entries and a realizable
-phase function), and the built-in hyperfields, the exit code and the
-sha256 of stdout, plus the sha256 of every input file the commands read.  The inputs are
+phase function), a realizable rank-4 function per built-in hyperfield
+with its signature, dual pair, minors, push-forwards and two
+signatures with one entry changed, and the built-in hyperfields, the
+exit code and the sha256 of stdout, plus the sha256 of every input file the commands read.  The inputs are
 written from the corpus into a temporary directory, and the commands run
 in process.  Regenerate the file (only when an output
 change is intended) with
@@ -23,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -36,6 +39,7 @@ from hypermatroid import (CORPUS, PHASE, SIGN, TRIANGLE, TROPICAL,
                           mul, serialize)
 from hypermatroid.cli import main
 from hypermatroid.corpus import gp_from_matrix
+from hypermatroid.serialization import hyperfield_from_id
 
 from strategies import parallel_extension, phase_minors
 
@@ -253,8 +257,9 @@ def write_inputs(directory: str) -> dict:
         files[f"gp-{name}-scaled.json"] = serialize(CORPUS[name].build().scale(unit))
     for i, hf in enumerate(HYPERFIELDS):
         files[f"exp-{i}.json"] = json.dumps({"hyperfield": hf, "samples": 10})
-    for name, phi in {**weak_check_inputs(), **parallel_inputs()}.items():
-        files[name] = serialize(phi)
+    for name, obj in {**weak_check_inputs(), **parallel_inputs(),
+                      **rank4_inputs()}.items():
+        files[name] = serialize(obj)
     for hf in LARGE_SWEEPS:
         files[f"exp-{hf}-7.json"] = json.dumps(
             {"hyperfield": hf, "samples": 10, "max_ground": 7})
@@ -262,6 +267,91 @@ def write_inputs(directory: str) -> dict:
         with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
             handle.write(text)
     return {name: _sha(text) for name, text in sorted(files.items())}
+
+
+# A realizable rank-4 function on eight labels, pushed into each
+# hyperfield of HYPERFIELDS: the sign, 3-adic absolute value, modulus or
+# residue of each minor, and over phase the phases of the complex matrix
+# whose column k is this one times e^(i RANK4_ANGLES[k]).
+RANK4_COLUMNS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                 (2, 0, 0, 2), (-2, 1, -1, -2), (-1, -2, 0, 1), (-1, 1, 2, -2)]
+RANK4_ANGLES = [0.4 * k + 0.2 for k in range(8)]
+# A unit other than 1 per hyperfield (Krasner has none), and two
+# one-entry changes of the rank-4 signature, (class index, label): the
+# first makes the cocircuit derivation inconsistent, the second leaves it
+# consistent with a circuit and a cocircuit meeting in 2 or 3 elements
+# that are not orthogonal (DP3').
+RANK4_UNITS = {"sign": -1, "tropical": 3, "triangle": 2.0, "phase": 1.0,
+               "phase[identity]": 1.0, "rational": 2, "gf(3)": 2}
+RANK4_CHANGES = {"ratio": (0, 1), "dp3": (2, 2)}
+
+
+def slug(hf_id: str) -> str:
+    return re.sub(r"[^a-z0-9]+", "", hf_id)
+
+
+def rank4(hf_id: str) -> GPFunction:
+    hf = hyperfield_from_id(hf_id)
+    if hf.kind == "phase":
+        phi = phase_minors(RANK4_COLUMNS, RANK4_ANGLES)
+        return GPFunction(hf, phi.ground, 4, {
+            key: hf.element(value.value) for key, value in phi.values.items()})
+    rational = gp_from_matrix(tuple(range(1, 9)), [
+        tuple(map(Fraction, col)) for col in RANK4_COLUMNS])
+    image = three_adic if hf is TROPICAL else None
+    values = {key: hf.element(image(value.value)) if image
+              else hf.from_rational(value.value)
+              for key, value in rational.values.items()}
+    return GPFunction(hf, rational.ground, 4,
+                      {key: v for key, v in values.items() if not v.is_zero})
+
+
+def rank4_changed(hf_id: str, change: str) -> CircuitSignature:
+    sig = circuits_from_gp(rank4(hf_id))
+    index, label = RANK4_CHANGES[change]
+    hf, x = sig.hyperfield, sig.classes[index]
+    changed = FVector(hf, sig.ground, {
+        **x.entries, label: mul(hf.element(RANK4_UNITS[hf_id]), x.entries[label])})
+    return CircuitSignature(hf, sig.ground, sig.classes[:index] + (changed,)
+                            + sig.classes[index + 1:])
+
+
+def rank4_inputs() -> dict:
+    """{file name: object} for the rank-4 functions, their signatures and
+    dual pairs, and the changed signatures."""
+    files = {}
+    for hf_id in HYPERFIELDS:
+        name, phi = slug(hf_id), rank4(hf_id)
+        sig = circuits_from_gp(phi)
+        files[f"gp-r4-{name}.json"] = phi
+        files[f"sig-r4-{name}.json"] = sig
+        files[f"pair-r4-{name}.json"] = dual_pair(sig)
+        if hf_id in RANK4_UNITS:
+            for change in RANK4_CHANGES:
+                files[f"sig-r4-{name}-{change}.json"] = rank4_changed(hf_id, change)
+    return files
+
+
+MINORS = (["--delete", "2"], ["--contract", "5"],
+          ["--delete", "2", "--contract", "5"])
+
+
+def rank4_commands() -> list:
+    out = []
+    for hf_id in HYPERFIELDS:
+        name = slug(hf_id)
+        sigs = [f"sig-r4-{name}.json"]
+        if hf_id in RANK4_UNITS:
+            sigs += [f"sig-r4-{name}-{change}.json" for change in RANK4_CHANGES]
+        for sig in sigs:
+            out += [["classify", sig], ["check-circuits", sig], ["dual", sig]]
+        out.append(["gp", f"pair-r4-{name}.json"])
+        for file in (f"gp-r4-{name}.json", f"sig-r4-{name}.json"):
+            out += [["minor"] + args + [file] for args in MINORS]
+        out.append(["pushforward", "--hom", "krasner", f"sig-r4-{name}.json"])
+    out += [["pushforward", "--hom", hom, "sig-r4-rational.json"]
+            for hom in ("sign", "padic:3")]
+    return out
 
 
 def commands() -> list:
@@ -304,7 +394,7 @@ def commands() -> list:
             out.append(["dressian", name])
     for name in parallel_inputs():
         out.append(["check-gp", "--both", name])
-    return out
+    return out + rank4_commands()
 
 
 def run(directory: str, argv: list) -> dict:
