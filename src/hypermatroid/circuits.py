@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from .errors import InputError
 from .hyperfields import (Hyperfield, elimination_member, inv, mul, neg,
                           zero_in_sum)
-from .matroids import ClassicalMatroid, modular_family
+from .matroids import ClassicalMatroid, _mask, modular_family
 from .sumsets import fold
 from .vectors import FVector, GroundSet, projectively_equal, scalar_mul, support
 
@@ -37,15 +37,15 @@ class CircuitSignature:
         self.hyperfield = hyperfield
         self.ground = ground
         kept: List[FVector] = []
-        # kept vectors by support: only vectors with equal supports can be
-        # projectively equal
-        by_support: Dict[frozenset, List[FVector]] = {}
+        # kept vectors by support mask: only vectors with equal supports
+        # can be projectively equal
+        by_support: Dict[int, List[FVector]] = {}
         for v in vectors:
             if v.hyperfield is not hyperfield:
                 raise InputError("vector over the wrong hyperfield")
             if v.ground != ground:
                 raise InputError("vector over the wrong ground set")
-            same = by_support.setdefault(support(v), [])
+            same = by_support.setdefault(_mask(ground, v.entries), [])
             if dedup and any(projectively_equal(v, u) for u in same):
                 continue
             kept.append(v)
@@ -66,8 +66,8 @@ class CircuitSignature:
     def class_with_support(self, supp: frozenset) -> FVector:
         """The first class whose support is `supp`."""
         try:
-            return self._first_with_support[frozenset(supp)]
-        except KeyError:
+            return self._first_with_support[_mask(self.ground, supp)]
+        except (KeyError, InputError):
             raise InputError(f"no representative with support {sorted(supp)}") from None
 
     def __repr__(self) -> str:

@@ -27,13 +27,14 @@ elements, the pairs weakness leaves open (Baker-Bowler).  Triangle,
 phase and phase[identity] runs seed the sample list with the family's
 weak-only corpus function, its payloads over the swept hyperfield
 (`corpus.weak_only_function`), so those runs always record at least one
-weak-only find.  Each sample also gets the
-bounded-overlap orthogonality levels between derived circuits and
-cocircuits: level k passes when every pair meeting in at most k elements
-is orthogonal, read off the least overlap of a non-orthogonal pair.  That
-scan is the full one over every hyperfield, for the same reason as the
-relation scan.  Random vector/covector pairs are tested for
-orthogonality on strong instances.
+weak-only find.  Each sample's circuits and derived cocircuits are
+packed once (`gp._pack`) and go through the pair loop of
+`gp.nonorthogonal_pair`.  It gives the bounded-overlap orthogonality
+levels: level k passes when every pair meeting in at most k elements is
+orthogonal, read off the least overlap of a non-orthogonal pair (the
+full scan over every hyperfield, for the same reason as the relation
+scan).  On strong samples it also filters random candidates to vectors
+and covectors and tests every vector/covector pair for orthogonality.
 """
 
 from __future__ import annotations
@@ -47,12 +48,11 @@ from typing import Dict, List, Optional
 from .circuits import CircuitSignature
 from .corpus import _minor_det, weak_only_function
 from .errors import InputError
-from .gp import (GPFunction, check_gp_weak, circuits_from_gp,
-                 failing_relation, nonorthogonal_pair, three_term_pairs)
+from .gp import (GPFunction, _first_nonorthogonal, _pack, check_gp_weak,
+                 circuits_from_gp, failing_relation, three_term_pairs)
 from .hyperfields import Hyperfield, sample_element
 from .transforms import dual_circuits
-from .vectors import (FVector, GroundSet, is_covector_of, is_vector_of,
-                      orthogonal)
+from .vectors import FVector, GroundSet
 
 _REJECTION_TRIES = 20000
 
@@ -170,11 +170,8 @@ def config_from_json(raw, where: str = "config") -> ExperimentConfig:
 
 def _random_candidate(hf: Hyperfield, ground: GroundSet,
                       rng: random.Random) -> FVector:
-    entries = {}
-    for label in ground:
-        if rng.random() < 0.5:
-            entries[label] = sample_element(hf, rng, nonzero=True)
-    return FVector(hf, ground, entries)
+    return FVector(hf, ground, {label: sample_element(hf, rng, nonzero=True)
+                                for label in ground if rng.random() < 0.5})
 
 
 def run_perfection_experiment(cfg: ExperimentConfig) -> dict:
@@ -205,26 +202,26 @@ def run_perfection_experiment(cfg: ExperimentConfig) -> dict:
         else:
             weak_only.append({"sample": index, "gp": phi, "witness": witness})
         circuits = circuits_from_gp(phi)
-        cocircuits = dual_circuits(circuits)
-        pair = nonorthogonal_pair(circuits, cocircuits, full=True)
-        m = len(phi.ground)
-        for k in range(3, m + 1):
+        xs = _pack(circuits.classes)
+        ys = _pack(dual_circuits(circuits).classes, dual=True)
+        pair = _first_nonorthogonal(xs, ys, hf, full=True)
+        for k in range(3, len(phi.ground) + 1):
             hierarchy_total[k] = hierarchy_total.get(k, 0) + 1
             if pair is None or pair[0] > k:
                 hierarchy[k] = hierarchy.get(k, 0) + 1
         if is_strong:
             candidates = [_random_candidate(hf, phi.ground, rng)
                           for _ in range(12)]
-            vectors = [v for v in list(circuits.classes) + candidates
-                       if not v.is_zero and is_vector_of(v, cocircuits.classes)]
-            covectors = [w for w in list(cocircuits.classes) + candidates
-                         if not w.is_zero and is_covector_of(w, circuits.classes)]
+            vectors = [v for v in xs + _pack(candidates) if v[1] and
+                       _first_nonorthogonal([v], ys, hf, full=True) is None]
+            covectors = [w for w in ys + _pack(candidates, dual=True) if w[1]
+                         and _first_nonorthogonal(xs, [w], hf, full=True) is None]
             for v in vectors:
                 for w in covectors:
                     pairs_checked += 1
-                    if not orthogonal(v, w):
+                    if _first_nonorthogonal([v], [w], hf, full=True):
                         orthogonality_failures.append(
-                            {"sample": index, "vector": v, "covector": w})
+                            {"sample": index, "vector": v[0], "covector": w[0]})
 
     report = {
         "hyperfield": str(hf),

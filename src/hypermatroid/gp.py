@@ -10,30 +10,35 @@ the circuits decides it.
 
 Which criterion decides Strong depends on the hyperfield.  Over a doubly
 distributive one (Krasner, sign, tropical, the rationals, GF(p)) weak and
-strong matroids coincide (Baker-Bowler), so Strong is decided by the
-weak criterion: the three-term relations for a function, orthogonality
-of the circuit/cocircuit pairs meeting in at most 3 elements for a
-signature.  Over triangle and phase Strong needs the full criterion:
-every circuit orthogonal to every cocircuit.  For a weak function the
-(I, J) relation is, up to a unit, the orthogonality sum of the circuit
-inside I and the cocircuit off cl(J) (Baker-Bowler), and the pairs
-meeting in at most 3 elements are orthogonal already, so the full check
-tests one (I, J) per circuit/cocircuit pair meeting in 4 or more.  The
-full relation scan still runs over every hyperfield to name the witness
-of a failure.  One scan, `nonorthogonal_pair`, answers every
-circuit/cocircuit orthogonality question.
+strong matroids coincide (Baker-Bowler), so Strong is decided by the weak
+criterion: the three-term relations for a function, orthogonality of the
+circuit/cocircuit pairs meeting in at most 3 elements for a signature.
+Over triangle and phase every circuit must be orthogonal to every
+cocircuit.  For a weak function the (I, J) relation is, up to a unit, the
+orthogonality sum of the circuit inside I and the cocircuit off cl(J)
+(Baker-Bowler), so the full relation check tests one (I, J) per pair
+meeting in 4 or more; it still runs everywhere to name a failure.
 
 The relation checkers run on raw payloads keyed by int masks of ground
 positions and build elements only for a witness (`relation_terms`).  The
 weak check takes the paper's form: each three-term Pluecker relation once
 (`failing_three_term`), and basis exchange by ANDs of per-element bitsets
-over the bases.  The full check (`failing_relation`) keys each I by its
-circuit and each J by its cocircuit and decides each pair of keys once;
-the walk over every (I, J) is the test oracle in `tests/oracles.py`.
+over the bases.  The full check
+(`failing_relation`) keys each I by its circuit and each J by its
+cocircuit and decides each pair of keys once; the walk over every (I, J)
+is the test oracle in `tests/oracles.py`.
+
+One loop, `nonorthogonal_pair`, answers every circuit/cocircuit
+orthogonality question on support masks and payloads: each class is
+packed once (`_pack`), an overlap is a popcount, and the products x(e)
+invol(y(e)) go to the family's `zero_in`.  The cocircuit derivation and
+the dual-pair walk take bases and fundamental circuits as masks.
+`vectors.orthogonal` is the element-level API and test oracle.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -48,8 +53,8 @@ from .errors import (ConsistencyError, InputError, InvalidDualPairError,
                      RatioInconsistencyError)
 from .hyperfields import (HFElement, Hyperfield, eq, inv, invol, mul, neg,
                           signed)
-from .matroids import ClassicalMatroid, _mask, validate_circuits
-from .vectors import FVector, GroundSet, orthogonal, support
+from .matroids import ClassicalMatroid, _labels, _mask, validate_circuits
+from .vectors import FVector, GroundSet
 
 
 def _perm_parity(values: Sequence[int]) -> int:
@@ -209,17 +214,19 @@ def _witness(phi: GPFunction, axiom: str, I: tuple, J: tuple) -> dict:
     return {"axiom": axiom, "I": I, "J": J, "terms": relation_terms(phi, I, J)}
 
 
-def _payloads(phi: GPFunction) -> dict:
-    """{position mask: payload} of the stored values; `Fraction` payloads
-    become integers over their common denominator, which keeps products
-    and their maxima, ties and zero sums exact."""
-    table = {_mask(phi.ground, key): value.value
-             for key, value in phi.values.items()}
-    if isinstance(next(iter(table.values())), Fraction):
+def _integral(table: dict) -> dict:
+    """`table` with `Fraction` payloads made integers over their common
+    denominator: a positive scaling, which keeps products and their
+    maxima, ties and zero sums exact."""
+    if table and isinstance(next(iter(table.values())), Fraction):
         scale = lcm(*(q.denominator for q in table.values()))
-        table = {m: q.numerator * (scale // q.denominator)
-                 for m, q in table.items()}
+        return {k: q.numerator * (scale // q.denominator) for k, q in table.items()}
     return table
+
+
+def _payloads(phi: GPFunction) -> dict:
+    """{position mask: payload} of the stored values, made integral."""
+    return _integral({_mask(phi.ground, k): v.value for k, v in phi.values.items()})
 
 
 def _failing_class(S: tuple, rest: list, pair: list, hf: Hyperfield) -> Optional[tuple]:
@@ -279,17 +286,16 @@ def failing_relation(phi: GPFunction) -> Optional[dict]:
 
     Dropping zero terms never changes "0 in the sum" (0 is the additive
     identity; an all-zero sum contains 0), so only the nonzero products
-    phi(I - i) phi(i, J) are formed, on payloads, with the sign (-1)^k on
-    the left factor and the parity sign on the right.  They sit on the
-    circuit mask of I (the i with I - i a basis, the circuit inside I)
-    and the cocircuit mask of J (the x with J + x a basis, the cocircuit
-    off cl(J)).  For a weak function the relation is, up to a unit, the
-    orthogonality sum of that circuit and cocircuit (Baker-Bowler), so
-    it depends on the two masks alone, and it holds when they meet in at
-    most 3 positions.  So each mask keeps its first I or J, and only mask
-    pairs meeting in 4 or more are checked: the first failure in that
-    order is the least failing (I, J).  For a function that is not weak
-    each I and J is its own key and every pair that meets is checked.
+    phi(I - i) phi(i, J) are formed, on payloads, signed (-1)^k on the
+    left and by parity on the right.  They sit on the circuit mask of I
+    (the i with I - i a basis) and the cocircuit mask of J (the x with
+    J + x a basis), whose orthogonality sum the relation is, up to a
+    unit, for a weak function (Baker-Bowler); weakness makes it hold when
+    they meet in at most 3 positions.  So each mask keeps its first I or
+    J, and only mask pairs meeting in 4 or more are checked: the first
+    failure in that order is the least failing (I, J).  For a function
+    that is not weak each I and J is its own key and every pair that
+    meets is checked.
     The exhaustive walk is the test oracle `oracles.relation_witness`.
     """
     hf = phi.hyperfield
@@ -337,13 +343,10 @@ def check_gp_weak(phi: GPFunction) -> Optional[dict]:
 
 def check_gp_strong(phi: GPFunction) -> Optional[dict]:
     """Basis exchange, then the least failing (I, J) of the full relation
-    family (`failing_relation`).  Over a doubly distributive hyperfield a
-    weak function is strong (Baker-Bowler), so there the full scan only
-    names the witness of a function that is not weak.  Over triangle and
-    phase it decides, and on a weak function it checks one (I, J) per
-    circuit/cocircuit pair meeting in 4 or more elements, since the
-    relation is their orthogonality sum up to a unit (Baker-Bowler); the
-    walk over every (I, J) is the test oracle in `tests/oracles.py`."""
+    family (`failing_relation`), which decides over triangle and phase.
+    Over a doubly distributive hyperfield a weak function is strong
+    (Baker-Bowler), so there it only names the witness of one that is
+    not weak."""
     weak = check_gp_weak(phi)
     if weak is None and phi.hyperfield.doubly_distributive:
         return None
@@ -385,7 +388,55 @@ def circuits_from_gp(phi: GPFunction) -> CircuitSignature:
     return CircuitSignature(hf, phi.ground, vectors)
 
 
-# -- cocircuits from circuits -------------------------------------------------
+# -- orthogonality and cocircuits, on support masks and payloads -------------
+
+
+def _positions(mask: int) -> list:
+    """The ground positions of a mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _pack(vectors: Iterable[FVector], dual: bool = False) -> list:
+    """(vector, support mask, {position: payload} in ground order) per
+    vector, each entry through the involution on the cocircuit side
+    (`dual`).  Payloads are made integral per vector, which scales every
+    term of its pairs by one positive unit and so changes no verdict."""
+    packs = []
+    for v in vectors:
+        pos = v.ground.index
+        payloads = _integral({pos(label): (invol(v.entries[label]) if dual
+                                           else v.entries[label]).value
+                              for label in sorted(v.entries, key=pos)})
+        packs.append((v, sum(1 << i for i in payloads), payloads))
+    return packs
+
+
+def _first_nonorthogonal(xs: list, ys: list, hf: Hyperfield,
+                         full: bool) -> Optional[tuple]:
+    """`nonorthogonal_pair` on packs; disjoint pairs are skipped at once."""
+    product, zero_in = hf.product, hf.zero_in
+    best = None
+    for x, mx, px in xs:
+        for y, my, py in ys:
+            overlap = (mx & my).bit_count()
+            if not overlap or overlap > 3 and not (
+                    full and (best is None or overlap < best[0])):
+                continue
+            if not zero_in([product(a, py[i]) for i, a in px.items() if i in py]):
+                if overlap <= 3:
+                    return overlap, x, y
+                best = overlap, x, y
+    return best
+
+
+def nonorthogonal_pair(C: CircuitSignature, D: CircuitSignature,
+                       full: bool) -> Optional[tuple]:
+    """(overlap, X, Y) for the first X in C and Y in D, in C x D order, that
+    meet in at most 3 elements and are not orthogonal; failing that, with
+    `full` set, for the first non-orthogonal pair of least overlap; else
+    None.  A pair whose overlap cannot lower the least found is skipped."""
+    return _first_nonorthogonal(_pack(C.classes), _pack(D.classes, dual=True),
+                                C.hyperfield, full)
 
 
 def cocircuit_signature_from_circuits(sig: CircuitSignature) -> CircuitSignature:
@@ -403,34 +454,28 @@ def cocircuit_signature_from_circuits(sig: CircuitSignature) -> CircuitSignature
     entry, so the ratios are built under the involution; with the identity
     involution this changes nothing.
     """
-    hf = sig.hyperfield
-    matroid = sig.underlying_matroid()
-    pos = sig.ground.index
-    full = frozenset(sig.ground.labels)
+    hf, labels = sig.hyperfield, sig.ground.labels
+    matroid, classes = sig.underlying_matroid(), sig._first_with_support
     vectors = []
-    for cocircuit in sorted(matroid.cocircuits(), key=lambda c: sorted(map(pos, c))):
-        hyperplane_basis = frozenset(matroid.max_independent(full - cocircuit))
+    for cocircuit in sorted((_mask(sig.ground, c) for c in matroid.cocircuits()),
+                            key=_positions):
+        hyperplane_basis = matroid._greedy(((1 << len(labels)) - 1) ^ cocircuit)
 
-        def circuit_between(e, f):
-            basis = hyperplane_basis | {e}
-            circ = matroid.fundamental_circuit(basis, f)
-            return sig.class_with_support(circ)
+        def ratio(e, f):
+            """-X(f)/X(e) under the involution, X the circuit in H + e + f."""
+            rep = classes[matroid._fundamental_mask(hyperplane_basis | 1 << e, 1 << f)]
+            return invol(neg(mul(rep.entries[labels[f]], inv(rep.entries[labels[e]]))))
 
-        ordered = sig.ground.sort(cocircuit)
-        f0 = ordered[0]
-        entries = {f0: hf.one()}
-        for e in ordered[1:]:
-            rep = circuit_between(e, f0)
-            entries[e] = invol(neg(mul(rep.entry(f0), inv(rep.entry(e)))))
+        f0, *rest = _positions(cocircuit)
+        entries = {labels[f0]: hf.one()}
+        entries.update((labels[e], ratio(e, f0)) for e in rest)
         vector = FVector(hf, sig.ground, entries)
-        for e, f in combinations(ordered[1:], 2):
-            rep = circuit_between(e, f)
-            lhs = mul(vector.entry(e), inv(vector.entry(f)))
-            rhs = invol(neg(mul(rep.entry(f), inv(rep.entry(e)))))
-            if not eq(lhs, rhs):
+        for e, f in combinations(rest, 2):
+            lhs = mul(entries[labels[e]], inv(entries[labels[f]]))
+            if not eq(lhs, ratio(e, f)):
                 raise RatioInconsistencyError(
-                    f"cocircuit {sorted(cocircuit)} ratios disagree at "
-                    f"({e}, {f})")
+                    f"cocircuit {sorted(_labels(sig.ground, cocircuit))} ratios "
+                    f"disagree at ({labels[e]}, {labels[f]})")
         vectors.append(vector)
     return CircuitSignature(hf, sig.ground, vectors)
 
@@ -439,31 +484,7 @@ def cocircuit_signature_from_circuits(sig: CircuitSignature) -> CircuitSignature
 
 
 def _signature_of(sig: CircuitSignature, matroid: ClassicalMatroid) -> bool:
-    if check_C0_C2(sig) is not None:
-        return False
-    return frozenset(sig.supports()) == matroid.circuits
-
-
-def nonorthogonal_pair(C: CircuitSignature, D: CircuitSignature,
-                       full: bool) -> Optional[tuple]:
-    """(overlap, X, Y) for the first X in C and Y in D, in C x D order,
-    that meet in at most 3 elements and are not orthogonal; failing that,
-    with `full` set, for the first non-orthogonal pair of least overlap;
-    else None.  A pair whose overlap cannot lower the least one found so
-    far is skipped."""
-    cocircuits = [(y, support(y)) for y in D.classes]
-    best = None
-    for x in C.classes:
-        sx = support(x)
-        for y, sy in cocircuits:
-            overlap = len(sx & sy)
-            if overlap > 3 and not (full and (best is None or overlap < best[0])):
-                continue
-            if not orthogonal(x, y):
-                if overlap <= 3:
-                    return overlap, x, y
-                best = overlap, x, y
-    return best
+    return check_C0_C2(sig) is None and frozenset(sig.supports()) == matroid.circuits
 
 
 def dual_pair_witness(C: CircuitSignature, D: CircuitSignature,
@@ -489,48 +510,44 @@ def dual_pair_witness(C: CircuitSignature, D: CircuitSignature,
 
 def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature) -> GPFunction:
     """Reconstruct the function whose circuit signature is C, from a weak
-    dual pair (C, D).
+    dual pair (C, D), admitted once by DP1, DP2 and DP3'
+    (`dual_pair_witness` with `full` unset).
 
-    The input is admitted once, on every hyperfield, by DP1, DP2 and DP3'
-    (`dual_pair_witness` with `full` unset).  Then the basis-exchange graph
-    is walked from the lexicographically least basis (pinned to value 1);
-    each exchange edge determines the value ratio through the circuit
-    crossing it, and each basis keeps the value of its first visit.  A
-    weak dual pair determines, up to a unit, one weak function whose
-    circuits are C, and a full dual pair a strong one (Baker-Bowler), so
-    revisits agree and the rebuilt function is weak, and strong when
-    (C, D) is a full pair, without a check here.  Re-checking the rebuilt
-    function is a test oracle.
+    The basis-exchange graph is walked breadth first on basis masks from
+    the greedy (lexicographically least) basis, pinned to value 1; each
+    exchange edge determines the value ratio through the circuit crossing
+    it, and each basis keeps the value of its first visit.  A weak dual
+    pair determines, up to a unit, one weak function whose circuits are C,
+    and a full dual pair a strong one (Baker-Bowler), so revisits agree
+    and nothing is re-checked here; re-checking is a test oracle.
     """
     problem = dual_pair_witness(C, D, full=False)
     if problem is not None:
         raise InvalidDualPairError(str(problem))
-    hf = C.hyperfield
-    ground = C.ground
-    pos = ground.index
-    matroid = C.underlying_matroid()
-    root = min(matroid.bases(), key=lambda b: sorted(map(pos, b)))
-    values: Dict[tuple, HFElement] = {ground.sort(root): hf.one()}
-    queue = [frozenset(root)]
+    hf, ground, labels = C.hyperfield, C.ground, C.ground.labels
+    matroid, classes = C.underlying_matroid(), C._first_with_support
+    root = matroid._greedy((1 << len(labels)) - 1)
+    values: Dict[int, HFElement] = {root: hf.one()}
+    queue = deque([root])
     while queue:
-        basis = queue.pop(0)
-        key = ground.sort(basis)
-        current = values[key]
-        for e in ground:
-            if e in basis:
+        basis = queue.popleft()
+        current = values[basis]
+        for e in range(len(labels)):
+            if basis >> e & 1:
                 continue
-            circ = matroid.fundamental_circuit(basis, e)
-            rep = C.class_with_support(circ)
-            for f in ground.sort(circ - {e}):
-                new_basis = (basis - {f}) | {e}
-                new_key = ground.sort(new_basis)
-                if new_key not in values:
-                    ratio = neg(mul(rep.entry(f), inv(rep.entry(e))))
-                    values[new_key] = signed(
+            circ = matroid._fundamental_mask(basis, 1 << e)
+            rep = classes[circ]
+            for f in _positions(circ ^ 1 << e):
+                new_basis = basis ^ 1 << f | 1 << e
+                if new_basis not in values:
+                    ratio = neg(mul(rep.entries[labels[f]], inv(rep.entries[labels[e]])))
+                    values[new_basis] = signed(
                         mul(ratio, current),
-                        key.index(f) + new_key.index(e))
+                        (basis & ((1 << f) - 1)).bit_count()
+                        + (new_basis & ((1 << e) - 1)).bit_count())
                     queue.append(new_basis)
-    return GPFunction(hf, ground, matroid.rank(), values)
+    return GPFunction(hf, ground, matroid.rank(),
+                      {_labels(ground, b): v for b, v in values.items()})
 
 
 # -- classification ----------------------------------------------------------

@@ -333,20 +333,23 @@ class ClassicalMatroid:
         e together with every f in the basis for which basis - f + e is a
         basis."""
         b = _mask(self.ground, basis)
-        bases = self._basis_mask_set()
-        if b not in bases:
+        if b not in self._basis_mask_set():
             raise InputError("not a basis")
         bit = 1 << self.ground.index(e)
         if b & bit:
             raise InputError("element already in the basis")
-        circuit = bit
-        rest = b
+        return frozenset(_labels(self.ground, self._fundamental_mask(b, bit)))
+
+    def _fundamental_mask(self, b: int, bit: int) -> int:
+        """`fundamental_circuit` on masks: basis mask b, one bit outside it."""
+        bases = self._basis_mask_set()
+        circuit, rest = bit, b
         while rest:
             f = rest & -rest
             rest ^= f
             if (b ^ f) | bit in bases:
                 circuit |= f
-        return frozenset(_labels(self.ground, circuit))
+        return circuit
 
     def fundamental_cocircuit(self, basis: Iterable, f) -> frozenset:
         """The unique cocircuit avoiding basis - {f}, for f in the basis."""

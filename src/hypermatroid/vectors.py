@@ -115,7 +115,8 @@ def vectors_equal(x: FVector, y: FVector) -> bool:
 
 
 def orthogonal(x: FVector, y: FVector) -> bool:
-    """Whether 0 lies in the hypersum of x(e) * invol(y(e)) over common support."""
+    """Whether 0 lies in the hypersum of x(e) * invol(y(e)) over common
+    support: the element-level API, and the oracle of `nonorthogonal_pair`."""
     _require_compatible(x, y)
     common = set(x.entries) & set(y.entries)
     if not common:
@@ -148,10 +149,10 @@ def supp_min(vectors: Iterable[FVector]) -> list:
 
 
 def is_vector_of(v: FVector, cocircuits: Iterable[FVector]) -> bool:
-    """Whether v is orthogonal to every given cocircuit."""
+    """Whether v is orthogonal to every given cocircuit (element level)."""
     return all(orthogonal(v, w) for w in cocircuits)
 
 
 def is_covector_of(v: FVector, circuits: Iterable[FVector]) -> bool:
-    """Whether v is orthogonal to every given circuit."""
+    """Whether v is orthogonal to every given circuit (element level)."""
     return all(orthogonal(x, v) for x in circuits)

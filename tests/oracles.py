@@ -11,18 +11,23 @@ package's two elimination criteria instead of orthogonality, and
 `full_orthogonality_verdict` by the package's `orthogonal` on every
 circuit/cocircuit pair over every hyperfield.  `circuit_by_every_basis`
 computes a circuit vector of a GP function against every basis that can
-carry it, where `circuits_from_gp` uses the first.
+carry it, where `circuits_from_gp` uses the first.  `nonorthogonal_pair`
+and `cocircuit_signature_from_circuits` are the package's element-level
+forms of its packed pair loop and mask-based cocircuit derivation: one
+`orthogonal` per pair, and fundamental circuits and classes looked up by
+frozensets of labels.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from hypermatroid import (Classification, FVector, RatioInconsistencyError,
-                          check_C0_C2, check_C3_doubleprime,
-                          check_strong_elimination, check_weak_elimination,
-                          cocircuit_signature_from_circuits, inv, mul,
-                          orthogonal, relation_terms, signed,
-                          validate_circuits, zero_in_sum)
+import hypermatroid
+from hypermatroid import (CircuitSignature, Classification, FVector,
+                          RatioInconsistencyError, check_C0_C2,
+                          check_C3_doubleprime, check_strong_elimination,
+                          check_weak_elimination, eq, inv, invol,
+                          mul, neg, orthogonal, relation_terms, signed,
+                          support, validate_circuits, zero_in_sum)
 
 
 def det(rows):
@@ -283,7 +288,7 @@ def full_orthogonality_verdict(sig):
     elements are, else InvalidSignature (also when no consistent
     cocircuit signature exists)."""
     try:
-        cocircuits = cocircuit_signature_from_circuits(sig)
+        cocircuits = hypermatroid.cocircuit_signature_from_circuits(sig)
     except RatioInconsistencyError:
         return "InvalidSignature"
     overlaps = [len(set(x.entries) & set(y.entries))
@@ -292,3 +297,71 @@ def full_orthogonality_verdict(sig):
     if not overlaps:
         return "Strong"
     return "WeakOnly" if min(overlaps) > 3 else "InvalidSignature"
+
+
+def nonorthogonal_pair(C, D, full):
+    """(overlap, X, Y) for the first X in C and Y in D, in C x D order,
+    that meet in at most 3 elements and are not orthogonal; failing that,
+    with `full` set, for the first non-orthogonal pair of least overlap;
+    else None.  A pair whose overlap cannot lower the least one found so
+    far is skipped."""
+    cocircuits = [(y, support(y)) for y in D.classes]
+    best = None
+    for x in C.classes:
+        sx = support(x)
+        for y, sy in cocircuits:
+            overlap = len(sx & sy)
+            if overlap > 3 and not (full and (best is None or overlap < best[0])):
+                continue
+            if not orthogonal(x, y):
+                if overlap <= 3:
+                    return overlap, x, y
+                best = overlap, x, y
+    return best
+
+
+def cocircuit_signature_from_circuits(sig):
+    """The unique partner signature on the dual matroid, built cocircuit by
+    cocircuit from circuit ratios through a fixed hyperplane basis.
+
+    For a cocircuit D and a maximal independent set A in its complement,
+    each pair e, f in D determines a unique circuit inside A + {e, f}; the
+    ratio W(e)/W(f) is the negated inverted circuit ratio.  The pairs with
+    the least element f0 of D define the representative anchored at
+    W(f0) = 1, so they hold by construction; every other pair is checked
+    against it.
+
+    Orthogonality pairs a circuit entry with the involution of a cocircuit
+    entry, so the ratios are built under the involution; with the identity
+    involution this changes nothing.
+    """
+    hf = sig.hyperfield
+    matroid = sig.underlying_matroid()
+    pos = sig.ground.index
+    full = frozenset(sig.ground.labels)
+    vectors = []
+    for cocircuit in sorted(matroid.cocircuits(), key=lambda c: sorted(map(pos, c))):
+        hyperplane_basis = frozenset(matroid.max_independent(full - cocircuit))
+
+        def circuit_between(e, f):
+            basis = hyperplane_basis | {e}
+            circ = matroid.fundamental_circuit(basis, f)
+            return sig.class_with_support(circ)
+
+        ordered = sig.ground.sort(cocircuit)
+        f0 = ordered[0]
+        entries = {f0: hf.one()}
+        for e in ordered[1:]:
+            rep = circuit_between(e, f0)
+            entries[e] = invol(neg(mul(rep.entry(f0), inv(rep.entry(e)))))
+        vector = FVector(hf, sig.ground, entries)
+        for e, f in combinations(ordered[1:], 2):
+            rep = circuit_between(e, f)
+            lhs = mul(vector.entry(e), inv(vector.entry(f)))
+            rhs = invol(neg(mul(rep.entry(f), inv(rep.entry(e)))))
+            if not eq(lhs, rhs):
+                raise RatioInconsistencyError(
+                    f"cocircuit {sorted(cocircuit)} ratios disagree at "
+                    f"({e}, {f})")
+        vectors.append(vector)
+    return CircuitSignature(hf, sig.ground, vectors)

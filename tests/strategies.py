@@ -9,8 +9,9 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from hypermatroid import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
-                          TRIANGLE, TROPICAL, GPFunction, GroundSet, gf, mul,
-                          random_weak_gp, sample_element)
+                          TRIANGLE, TROPICAL, CircuitSignature, FVector,
+                          GPFunction, GroundSet, eq, gf, mul, random_weak_gp,
+                          sample_element)
 from hypermatroid.corpus import gp_from_matrix, weak_only_function
 
 import oracles
@@ -44,6 +45,22 @@ def reordered(phi, labels):
     ground = GroundSet(labels)
     return GPFunction(phi.hyperfield, ground, phi.rank, {
         ground.sort(key): phi.evaluate(ground.sort(key)) for key in phi.values})
+
+
+def perturbed(sig, rng):
+    """sig with one entry of one class replaced by a random unit that
+    differs from it where the hyperfield has one (Krasner has not)."""
+    hf = sig.hyperfield
+    i = rng.randrange(len(sig.classes))
+    x = sig.classes[i]
+    label = rng.choice(sig.ground.sort(x.entries))
+    for _ in range(20):
+        value = sample_element(hf, rng, nonzero=True)
+        if not eq(value, x.entries[label]):
+            break
+    classes = list(sig.classes)
+    classes[i] = FVector(hf, sig.ground, {**x.entries, label: value})
+    return CircuitSignature(hf, sig.ground, classes, dedup=False)
 
 
 def parallel_extension(phi, label, new, unit):

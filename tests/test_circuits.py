@@ -24,7 +24,7 @@ import hypermatroid.circuits
 from hypermatroid.cli import main
 
 import oracles
-from strategies import ALL_KINDS, DOUBLY_DISTRIBUTIVE, units
+from strategies import ALL_KINDS, DOUBLY_DISTRIBUTIVE, perturbed, units
 
 
 def sign_vec(g, entries):
@@ -200,22 +200,6 @@ def test_classify_matches_elimination_on_weak_only_variants(sig):
 
 
 # -- weakness by orthogonality against the C3' oracle -------------------------
-
-
-def perturbed(sig, rng):
-    """sig with one entry of one class replaced by a random unit that
-    differs from it where the hyperfield has one (Krasner has not)."""
-    hf = sig.hyperfield
-    i = rng.randrange(len(sig.classes))
-    x = sig.classes[i]
-    label = rng.choice(sig.ground.sort(x.entries))
-    for _ in range(20):
-        value = sample_element(hf, rng, nonzero=True)
-        if not eq(value, x.entries[label]):
-            break
-    classes = list(sig.classes)
-    classes[i] = FVector(hf, sig.ground, {**x.entries, label: value})
-    return CircuitSignature(hf, sig.ground, classes, dedup=False)
 
 
 @settings(max_examples=120, deadline=None)

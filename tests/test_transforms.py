@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           TROPICAL, HFElement, HyperfieldHom, InputError,
                           check_gp_strong, check_gp_weak, circuits_from_gp,
-                          contract_gp, delete_gp, dual_circuits, dual_gp,
-                          equivalent_gp, gf, identity_hom, minimal_covectors,
-                          minor_circuits, pushforward_circuits,
+                          cocircuit_signature_from_circuits, contract_gp,
+                          delete_gp, dual_circuits, dual_gp, equivalent_gp,
+                          gf, identity_hom, minimal_covectors, minor_circuits,
+                          projectively_equal, pushforward_circuits,
                           pushforward_gp, rational_padic, rational_sign,
                           random_weak_gp, same_signature, to_krasner,
                           validate_hom)
 
-from strategies import ALL_KINDS
+from strategies import ALL_KINDS, weak_functions
 
 GP_NAMES = ("krasner-u24", "krasner-k4", "sign-u13", "sign-u24", "sign-k4",
             "gf3-u24", "rational-u24", "rational-k4", "tropical-u24",
@@ -57,6 +58,23 @@ def test_dual_circuits_commutes_with_derivation():
         left = dual_circuits(circuits_from_gp(phi))
         right = circuits_from_gp(dual_gp(phi))
         assert same_signature(left, right), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(weak_functions())
+def test_duality_theorems_on_weak_functions(phi):
+    """Baker-Bowler's duality on weak and weak-only functions over
+    triangle and phase: the circuits of the dual function are the
+    cocircuits derived from phi's circuits, class by class up to units,
+    and dualizing keeps the weak and the Strong verdict."""
+    dual = dual_gp(phi)
+    assert check_gp_weak(dual) is None
+    assert (check_gp_strong(dual) is None) == (check_gp_strong(phi) is None)
+    derived = cocircuit_signature_from_circuits(circuits_from_gp(phi))
+    circuits = circuits_from_gp(dual)
+    assert len(circuits.classes) == len(derived.classes)
+    for x, y in zip(circuits.classes, derived.classes):
+        assert projectively_equal(x, y)
 
 
 def test_double_dual_circuits():
