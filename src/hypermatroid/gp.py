@@ -23,17 +23,15 @@ The relation checkers run on raw payloads keyed by int masks of ground
 positions and build elements only for a witness (`relation_terms`).  The
 weak check takes the paper's form: each three-term Pluecker relation once
 (`failing_three_term`), and basis exchange by ANDs of per-element bitsets
-over the bases.  The full check
-(`failing_relation`) keys each I by its circuit and each J by its
-cocircuit and decides each pair of keys once; the walk over every (I, J)
-is the test oracle in `tests/oracles.py`.
+over the bases.  The full check (`failing_relation`) keys each I by its
+circuit and each J by its cocircuit and decides each pair of keys once;
+the walk over every (I, J) is the test oracle in `tests/oracles.py`.
 
 One loop, `nonorthogonal_pair`, answers every circuit/cocircuit
 orthogonality question on support masks and payloads: each class is
 packed once (`_pack`), an overlap is a popcount, and the products x(e)
 invol(y(e)) go to the family's `zero_in`.  The cocircuit derivation and
 the dual-pair walk take bases and fundamental circuits as masks.
-`vectors.orthogonal` is the element-level API and test oracle.
 """
 
 from __future__ import annotations
@@ -286,16 +284,17 @@ def failing_relation(phi: GPFunction) -> Optional[dict]:
 
     Dropping zero terms never changes "0 in the sum" (0 is the additive
     identity; an all-zero sum contains 0), so only the nonzero products
-    phi(I - i) phi(i, J) are formed, on payloads, signed (-1)^k on the
-    left and by parity on the right.  They sit on the circuit mask of I
-    (the i with I - i a basis) and the cocircuit mask of J (the x with
-    J + x a basis), whose orthogonality sum the relation is, up to a
-    unit, for a weak function (Baker-Bowler); weakness makes it hold when
-    they meet in at most 3 positions.  So each mask keeps its first I or
-    J, and only mask pairs meeting in 4 or more are checked: the first
-    failure in that order is the least failing (I, J).  For a function
-    that is not weak each I and J is its own key and every pair that
-    meets is checked.
+    phi(I - i) phi(i, J) are formed, on payloads, with the sign (-1)^k on
+    the left factor and the parity sign on the right.  They sit on the
+    circuit mask of I (the i with I - i a basis, the circuit inside I)
+    and the cocircuit mask of J (the x with J + x a basis, the cocircuit
+    off cl(J)).  For a weak function the relation is, up to a unit, the
+    orthogonality sum of that circuit and cocircuit (Baker-Bowler), so
+    it depends on the two masks alone, and it holds when they meet in at
+    most 3 positions.  So each mask keeps its first I or J, and only mask
+    pairs meeting in 4 or more are checked: the first failure in that
+    order is the least failing (I, J).  For a function that is not weak
+    each I and J is its own key and every pair that meets is checked.
     The exhaustive walk is the test oracle `oracles.relation_witness`.
     """
     hf = phi.hyperfield
@@ -343,10 +342,13 @@ def check_gp_weak(phi: GPFunction) -> Optional[dict]:
 
 def check_gp_strong(phi: GPFunction) -> Optional[dict]:
     """Basis exchange, then the least failing (I, J) of the full relation
-    family (`failing_relation`), which decides over triangle and phase.
-    Over a doubly distributive hyperfield a weak function is strong
-    (Baker-Bowler), so there it only names the witness of one that is
-    not weak."""
+    family (`failing_relation`).  Over a doubly distributive hyperfield a
+    weak function is strong (Baker-Bowler), so there the full scan only
+    names the witness of a function that is not weak.  Over triangle and
+    phase it decides, and on a weak function it checks one (I, J) per
+    circuit/cocircuit pair meeting in 4 or more elements, since the
+    relation is their orthogonality sum up to a unit (Baker-Bowler); the
+    walk over every (I, J) is the test oracle in `tests/oracles.py`."""
     weak = check_gp_weak(phi)
     if weak is None and phi.hyperfield.doubly_distributive:
         return None
