@@ -29,9 +29,11 @@ the walk over every (I, J) is the test oracle in `tests/oracles.py`.
 
 One loop, `nonorthogonal_pair`, answers every circuit/cocircuit
 orthogonality question on support masks and payloads: each class is
-packed once (`_pack`), an overlap is a popcount, and the products x(e)
-invol(y(e)) go to the family's `zero_in`.  The cocircuit derivation and
-the dual-pair walk take bases and fundamental circuits as masks.
+packed once (`_pack`), an overlap is a popcount, and each pair, like each
+key pair of the full relation check, is one call of the family's
+`zero_in_dot`, which forms the products x(e) invol(y(e)) and decides "0 in
+their sum" at once.  The cocircuit derivation and the dual-pair walk take
+bases and fundamental circuits as masks.
 """
 
 from __future__ import annotations
@@ -298,9 +300,8 @@ def failing_relation(phi: GPFunction) -> Optional[dict]:
     The exhaustive walk is the test oracle `oracles.relation_witness`.
     """
     hf = phi.hyperfield
-    product, negative, zero_in = hf.product, hf.negative, hf.zero_in
     table = _payloads(phi)
-    negated = {m: negative(x) for m, x in table.items()}
+    negated = {m: hf.negative(x) for m, x in table.items()}
     weak = check_gp_weak(phi) is None
     least = 4 if weak else 1
     r = phi.rank
@@ -323,12 +324,12 @@ def failing_relation(phi: GPFunction) -> Optional[dict]:
                 x: (negated if (mask & ((1 << x) - 1)).bit_count() % 2
                     else table)[mask | (1 << x)]
                 for x in positions if cocircuit >> x & 1})
+    zero_in_dot = hf.zero_in_dot
     for I, circuit, left in lefts.values():
         for J, cocircuit, right in rights.values():
-            if (circuit & cocircuit).bit_count() >= least:
-                terms = [product(value, right[i]) for i, value in left if i in right]
-                if not zero_in(terms):
-                    return _witness(phi, "GP3", I, J)
+            if (circuit & cocircuit).bit_count() >= least and \
+                    not zero_in_dot(left, right):
+                return _witness(phi, "GP3", I, J)
     return None
 
 
@@ -416,7 +417,7 @@ def _pack(vectors: Iterable[FVector], dual: bool = False) -> list:
 def _first_nonorthogonal(xs: list, ys: list, hf: Hyperfield,
                          full: bool) -> Optional[tuple]:
     """`nonorthogonal_pair` on packs; disjoint pairs are skipped at once."""
-    product, zero_in = hf.product, hf.zero_in
+    zero_in_dot = hf.zero_in_dot
     best = None
     for x, mx, px in xs:
         for y, my, py in ys:
@@ -424,7 +425,7 @@ def _first_nonorthogonal(xs: list, ys: list, hf: Hyperfield,
             if not overlap or overlap > 3 and not (
                     full and (best is None or overlap < best[0])):
                 continue
-            if not zero_in([product(a, py[i]) for i, a in px.items() if i in py]):
+            if not zero_in_dot(px.items(), py):
                 if overlap <= 3:
                     return overlap, x, y
                 best = overlap, x, y
@@ -476,7 +477,7 @@ def cocircuit_signature_from_circuits(sig: CircuitSignature) -> CircuitSignature
             lhs = mul(entries[labels[e]], inv(entries[labels[f]]))
             if not eq(lhs, ratio(e, f)):
                 raise RatioInconsistencyError(
-                    f"cocircuit {sorted(_labels(sig.ground, cocircuit))} ratios "
+                    f"cocircuit {list(_labels(sig.ground, cocircuit))} ratios "
                     f"disagree at ({labels[e]}, {labels[f]})")
         vectors.append(vector)
     return CircuitSignature(hf, sig.ground, vectors)
@@ -619,8 +620,11 @@ def classify(sig: CircuitSignature) -> Classification:
     basic = check_C0_C2(sig)
     if basic is not None:
         return Classification("InvalidSignature", basic)
-    violation = validate_circuits(sig.ground, sig.supports())
-    if violation is not None:
+    try:
+        sig.underlying_matroid()
+    except InputError:
+        # name the violation; a ground set above the cap raises again
+        violation = validate_circuits(sig.ground, sig.supports())
         return Classification("UnderlyingNotMatroid",
                               {"axiom": "underlying", **violation.as_json()})
     verdict = orthogonality_verdict(sig)

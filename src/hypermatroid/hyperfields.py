@@ -30,9 +30,12 @@ once, on raw payloads: the product of two nonzero payloads (`product`),
 the hyperinverse (`negative`) and the closed form for "0 in x1 + ... + xk"
 (`zero_in`).  The element operations `mul`, `neg` and `zero_in_sum` wrap
 these, and the GP relation kernel calls them directly, so both share one
-formula.  The module-level functions (`mul`, `neg`, `zero_in_sum`, ...)
-check that their operands share one hyperfield and call its family; the
-fold oracle in `sumsets` cross-checks the closed forms.
+formula.  The circuit/cocircuit pair loops ask "0 in the sum of the
+products over the shared positions" once per pair (`zero_in_dot`): by
+default `zero_in` of `product`s, which triangle and phase fuse.  The
+module-level functions (`mul`, `neg`, `zero_in_sum`, ...) check that their
+operands share one hyperfield and call its family; the fold oracle in
+`sumsets` cross-checks the closed forms.
 """
 
 from __future__ import annotations
@@ -111,8 +114,9 @@ class Hyperfield:
     A family sets `kind` and `sums`, and implements `normalise` and
     `zero_in`; its element operations take elements of its own (the
     module-level functions check that).  The other defaults here are
-    products of payloads, hyperinverse -x = x, and the behaviour of the
-    finite families.
+    products of payloads, hyperinverse -x = x, `zero_in_dot` as `zero_in`
+    of `product`s (overridden only to fuse the two, with equal verdicts),
+    and the behaviour of the finite families.
     """
 
     # what the payload of zero equals: 0, or None over phase
@@ -168,6 +172,12 @@ class Hyperfield:
     def negative(self, a):
         """The payload of the hyperinverse of a nonzero payload."""
         return a
+
+    def zero_in_dot(self, left, right: dict) -> bool:
+        """Whether 0 lies in the sum of the products a * right[i] over the
+        (i, a) of `left` with i in `right`: position, nonzero payload pairs
+        and a position -> nonzero payload map, some position shared."""
+        return self.zero_in([self.product(a, right[i]) for i, a in left if i in right])
 
     def mul(self, a: HFElement, b: HFElement) -> HFElement:
         if a.is_zero or b.is_zero:
@@ -344,6 +354,9 @@ class Triangle(_Infinite):
         top = max(payloads)
         return top - (sum(payloads) - top) <= EPS * top
 
+    def zero_in_dot(self, left, right: dict) -> bool:
+        return self.zero_in([a * right[i] for i, a in left if i in right])
+
     def sample_unit(self, rng) -> HFElement:
         if rng.random() < 0.5:
             # grid values keep degenerate ties likely
@@ -424,6 +437,19 @@ class Phase(_Infinite):
 
     def zero_in(self, payloads: list) -> bool:
         return _zero_in_phase_sum([a for a in payloads if a is not None])
+
+    def zero_in_dot(self, left, right: dict) -> bool:
+        """Each product is bit for bit `norm_angle(a + b)`: both angles lie
+        in [0, 2pi), so a + b lies in [0, 4pi), and subtracting 2pi from a
+        sum in [2pi, 4pi) is exact (Sterbenz), as `fmod` is."""
+        angles = []
+        for i, a in left:
+            if i in right:
+                theta = a + right[i]
+                if theta >= TAU:
+                    theta -= TAU
+                angles.append(0.0 if TAU - theta <= EPS else theta)
+        return _zero_in_phase_sum(angles)
 
     def member_of_sum(self, z: HFElement, terms: list) -> bool:
         """A nonzero z is tested directly as a positive combination."""
@@ -700,9 +726,18 @@ def _phase_max_gap(distinct: list):
 def _zero_in_phase_sum(angles: list) -> bool:
     """0 in the hypersum of unit vectors iff 0 is a nonnegative combination
     of them with not all weights zero; equivalently, the distinct directions
-    do not all fit inside an open half-plane, i.e. no cyclic gap exceeds pi."""
-    if not angles:
-        return True
+    do not all fit inside an open half-plane, i.e. no cyclic gap exceeds pi.
+
+    Sorted first: float differences grow with the exact ones, so when every
+    neighbour gap and 2pi minus the widest difference exceed `EPS`, the
+    greedy `_phase_distinct` would keep every angle, and the largest gap
+    decides at once; otherwise the greedy dedup runs."""
+    if len(angles) < 2:
+        return not angles
+    ordered = sorted(angles)
+    gaps = [b - a for a, b in zip(ordered, ordered[1:])]
+    if min(gaps) > EPS and TAU - (ordered[-1] - ordered[0]) > EPS:
+        return max(ordered[0] + TAU - ordered[-1], *gaps) <= math.pi + EPS
     distinct = _phase_distinct(angles)
     if len(distinct) == 1:
         return False

@@ -15,9 +15,11 @@ carry it, where `circuits_from_gp` uses the first.  `nonorthogonal_pair`
 and `cocircuit_signature_from_circuits` are the package's element-level
 forms of its packed pair loop and mask-based cocircuit derivation: one
 `orthogonal` per pair, and fundamental circuits and classes looked up by
-frozensets of labels.
+frozensets of labels.  `zero_in_phase_sum` is the greedy phase zero test
+that the package's sort-first test falls back on.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,6 +30,8 @@ from hypermatroid import (CircuitSignature, Classification, FVector,
                           check_weak_elimination, eq, inv, invol,
                           mul, neg, orthogonal, relation_terms, signed,
                           support, validate_circuits, zero_in_sum)
+from hypermatroid.hyperfields import _phase_distinct, _phase_max_gap
+from hypermatroid.sumsets import EPS
 
 
 def det(rows):
@@ -361,7 +365,20 @@ def cocircuit_signature_from_circuits(sig):
             rhs = invol(neg(mul(rep.entry(f), inv(rep.entry(e)))))
             if not eq(lhs, rhs):
                 raise RatioInconsistencyError(
-                    f"cocircuit {sorted(cocircuit)} ratios disagree at "
+                    f"cocircuit {list(ordered)} ratios disagree at "
                     f"({e}, {f})")
         vectors.append(vector)
     return CircuitSignature(hf, sig.ground, vectors)
+
+
+def zero_in_phase_sum(angles):
+    """0 in the hypersum of unit vectors at the given angles: each angle
+    dropped when it is `angle_close` to one kept before it, then no cyclic
+    gap between the kept directions may exceed pi."""
+    if not angles:
+        return True
+    distinct = _phase_distinct(angles)
+    if len(distinct) == 1:
+        return False
+    worst, _, _ = _phase_max_gap(distinct)
+    return worst <= math.pi + EPS

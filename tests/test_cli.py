@@ -20,6 +20,7 @@ from hypermatroid import (CORPUS, SIGN, TROPICAL, CircuitSignature, FVector,
 from hypermatroid.cli import main
 
 import oracles
+from strategies import perturbed, weak_candidate
 
 
 def write(tmp_path, name, obj):
@@ -299,6 +300,25 @@ def test_mixed_labels_minor_of_a_non_matroid_support(capsys, tmp_path):
     code, out, err = run(capsys, "minor", "--delete", "a", path)
     assert code == 2 and out == ""
     assert err.startswith("error: not a matroid:") and err.count("\n") == 1
+
+
+def test_mixed_labels_name_the_inconsistent_cocircuit(capsys, tmp_path):
+    """A phase signature over int and str labels with one entry changed:
+    its derived cocircuit ratios disagree, and the message lists the
+    cocircuit's labels in ground order."""
+    sig = perturbed(circuits_from_gp(weak_candidate(random.Random(0))),
+                    random.Random(1))
+    path = write(tmp_path, "sig.json", sig)
+    code, out, err = run(capsys, "classify", path)
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "InvalidSignature"
+    assert report["witness"]["axiom"] == "C3'"
+    code, out, err = run(capsys, "dual", path)
+    assert code == 1 and err == ""
+    assert json.loads(out) == {
+        "error": "RatioInconsistencyError",
+        "detail": "cocircuit [2, 4, 3, 'p'] ratios disagree at (4, 3)"}
 
 
 # -- fuzzing ---------------------------------------------------------------------

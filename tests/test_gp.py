@@ -474,19 +474,20 @@ def test_failing_relations_are_the_nonorthogonal_pairs(phi):
         assert sum(not term.is_zero for term in witness["terms"]) >= 4
 
 
-def zero_in_calls(monkeypatch, phi):
-    """The payload lists that `check_gp_strong(phi)` hands to the family's
-    `zero_in`, after the weak check has run unwatched."""
+def zero_in_dot_calls(monkeypatch, phi):
+    """The number of shared positions of each pair that
+    `check_gp_strong(phi)` hands to the family's `zero_in_dot`, after the
+    weak check has run unwatched."""
     assert check_gp_weak(phi) is None
     calls = []
     family = type(phi.hyperfield)
-    zero_in = family.zero_in
+    zero_in_dot = family.zero_in_dot
 
-    def counted(self, payloads):
-        calls.append(len(payloads))
-        return zero_in(self, payloads)
+    def counted(self, left, right):
+        calls.append(sum(i in right for i, _ in left))
+        return zero_in_dot(self, left, right)
 
-    monkeypatch.setattr(family, "zero_in", counted)
+    monkeypatch.setattr(family, "zero_in_dot", counted)
     assert check_gp_strong(phi) is None
     return calls
 
@@ -504,7 +505,7 @@ def test_strong_check_tests_each_wide_pair_once(monkeypatch):
     overlaps = sorted(len(C & D) for C in matroid.circuits
                       for D in matroid.cocircuits() if len(C & D) >= 4)
     assert len(phi.values) < 210 and overlaps
-    assert sorted(zero_in_calls(monkeypatch, phi)) == overlaps
+    assert sorted(zero_in_dot_calls(monkeypatch, phi)) == overlaps
 
 
 @pytest.mark.parametrize("corank", [False, True])
@@ -516,7 +517,7 @@ def test_strong_check_tests_nothing_at_rank_or_corank_2(monkeypatch, corank):
     if corank:
         phi = dual_gp(phi)
     assert len(phi.values) < 276
-    assert zero_in_calls(monkeypatch, phi) == []
+    assert zero_in_dot_calls(monkeypatch, phi) == []
 
 
 # -- data derived from a weak function, re-checked ---------------------------

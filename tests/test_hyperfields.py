@@ -3,9 +3,10 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypermatroid import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
@@ -14,7 +15,11 @@ from hypermatroid import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
                           double_distributivity_witness, eq, fold_sum, gf,
                           inv, invol, member_of_sum, mul, neg, sample_element,
                           signed, zero_in_sum)
+from hypermatroid import hyperfields
+from hypermatroid.hyperfields import _zero_in_phase_sum
+from hypermatroid.sumsets import EPS, TAU, norm_angle
 
+import oracles
 from strategies import ALL_KINDS
 
 ALL = (KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE, PHASE_PLAIN, RATIONALS, gf(3), gf(5))
@@ -207,3 +212,87 @@ def test_zero_terms_never_decide_zero_in_sum(hf, plan, seed):
         terms.append(term)
         nonzero.append(term)
     assert zero_in_sum(terms) == (not nonzero or zero_in_sum(nonzero))
+
+
+# -- the fused pair kernel and the sort-first phase zero test ----------------
+
+OFFSETS = tuple(k * EPS for k in (0, 0.5, -0.5, 1, -1, 1.5, -1.5))
+
+
+def on_circle(theta):
+    """theta reduced into [0, 2pi), without the snap of `norm_angle`, so
+    angles just below 2pi stay."""
+    theta = math.fmod(theta, TAU)
+    if theta < 0:
+        theta += TAU
+    return theta if theta < TAU else 0.0
+
+
+@st.composite
+def phase_angles(draw):
+    """1 to 6 angles: uniform, within a few tolerances of an earlier one,
+    at either side of the 0/2pi wrap, or pi plus a few tolerances from an
+    earlier one."""
+    angles = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["uniform", "near", "wrap", "opposite"]))
+        offset = draw(st.sampled_from(OFFSETS))
+        if kind == "uniform" or not angles and kind != "wrap":
+            theta = draw(st.floats(0.0, TAU, exclude_max=True))
+        elif kind == "wrap":
+            theta = draw(st.sampled_from([0.0, TAU])) + offset
+        else:
+            theta = draw(st.sampled_from(angles)) + offset + \
+                (math.pi if kind == "opposite" else 0.0)
+        angles.append(on_circle(theta))
+    return angles
+
+
+@settings(max_examples=1500, deadline=None)
+@given(phase_angles())
+@example([TAU - 0.5 * EPS, 0.0, math.pi + EPS])  # kept: the one below 2pi
+@example([0.0, TAU - 0.5 * EPS, math.pi - 0.5 * EPS])  # kept: 0
+def test_sort_first_phase_zero_test_matches_the_greedy_one(angles):
+    assert _zero_in_phase_sum(angles) == oracles.zero_in_phase_sum(angles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_KINDS + [gf(5)]), st.integers(0, 2 ** 32))
+def test_zero_in_dot_is_zero_in_of_the_products(hf, seed):
+    """On shared and unshared positions; "negated" sets the next shared
+    product to the hyperinverse of the last, so 0 lies in many sums."""
+    rng = random.Random(seed)
+    left, right, last = [], {}, None
+    for i in range(rng.randint(1, 7)):
+        a = sample_element(hf, rng, nonzero=True)
+        step = rng.choice(["left", "right", "shared", "negated"])
+        if step != "right":
+            left.append((i, a.value))
+        if step == "negated" and last is not None:
+            right[i] = mul(inv(a), neg(last)).value
+        elif step != "left":
+            right[i] = sample_element(hf, rng, nonzero=True).value
+        if i in right and step != "right":
+            last = mul(a, hf.element(right[i]))
+    if last is None:
+        return
+    want = hf.zero_in([hf.product(a, right[i]) for i, a in left if i in right])
+    assert hf.zero_in_dot(left, right) == want
+    assert hf.zero_in_dot(dict(left).items(), right) == want
+
+
+PHASE_PAYLOADS = st.one_of(
+    st.floats(0.0, TAU, exclude_max=True).map(norm_angle),
+    st.sampled_from([0.0, -0.0, math.pi, TAU - 2 * EPS, math.nextafter(TAU, 0.0),
+                     norm_angle(TAU - 1.5 * EPS)]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(PHASE_PAYLOADS, PHASE_PAYLOADS)
+def test_phase_fused_product_is_norm_angle_of_the_sum(a, b):
+    """The angle `Phase.zero_in_dot` forms for a shared position is bit for
+    bit the payload of the product."""
+    seen = []
+    with mock.patch.object(hyperfields, "_zero_in_phase_sum", seen.append):
+        PHASE.zero_in_dot([(0, a)], {0: b})
+    assert seen[0][0].hex() == norm_angle(a + b).hex() == PHASE.product(a, b).hex()

@@ -26,15 +26,12 @@ from strategies import ALL_KINDS, perturbed, weak_functions
 
 def derived(derive, sig):
     """(the derived cocircuits, their JSON), or (None, the message of the
-    RatioInconsistencyError), or (None, TypeError): the message sorts the
-    labels of the cocircuit, which fails on the int and str labels of a
-    parallel extension."""
+    RatioInconsistencyError), which lists the labels of the cocircuit in
+    ground order, so int and str labels mix."""
     try:
         cocircuits = derive(sig)
     except RatioInconsistencyError as exc:
         return None, str(exc)
-    except TypeError:
-        return None, TypeError
     return cocircuits, serialize(cocircuits)
 
 

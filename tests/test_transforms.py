@@ -77,6 +77,27 @@ def test_duality_theorems_on_weak_functions(phi):
         assert projectively_equal(x, y)
 
 
+@settings(max_examples=30, deadline=None)
+@given(weak_functions())
+def test_minor_theorems_on_weak_functions(phi):
+    """Baker-Bowler's minors on weak and weak-only functions over triangle
+    and phase: a single-element deletion or contraction of a weak function
+    is weak, of a strong one strong, and its circuits are that minor of
+    phi's circuits, class by class up to units."""
+    strong = check_gp_strong(phi) is None
+    circuits = circuits_from_gp(phi)
+    for label in phi.ground.labels:
+        for minor_gp, side in ((delete_gp, "deleted"), (contract_gp, "contracted")):
+            try:
+                minor = minor_gp(phi, (label,))
+            except InputError:  # a coloop deleted from, or a spanning
+                continue        # element contracted in, rank 1
+            assert check_gp_weak(minor) is None
+            assert not strong or check_gp_strong(minor) is None
+            assert same_signature(circuits_from_gp(minor),
+                                  minor_circuits(circuits, **{side: (label,)}))
+
+
 def test_double_dual_circuits():
     for name in ("sign-u24", "gf3-u24", "tropical-u24", "phase-u24-real"):
         sig = circuits_from_gp(CORPUS[name].build())
