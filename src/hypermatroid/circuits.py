@@ -37,6 +37,7 @@ class CircuitSignature:
         self.hyperfield = hyperfield
         self.ground = ground
         kept: List[FVector] = []
+        masks: List[int] = []
         # kept vectors by support mask: only vectors with equal supports
         # can be projectively equal
         by_support: Dict[int, List[FVector]] = {}
@@ -45,12 +46,16 @@ class CircuitSignature:
                 raise InputError("vector over the wrong hyperfield")
             if v.ground != ground:
                 raise InputError("vector over the wrong ground set")
-            same = by_support.setdefault(_mask(ground, v.entries), [])
+            mask = _mask(ground, v.entries)
+            same = by_support.setdefault(mask, [])
             if dedup and any(projectively_equal(v, u) for u in same):
                 continue
             kept.append(v)
+            masks.append(mask)
             same.append(v)
         self.classes: Tuple[FVector, ...] = tuple(kept)
+        # the support mask of each class, in class order
+        self._masks: Tuple[int, ...] = tuple(masks)
         self._first_with_support = {supp: same[0] for supp, same in by_support.items()}
         self._matroid: Optional[ClassicalMatroid] = None
 
@@ -93,18 +98,28 @@ def same_signature(a: CircuitSignature, b: CircuitSignature) -> bool:
 
 def check_C0_C2(sig: CircuitSignature) -> Optional[dict]:
     """Zero-freeness, proper projective representation, and support
-    incomparability.  Returns None when all hold, else a witness."""
-    for v in sig.classes:
+    incomparability.  Returns None when all hold, else a witness: the
+    first failing class, or pair of classes in `combinations` order.
+
+    Only classes with equal supports can be projectively equal, so C1
+    compares the later classes of each class's support mask; C2 tests
+    containment on the masks.  The scan over every pair is the test
+    oracle `oracles.check_C0_C2`."""
+    classes, masks = sig.classes, sig._masks
+    for v in classes:
         if v.is_zero:
             return {"axiom": "C0", "vector": v}
-    for x, y in combinations(sig.classes, 2):
-        if projectively_equal(x, y):
-            return {"axiom": "C1", "vectors": [x, y],
-                    "reason": "duplicate projective class"}
-    for x, y in combinations(sig.classes, 2):
-        sx, sy = support(x), support(y)
-        if sx <= sy or sy <= sx:
-            return {"axiom": "C2", "vectors": [x, y],
+    same: Dict[int, List[int]] = {}
+    for i, mask in enumerate(masks):
+        same.setdefault(mask, []).append(i)
+    for i, x in enumerate(classes):
+        for j in same[masks[i]]:
+            if j > i and projectively_equal(x, classes[j]):
+                return {"axiom": "C1", "vectors": [x, classes[j]],
+                        "reason": "duplicate projective class"}
+    for (i, mx), (j, my) in combinations(enumerate(masks), 2):
+        if (mx | my) in (mx, my):
+            return {"axiom": "C2", "vectors": [classes[i], classes[j]],
                     "reason": "comparable supports in distinct classes"}
     return None
 

@@ -34,6 +34,15 @@ key pair of the full relation check, is one call of the family's
 `zero_in_dot`, which forms the products x(e) invol(y(e)) and decides "0 in
 their sum" at once.  The cocircuit derivation and the dual-pair walk take
 bases and fundamental circuits as masks.
+
+The cocircuits are derived on payloads (`_cocircuit_payloads`): each
+W(e) is a ratio of the circuit X inside H + e + f0, H a basis of the
+hyperplane off W.  `cocircuit_signature_from_circuits` then checks W(e)/W(f)
+against the circuit inside H + e + f for the other pairs; that circuit
+meets W in {e, f} exactly, and the check is their orthogonality, the same
+relative (triangle) or angular (phase) inequality up to rounding at
+`EPS`.  So `orthogonality_verdict`, whose pair loop tests every pair
+meeting in 2, derives W once, unchecked, and lets orthogonality decide.
 """
 
 from __future__ import annotations
@@ -51,8 +60,7 @@ from .circuits import (CircuitSignature, check_C0_C2, check_strong_elimination,
                        check_weak_elimination)
 from .errors import (ConsistencyError, InputError, InvalidDualPairError,
                      RatioInconsistencyError)
-from .hyperfields import (HFElement, Hyperfield, eq, inv, invol, mul, neg,
-                          signed)
+from .hyperfields import HFElement, Hyperfield, eq, inv, mul, neg, signed
 from .matroids import ClassicalMatroid, _labels, _mask, validate_circuits
 from .vectors import FVector, GroundSet
 
@@ -406,10 +414,12 @@ def _pack(vectors: Iterable[FVector], dual: bool = False) -> list:
     term of its pairs by one positive unit and so changes no verdict."""
     packs = []
     for v in vectors:
-        pos = v.ground.index
-        payloads = _integral({pos(label): (invol(v.entries[label]) if dual
-                                           else v.entries[label]).value
-                              for label in sorted(v.entries, key=pos)})
+        pos, conjugate = v.ground.index, v.hyperfield.conjugate
+        payloads = {pos(label): v.entries[label].value
+                    for label in sorted(v.entries, key=pos)}
+        if dual:
+            payloads = {i: conjugate(a) for i, a in payloads.items()}
+        payloads = _integral(payloads)
         packs.append((v, sum(1 << i for i in payloads), payloads))
     return packs
 
@@ -442,44 +452,79 @@ def nonorthogonal_pair(C: CircuitSignature, D: CircuitSignature,
                                 C.hyperfield, full)
 
 
+def _circuit_ratio(sig: CircuitSignature):
+    """ratio(basis, e, f): the payload of -X(f)/X(e) under the involution,
+    X the class of the circuit inside basis + e + f, for a basis of a
+    hyperplane that misses e and f."""
+    hf, labels = sig.hyperfield, sig.ground.labels
+    matroid, classes = sig.underlying_matroid(), sig._first_with_support
+    product, negative, inverse, conjugate = (hf.product, hf.negative,
+                                             hf.inverse, hf.conjugate)
+
+    def ratio(basis: int, e: int, f: int):
+        x = classes[matroid._fundamental_mask(basis | 1 << e, 1 << f)].entries
+        return conjugate(negative(product(x[labels[f]].value,
+                                          inverse(x[labels[e]].value))))
+
+    return ratio
+
+
+def _cocircuit_payloads(sig: CircuitSignature) -> list:
+    """(hyperplane basis mask, {position: payload}) per cocircuit D of the
+    underlying matroid, in the order of its ground positions: W anchored
+    at W(f0) = 1 on the least position f0 of D, and W(e) = ratio(e, f0)
+    (`_circuit_ratio`) against the greedy basis H of the hyperplane off D.
+    Nothing is checked here."""
+    ratio, one = _circuit_ratio(sig), sig.hyperfield.one().value
+    matroid, full = sig.underlying_matroid(), (1 << len(sig.ground)) - 1
+    derived = []
+    for cocircuit in sorted((_mask(sig.ground, c) for c in matroid.cocircuits()),
+                            key=_positions):
+        basis = matroid._greedy(full ^ cocircuit)
+        f0, *rest = _positions(cocircuit)
+        payloads = {f0: one}
+        payloads.update((e, ratio(basis, e, f0)) for e in rest)
+        derived.append((basis, payloads))
+    return derived
+
+
 def cocircuit_signature_from_circuits(sig: CircuitSignature) -> CircuitSignature:
     """The unique partner signature on the dual matroid, built cocircuit by
     cocircuit from circuit ratios through a fixed hyperplane basis.
 
-    For a cocircuit D and a maximal independent set A in its complement,
-    each pair e, f in D determines a unique circuit inside A + {e, f}; the
-    ratio W(e)/W(f) is the negated inverted circuit ratio.  The pairs with
-    the least element f0 of D define the representative anchored at
-    W(f0) = 1, so they hold by construction; every other pair is checked
-    against it.
+    For a cocircuit D and a maximal independent set H in its complement,
+    each pair e, f in D determines a unique circuit X inside H + {e, f};
+    the ratio W(e)/W(f) is the negated inverted circuit ratio.  The pairs
+    with the least element f0 of D define the representative anchored at
+    W(f0) = 1 (`_cocircuit_payloads`), so they hold by construction; every
+    other pair is checked against it, on payloads.
+
+    X meets D in {e, f} exactly, and the check at (e, f) is the
+    orthogonality of X and W: 0 lies in X(e) invol(W(e)) + X(f) invol(W(f))
+    iff W(e)/W(f) is that ratio.  The two tests are the same relative
+    (triangle) or angular (phase) inequality and can differ only by
+    rounding at `EPS`.  So `orthogonality_verdict`, which tests every pair
+    meeting in 2, skips this check; `hfm dual` keeps it, to refuse with
+    the failing pair.
 
     Orthogonality pairs a circuit entry with the involution of a cocircuit
     entry, so the ratios are built under the involution; with the identity
     involution this changes nothing.
     """
     hf, labels = sig.hyperfield, sig.ground.labels
-    matroid, classes = sig.underlying_matroid(), sig._first_with_support
+    product, inverse, equal = hf.product, hf.inverse, hf.equal
+    ratio = _circuit_ratio(sig)
     vectors = []
-    for cocircuit in sorted((_mask(sig.ground, c) for c in matroid.cocircuits()),
-                            key=_positions):
-        hyperplane_basis = matroid._greedy(((1 << len(labels)) - 1) ^ cocircuit)
-
-        def ratio(e, f):
-            """-X(f)/X(e) under the involution, X the circuit in H + e + f."""
-            rep = classes[matroid._fundamental_mask(hyperplane_basis | 1 << e, 1 << f)]
-            return invol(neg(mul(rep.entries[labels[f]], inv(rep.entries[labels[e]]))))
-
-        f0, *rest = _positions(cocircuit)
-        entries = {labels[f0]: hf.one()}
-        entries.update((labels[e], ratio(e, f0)) for e in rest)
-        vector = FVector(hf, sig.ground, entries)
+    for basis, payloads in _cocircuit_payloads(sig):
+        _, *rest = payloads
         for e, f in combinations(rest, 2):
-            lhs = mul(entries[labels[e]], inv(entries[labels[f]]))
-            if not eq(lhs, ratio(e, f)):
+            if not equal(product(payloads[e], inverse(payloads[f])),
+                         ratio(basis, e, f)):
                 raise RatioInconsistencyError(
-                    f"cocircuit {list(_labels(sig.ground, cocircuit))} ratios "
+                    f"cocircuit {[labels[i] for i in payloads]} ratios "
                     f"disagree at ({labels[e]}, {labels[f]})")
-        vectors.append(vector)
+        vectors.append(FVector(hf, sig.ground, {
+            labels[i]: HFElement(hf, w) for i, w in payloads.items()}))
     return CircuitSignature(hf, sig.ground, vectors)
 
 
@@ -574,18 +619,29 @@ def orthogonality_verdict(sig: CircuitSignature) -> str:
     Weak signatures are the circuit sides of weak dual pairs, strong ones
     those of full dual pairs (Baker-Bowler), and the only candidate
     partner is the cocircuit signature D derived from circuit ratios.  So
-    the signature is not weak when D cannot be derived consistently or a
-    circuit X and a cocircuit Y with |X & Y| <= 3 are not orthogonal
-    (`nonorthogonal_pair`).  Over a doubly distributive hyperfield a weak
-    signature is strong, so only those pairs are checked; elsewhere it is
-    strong when every pair is orthogonal.
+    the signature is not weak when a circuit X and a cocircuit Y with
+    |X & Y| <= 3 are not orthogonal (`_first_nonorthogonal`).  Over a
+    doubly distributive hyperfield a weak signature is strong, so only
+    those pairs are checked; elsewhere it is strong when every pair is
+    orthogonal.
+
+    D is derived once and unchecked (`_cocircuit_payloads`), and packed
+    through the involution as `_pack` packs it.  The ratio check of
+    `cocircuit_signature_from_circuits` at a pair (e, f) of a cocircuit W
+    is the orthogonality of W with the circuit X inside H + e + f, which
+    meets W in {e, f} exactly: an overlap of 2, which the pair loop tests
+    anyway.  The two tests are the same relative (triangle) or angular
+    (phase) inequality and can differ only by rounding at `EPS`.  So a
+    signature whose ratios disagree is not weak here either, and no
+    element-level operation runs.
     """
-    try:
-        cocircuits = cocircuit_signature_from_circuits(sig)
-    except RatioInconsistencyError:
-        return "InvalidSignature"
-    pair = nonorthogonal_pair(sig, cocircuits,
-                              full=not sig.hyperfield.doubly_distributive)
+    hf = sig.hyperfield
+    cocircuits = []
+    for _, payloads in _cocircuit_payloads(sig):
+        packed = _integral({i: hf.conjugate(w) for i, w in payloads.items()})
+        cocircuits.append((None, sum(1 << i for i in packed), packed))
+    pair = _first_nonorthogonal(_pack(sig.classes), cocircuits, hf,
+                                full=not hf.doubly_distributive)
     if pair is None:
         return "Strong"
     return "WeakOnly" if pair[0] > 3 else "InvalidSignature"

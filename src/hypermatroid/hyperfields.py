@@ -27,9 +27,11 @@ A family owns payload normalisation, one interned zero and one, the scalar
 operations, sampling, the JSON codec, its flags, and the `sumsets` class
 that represents its hypersums exactly (`sums`).  Its arithmetic is stated
 once, on raw payloads: the product of two nonzero payloads (`product`),
-the hyperinverse (`negative`) and the closed form for "0 in x1 + ... + xk"
-(`zero_in`).  The element operations `mul`, `neg` and `zero_in_sum` wrap
-these, and the GP relation kernel calls them directly, so both share one
+the hyperinverse (`negative`), the multiplicative inverse (`inverse`), the
+involution (`conjugate`), equality (`equal`) and the closed form for
+"0 in x1 + ... + xk" (`zero_in`).  The element operations `mul`, `neg`,
+`inv`, `invol`, `eq` and `zero_in_sum` wrap these, and the GP relation
+kernel and the cocircuit derivation call them directly, so both share one
 formula.  The circuit/cocircuit pair loops ask "0 in the sum of the
 products over the shared positions" once per pair (`zero_in_dot`): by
 default `zero_in` of `product`s, which triangle and phase fuse.  The
@@ -113,10 +115,11 @@ class Hyperfield:
 
     A family sets `kind` and `sums`, and implements `normalise` and
     `zero_in`; its element operations take elements of its own (the
-    module-level functions check that).  The other defaults here are
-    products of payloads, hyperinverse -x = x, `zero_in_dot` as `zero_in`
-    of `product`s (overridden only to fuse the two, with equal verdicts),
-    and the behaviour of the finite families.
+    module-level functions check that) and wrap its payload operations.
+    The other defaults here are products of payloads, hyperinverse -x = x,
+    inverse 1 / x, the identity involution, equality of payloads,
+    `zero_in_dot` as `zero_in` of `product`s (overridden only to fuse the
+    two, with equal verdicts), and the behaviour of the finite families.
     """
 
     # what the payload of zero equals: 0, or None over phase
@@ -173,6 +176,18 @@ class Hyperfield:
         """The payload of the hyperinverse of a nonzero payload."""
         return a
 
+    def inverse(self, a):
+        """The payload of the multiplicative inverse of a nonzero payload."""
+        return 1 / a
+
+    def conjugate(self, a):
+        """The payload of the involution of a nonzero payload."""
+        return a
+
+    def equal(self, a, b) -> bool:
+        """Whether two nonzero payloads are the same element."""
+        return a == b
+
     def zero_in_dot(self, left, right: dict) -> bool:
         """Whether 0 lies in the sum of the products a * right[i] over the
         (i, a) of `left` with i in `right`: position, nonzero payload pairs
@@ -194,13 +209,18 @@ class Hyperfield:
         return self.zero_in([t.value for t in terms])
 
     def inv(self, a: HFElement) -> HFElement:
-        return HFElement(self, 1 / a.value)
+        return HFElement(self, self.inverse(a.value))
 
     def invol(self, a: HFElement) -> HFElement:
-        return a
+        if a.is_zero:
+            return a
+        value = self.conjugate(a.value)
+        return a if value is a.value else HFElement(self, value)
 
     def eq(self, a: HFElement, b: HFElement) -> bool:
-        return a.value == b.value
+        if a.is_zero or b.is_zero:
+            return a.is_zero and b.is_zero
+        return self.equal(a.value, b.value)
 
     def member_of_sum(self, z: HFElement, terms: list) -> bool:
         return self.zero_in_sum(terms + [self.neg(z)])
@@ -264,7 +284,7 @@ class FiniteTable(Hyperfield):
     def negative(self, a):
         return self._neg[a]
 
-    def inv(self, a: HFElement) -> HFElement:
+    def inverse(self, a):
         return a
 
     def zero_in(self, payloads: list) -> bool:
@@ -347,8 +367,8 @@ class Triangle(_Infinite):
 
     # Both tolerances are relative to the largest value, so scaling every
     # value by one unit changes no verdict; a single term must be 0.
-    def eq(self, a: HFElement, b: HFElement) -> bool:
-        return abs(a.value - b.value) <= EPS * max(a.value, b.value)
+    def equal(self, a, b) -> bool:
+        return abs(a - b) <= EPS * max(a, b)
 
     def zero_in(self, payloads: list) -> bool:
         top = max(payloads)
@@ -395,7 +415,7 @@ class Phase(_Infinite):
     weak_only_example = "phase-weak-not-strong"
 
     def __init__(self, conjugate: bool):
-        self.conjugate = conjugate
+        self.conjugates = conjugate
         super().__init__("phase" if conjugate else "phase[identity]")
 
     def normalise(self, raw):
@@ -424,16 +444,16 @@ class Phase(_Infinite):
     def negative(self, a):
         return norm_angle(a + math.pi)
 
-    def inv(self, a: HFElement) -> HFElement:
-        return HFElement(self, norm_angle(-a.value))
+    def inverse(self, a):
+        """`norm_angle(-a)`, except +0.0 for the payload 0.0 of 1, which
+        `norm_angle` would return as -0.0."""
+        return norm_angle(-a) if a else 0.0
 
-    def invol(self, a: HFElement) -> HFElement:
-        return self.inv(a) if self.conjugate and not a.is_zero else a
+    def conjugate(self, a):
+        return self.inverse(a) if self.conjugates else a
 
-    def eq(self, a: HFElement, b: HFElement) -> bool:
-        if a.is_zero or b.is_zero:
-            return a.is_zero and b.is_zero
-        return angle_close(a.value, b.value)
+    def equal(self, a, b) -> bool:
+        return angle_close(a, b)
 
     def zero_in(self, payloads: list) -> bool:
         return _zero_in_phase_sum([a for a in payloads if a is not None])
@@ -541,8 +561,8 @@ class PrimeField(Hyperfield):
     def negative(self, a):
         return -a % self.p
 
-    def inv(self, a: HFElement) -> HFElement:
-        return HFElement(self, pow(a.value, -1, self.p))
+    def inverse(self, a):
+        return pow(a, -1, self.p)
 
     def zero_in(self, payloads: list) -> bool:
         return sum(payloads) % self.p == 0

@@ -16,7 +16,8 @@ and `cocircuit_signature_from_circuits` are the package's element-level
 forms of its packed pair loop and mask-based cocircuit derivation: one
 `orthogonal` per pair, and fundamental circuits and classes looked up by
 frozensets of labels.  `zero_in_phase_sum` is the greedy phase zero test
-that the package's sort-first test falls back on.
+that the package's sort-first test falls back on, and `check_C0_C2` the
+support axioms by the scan over every pair of classes.
 """
 
 import math
@@ -25,11 +26,11 @@ from itertools import combinations
 
 import hypermatroid
 from hypermatroid import (CircuitSignature, Classification, FVector,
-                          RatioInconsistencyError, check_C0_C2,
-                          check_C3_doubleprime, check_strong_elimination,
+                          RatioInconsistencyError, check_C3_doubleprime, check_strong_elimination,
                           check_weak_elimination, eq, inv, invol,
-                          mul, neg, orthogonal, relation_terms, signed,
-                          support, validate_circuits, zero_in_sum)
+                          mul, neg, orthogonal, projectively_equal,
+                          relation_terms, signed, support, validate_circuits,
+                          zero_in_sum)
 from hypermatroid.hyperfields import _phase_distinct, _phase_max_gap
 from hypermatroid.sumsets import EPS
 
@@ -260,6 +261,25 @@ def circuit_by_every_basis(phi, circuit):
                 rest = tuple(b for b in basis if b != xi)
                 entries[xi] = signed(mul(phi.evaluate((x0,) + rest), denom), i)
         yield FVector(hf, phi.ground, entries)
+
+
+def check_C0_C2(sig):
+    """check_C0_C2 by the scan over every pair of classes: C0, then the
+    first projectively equal pair in `combinations` order (C1), then the
+    first pair with comparable supports (C2)."""
+    for v in sig.classes:
+        if v.is_zero:
+            return {"axiom": "C0", "vector": v}
+    for x, y in combinations(sig.classes, 2):
+        if projectively_equal(x, y):
+            return {"axiom": "C1", "vectors": [x, y],
+                    "reason": "duplicate projective class"}
+    for x, y in combinations(sig.classes, 2):
+        sx, sy = support(x), support(y)
+        if sx <= sy or sy <= sx:
+            return {"axiom": "C2", "vectors": [x, y],
+                    "reason": "comparable supports in distinct classes"}
+    return None
 
 
 def classify_by_elimination(sig):

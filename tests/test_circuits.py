@@ -57,6 +57,60 @@ def test_check_C0_C2_witnesses():
     assert check_C0_C2(nested)["axiom"] == "C2"
 
 
+# signatures whose classes are drawn as they are, duplicates kept
+C0_C2_SOURCES = ["sign-flipped-u24", "triangle-weak-not-strong",
+                 "phase-weak-not-strong"]
+
+
+@st.composite
+def support_axiom_candidates(draw):
+    """A corpus signature or a random weak one over any hyperfield, with
+    classes added and the order shuffled, kept with `dedup` unset: a
+    multiple of a class (C1), a class with one entry changed or one entry
+    dropped (C2, equal or nested supports), or the zero vector (C0)."""
+    source = draw(st.sampled_from(C0_C2_SOURCES + ALL_KINDS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if isinstance(source, str):
+        sig = CORPUS[source].build()
+        if not isinstance(sig, CircuitSignature):
+            sig = circuits_from_gp(sig)
+    else:
+        sig = random_weak_signature(source, rng, max_rank=3, max_ground=6)
+    hf, ground = sig.hyperfield, sig.ground
+    classes = list(sig.classes)
+    for change in draw(st.lists(st.sampled_from(
+            ["multiple", "changed", "dropped", "zero"]), max_size=3)):
+        x = rng.choice(classes)
+        if change == "multiple":
+            classes.append(scalar_mul(draw(units(hf)), x))
+        elif change == "changed" and x.entries:
+            classes.append(perturbed(CircuitSignature(hf, ground, [x]), rng).classes[0])
+        elif change == "dropped" and len(x.entries) > 1:
+            label = rng.choice(ground.sort(x.entries))
+            classes.append(FVector(hf, ground, {k: v for k, v in x.entries.items()
+                                                if k != label}))
+        elif change == "zero":
+            classes.append(FVector(hf, ground, {}))
+    rng.shuffle(classes)
+    return CircuitSignature(hf, ground, classes, dedup=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(support_axiom_candidates())
+def test_check_C0_C2_names_the_scan_witness(sig):
+    """The mask-based check names the very classes the scan over every
+    pair names."""
+    assert check_C0_C2(sig) == oracles.check_C0_C2(sig)
+
+
+def test_check_C0_C2_on_the_corpus():
+    for entry in corpus_entries():
+        sig = entry.build()
+        if entry.kind == "gp":
+            sig = circuits_from_gp(sig)
+        assert check_C0_C2(sig) == oracles.check_C0_C2(sig)
+
+
 def test_classify_corpus_strong():
     result = classify(u24_signature())
     assert result.verdict == "Strong" and result.ok

@@ -9,18 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypermatroid import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
-                          TRIANGLE, TROPICAL, FVector, GroundSet, HFElement,
-                          InputError, MismatchError, check_hyperfield_axioms,
-                          double_distributivity_witness, eq, fold_sum, gf,
-                          inv, invol, member_of_sum, mul, neg, sample_element,
-                          signed, zero_in_sum)
+from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS,
+                          SIGN, TRIANGLE, TROPICAL, FVector, GroundSet,
+                          HFElement, InputError, MismatchError,
+                          check_hyperfield_axioms, circuits_from_gp,
+                          double_distributivity_witness, dual_circuits, dual_gp,
+                          eq, fold_sum, gf, inv, invol, member_of_sum, mul, neg,
+                          sample_element, serialize, signed, zero_in_sum)
 from hypermatroid import hyperfields
-from hypermatroid.hyperfields import _zero_in_phase_sum
+from hypermatroid.hyperfields import Hyperfield, _zero_in_phase_sum
 from hypermatroid.sumsets import EPS, TAU, norm_angle
 
 import oracles
-from strategies import ALL_KINDS
+from strategies import ALL_KINDS, units
 
 ALL = (KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE, PHASE_PLAIN, RATIONALS, gf(3), gf(5))
 
@@ -296,3 +297,56 @@ def test_phase_fused_product_is_norm_angle_of_the_sum(a, b):
     with mock.patch.object(hyperfields, "_zero_in_phase_sum", seen.append):
         PHASE.zero_in_dot([(0, a)], {0: b})
     assert seen[0][0].hex() == norm_angle(a + b).hex() == PHASE.product(a, b).hex()
+
+
+def bits(payload) -> str:
+    """A payload's exact spelling: `float.hex` keeps the sign of zero."""
+    return payload.hex() if isinstance(payload, float) else repr(payload)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(ALL_KINDS + [gf(5)]), st.data())
+def test_payload_ops_are_the_element_ops(hf, data):
+    """`inverse`, `conjugate` and `equal` on the payloads of sampled units
+    give what `inv`, `invol` and `eq` give on the elements, bit for bit;
+    no family overrides the element operations; the inverse inverts, the
+    involution is one, and `equal` is reflexive and sees a product with
+    the inverse as 1."""
+    for name in ("inv", "invol", "eq"):
+        assert getattr(type(hf), name) is getattr(Hyperfield, name)
+    x, y = data.draw(units(hf)), data.draw(units(hf))
+    a = x.value
+    assert bits(inv(x).value) == bits(hf.inverse(a))
+    assert bits(invol(x).value) == bits(hf.conjugate(a))
+    for other in (x, y, mul(x, inv(y)), hf.one()):
+        assert eq(x, other) == hf.equal(a, other.value)
+        assert eq(other, x) == hf.equal(other.value, a)
+    assert hf.equal(a, a)
+    assert hf.equal(hf.product(a, hf.inverse(a)), hf.one().value)
+    assert hf.equal(hf.conjugate(hf.conjugate(a)), a)
+    if hf is not PHASE:
+        assert bits(hf.conjugate(a)) == bits(a)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(PHASE_PAYLOADS)
+def test_phase_inverse_is_norm_angle_of_the_negative(a):
+    """+0.0 for the payload of 1 (also given as -0.0), and bit for bit
+    `norm_angle(-a)` elsewhere; conjugation is the inverse on PHASE and
+    the identity on PHASE_PLAIN."""
+    want = (0.0).hex() if a == 0.0 else norm_angle(-a).hex()
+    assert PHASE.inverse(a).hex() == want
+    assert PHASE.conjugate(a).hex() == want
+    assert PHASE_PLAIN.inverse(a).hex() == want
+    assert PHASE_PLAIN.conjugate(a).hex() == a.hex()
+
+
+@pytest.mark.parametrize("name", ["phase-u24-real", "phase-weak-not-strong"])
+def test_derived_phase_output_spells_one_as_zero_angle(name):
+    """The unit 1 is written {"angle": 0.0}, also where it comes from the
+    involution of the derived cocircuits; the inverse of the payload 0.0
+    once printed it as -0.0."""
+    phi = CORPUS[name].build()
+    for text in (serialize(dual_circuits(circuits_from_gp(phi))),
+                 serialize(dual_gp(phi))):
+        assert "-0.0" not in text

@@ -1,7 +1,9 @@
 """The packed circuit/cocircuit pair loop and the mask-based cocircuit
-derivation against their element-level forms in `oracles`, and a guard
+derivation against their element-level forms in `oracles`; the unchecked
+derivation of `orthogonality_verdict` against the checked one; and guards
 that the runtime paths call neither element-level orthogonality nor
-label-level fundamental circuits."""
+label-level fundamental circuits, and that the verdict makes no
+element-level operation at all."""
 
 import random
 from fractions import Fraction
@@ -10,15 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypermatroid
-from hypermatroid import (CORPUS, PHASE, RATIONALS, SIGN, TRIANGLE, TROPICAL,
-                          CircuitSignature, ClassicalMatroid, ExperimentConfig,
-                          GPFunction, RatioInconsistencyError,
+from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
+                          TROPICAL, CircuitSignature, ClassicalMatroid, ExperimentConfig,
+                          FVector, GPFunction, HFElement, InputError,
+                          RatioInconsistencyError, check_C0_C2,
                           circuits_from_gp, classify,
                           cocircuit_signature_from_circuits, corpus_entries,
                           dual_circuits, gf, gp_from_dual_pair,
-                          nonorthogonal_pair, random_weak_gp,
-                          run_perfection_experiment, serialize, vectors)
+                          nonorthogonal_pair, orthogonal,
+                          orthogonality_verdict, random_weak_gp,
+                          random_weak_signature, run_perfection_experiment,
+                          serialize, vectors)
 from hypermatroid.corpus import gp_from_matrix
+from hypermatroid.gp import _cocircuit_payloads
+from hypermatroid.hyperfields import Hyperfield
 
 import oracles
 from strategies import ALL_KINDS, perturbed, weak_functions
@@ -141,3 +148,113 @@ def test_runtime_paths_take_masks_and_payloads(monkeypatch):
         assert report["samples"] == 5
     assert classify(circuits_from_gp(
         CORPUS["triangle-weak-not-strong"].build())).verdict == "WeakOnly"
+
+
+# -- the unchecked derivation of orthogonality_verdict -------------------------
+
+
+def unchecked_cocircuits(sig):
+    """The cocircuits `orthogonality_verdict` derives, as vectors: the
+    payloads of `_cocircuit_payloads`, with no ratio checked."""
+    hf, ground = sig.hyperfield, sig.ground
+    return CircuitSignature(hf, ground, [
+        FVector(hf, ground, {ground.labels[i]: HFElement(hf, w)
+                             for i, w in payloads.items()})
+        for _, payloads in _cocircuit_payloads(sig)])
+
+
+def assert_ratio_check_is_subsumed(sig) -> bool:
+    """The verdict is that of every pair against the checked derivation
+    (`oracles.full_orthogonality_verdict`).  Where the checked derivation
+    refuses, some unchecked cocircuit Y and the circuits meeting it in
+    exactly two elements give `nonorthogonal_pair` a failing pair, which
+    meets in 2, so the verdict is InvalidSignature.  Returns whether the
+    derivation refused."""
+    verdict = orthogonality_verdict(sig)
+    assert verdict == oracles.full_orthogonality_verdict(sig)
+    try:
+        cocircuit_signature_from_circuits(sig)
+    except RatioInconsistencyError:
+        pass
+    else:
+        return False
+    hf, ground = sig.hyperfield, sig.ground
+    overlaps = []
+    for y in unchecked_cocircuits(sig).classes:
+        meeting = [x for x in sig.classes
+                   if len(set(x.entries) & set(y.entries)) == 2]
+        pair = nonorthogonal_pair(
+            CircuitSignature(hf, ground, meeting, dedup=False),
+            CircuitSignature(hf, ground, [y]), full=False)
+        if pair is not None:
+            assert not orthogonal(pair[1], pair[2])
+            overlaps.append(pair[0])
+    assert overlaps and set(overlaps) == {2}
+    assert verdict == "InvalidSignature"
+    return True
+
+
+WEAK_ONLY = ["triangle-weak-not-strong", "phase-weak-not-strong"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_KINDS + WEAK_ONLY), st.integers(0, 2 ** 32))
+def test_orthogonality_subsumes_the_ratio_check(source, seed):
+    """Random weak signatures over all eight hyperfields and the weak-only
+    corpus signatures, with one entry changed."""
+    rng = random.Random(seed)
+    if isinstance(source, str):
+        sig = circuits_from_gp(CORPUS[source].build())
+    else:
+        sig = random_weak_signature(source, rng, max_rank=4, max_ground=7)
+    assert_ratio_check_is_subsumed(perturbed(sig, rng))
+
+
+def test_ratio_failures_reach_every_hyperfield_with_two_units():
+    """The subsumption is exercised: the checked derivation refuses some
+    perturbed signature over each hyperfield but Krasner, whose one unit
+    leaves nothing to perturb."""
+    rng = random.Random(1204)
+    for hf in ALL_KINDS:
+        refused = sum(assert_ratio_check_is_subsumed(perturbed(
+            random_weak_signature(hf, rng, max_rank=4, max_ground=7), rng))
+            for _ in range(12))
+        assert (refused > 0) == (hf is not KRASNER)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weak_functions(), st.integers(0, 2 ** 32))
+def test_orthogonality_subsumes_the_ratio_check_on_weak_functions(phi, seed):
+    """Weak and weak-only functions over triangle and phase, as derived
+    and with one entry changed."""
+    sig = circuits_from_gp(phi)
+    assert not assert_ratio_check_is_subsumed(sig)
+    assert_ratio_check_is_subsumed(perturbed(sig, random.Random(seed)))
+
+
+def test_orthogonality_verdict_makes_no_element_call(monkeypatch):
+    """On the corpus signatures that reach it and on random weak
+    signatures over every hyperfield, as drawn and with one entry
+    changed: the verdicts of every pair against the checked derivation,
+    with element-level mul, inv, eq, invol and neg refusing."""
+    signatures = []
+    for entry in corpus_entries():
+        sig = entry.build()
+        if entry.kind == "gp":
+            sig = circuits_from_gp(sig)
+        try:
+            sig.underlying_matroid()
+        except InputError:
+            continue
+        if check_C0_C2(sig) is None:
+            signatures.append(sig)
+    rng = random.Random(613)
+    for hf in ALL_KINDS + [gf(5)]:
+        for _ in range(4):
+            sig = random_weak_signature(hf, rng, max_rank=4, max_ground=7)
+            signatures += [sig, perturbed(sig, rng)]
+    want = [oracles.full_orthogonality_verdict(sig) for sig in signatures]
+    assert set(want) == {"Strong", "WeakOnly", "InvalidSignature"}
+    for name in ("mul", "inv", "eq", "invol", "neg"):
+        monkeypatch.setattr(Hyperfield, name, refuse)
+    assert [orthogonality_verdict(sig) for sig in signatures] == want
