@@ -11,8 +11,9 @@ basis exchange past its first basis, a rank-1 function on 20 labels,
 functions with parallel labels (the weak-only entries and a realizable
 phase function), a realizable rank-4 function per built-in hyperfield
 with its signature, dual pair, minors, push-forwards and two
-signatures with one entry changed, and the built-in hyperfields, the
-exit code and the sha256 of stdout, plus the sha256 of every input file the commands read.  The inputs are
+signatures with one entry changed, realizable phase, phase[identity]
+and triangle functions of rank 3 and 4 from seeded matrices, and the
+built-in hyperfields, the exit code and the sha256 of stdout, plus the sha256 of every input file the commands read.  The inputs are
 written from the corpus into a temporary directory, and the commands run
 in process.  Regenerate the file (only when an output
 change is intended) with
@@ -25,6 +26,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import sys
 import tempfile
@@ -258,7 +260,7 @@ def write_inputs(directory: str) -> dict:
     for i, hf in enumerate(HYPERFIELDS):
         files[f"exp-{i}.json"] = json.dumps({"hyperfield": hf, "samples": 10})
     for name, obj in {**weak_check_inputs(), **parallel_inputs(),
-                      **rank4_inputs()}.items():
+                      **rank4_inputs(), **seeded_inputs()}.items():
         files[name] = serialize(obj)
     for hf in LARGE_SWEEPS:
         files[f"exp-{hf}-7.json"] = json.dumps(
@@ -354,6 +356,35 @@ def rank4_commands() -> list:
     return out
 
 
+# Realizable functions from seeded integer matrices, rank 3 on nine labels
+# and rank 4 on ten: over phase and phase[identity] the phases of the
+# minors of the complex matrix with seeded column angles, over triangle
+# their moduli.  Their generic angles pin each payload operation of the
+# circuit extraction down to the last float bit.
+SEEDED = (("phase", 3), ("phase", 4), ("phase[identity]", 3),
+          ("phase[identity]", 4), ("triangle", 4))
+
+
+def seeded(hf_id: str, rank: int) -> GPFunction:
+    rng = random.Random(1601 * rank)
+    columns = [tuple(rng.randint(-3, 3) for _ in range(rank))
+               for _ in range(rank + 6)]
+    hf = hyperfield_from_id(hf_id)
+    if hf.kind == "phase":
+        phi = phase_minors(columns, [rng.uniform(0.0, 6.28) for _ in columns])
+        return GPFunction(hf, phi.ground, rank, {
+            key: hf.element(value.value) for key, value in phi.values.items()})
+    rational = gp_from_matrix(tuple(range(1, len(columns) + 1)), [
+        tuple(map(Fraction, col)) for col in columns])
+    return GPFunction(hf, rational.ground, rank, {
+        key: hf.from_rational(value.value) for key, value in rational.values.items()})
+
+
+def seeded_inputs() -> dict:
+    return {f"gp-{slug(hf_id)}-r{rank}-seeded.json": seeded(hf_id, rank)
+            for hf_id, rank in SEEDED}
+
+
 def commands() -> list:
     out = []
     for entry in corpus_entries():
@@ -394,6 +425,8 @@ def commands() -> list:
             out.append(["dressian", name])
     for name in parallel_inputs():
         out.append(["check-gp", "--both", name])
+    for name in seeded_inputs():
+        out += [["circuits", name], ["check-gp", "--both", name]]
     return out + rank4_commands()
 
 
