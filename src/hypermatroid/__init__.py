@@ -66,7 +66,6 @@ from .gp import (  # noqa: F401
     classify,
     cocircuit_signature_from_circuits,
     dual_pair_witness,
-    equivalent_gp,
     gp_from_dual_pair,
     nonorthogonal_pair,
     orthogonality_verdict,

@@ -15,9 +15,11 @@ a weak function an (I, J) relation is, up to a unit, the orthogonality
 sum of the circuit inside I and the cocircuit off cl(J) (Baker-Bowler),
 and weakness makes the pairs meeting in at most 3 elements orthogonal,
 so one (I, J) per circuit/cocircuit pair meeting in 4 or more is
-checked.  A function that is not strong gets the witness of the full
-scan (basis exchange, then the least failing (I, J) relation); the walk
-over every (I, J) is the test oracle in `tests/oracles.py`.
+checked.  A strong function is weak, so on a function that is not weak
+`--strong` reports the witness of `--weak`; on a weak one it reports the
+first failing (I, J) among those whose circuit and cocircuit meet
+least.  The walk over every (I, J) is the test oracle in
+`tests/oracles.py`.
 `check-circuits` and `classify` decide by orthogonality with the
 cocircuit signature derived from the circuits: a signature is weak when
 the derivation is consistent and every circuit and cocircuit meeting in
@@ -33,8 +35,11 @@ alone, so it runs only the first.  `gp` admits a weak dual pair by DP1,
 DP2 and DP3' (`gp.nonorthogonal_pair` decides DP3') and rebuilds its
 function without re-checking it: a weak dual pair determines one weak
 function up to a unit, and a full dual pair a strong one (Baker-Bowler).
-`circuits` admits a weak function and reads each circuit off one basis,
-since the circuits of a weak function do not depend on the basis used.
+`circuits` admits a weak function and reads each circuit off the first
+(r+1)-set whose circuit it is, against one basis, since the circuits of
+a weak function do not depend on the basis used; it reads them from the
+table that decides Strong and builds no matroid, so it takes every
+ground set that `check-gp --weak` takes.
 `dressian` is the three-term sweep of `check-gp --weak` without the
 basis-exchange scan; it reports the number of three-term (I, J) pairs,
 four per relation though it decides each relation once, and the first

@@ -19,22 +19,20 @@ The perfection sweep samples weak-valid functions and records which are
 strong.  Over the doubly distributive hyperfields (Krasner, sign,
 tropical, finite fields, the rationals) a weak-only find is a
 contract violation, reported as such.  The sweep is an empirical test
-of the theorem that `check_gp_strong` relies on there, so it runs the
-full relation scan (`failing_relation`) itself; the samples are
-weak-valid, so the basis-exchange scan would add nothing, and the scan
-checks one (I, J) per circuit/cocircuit pair meeting in 4 or more
-elements, the pairs weakness leaves open (Baker-Bowler).  Triangle,
-phase and phase[identity] runs seed the sample list with the family's
-weak-only corpus function, its payloads over the swept hyperfield
+of the theorem that `check_gp_strong` relies on there, so it decides
+strength itself, over every hyperfield: each sample's circuits and
+cocircuits come packed from its relation table (`gp._dual_pair`), and
+one run of the pair loop `gp._first_nonorthogonal` over every overlap
+finds the first non-orthogonal pair of least overlap.  That (I, J)
+relation is the witness of a weak-only sample, and its overlap gives the
+bounded-overlap orthogonality levels: level k passes when every pair
+meeting in at most k elements is orthogonal.  Triangle, phase and
+phase[identity] runs seed the sample list with the family's weak-only
+corpus function, its payloads over the swept hyperfield
 (`corpus.weak_only_function`), so those runs always record at least one
-weak-only find.  Each sample's circuits and derived cocircuits are
-packed once (`gp._pack`) and go through the pair loop of
-`gp.nonorthogonal_pair`.  It gives the bounded-overlap orthogonality
-levels: level k passes when every pair meeting in at most k elements is
-orthogonal, read off the least overlap of a non-orthogonal pair (the
-full scan over every hyperfield, for the same reason as the relation
-scan).  On strong samples it also filters random candidates to vectors
-and covectors and tests every vector/covector pair for orthogonality.
+weak-only find.  On strong samples the sweep also filters random
+candidates to vectors and covectors and tests every vector/covector pair
+for orthogonality.
 """
 
 from __future__ import annotations
@@ -48,10 +46,9 @@ from typing import Dict, List, Optional
 from .circuits import CircuitSignature
 from .corpus import _minor_det, weak_only_function
 from .errors import InputError
-from .gp import (GPFunction, _first_nonorthogonal, _pack, check_gp_weak,
-                 circuits_from_gp, failing_relation, three_term_pairs)
+from .gp import (GPFunction, _dual_pair, _first_nonorthogonal, _pack, _witness,
+                 check_gp_weak, circuits_from_gp, three_term_pairs)
 from .hyperfields import Hyperfield, sample_element
-from .transforms import dual_circuits
 from .vectors import FVector, GroundSet
 
 _REJECTION_TRIES = 20000
@@ -195,31 +192,31 @@ def run_perfection_experiment(cfg: ExperimentConfig) -> dict:
     orthogonality_failures: List[dict] = []
 
     for index, phi in enumerate(instances):
-        witness = failing_relation(phi)
-        is_strong = witness is None
-        if is_strong:
+        xs, ys = _dual_pair(phi)
+        every = range(1, len(phi.ground) + 1)
+        pair = _first_nonorthogonal(xs, ys, hf, every)
+        if pair is None:
             strong_count += 1
         else:
-            weak_only.append({"sample": index, "gp": phi, "witness": witness})
-        circuits = circuits_from_gp(phi)
-        xs = _pack(circuits.classes)
-        ys = _pack(dual_circuits(circuits).classes, dual=True)
-        pair = _first_nonorthogonal(xs, ys, hf, full=True)
+            weak_only.append({"sample": index, "gp": phi,
+                              "witness": _witness(phi, "GP3", pair[1], pair[2])})
         for k in range(3, len(phi.ground) + 1):
             hierarchy_total[k] = hierarchy_total.get(k, 0) + 1
             if pair is None or pair[0] > k:
                 hierarchy[k] = hierarchy.get(k, 0) + 1
-        if is_strong:
+        if pair is None:
+            # every circuit and cocircuit passes its filter, so a failing
+            # pair below is two candidates, named by their vectors
             candidates = [_random_candidate(hf, phi.ground, rng)
                           for _ in range(12)]
             vectors = [v for v in xs + _pack(candidates) if v[1] and
-                       _first_nonorthogonal([v], ys, hf, full=True) is None]
+                       _first_nonorthogonal([v], ys, hf, every) is None]
             covectors = [w for w in ys + _pack(candidates, dual=True) if w[1]
-                         and _first_nonorthogonal(xs, [w], hf, full=True) is None]
+                         and _first_nonorthogonal(xs, [w], hf, every) is None]
             for v in vectors:
                 for w in covectors:
                     pairs_checked += 1
-                    if _first_nonorthogonal([v], [w], hf, full=True):
+                    if _first_nonorthogonal([v], [w], hf, every):
                         orthogonality_failures.append(
                             {"sample": index, "vector": v[0], "covector": w[0]})
 

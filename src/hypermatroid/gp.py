@@ -8,32 +8,34 @@ greedy bases) so outputs and witnesses are reproducible.  `classify`
 lives here, next to the cocircuit derivation whose orthogonality with
 the circuits decides it.
 
-Which criterion decides Strong depends on the hyperfield.  Over a doubly
-distributive one (Krasner, sign, tropical, the rationals, GF(p)) weak and
-strong matroids coincide (Baker-Bowler), so Strong is decided by the weak
-criterion: the three-term relations for a function, orthogonality of the
-circuit/cocircuit pairs meeting in at most 3 elements for a signature.
-Over triangle and phase every circuit must be orthogonal to every
-cocircuit.  For a weak function the (I, J) relation is, up to a unit, the
-orthogonality sum of the circuit inside I and the cocircuit off cl(J)
-(Baker-Bowler), so the full relation check tests one (I, J) per pair
-meeting in 4 or more; it still runs everywhere to name a failure.
+Which criterion decides Strong depends on the hyperfield.  A strong
+function is weak, so one that is not weak gets the weak check's witness.
+Over a doubly distributive hyperfield (Krasner, sign, tropical, the
+rationals, GF(p)) weak and strong matroids coincide (Baker-Bowler), so
+Strong is decided by the weak criterion: the three-term relations for a
+function, orthogonality of the circuit/cocircuit pairs meeting in at
+most 3 elements for a signature.  Over triangle and phase every circuit
+must be orthogonal to every cocircuit.
 
 The relation checkers run on raw payloads keyed by int masks of ground
 positions and build elements only for a witness (`relation_terms`).  The
 weak check takes the paper's form: each three-term Pluecker relation once
 (`failing_three_term`), and basis exchange by ANDs of per-element bitsets
-over the bases.  The full check (`failing_relation`) keys each I by its
-circuit and each J by its cocircuit and decides each pair of keys once;
-the walk over every (I, J) is the test oracle in `tests/oracles.py`.
+over the bases.  A weak function determines its dual pair (Baker-Bowler):
+each (r+1)-set I gives the circuit inside I, each (r-1)-set J the
+cocircuit off cl(J), and the (I, J) relation is their orthogonality sum.
+`_dual_pair` packs them once per function, one I or J per mask; Strong
+(`failing_relation`), the circuits (`circuits_from_gp`) and the
+perfection sweep read them.  The walk over every (I, J) is the test
+oracle in `tests/oracles.py`.
 
-One loop, `nonorthogonal_pair`, answers every circuit/cocircuit
-orthogonality question on support masks and payloads: each class is
-packed once (`_pack`), an overlap is a popcount, and each pair, like each
-key pair of the full relation check, is one call of the family's
-`zero_in_dot`, which forms the products x(e) invol(y(e)) and decides "0 in
-their sum" at once.  The cocircuit derivation and the dual-pair walk take
-bases and fundamental circuits as masks.
+One loop, `_first_nonorthogonal`, answers every circuit/cocircuit
+orthogonality question on support masks and payloads, for functions and
+signatures alike: each class is packed once (`_pack`), an overlap is a
+popcount, and each pair is one call of the family's `zero_in_dot`, which
+forms the products x(e) invol(y(e)) and decides "0 in their sum" at
+once.  The cocircuit derivation and the dual-pair walk take bases and
+fundamental circuits as masks.
 
 The cocircuits are derived on payloads (`_cocircuit_payloads`): each
 W(e) is a ratio of the circuit X inside H + e + f0, H a basis of the
@@ -60,7 +62,7 @@ from .circuits import (CircuitSignature, check_C0_C2, check_strong_elimination,
                        check_weak_elimination)
 from .errors import (ConsistencyError, InputError, InvalidDualPairError,
                      RatioInconsistencyError)
-from .hyperfields import HFElement, Hyperfield, eq, inv, mul, neg, signed
+from .hyperfields import HFElement, Hyperfield, inv, mul, neg, signed
 from .matroids import ClassicalMatroid, _labels, _mask, validate_circuits
 from .vectors import FVector, GroundSet
 
@@ -105,6 +107,7 @@ class GPFunction:
         self.values = stored
         self._matroid: Optional[ClassicalMatroid] = None
         self._weak: object = _UNCHECKED
+        self._pairs: Optional[tuple] = None
 
     def value(self, subset: Iterable) -> HFElement:
         """The stored value on an unordered r-set of distinct labels."""
@@ -148,18 +151,6 @@ class GPFunction:
     def __repr__(self) -> str:
         return (f"GPFunction({self.hyperfield}, |E|={len(self.ground)}, "
                 f"rank={self.rank}, support={len(self.values)})")
-
-
-def equivalent_gp(phi1: GPFunction, phi2: GPFunction) -> bool:
-    """Whether phi1 is a global nonzero multiple of phi2."""
-    if (phi1.hyperfield, phi1.ground, phi1.rank) != \
-            (phi2.hyperfield, phi2.ground, phi2.rank):
-        return False
-    if set(phi1.values) != set(phi2.values):
-        return False
-    anchor = min(phi1.values, key=lambda k: tuple(map(phi1.ground.index, k)))
-    alpha = mul(phi1.values[anchor], inv(phi2.values[anchor]))
-    return all(eq(v, mul(alpha, phi2.values[k])) for k, v in phi1.values.items())
 
 
 # -- relations ---------------------------------------------------------------
@@ -233,8 +224,8 @@ def _integral(table: dict) -> dict:
 
 
 def _payloads(phi: GPFunction) -> dict:
-    """{position mask: payload} of the stored values, made integral."""
-    return _integral({_mask(phi.ground, k): v.value for k, v in phi.values.items()})
+    """{position mask: payload} of the stored values."""
+    return {_mask(phi.ground, k): v.value for k, v in phi.values.items()}
 
 
 def _failing_class(S: tuple, rest: list, pair: list, hf: Hyperfield) -> Optional[tuple]:
@@ -263,19 +254,19 @@ def _failing_class(S: tuple, rest: list, pair: list, hf: Hyperfield) -> Optional
 
 
 def failing_three_term(phi: GPFunction) -> Optional[dict]:
-    """The least failing (I, J) with |I - J| = 3, in `failing_relation`
-    order, as a witness, or None.  Such pairs come four to a three-term
-    Pluecker relation: S of r - 2 positions and a < b < c < d outside it
-    give I = S plus three, J = S plus the fourth.  The least, Sabc and Sd,
-    has the terms -phi(Sbc) phi(Sad), phi(Sac) phi(Sbd), -phi(Sab) phi(Scd),
-    the others these up to a global sign, which keeps "0 in the sum".  For
-    one S, `combinations` order on (a, b, c, d) is that of the least
-    members, so the scan keeps each S's first failure, skips an S whose
-    least I comes after the best, and reports the least."""
+    """The least failing (I, J) with |I - J| = 3, I outer and J inner in
+    `combinations` order, as a witness, or None.  Such pairs come four to
+    a three-term Pluecker relation: S of r - 2 positions and a < b < c < d
+    outside it give I = S plus three, J = S plus the fourth.  The least,
+    Sabc and Sd, has the terms -phi(Sbc) phi(Sad), phi(Sac) phi(Sbd),
+    -phi(Sab) phi(Scd), the others these up to a global sign, which keeps
+    "0 in the sum".  For one S, `combinations` order on (a, b, c, d) is
+    that of the least members, so the scan keeps each S's first failure,
+    skips an S whose least I comes after the best, and reports the least."""
     n, r = len(phi.ground), phi.rank
     if r < 2:
         return None
-    table, best = _payloads(phi), None
+    table, best = _integral(_payloads(phi)), None
     for S in combinations(range(n), r - 2):
         s = sum(1 << i for i in S)
         rest = [x for x in range(n) if not s >> x & 1]
@@ -289,56 +280,17 @@ def failing_three_term(phi: GPFunction) -> Optional[dict]:
 
 
 def failing_relation(phi: GPFunction) -> Optional[dict]:
-    """The least failing (I, J), I outer and J inner in the order of
-    `combinations` over the ground order, as a witness, or None.
-
-    Dropping zero terms never changes "0 in the sum" (0 is the additive
-    identity; an all-zero sum contains 0), so only the nonzero products
-    phi(I - i) phi(i, J) are formed, on payloads, with the sign (-1)^k on
-    the left factor and the parity sign on the right.  They sit on the
-    circuit mask of I (the i with I - i a basis, the circuit inside I)
-    and the cocircuit mask of J (the x with J + x a basis, the cocircuit
-    off cl(J)).  For a weak function the relation is, up to a unit, the
-    orthogonality sum of that circuit and cocircuit (Baker-Bowler), so
-    it depends on the two masks alone, and it holds when they meet in at
-    most 3 positions.  So each mask keeps its first I or J, and only mask
-    pairs meeting in 4 or more are checked: the first failure in that
-    order is the least failing (I, J).  For a function that is not weak
-    each I and J is its own key and every pair that meets is checked.
-    The exhaustive walk is the test oracle `oracles.relation_witness`.
+    """The least failing (I, J) of a weak function as a witness, or None:
+    among those whose circuit and cocircuit meet least, the first in the
+    order of `combinations` over the ground order, I outer and J inner.
+    The relation is, up to a unit, the orthogonality sum of the two
+    (Baker-Bowler), and it holds when they meet in at most 3 positions,
+    so one run of the pair loop over the packs of `_dual_pair` meeting in
+    4 or more decides.  The walk is the test oracle `oracles.strong_witness`.
     """
-    hf = phi.hyperfield
-    table = _payloads(phi)
-    negated = {m: hf.negative(x) for m, x in table.items()}
-    weak = check_gp_weak(phi) is None
-    least = 4 if weak else 1
-    r = phi.rank
-    positions = range(len(phi.ground))
-    lefts = {}
-    for I in combinations(positions, r + 1):
-        mask = sum(1 << i for i in I)
-        circuit = sum(1 << i for i in I if mask ^ (1 << i) in table)
-        if circuit and (circuit if weak else mask) not in lefts:
-            lefts[circuit if weak else mask] = (I, circuit, [
-                (i, (negated if k % 2 else table)[mask ^ (1 << i)])
-                for k, i in enumerate(I, start=1) if circuit >> i & 1])
-    rights = {}
-    for J in combinations(positions, r - 1):
-        mask = sum(1 << j for j in J)
-        cocircuit = sum(1 << x for x in positions
-                        if not mask >> x & 1 and mask | (1 << x) in table)
-        if cocircuit and (cocircuit if weak else mask) not in rights:
-            rights[cocircuit if weak else mask] = (J, cocircuit, {
-                x: (negated if (mask & ((1 << x) - 1)).bit_count() % 2
-                    else table)[mask | (1 << x)]
-                for x in positions if cocircuit >> x & 1})
-    zero_in_dot = hf.zero_in_dot
-    for I, circuit, left in lefts.values():
-        for J, cocircuit, right in rights.values():
-            if (circuit & cocircuit).bit_count() >= least and \
-                    not zero_in_dot(left, right):
-                return _witness(phi, "GP3", I, J)
-    return None
+    pair = _first_nonorthogonal(*_dual_pair(phi), phi.hyperfield,
+                                range(4, len(phi.ground) + 1))
+    return None if pair is None else _witness(phi, "GP3", pair[1], pair[2])
 
 
 def check_gp_weak(phi: GPFunction) -> Optional[dict]:
@@ -350,51 +302,92 @@ def check_gp_weak(phi: GPFunction) -> Optional[dict]:
 
 
 def check_gp_strong(phi: GPFunction) -> Optional[dict]:
-    """Basis exchange, then the least failing (I, J) of the full relation
-    family (`failing_relation`).  Over a doubly distributive hyperfield a
-    weak function is strong (Baker-Bowler), so there the full scan only
-    names the witness of a function that is not weak.  Over triangle and
-    phase it decides, and on a weak function it checks one (I, J) per
-    circuit/cocircuit pair meeting in 4 or more elements, since the
-    relation is their orthogonality sum up to a unit (Baker-Bowler); the
-    walk over every (I, J) is the test oracle in `tests/oracles.py`."""
+    """The witness of `check_gp_weak` on a function that is not weak, since
+    a strong function is weak.  Over a doubly distributive hyperfield a
+    weak function is strong (Baker-Bowler), so nothing else is checked
+    there.  Over triangle and phase the relations of the circuit/cocircuit
+    pairs meeting in 4 or more elements decide (`failing_relation`)."""
     weak = check_gp_weak(phi)
-    if weak is None and phi.hyperfield.doubly_distributive:
-        return None
-    if weak is not None and weak["axiom"] == "exchange":
+    if weak is not None or phi.hyperfield.doubly_distributive:
         return weak
     return failing_relation(phi)
 
 
-# -- circuits from a GP function ----------------------------------------------
+# -- the dual pair of a function, packed ---------------------------------------
+
+
+def _dual_pair(phi: GPFunction) -> tuple:
+    """(circuits, cocircuits), built once per function: `_pack`-form packs
+    (I, circuit mask, {i: payload}) and (J, cocircuit mask, {x: payload})
+    in the order of `combinations` over the ground positions, on payloads
+    made integral.  The circuit inside an (r+1)-set I is the i with I - i
+    a basis, its entry at the k-th element (-1)^k phi(I - i); the
+    cocircuit off cl(J) of an (r-1)-set J is the x with J + x a basis, its
+    entry phi(x, J).  The (I, J) relation is the sum of their products,
+    with no involution.  For a weak function they are its dual pair up to
+    units (Baker-Bowler), so each mask keeps its first I or J."""
+    if phi._pairs is None:
+        table, negative = _integral(_payloads(phi)), phi.hyperfield.negative
+        negated = {m: negative(x) for m, x in table.items()}
+        positions = range(len(phi.ground))
+        circuits = {}
+        for I in combinations(positions, phi.rank + 1):
+            mask = sum(1 << i for i in I)
+            circuit = sum(1 << i for i in I if mask ^ (1 << i) in table)
+            if circuit and circuit not in circuits:
+                circuits[circuit] = (I, circuit, {
+                    i: (negated if k % 2 else table)[mask ^ (1 << i)]
+                    for k, i in enumerate(I, start=1) if circuit >> i & 1})
+        cocircuits = {}
+        for J in combinations(positions, phi.rank - 1):
+            mask = sum(1 << j for j in J)
+            cocircuit = sum(1 << x for x in positions
+                            if not mask >> x & 1 and mask | (1 << x) in table)
+            if cocircuit and cocircuit not in cocircuits:
+                cocircuits[cocircuit] = (J, cocircuit, {
+                    x: (negated if (mask & ((1 << x) - 1)).bit_count() % 2
+                        else table)[mask | (1 << x)]
+                    for x in positions if cocircuit >> x & 1})
+        phi._pairs = (list(circuits.values()), list(cocircuits.values()))
+    return phi._pairs
 
 
 def circuits_from_gp(phi: GPFunction) -> CircuitSignature:
     """One representative per circuit of the underlying matroid of a weak
-    function, anchored at value 1 on the circuit's least element x0 and
-    computed against the first basis B containing C - x0, in the lex order
-    of ground positions: X(x_i) = (-1)^i phi(x0, B - x_i) / phi(B).
+    function, in the order of their ground positions, anchored at value 1
+    on the circuit's least element x0 and computed against B = I - x0, I
+    the circuit's first (r+1)-set in `_dual_pair`, which makes B the first
+    basis containing C - x0 in the lex order of ground positions:
+    X(x_i) = (-1)^i phi(x0, B - x_i) / phi(B), x_i the i-th element of B.
 
     The circuit vectors of a weak function do not depend on the basis
-    used (Baker-Bowler), so no other basis is consulted; on a function
-    that is not weak the result is that of the first basis.  x_i lies in
-    the fundamental circuit of x0 exactly when B - x_i + x0 is in the
-    support, so every entry on C is nonzero.  Recomputing against every
-    basis containing C - x0 is a test oracle.
+    used (Baker-Bowler), so no other basis is consulted and no matroid is
+    built.  Each entry takes the payload operations of that formula in its
+    order, so float payloads come out bit for bit alike.  Recomputing
+    against every basis containing C - x0 is a test oracle.  On a function
+    that is not weak the result is that of the same sets; a support that is
+    not the basis family of a matroid raises InputError.
     """
-    hf = phi.hyperfield
-    matroid = phi.underlying_matroid()
-    pos = phi.ground.index
+    weak = check_gp_weak(phi)
+    if weak is not None and weak["axiom"] == "exchange":
+        raise InputError("the support is not the basis family of a matroid")
+    hf, labels = phi.hyperfield, phi.ground.labels
+    product, negative, one = hf.product, hf.negative, hf.one()
+    table = _payloads(phi)
     vectors = []
-    for circuit in sorted(matroid.circuits, key=lambda c: sorted(map(pos, c))):
-        x0 = min(circuit, key=pos)
-        basis = next(matroid.bases_containing(circuit - {x0}))
-        denom = inv(phi.value(basis))
-        entries = {x0: hf.one()}
-        for i, xi in enumerate(basis, start=1):
-            if xi in circuit:
-                rest = tuple(b for b in basis if b != xi)
-                entries[xi] = signed(mul(phi.evaluate((x0,) + rest), denom), i)
+    for I, circuit, _ in sorted(_dual_pair(phi)[0], key=lambda c: _positions(c[1])):
+        x0 = (circuit & -circuit).bit_length() - 1
+        basis = sum(1 << i for i in I) ^ 1 << x0
+        denom = hf.inverse(table[basis])
+        entries = {labels[x0]: one}
+        for i, xi in enumerate(_positions(basis), start=1):
+            if circuit >> xi & 1:
+                rest = basis ^ 1 << xi
+                value = table[rest | 1 << x0]
+                if (rest & ((1 << x0) - 1)).bit_count() % 2:
+                    value = negative(value)
+                value = product(value, denom)
+                entries[labels[xi]] = HFElement(hf, negative(value) if i % 2 else value)
         vectors.append(FVector(hf, phi.ground, entries))
     return CircuitSignature(hf, phi.ground, vectors)
 
@@ -425,20 +418,25 @@ def _pack(vectors: Iterable[FVector], dual: bool = False) -> list:
 
 
 def _first_nonorthogonal(xs: list, ys: list, hf: Hyperfield,
-                         full: bool) -> Optional[tuple]:
-    """`nonorthogonal_pair` on packs; disjoint pairs are skipped at once."""
+                         overlaps: range) -> Optional[tuple]:
+    """(overlap, x, y) for the first pair of packs x in xs and y in ys, in
+    xs x ys order, that meet in at most 3 positions, or in the least of
+    `overlaps`, and are not orthogonal; failing that, for the first
+    non-orthogonal pair of least overlap; else None.  Only pairs whose
+    overlap lies in `overlaps` are tested, and a pair whose overlap cannot
+    lower the least found is skipped."""
     zero_in_dot = hf.zero_in_dot
+    least, limit = overlaps.start, overlaps.stop
+    at_once = max(3, least)
     best = None
     for x, mx, px in xs:
+        left = px.items()
         for y, my, py in ys:
             overlap = (mx & my).bit_count()
-            if not overlap or overlap > 3 and not (
-                    full and (best is None or overlap < best[0])):
-                continue
-            if not zero_in_dot(px.items(), py):
-                if overlap <= 3:
+            if least <= overlap < limit and not zero_in_dot(left, py):
+                if overlap <= at_once:
                     return overlap, x, y
-                best = overlap, x, y
+                best, limit = (overlap, x, y), overlap
     return best
 
 
@@ -449,7 +447,7 @@ def nonorthogonal_pair(C: CircuitSignature, D: CircuitSignature,
     `full` set, for the first non-orthogonal pair of least overlap; else
     None.  A pair whose overlap cannot lower the least found is skipped."""
     return _first_nonorthogonal(_pack(C.classes), _pack(D.classes, dual=True),
-                                C.hyperfield, full)
+                                C.hyperfield, range(1, len(C.ground) + 1 if full else 4))
 
 
 def _circuit_ratio(sig: CircuitSignature):
@@ -640,8 +638,8 @@ def orthogonality_verdict(sig: CircuitSignature) -> str:
     for _, payloads in _cocircuit_payloads(sig):
         packed = _integral({i: hf.conjugate(w) for i, w in payloads.items()})
         cocircuits.append((None, sum(1 << i for i in packed), packed))
-    pair = _first_nonorthogonal(_pack(sig.classes), cocircuits, hf,
-                                full=not hf.doubly_distributive)
+    pair = _first_nonorthogonal(_pack(sig.classes), cocircuits, hf, range(
+        1, 4 if hf.doubly_distributive else len(sig.ground) + 1))
     if pair is None:
         return "Strong"
     return "WeakOnly" if pair[0] > 3 else "InvalidSignature"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import FrozenSet, Iterable, Iterator, List, Optional
+from typing import FrozenSet, Iterable, List, Optional
 
 from .errors import InputError
 from .vectors import GroundSet
@@ -291,21 +291,6 @@ class ClassicalMatroid:
             self._bases = frozenset(frozenset(_labels(self.ground, b))
                                     for b in self._basis_mask_set())
         return self._bases
-
-    def bases_containing(self, independent_set: Iterable) -> Iterator[tuple]:
-        """The bases that contain an independent set, as label tuples in
-        ground order, lazily and in the lex order of their ground
-        positions: the set plus each independent `combinations` pick of
-        the other positions.  Two sets of one size are ordered by the
-        least element of their symmetric difference, which the shared
-        part never contains, so the picks come in the bases' order."""
-        start = _mask(self.ground, independent_set)
-        rest = [1 << i for i in range(len(self.ground)) if not start >> i & 1]
-        dep = self._dep
-        for picks in combinations(rest, self.rank() - start.bit_count()):
-            mask = start | sum(picks)
-            if not dep[mask]:
-                yield _labels(self.ground, mask)
 
     def extend_to_basis(self, independent_set: Iterable) -> tuple:
         start = _mask(self.ground, independent_set)

@@ -6,18 +6,22 @@ circuit families come from a second, unrelated code path: none of them
 uses the package under test.  The GP relation scan reuses the package's
 `relation_terms` and `zero_in_sum`, since what it checks is the
 enumeration: every (I, J) pair in order, each decided on its full term
-list, zeros included.  `classify_by_elimination` decides strength by the
-package's two elimination criteria instead of orthogonality, and
+list, zeros included; `strong_witness` keeps, on a weak function, the
+first failing pair of least circuit/cocircuit overlap, which is what
+`check_gp_strong` names.  `classify_by_elimination` decides strength by
+the package's two elimination criteria instead of orthogonality, and
 `full_orthogonality_verdict` by the package's `orthogonal` on every
 circuit/cocircuit pair over every hyperfield.  `circuit_by_every_basis`
 computes a circuit vector of a GP function against every basis that can
-carry it, where `circuits_from_gp` uses the first.  `nonorthogonal_pair`
-and `cocircuit_signature_from_circuits` are the package's element-level
-forms of its packed pair loop and mask-based cocircuit derivation: one
-`orthogonal` per pair, and fundamental circuits and classes looked up by
-frozensets of labels.  `zero_in_phase_sum` is the greedy phase zero test
-that the package's sort-first test falls back on, and `check_C0_C2` the
-support axioms by the scan over every pair of classes.
+carry it (`bases_containing`), where `circuits_from_gp` uses the first,
+and `equivalent_gp` compares two functions up to a unit.
+`nonorthogonal_pair` and `cocircuit_signature_from_circuits` are the
+package's element-level forms of its packed pair loop and mask-based
+cocircuit derivation: one `orthogonal` per pair, and fundamental
+circuits and classes looked up by frozensets of labels.
+`zero_in_phase_sum` is the greedy phase zero test that the package's
+sort-first test falls back on, and `check_C0_C2` the support axioms by
+the scan over every pair of classes.
 """
 
 import math
@@ -230,21 +234,63 @@ def relation_pairs(phi, three_term_only):
                 yield I, J
 
 
-def relation_witness(phi, three_term_only):
-    """The first pair whose full term list, zeros included, fails
-    zero_in_sum, as a witness, or None."""
+def failing_relations(phi, three_term_only):
+    """Each pair whose full term list, zeros included, fails zero_in_sum,
+    as a witness, in order."""
     axiom = "GP3'" if three_term_only else "GP3"
     for I, J in relation_pairs(phi, three_term_only):
         terms = relation_terms(phi, I, J)
         if not zero_in_sum(terms):
-            return {"axiom": axiom, "I": I, "J": J, "terms": terms}
-    return None
+            yield {"axiom": axiom, "I": I, "J": J, "terms": terms}
+
+
+def relation_witness(phi, three_term_only):
+    """The first failing pair, as a witness, or None."""
+    return next(failing_relations(phi, three_term_only), None)
 
 
 def gp_witness(phi, three_term_only):
-    """The verdict of check_gp_weak (three_term_only) or check_gp_strong
-    by the direct scans: basis exchange, then every relation."""
+    """The verdict of check_gp_weak (three_term_only) by the direct scans,
+    basis exchange, then every relation; without three_term_only, the
+    same scans over the full relation family."""
     return exchange_witness(phi) or relation_witness(phi, three_term_only)
+
+
+def strong_witness(phi):
+    """The verdict of check_gp_strong by the walk: the weak verdict of a
+    function that is not weak; on a weak one, the first failing pair
+    among those with the fewest nonzero terms.  Term k is nonzero exactly
+    when the k-th element of I lies in the circuit inside I and in the
+    cocircuit off cl(J), so these are the pairs of least overlap."""
+    return gp_witness(phi, True) or min(
+        failing_relations(phi, False),
+        key=lambda w: sum(not t.is_zero for t in w["terms"]), default=None)
+
+
+def equivalent_gp(phi1, phi2):
+    """Whether phi1 is a global nonzero multiple of phi2."""
+    if (phi1.hyperfield, phi1.ground, phi1.rank) != \
+            (phi2.hyperfield, phi2.ground, phi2.rank):
+        return False
+    if set(phi1.values) != set(phi2.values):
+        return False
+    anchor = min(phi1.values, key=lambda k: tuple(map(phi1.ground.index, k)))
+    alpha = mul(phi1.values[anchor], inv(phi2.values[anchor]))
+    return all(eq(v, mul(alpha, phi2.values[k])) for k, v in phi1.values.items())
+
+
+def bases_containing(m, independent_set):
+    """The bases of m that contain an independent set, as label tuples in
+    ground order, lazily and in the lex order of their ground positions:
+    the set plus each independent `combinations` pick of the other
+    labels.  Two sets of one size are ordered by the least element of
+    their symmetric difference, which the shared part never contains, so
+    the picks come in the bases' order."""
+    start = frozenset(independent_set)
+    rest = [x for x in m.ground if x not in start]
+    for picks in combinations(rest, m.rank() - len(start)):
+        if m.independent(start | set(picks)):
+            yield m.ground.sort(start | set(picks))
 
 
 def circuit_by_every_basis(phi, circuit):
@@ -253,7 +299,7 @@ def circuit_by_every_basis(phi, circuit):
     X(x_i) = (-1)^i phi(x0, B - x_i) / phi(B) for the i-th x_i of B in C."""
     x0 = min(circuit, key=phi.ground.index)
     hf = phi.hyperfield
-    for basis in phi.underlying_matroid().bases_containing(circuit - {x0}):
+    for basis in bases_containing(phi.underlying_matroid(), circuit - {x0}):
         denom = inv(phi.value(basis))
         entries = {x0: hf.one()}
         for i, xi in enumerate(basis, start=1):

@@ -127,6 +127,19 @@ def test_circuits_and_gp_roundtrip(capsys, tmp_path):
     assert json.loads(out)["rank"] == 2
 
 
+def test_circuits_above_the_matroid_cap(capsys, tmp_path):
+    """`circuits` accepts every function the weak check accepts: a rank-1
+    sign function on 20 labels, more than a matroid's ground set may
+    have, has every pair of labels as a circuit."""
+    labels = tuple(range(1, 21))
+    phi = GPFunction(SIGN, GroundSet(labels), 1, {
+        (x,): SIGN.element(1 if x % 3 else -1) for x in labels})
+    code, out, err = run(capsys, "circuits", write(tmp_path, "gp.json", phi))
+    assert code == 0 and err == ""
+    circuits = [sorted(map(int, c["entries"])) for c in json.loads(out)["circuits"]]
+    assert circuits == [list(pair) for pair in combinations(labels, 2)]
+
+
 def test_dual_on_gp(capsys, tmp_path):
     path = write(tmp_path, "gp.json", CORPUS["sign-k4"].build())
     code, out, _ = run(capsys, "dual", path)

@@ -59,14 +59,25 @@ def test_sweep_doubly_distributive_all_strong():
 
 def test_sweep_runs_the_full_relation_scan(monkeypatch):
     """The sweep tests the theorem that lets check_gp_strong stop at the
-    weak check over sign, so it must run the full scan itself: a failing
-    full relation there is a contract violation."""
-    monkeypatch.setattr(
-        experiments, "failing_relation",
-        lambda phi: {"axiom": "GP3"})
-    report = run_perfection_experiment(ExperimentConfig(SIGN, samples=3, seed=2))
-    assert report["strong"] == 0 and len(report["weak_only"]) == 3
-    assert report["contract_violation"] is True
+    weak check over sign, so it must decide strength itself: a circuit and
+    a cocircuit meeting in 4 or more elements that are not orthogonal
+    there make a contract violation, named by their relation."""
+    family = type(SIGN)
+    zero_in_dot = family.zero_in_dot
+
+    def wide_pairs_fail(self, left, right):
+        left = list(left)
+        return zero_in_dot(self, left, right) and \
+            sum(i in right for i, _ in left) < 4
+
+    monkeypatch.setattr(family, "zero_in_dot", wide_pairs_fail)
+    report = run_perfection_experiment(
+        ExperimentConfig(SIGN, max_ground=7, samples=5, seed=2))
+    assert report["weak_only"] and report["contract_violation"] is True
+    for find in report["weak_only"]:
+        terms = find["witness"]["terms"]
+        assert find["witness"]["axiom"] == "GP3"
+        assert sum(not term.is_zero for term in terms) >= 4
 
 
 def test_sweep_triangle_records_weak_only():

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS,
-                          SIGN, TRIANGLE, TROPICAL, GPFunction, GroundSet,
-                          InputError, InvalidDualPairError, check_gp_strong,
+                          SIGN, TRIANGLE, TROPICAL, ClassicalMatroid,
+                          GPFunction, GroundSet, InputError,
+                          InvalidDualPairError, check_gp_strong,
                           check_gp_weak, circuits_from_gp,
                           cocircuit_signature_from_circuits, corpus_entries,
                           dual_circuits, dual_gp, dual_pair_witness, eq,
-                          equivalent_gp, gf, gp_from_dual_pair, mul,
+                          gf, gp_from_dual_pair, mul,
                           nonorthogonal_pair, random_weak_gp, relation_terms,
                           sample_element, support, zero_in_sum)
 import hypermatroid.gp
@@ -23,6 +24,7 @@ from hypermatroid.gp import failing_relation, failing_three_term
 from hypermatroid.vectors import vectors_equal
 
 import oracles
+from oracles import equivalent_gp
 from strategies import (ALL_KINDS, DOUBLY_DISTRIBUTIVE, NOT_DOUBLY_DISTRIBUTIVE,
                         phase_minors, reordered, units, weak_candidate,
                         weak_functions)
@@ -242,8 +244,13 @@ def gp_functions(draw):
 @settings(max_examples=300, deadline=None)
 @given(gp_functions())
 def test_relation_checks_match_the_scans(phi):
-    assert check_gp_weak(phi) == oracles.gp_witness(phi, True)
-    assert check_gp_strong(phi) == oracles.gp_witness(phi, False)
+    """A function that is not weak gets the weak witness from the Strong
+    check as well."""
+    weak = oracles.gp_witness(phi, True)
+    assert check_gp_weak(phi) == weak
+    assert check_gp_strong(phi) == oracles.strong_witness(phi)
+    if weak is not None:
+        assert check_gp_strong(phi) == weak
 
 
 @settings(max_examples=120, deadline=None)
@@ -280,7 +287,7 @@ def test_corpus_relation_checks_match_the_scans(name):
     functions above rarely reach."""
     phi = CORPUS[name].build()
     assert check_gp_weak(phi) == oracles.gp_witness(phi, True)
-    assert check_gp_strong(phi) == oracles.gp_witness(phi, False)
+    assert check_gp_strong(phi) == oracles.strong_witness(phi)
 
 
 
@@ -322,7 +329,7 @@ def weak_only_variants(draw):
 def test_weak_only_functions_fail_the_full_scan(phi):
     """Reaches the failing full scan over triangle and phase, which the
     random functions above do not."""
-    assert check_gp_strong(phi) == oracles.gp_witness(phi, False)
+    assert check_gp_strong(phi) == oracles.strong_witness(phi)
     assert verdicts(phi) == (True, False)
 
 
@@ -443,9 +450,9 @@ def test_exchange_on_grounds_above_the_matroid_cap(rank, size):
 @given(weak_functions())
 def test_strong_check_matches_the_walk_on_weak_functions(phi):
     """Parallel labels and direct sums give many (I, J) the same circuit
-    and cocircuit, so the keyed scan must still name the least failing
-    pair of the full walk."""
-    assert check_gp_strong(phi) == oracles.gp_witness(phi, False)
+    and cocircuit, so the keyed scan must still name the first failing
+    pair of least overlap of the full walk."""
+    assert check_gp_strong(phi) == oracles.strong_witness(phi)
 
 
 def test_weak_candidates_reach_weak_only_functions():
@@ -539,6 +546,36 @@ def assert_derived_data_agrees(phi):
     if not phi.hyperfield.doubly_distributive:
         assert (check_gp_strong(rebuilt) is None) == \
             (check_gp_strong(phi) is None)
+
+
+@pytest.mark.parametrize("name", [e.name for e in corpus_entries()
+                                  if e.kind == "gp"])
+def test_circuits_from_gp_builds_no_matroid(monkeypatch, name):
+    """The circuits are read off the relation table, each against its
+    first basis, with every ClassicalMatroid method made to raise."""
+    phi = CORPUS[name].build()
+    pos = phi.ground.index
+    want = [next(oracles.circuit_by_every_basis(phi, circuit)) for circuit in
+            sorted(phi.underlying_matroid().circuits,
+                   key=lambda c: sorted(map(pos, c)))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("circuits_from_gp used a ClassicalMatroid method")
+
+    for attr, value in list(vars(ClassicalMatroid).items()):
+        if callable(value) or isinstance(value, classmethod):
+            monkeypatch.setattr(ClassicalMatroid, attr, forbidden)
+    got = circuits_from_gp(CORPUS[name].build()).classes
+    assert len(got) == len(want)
+    assert all(vectors_equal(x, y) for x, y in zip(got, want))
+
+
+def test_circuits_from_gp_refuses_a_support_that_is_not_a_matroid():
+    """{12, 34} fails basis exchange: it is no matroid's basis family."""
+    phi = GPFunction(SIGN, GroundSet((1, 2, 3, 4)), 2,
+                     {(1, 2): SIGN.one(), (3, 4): SIGN.one()})
+    with pytest.raises(InputError):
+        circuits_from_gp(phi)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+private helper it defines is used somewhere in the package."""
 
 import ast
 import os
@@ -40,3 +41,58 @@ def test_unused_imports_are_found():
 def test_module_uses_every_import(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as handle:
         assert unused_imports(handle.read()) == [], module
+
+
+def private_definitions(tree) -> list:
+    """The private functions and classes a module defines at top level."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def referenced_names(tree, skip=None) -> set:
+    """The names a module reads, as names, attributes or imports, outside
+    the subtree `skip`."""
+    inside = set() if skip is None else {id(node) for node in ast.walk(skip)}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def orphans(sources: dict) -> list:
+    """(module, name) of each private top-level function or class that no
+    module refers to outside its own definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    names = {module: referenced_names(tree) for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        for node in private_definitions(tree):
+            if not any(node.name in used for other, used in names.items()
+                       if other != module) and \
+                    node.name not in referenced_names(tree, node):
+                found.append((module, node.name))
+    return sorted(found)
+
+
+def test_orphans_are_found():
+    sources = {"a.py": "def _used():\n    pass\n\ndef _alone():\n    _alone()\n\n"
+                       "class _Kept:\n    pass\n",
+               "b.py": "from a import _used\nimport a\n_used()\na._Kept()\n"}
+    assert orphans(sources) == [("a.py", "_alone")]
+
+
+def test_every_private_helper_is_used():
+    sources = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
+                sources[name] = handle.read()
+    assert orphans(sources) == []

@@ -11,13 +11,14 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           TROPICAL, HFElement, HyperfieldHom, InputError,
                           check_gp_strong, check_gp_weak, circuits_from_gp,
                           cocircuit_signature_from_circuits, contract_gp,
-                          delete_gp, dual_circuits, dual_gp, equivalent_gp,
-                          gf, identity_hom, minimal_covectors, minor_circuits,
+                          delete_gp, dual_circuits, dual_gp, gf,
+                          identity_hom, minimal_covectors, minor_circuits,
                           projectively_equal, pushforward_circuits,
                           pushforward_gp, rational_padic, rational_sign,
                           random_weak_gp, same_signature, to_krasner,
                           validate_hom)
 
+from oracles import equivalent_gp
 from strategies import ALL_KINDS, weak_functions
 
 GP_NAMES = ("krasner-u24", "krasner-k4", "sign-u13", "sign-u24", "sign-k4",
