@@ -76,7 +76,6 @@ from .transforms import (  # noqa: F401
     HyperfieldHom,
     contract_gp,
     delete_gp,
-    dual_circuits,
     dual_gp,
     identity_hom,
     minimal_covectors,
@@ -91,7 +90,6 @@ from .transforms import (  # noqa: F401
 
 from .serialization import (  # noqa: F401
     hyperfield_from_id,
-    parse_file,
     parse_object,
     parse_text,
     serialize,

@@ -61,14 +61,15 @@ from .corpus import corpus_entries, run_demo
 from .errors import InputError, InvalidDualPairError, RatioInconsistencyError
 from .experiments import config_from_json, run_perfection_experiment
 from .gp import (GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp,
-                 classify, elimination_witness, failing_three_term,
-                 gp_from_dual_pair, orthogonality_verdict, three_term_pairs)
+                 classify, cocircuit_signature_from_circuits,
+                 elimination_witness, failing_three_term, gp_from_dual_pair,
+                 orthogonality_verdict, three_term_pairs)
 from .hyperfields import TROPICAL
 from .matroids import validate_circuits
 from .serialization import hyperfield_from_id, parse_text, serialize
-from .transforms import (contract_gp, delete_gp, dual_circuits, dual_gp,
-                         minor_circuits, pushforward_circuits, pushforward_gp,
-                         rational_padic, rational_sign, to_krasner)
+from .transforms import (contract_gp, delete_gp, dual_gp, minor_circuits,
+                         pushforward_circuits, pushforward_gp, rational_padic,
+                         rational_sign, to_krasner)
 
 _PROPERTY_ERRORS = (InvalidDualPairError, RatioInconsistencyError)
 
@@ -193,7 +194,7 @@ def _cmd_dual(args) -> int:
     if isinstance(obj, GPFunction):
         _emit(dual_gp(obj))
     elif isinstance(obj, CircuitSignature):
-        _emit(dual_circuits(obj))
+        _emit(cocircuit_signature_from_circuits(obj))
     else:
         raise InputError("expected a Grassmann-Pluecker object or a "
                          "circuit signature")

@@ -53,9 +53,11 @@ def _minor_det(columns: List[Tuple[Fraction, ...]], picks: Tuple[int, ...]) -> F
                for k, p in enumerate(picks))
 
 
-def gp_from_matrix(labels: Tuple, columns) -> GPFunction:
-    """The rational minor-determinant function of a full-rank matrix, one
-    column per label."""
+def gp_from_matrix(hf: Hyperfield, labels: Tuple, columns) -> GPFunction:
+    """The minor-determinant function of a rational matrix, one column per
+    label, each nonzero minor pushed into hf by `hf.from_rational` (a
+    minor whose image is zero is left out).  Raises `InputError` when every
+    minor vanishes in hf."""
     rank = len(columns[0])
     if any(len(col) != rank for col in columns):
         raise InputError("need columns of equal height")
@@ -63,8 +65,8 @@ def gp_from_matrix(labels: Tuple, columns) -> GPFunction:
     for picks in combinations(range(len(labels)), rank):
         d = _minor_det(columns, picks)
         if d != 0:
-            values[tuple(labels[i] for i in picks)] = RATIONALS.element(Fraction(d))
-    return GPFunction(RATIONALS, GroundSet(labels), rank, values)
+            values[tuple(labels[i] for i in picks)] = hf.from_rational(d)
+    return GPFunction(hf, GroundSet(labels), rank, values)
 
 
 # U(2,4): four points on a line in general position.
@@ -84,18 +86,11 @@ _K4_COLUMNS = [(Fraction(1), Fraction(-1), Fraction(0)),
 
 
 def _rational_u24() -> GPFunction:
-    return gp_from_matrix(_U24_LABELS, _U24_COLUMNS)
+    return gp_from_matrix(RATIONALS, _U24_LABELS, _U24_COLUMNS)
 
 
 def _rational_k4() -> GPFunction:
-    return gp_from_matrix(_K4_LABELS, _K4_COLUMNS)
-
-
-def _gf3_u24() -> GPFunction:
-    base = _rational_u24()
-    field = gf(3)
-    values = {k: field.element(int(v.value)) for k, v in base.values.items()}
-    return GPFunction(field, base.ground, base.rank, values)
+    return gp_from_matrix(RATIONALS, _K4_LABELS, _K4_COLUMNS)
 
 
 def _sign_u13() -> GPFunction:
@@ -146,14 +141,6 @@ def _phase_example() -> GPFunction:
     values = {key: PHASE.element(1 if angle == 0.0 else angle)
               for key, angle in _PHASE_ANGLES.items()}
     return GPFunction(PHASE, ground, 3, values)
-
-
-def _phase_u24_real() -> GPFunction:
-    """The U(2,4) chirotope embedded in the phase hyperfield (angles 0, pi)."""
-    base = _rational_u24()
-    values = {k: PHASE.element(1) if v.value > 0 else neg(PHASE.element(1))
-              for k, v in base.values.items()}
-    return GPFunction(PHASE, base.ground, base.rank, values)
 
 
 def _sign_flipped_u24() -> CircuitSignature:
@@ -221,7 +208,7 @@ _ENTRIES = [
     CorpusEntry(
         "gf3-u24", "gp",
         "four points on a line over the three-element field",
-        _gf3_u24,
+        lambda: gp_from_matrix(gf(3), _U24_LABELS, _U24_COLUMNS),
         {"weak_ok": True, "strong_ok": True, "classify": "Strong"}),
     CorpusEntry(
         "rational-u24", "gp",
@@ -246,7 +233,7 @@ _ENTRIES = [
     CorpusEntry(
         "phase-u24-real", "gp",
         "the line-configuration chirotope embedded at angles 0 and pi",
-        _phase_u24_real,
+        lambda: gp_from_matrix(PHASE, _U24_LABELS, _U24_COLUMNS),
         {"weak_ok": True, "strong_ok": True, "classify": "Strong"}),
     CorpusEntry(
         "sign-flipped-u24", "signature",

@@ -44,7 +44,7 @@ from itertools import combinations
 from typing import Dict, List, Optional
 
 from .circuits import CircuitSignature
-from .corpus import _minor_det, weak_only_function
+from .corpus import gp_from_matrix, weak_only_function
 from .errors import InputError
 from .gp import (GPFunction, _dual_pair, _first_nonorthogonal, _pack, _witness,
                  check_gp_weak, circuits_from_gp, three_term_pairs)
@@ -60,19 +60,12 @@ def _matrix_seeded(hf: Hyperfield, rng: random.Random, rank: int,
     into the hyperfield; None when every r-minor vanishes there.  The
     push-forward of a realizable function along a hyperfield homomorphism
     is a GP function (Baker-Bowler), so it is weak without a check."""
-    m = len(labels)
     columns = [tuple(Fraction(rng.randint(-4, 4)) for _ in range(rank))
-               for _ in range(m)]
-    ground = GroundSet(labels)
-    values = {}
-    for picks in combinations(range(m), rank):
-        det = _minor_det(columns, picks)
-        el = hf.from_rational(det) if det else hf.zero()
-        if not el.is_zero:
-            values[tuple(labels[i] for i in picks)] = el
-    if not values:
+               for _ in labels]
+    try:
+        return gp_from_matrix(hf, labels, columns)
+    except InputError:  # identically zero
         return None
-    return GPFunction(hf, ground, rank, values)
 
 
 def _mutate(phi: GPFunction, rng: random.Random, rounds: int) -> GPFunction:

@@ -533,12 +533,13 @@ def _signature_of(sig: CircuitSignature, matroid: ClassicalMatroid) -> bool:
     return check_C0_C2(sig) is None and frozenset(sig.supports()) == matroid.circuits
 
 
-def dual_pair_witness(C: CircuitSignature, D: CircuitSignature,
-                      full: bool = True) -> Optional[dict]:
-    """First failure of the dual-pair requirements, or None: DP1 and DP2
-    (signatures of a matroid and its dual), then DP3' (not a weak dual
-    pair) or, with `full` set, DP3 (weak but not full), named by the pair
-    `nonorthogonal_pair` finds."""
+def dual_pair_witness(C: CircuitSignature,
+                      D: CircuitSignature) -> Optional[dict]:
+    """First failure of the weak dual-pair requirements, or None: DP1 and
+    DP2 (signatures of a matroid and its dual), then DP3' (a circuit and a
+    cocircuit meeting in at most 3 elements that are not orthogonal),
+    named by the pair `nonorthogonal_pair` finds.  Whether a weak dual
+    pair is full (DP3) is not asked here."""
     try:
         matroid = C.underlying_matroid()
     except InputError:
@@ -547,17 +548,17 @@ def dual_pair_witness(C: CircuitSignature, D: CircuitSignature,
         return {"axiom": "DP1", "reason": "not a signature of a matroid"}
     if not _signature_of(D, matroid.dual()):
         return {"axiom": "DP2", "reason": "not a signature of the dual matroid"}
-    pair = nonorthogonal_pair(C, D, full)
+    pair = nonorthogonal_pair(C, D, False)
     if pair is None:
         return None
-    overlap, x, y = pair
-    return {"axiom": "DP3'" if overlap <= 3 else "DP3", "X": x, "Y": y}
+    _, x, y = pair
+    return {"axiom": "DP3'", "X": x, "Y": y}
 
 
 def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature) -> GPFunction:
     """Reconstruct the function whose circuit signature is C, from a weak
     dual pair (C, D), admitted once by DP1, DP2 and DP3'
-    (`dual_pair_witness` with `full` unset).
+    (`dual_pair_witness`).
 
     The basis-exchange graph is walked breadth first on basis masks from
     the greedy (lexicographically least) basis, pinned to value 1; each
@@ -567,7 +568,7 @@ def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature) -> GPFunction:
     and a full dual pair a strong one (Baker-Bowler), so revisits agree
     and nothing is re-checked here; re-checking is a test oracle.
     """
-    problem = dual_pair_witness(C, D, full=False)
+    problem = dual_pair_witness(C, D)
     if problem is not None:
         raise InvalidDualPairError(str(problem))
     hf, ground, labels = C.hyperfield, C.ground, C.ground.labels

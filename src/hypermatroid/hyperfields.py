@@ -23,21 +23,24 @@ so hyperfields compare by identity:
   Rationals     RATIONALS: the field of rationals (Fraction payload)
   PrimeField    gf(p): the prime field GF(p) (int payload mod p)
 
-A family owns payload normalisation, one interned zero and one, the scalar
-operations, sampling, the JSON codec, its flags, and the `sumsets` class
-that represents its hypersums exactly (`sums`).  Its arithmetic is stated
-once, on raw payloads: the product of two nonzero payloads (`product`),
-the hyperinverse (`negative`), the multiplicative inverse (`inverse`), the
-involution (`conjugate`), equality (`equal`) and the closed form for
-"0 in x1 + ... + xk" (`zero_in`).  The element operations `mul`, `neg`,
-`inv`, `invol`, `eq` and `zero_in_sum` wrap these, and the GP relation
-kernel and the cocircuit derivation call them directly, so both share one
-formula.  The circuit/cocircuit pair loops ask "0 in the sum of the
-products over the shared positions" once per pair (`zero_in_dot`): by
-default `zero_in` of `product`s, which triangle and phase fuse.  The
-module-level functions (`mul`, `neg`, `zero_in_sum`, ...) check that their
-operands share one hyperfield and call its family; the fold oracle in
-`sumsets` cross-checks the closed forms.
+A family is its payload operations and its codec: payload normalisation,
+one interned zero and one, sampling, the JSON codec, its flags, and the
+`sumsets` class that represents its hypersums exactly (`sums`).  Its
+arithmetic is stated once, on raw payloads: the product of two nonzero
+payloads (`product`), the hyperinverse (`negative`), the multiplicative
+inverse (`inverse`), the involution (`conjugate`), equality (`equal`), the
+closed form for "0 in x1 + ... + xk" (`zero_in`) and membership of a
+nonzero payload in a sum (`member_in`).  The circuit/cocircuit pair loops
+ask "0 in the sum of the products over the shared positions" once per
+pair (`zero_in_dot`): by default `zero_in` of `product`s, which triangle
+and phase fuse.  The GP relation kernel and the cocircuit derivation call
+the payload operations directly.
+
+The element operations are the module functions `mul`, `neg`, `inv`,
+`invol`, `eq`, `zero_in_sum` and `member_of_sum`: each checks that its
+operands share one hyperfield, handles zero, and calls the family's
+payload operation, so elements and payloads share one formula.  The fold
+oracle in `sumsets` cross-checks the closed forms.
 """
 
 from __future__ import annotations
@@ -114,12 +117,13 @@ class Hyperfield:
     """A hyperfield: one interned instance of its family's class.
 
     A family sets `kind` and `sums`, and implements `normalise` and
-    `zero_in`; its element operations take elements of its own (the
-    module-level functions check that) and wrap its payload operations.
-    The other defaults here are products of payloads, hyperinverse -x = x,
-    inverse 1 / x, the identity involution, equality of payloads,
-    `zero_in_dot` as `zero_in` of `product`s (overridden only to fuse the
-    two, with equal verdicts), and the behaviour of the finite families.
+    `zero_in`; it operates on payloads only, and the module functions
+    (`mul`, `neg`, ...) lift its operations to elements.  The other
+    defaults here are products of payloads, hyperinverse -x = x, inverse
+    1 / x, the identity involution, equality of payloads, `zero_in_dot` as
+    `zero_in` of `product`s (overridden only to fuse the two, with equal
+    verdicts), `member_in` by reversibility, and the behaviour of the
+    finite families.
     """
 
     # what the payload of zero equals: 0, or None over phase
@@ -194,36 +198,10 @@ class Hyperfield:
         and a position -> nonzero payload map, some position shared."""
         return self.zero_in([self.product(a, right[i]) for i, a in left if i in right])
 
-    def mul(self, a: HFElement, b: HFElement) -> HFElement:
-        if a.is_zero or b.is_zero:
-            return self._zero
-        return HFElement(self, self.product(a.value, b.value))
-
-    def neg(self, a: HFElement) -> HFElement:
-        if a.is_zero:
-            return a
-        value = self.negative(a.value)
-        return a if value == a.value else HFElement(self, value)
-
-    def zero_in_sum(self, terms: list) -> bool:
-        return self.zero_in([t.value for t in terms])
-
-    def inv(self, a: HFElement) -> HFElement:
-        return HFElement(self, self.inverse(a.value))
-
-    def invol(self, a: HFElement) -> HFElement:
-        if a.is_zero:
-            return a
-        value = self.conjugate(a.value)
-        return a if value is a.value else HFElement(self, value)
-
-    def eq(self, a: HFElement, b: HFElement) -> bool:
-        if a.is_zero or b.is_zero:
-            return a.is_zero and b.is_zero
-        return self.equal(a.value, b.value)
-
-    def member_of_sum(self, z: HFElement, terms: list) -> bool:
-        return self.zero_in_sum(terms + [self.neg(z)])
+    def member_in(self, z, payloads: list) -> bool:
+        """Whether the nonzero payload z lies in the sum of the payloads:
+        by default 0 in payloads + (-z), by reversibility."""
+        return self.zero_in(payloads + [self.negative(z)])
 
     def sample(self, rng, nonzero: bool = False) -> HFElement:
         pool = self.elements()
@@ -238,7 +216,7 @@ class Hyperfield:
     def from_rational(self, q: Fraction) -> HFElement:
         """The image of a nonzero rational (the sampler's integer
         determinants): by default its sign, +1 or the hyperinverse of 1."""
-        return self._one if q > 0 else self.neg(self._one)
+        return self._one if q > 0 else neg(self._one)
 
     def to_json(self, el: HFElement):
         return el.value
@@ -471,14 +449,11 @@ class Phase(_Infinite):
                 angles.append(0.0 if TAU - theta <= EPS else theta)
         return _zero_in_phase_sum(angles)
 
-    def member_of_sum(self, z: HFElement, terms: list) -> bool:
-        """A nonzero z is tested directly as a positive combination."""
-        if z.is_zero:
-            return super().member_of_sum(z, terms)
-        angles = [t.value for t in terms if not t.is_zero]
-        if not angles:
-            return False
-        return _phase_nonzero_member(z.value, angles)
+    def member_in(self, z, payloads: list) -> bool:
+        """Tested directly as a positive combination of the nonzero
+        payloads, matching the n-ary sum."""
+        angles = [a for a in payloads if a is not None]
+        return bool(angles) and _phase_nonzero_member(z, angles)
 
     def sample_unit(self, rng) -> HFElement:
         return self.element(rng.uniform(0.0, TAU) + 1e-3)
@@ -627,24 +602,32 @@ def mul(a: HFElement, b: HFElement) -> HFElement:
     hf = a.hyperfield
     if b.hyperfield is not hf:
         raise MismatchError(f"mixed hyperfields {hf} and {b.hyperfield}")
-    return hf.mul(a, b)
+    if a.is_zero or b.is_zero:
+        return hf._zero
+    return HFElement(hf, hf.product(a.value, b.value))
 
 
 def neg(a: HFElement) -> HFElement:
     """The hyperinverse: the unique b with 0 in a + b."""
-    return a.hyperfield.neg(a)
+    if a.is_zero:
+        return a
+    value = a.hyperfield.negative(a.value)
+    return a if value == a.value else HFElement(a.hyperfield, value)
 
 
 def inv(a: HFElement) -> HFElement:
     """Multiplicative inverse of a nonzero element."""
     if a.is_zero:
         raise ZeroDivisionError(f"no inverse of zero in {a.hyperfield}")
-    return a.hyperfield.inv(a)
+    return HFElement(a.hyperfield, a.hyperfield.inverse(a.value))
 
 
 def invol(a: HFElement) -> HFElement:
     """The involution used in inner products (conjugation on phase)."""
-    return a.hyperfield.invol(a)
+    if a.is_zero:
+        return a
+    value = a.hyperfield.conjugate(a.value)
+    return a if value is a.value else HFElement(a.hyperfield, value)
 
 
 def signed(a: HFElement, parity: int) -> HFElement:
@@ -657,7 +640,9 @@ def eq(a: HFElement, b: HFElement) -> bool:
     hf = a.hyperfield
     if b.hyperfield is not hf:
         raise MismatchError(f"mixed hyperfields {hf} and {b.hyperfield}")
-    return hf.eq(a, b)
+    if a.is_zero or b.is_zero:
+        return a.is_zero and b.is_zero
+    return hf.equal(a.value, b.value)
 
 
 # -- hypersums ------------------------------------------------------------
@@ -675,7 +660,7 @@ def fold_sum(terms: Iterable[HFElement]) -> SumSet:
 def zero_in_sum(terms: Iterable[HFElement]) -> bool:
     """Whether 0 lies in the n-ary hypersum of the terms."""
     terms = list(terms)
-    return _common(terms).zero_in_sum(terms)
+    return _common(terms).zero_in([t.value for t in terms])
 
 
 def member_of_sum(z: HFElement, terms: Iterable[HFElement]) -> bool:
@@ -686,7 +671,10 @@ def member_of_sum(z: HFElement, terms: Iterable[HFElement]) -> bool:
     a direct positive-combination test instead, matching its n-ary sum.
     """
     hf, terms = _with_target(z, terms)
-    return hf.member_of_sum(z, terms)
+    payloads = [t.value for t in terms]
+    if z.is_zero:
+        return hf.zero_in(payloads)
+    return hf.member_in(z.value, payloads)
 
 
 def elimination_member(z: HFElement, terms: Iterable[HFElement]) -> bool:
@@ -702,7 +690,7 @@ def elimination_member(z: HFElement, terms: Iterable[HFElement]) -> bool:
     alternating functions over phase satisfy the axioms only in this form.
     """
     hf, terms = _with_target(z, terms)
-    return hf.zero_in_sum(terms + [hf.neg(z)])
+    return hf.zero_in([t.value for t in terms] + [neg(z).value])
 
 
 def sample_element(hf: Hyperfield, rng, nonzero: bool = False) -> HFElement:

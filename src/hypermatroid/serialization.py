@@ -1,13 +1,14 @@
 """JSON reading and writing for every object the tool exchanges.
 
-Schemas, dispatched by shape:
+Schemas; `parse_object` reads the three top-level ones, by shape:
 
   element      per-hyperfield scalar encodings (see element_to_json)
-  FVector      {"hyperfield": id, "entries": {label: element, ...}}
+  FVector      {"hyperfield": id, "entries": {label: element, ...}}, only
+               inside a signature, whose hyperfield it must repeat if it
+               names one
   signature    {"hyperfield": id, "ground_set": [...], "circuits": [FVector, ...]}
   GP function  {"hyperfield": id, "ground_set": [...], "rank": r,
                 "values": [{"subset": [...], "value": element}, ...]}
-  matroid      {"ground_set": [...], "circuits": [[label, ...], ...]}
   dual pair    {"circuits": signature, "cocircuits": signature}
 
 Output is canonical: subsets and supports in ground order, entry maps in
@@ -30,7 +31,6 @@ from .errors import InputError
 from .gp import Classification, GPFunction
 from .hyperfields import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
                           TRIANGLE, TROPICAL, HFElement, Hyperfield, gf)
-from .matroids import ClassicalMatroid
 from .vectors import FVector, GroundSet
 
 _NAMED = {str(hf): hf for hf in (KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE,
@@ -210,31 +210,6 @@ def gp_from_json(raw, where: str = "gp") -> GPFunction:
         raise InputError(f"{where}: {exc}") from None
 
 
-def matroid_to_json(m: ClassicalMatroid) -> dict:
-    pos = m.ground.index
-    circuits = sorted((sorted(c, key=pos) for c in m.circuits),
-                      key=lambda c: [pos(x) for x in c])
-    return {"ground_set": list(m.ground.labels),
-            "circuits": [list(c) for c in circuits]}
-
-
-def matroid_from_json(raw, where: str = "matroid") -> ClassicalMatroid:
-    for field in ("ground_set", "circuits"):
-        if field not in raw:
-            raise InputError(f"{where}: missing field '{field}'")
-    ground = _parse_ground(raw["ground_set"], f"{where}.ground_set")
-    circuits_raw = raw["circuits"]
-    if not isinstance(circuits_raw, list):
-        raise InputError(f"{where}.circuits: expected a list of label lists")
-    labels = set(ground.labels)
-    circuits = []
-    for i, item in enumerate(circuits_raw):
-        if not _is_label_list(item, labels):
-            raise InputError(f"{where}.circuits[{i}]: not a list of ground labels")
-        circuits.append(frozenset(item))
-    return ClassicalMatroid(ground, circuits)
-
-
 def dual_pair_from_json(raw, where: str = "pair"):
     for field in ("circuits", "cocircuits"):
         if field not in raw:
@@ -249,8 +224,8 @@ def dual_pair_from_json(raw, where: str = "pair"):
 def to_jsonable(obj):
     """Recursively encode library objects for report output.
 
-    Scalars carry their per-hyperfield encoding; vectors, signatures,
-    functions, and matroids use their schemas; sets come out sorted.
+    Scalars carry their per-hyperfield encoding; vectors, signatures and
+    functions use their schemas; sets come out sorted.
     """
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
@@ -264,8 +239,6 @@ def to_jsonable(obj):
         return signature_to_json(obj)
     if isinstance(obj, GPFunction):
         return gp_to_json(obj)
-    if isinstance(obj, ClassicalMatroid):
-        return matroid_to_json(obj)
     if isinstance(obj, Classification):
         return {"verdict": obj.verdict, "witness": to_jsonable(obj.witness)}
     if isinstance(obj, dict):
@@ -288,23 +261,16 @@ def serialize(obj) -> str:
 
 
 def parse_object(raw, where: str = "input"):
-    """Build the library object a JSON value describes, by shape."""
+    """Build the GP function, dual pair or signature a JSON value
+    describes, by shape."""
     if not isinstance(raw, dict):
         raise InputError(f"{where}: expected a JSON object")
     if "values" in raw and "rank" in raw:
         return gp_from_json(raw, where)
     if "cocircuits" in raw and "circuits" in raw:
         return dual_pair_from_json(raw, where)
-    if "circuits" in raw and "hyperfield" in raw:
-        return signature_from_json(raw, where)
     if "circuits" in raw:
-        return matroid_from_json(raw, where)
-    if "entries" in raw and "hyperfield" in raw:
-        hf = hyperfield_from_id(raw.get("hyperfield"), f"{where}.hyperfield")
-        if "ground_set" not in raw:
-            raise InputError(f"{where}: a bare vector needs a 'ground_set' field")
-        ground = _parse_ground(raw["ground_set"], f"{where}.ground_set")
-        return fvector_from_json(raw, hf, ground, where)
+        return signature_from_json(raw, where)
     raise InputError(f"{where}: shape matches no known schema")
 
 
@@ -314,8 +280,3 @@ def parse_text(text: str, where: str = "input"):
     except json.JSONDecodeError as exc:
         raise InputError(f"{where}: invalid JSON ({exc})") from None
     return parse_object(raw, where)
-
-
-def parse_file(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_text(handle.read(), path)

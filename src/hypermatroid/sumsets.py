@@ -517,7 +517,7 @@ def fold(terms: list) -> SumSet:
     for t in terms[1:]:
         acc = acc.add_term(t)
     if not hf.nary_zero_is_fold and len(terms) > 2:
-        acc = acc.with_zero(hf.zero_in_sum(terms))
+        acc = acc.with_zero(hf.zero_in([t.value for t in terms]))
     return acc
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional
 
 from .circuits import CircuitSignature
 from .errors import InputError, MismatchError
-from .gp import GPFunction, _perm_parity, cocircuit_signature_from_circuits
+from .gp import GPFunction, _perm_parity
 from .hyperfields import (KRASNER, RATIONALS, SIGN, TROPICAL, HFElement,
                           Hyperfield, _is_prime, eq, fold_sum, invol,
                           member_of_sum, mul, sample_element, signed)
@@ -54,21 +54,15 @@ def dual_gp(phi: GPFunction) -> GPFunction:
     return GPFunction(phi.hyperfield, phi.ground, s, values)
 
 
-def dual_circuits(sig: CircuitSignature) -> CircuitSignature:
-    """Circuit signature of the dual: one class per cocircuit, built from
-    circuit ratios through hyperplane bases.  Agrees with the circuits of
-    dual_gp when sig comes from an alternating function."""
-    return cocircuit_signature_from_circuits(sig)
-
-
 def minimal_covectors(sig: CircuitSignature) -> CircuitSignature:
     """Exhaustive dual signature: the minimal-support nonzero vectors of
     F^E orthogonal to every class, one representative per projective
     class.
 
     Enumerates all of F^E, so the hyperfield must be finite and the
-    ground set small; this is an oracle for dual_circuits, not a
-    construction to use at scale.
+    ground set small; this is an oracle for
+    `gp.cocircuit_signature_from_circuits`, not a construction to use at
+    scale.
     """
     hf = sig.hyperfield
     if not hf.is_finite:

@@ -91,7 +91,7 @@ def phase_minors(columns, angles):
     """The phase function on labels 1..m of the complex matrix whose
     column k is the integer column columns[k] times e^(i angles[k]): the
     phase of each nonzero minor.  Realizable over C, so strong."""
-    rational = gp_from_matrix(tuple(range(1, len(columns) + 1)),
+    rational = gp_from_matrix(RATIONALS, tuple(range(1, len(columns) + 1)),
                               [tuple(map(Fraction, col)) for col in columns])
     return GPFunction(PHASE, rational.ground, rational.rank, {
         key: reduce(mul, (PHASE.element(angles[x - 1]) for x in key),

@@ -15,8 +15,8 @@ import pytest
 
 from hypermatroid import (CORPUS, SIGN, TROPICAL, CircuitSignature, FVector,
                           GPFunction, GroundSet, circuits_from_gp,
-                          corpus_entries, dual_circuits, sample_element,
-                          serialize)
+                          cocircuit_signature_from_circuits, corpus_entries,
+                          sample_element, serialize)
 from hypermatroid.cli import main
 
 import oracles
@@ -254,8 +254,6 @@ def test_malformed_json(capsys, tmp_path):
     ("gp.json", {"hyperfield": "sign", "ground_set": [1], "rank": 1,
                  "values": [{"subset": [[1]], "value": 1}]},
      "values[0].subset"),
-    ("matroid.json", {"ground_set": [1, 2], "circuits": [[[1], 2]]},
-     "circuits[0]"),
 ])
 def test_unhashable_labels_are_input_errors(capsys, tmp_path, name, obj, field):
     path = tmp_path / name
@@ -264,6 +262,19 @@ def test_unhashable_labels_are_input_errors(capsys, tmp_path, name, obj, field):
     assert code == 2 and out == ""
     assert err.startswith("error:") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("obj", [
+    {"ground_set": [1, 2], "circuits": [[[1], 2]]},
+    {"hyperfield": "sign", "ground_set": [1, 2], "entries": {"1": 1}},
+], ids=["matroid", "vector"])
+def test_unread_shapes_are_input_errors(capsys, tmp_path, obj):
+    """A bare matroid or vector is no command's input."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check-gp", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("keys, want", [
@@ -343,8 +354,9 @@ def fuzz_documents():
     docs = [json.loads(serialize(entry.build())) for entry in corpus_entries()]
     sig = circuits_from_gp(CORPUS["sign-k4"].build())
     docs.append(json.loads(serialize(sig)))
+    cocircuits = cocircuit_signature_from_circuits(sig)
     docs.append({"circuits": json.loads(serialize(sig)),
-                 "cocircuits": json.loads(serialize(dual_circuits(sig)))})
+                 "cocircuits": json.loads(serialize(cocircuits))})
     return docs
 
 

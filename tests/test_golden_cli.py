@@ -34,7 +34,7 @@ import tempfile
 from fractions import Fraction
 from itertools import combinations
 
-from hypermatroid import (CORPUS, PHASE, SIGN, TRIANGLE, TROPICAL,
+from hypermatroid import (CORPUS, PHASE, RATIONALS, SIGN, TRIANGLE, TROPICAL,
                           CircuitSignature, FVector, GPFunction, GroundSet,
                           InputError, RatioInconsistencyError, circuits_from_gp,
                           cocircuit_signature_from_circuits, corpus_entries,
@@ -94,8 +94,8 @@ def three_adic(q: Fraction) -> Fraction:
 
 def mixed(name: str) -> GPFunction:
     """A passing rational or tropical function with mixed denominators."""
-    rational = gp_from_matrix(MIXED_LABELS, [tuple(map(Fraction, col))
-                                             for col in MIXED_COLUMNS])
+    rational = gp_from_matrix(RATIONALS, MIXED_LABELS, [
+        tuple(map(Fraction, col)) for col in MIXED_COLUMNS])
     if name == "rational-mixed":
         return rational
     values = {}
@@ -142,7 +142,8 @@ RELABELED = ("d", "b", "a", "c", "e", "f", "g")
 def perturbed(hf, rank: int, labels=None) -> GPFunction:
     columns = PERTURBED_COLUMNS[rank]
     labels = labels or tuple(range(1, len(columns) + 1))
-    rational = gp_from_matrix(labels, [tuple(map(Fraction, col)) for col in columns])
+    rational = gp_from_matrix(RATIONALS, labels,
+                              [tuple(map(Fraction, col)) for col in columns])
     if hf is SIGN:
         values = {key: SIGN.element(1 if v.value > 0 else -1)
                   for key, v in rational.values.items()}
@@ -298,7 +299,7 @@ def rank4(hf_id: str) -> GPFunction:
         phi = phase_minors(RANK4_COLUMNS, RANK4_ANGLES)
         return GPFunction(hf, phi.ground, 4, {
             key: hf.element(value.value) for key, value in phi.values.items()})
-    rational = gp_from_matrix(tuple(range(1, 9)), [
+    rational = gp_from_matrix(RATIONALS, tuple(range(1, 9)), [
         tuple(map(Fraction, col)) for col in RANK4_COLUMNS])
     image = three_adic if hf is TROPICAL else None
     values = {key: hf.element(image(value.value)) if image
@@ -374,10 +375,8 @@ def seeded(hf_id: str, rank: int) -> GPFunction:
         phi = phase_minors(columns, [rng.uniform(0.0, 6.28) for _ in columns])
         return GPFunction(hf, phi.ground, rank, {
             key: hf.element(value.value) for key, value in phi.values.items()})
-    rational = gp_from_matrix(tuple(range(1, len(columns) + 1)), [
+    return gp_from_matrix(hf, tuple(range(1, len(columns) + 1)), [
         tuple(map(Fraction, col)) for col in columns])
-    return GPFunction(hf, rational.ground, rank, {
-        key: hf.from_rational(value.value) for key, value in rational.values.items()})
 
 
 def seeded_inputs() -> dict:

@@ -14,7 +14,7 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS,
                           InvalidDualPairError, check_gp_strong,
                           check_gp_weak, circuits_from_gp,
                           cocircuit_signature_from_circuits, corpus_entries,
-                          dual_circuits, dual_gp, dual_pair_witness, eq,
+                          dual_gp, dual_pair_witness, eq,
                           gf, gp_from_dual_pair, mul,
                           nonorthogonal_pair, random_weak_gp, relation_terms,
                           sample_element, support, zero_in_sum)
@@ -103,7 +103,7 @@ def test_circuits_from_gp_matches_kernel_oracle():
                (Fraction(0), Fraction(0), Fraction(1)),
                (Fraction(1), Fraction(1), Fraction(1)),
                (Fraction(1), Fraction(2), Fraction(3))]
-    phi = gp_from_matrix(labels, columns)
+    phi = gp_from_matrix(RATIONALS, labels, columns)
     sig = circuits_from_gp(phi)
     deps = oracles.minimal_dependencies(columns)
     assert len(sig.classes) == len(deps)
@@ -120,8 +120,7 @@ def test_cocircuits_are_orthogonal():
     phi = CORPUS["sign-k4"].build()
     circuits = circuits_from_gp(phi)
     cocircuits = cocircuit_signature_from_circuits(circuits)
-    assert dual_pair_witness(circuits, cocircuits, full=False) is None
-    assert dual_pair_witness(circuits, cocircuits, full=True) is None
+    assert dual_pair_witness(circuits, cocircuits) is None
 
 
 def test_gp_from_dual_pair_roundtrip():
@@ -156,7 +155,7 @@ def test_random_realizable_always_strong():
                    for _ in range(5)]
         if oracles.rank([[col[i] for col in columns] for i in range(3)]) < 3:
             continue
-        phi = gp_from_matrix(labels, columns)
+        phi = gp_from_matrix(RATIONALS, labels, columns)
         assert check_gp_strong(phi) is None
         built += 1
 
@@ -473,7 +472,8 @@ def test_failing_relations_are_the_nonorthogonal_pairs(phi):
     is orthogonal to every cocircuit, and weakness already makes the
     pairs meeting in at most 3 elements orthogonal."""
     circuits = circuits_from_gp(phi)
-    pair = nonorthogonal_pair(circuits, dual_circuits(circuits), full=True)
+    cocircuits = cocircuit_signature_from_circuits(circuits)
+    pair = nonorthogonal_pair(circuits, cocircuits, full=True)
     witness = failing_relation(phi)
     assert (witness is None) == (pair is None)
     if pair is not None:

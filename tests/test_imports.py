@@ -96,3 +96,30 @@ def test_every_private_helper_is_used():
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
                 sources[name] = handle.read()
     assert orphans(sources) == []
+
+
+def shadowing_methods(source: str) -> list:
+    """(class, method) of each public method that a class of the module
+    defines under the name of one of the module's top-level functions."""
+    tree = ast.parse(source)
+    functions = {node.name for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return sorted((cls.name, node.name) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_") and node.name in functions)
+
+
+def test_shadowing_methods_are_found():
+    source = ("def mul(a, b):\n    pass\n\ndef _norm(a):\n    pass\n\n"
+              "class F:\n    def mul(self, a, b):\n        pass\n\n"
+              "    def _norm(self, a):\n        pass\n\n"
+              "    def product(self, a, b):\n        pass\n")
+    assert shadowing_methods(source) == [("F", "mul")]
+
+
+def test_element_operations_have_one_entry_point():
+    """The element operations are the module functions of `hyperfields`;
+    a family defines payload operations under other names."""
+    with open(os.path.join(PACKAGE, "hyperfields.py"), encoding="utf-8") as handle:
+        assert shadowing_methods(handle.read()) == []

@@ -18,14 +18,13 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           RatioInconsistencyError, check_C0_C2,
                           circuits_from_gp, classify,
                           cocircuit_signature_from_circuits, corpus_entries,
-                          dual_circuits, gf, gp_from_dual_pair,
+                          gf, gp_from_dual_pair,
                           nonorthogonal_pair, orthogonal,
                           orthogonality_verdict, random_weak_gp,
                           random_weak_signature, run_perfection_experiment,
                           serialize, vectors)
 from hypermatroid.corpus import gp_from_matrix
 from hypermatroid.gp import _cocircuit_payloads
-from hypermatroid.hyperfields import Hyperfield
 
 import oracles
 from strategies import ALL_KINDS, perturbed, weak_functions
@@ -94,7 +93,7 @@ def mixed_denominators(hf, rng):
     columns = [(1, 0, 0), (0, 1, 0), (0, 0, 1)] + [
         tuple(Fraction(rng.randint(-6, 6), rng.choice(DENOMINATORS))
               for _ in range(3)) for _ in range(3)]
-    rational = gp_from_matrix(tuple(range(1, 7)), columns)
+    rational = gp_from_matrix(RATIONALS, tuple(range(1, 7)), columns)
     if hf is RATIONALS:
         return rational
     weights = [Fraction(rng.randint(1, 9), rng.choice(DENOMINATORS))
@@ -140,7 +139,7 @@ def test_runtime_paths_take_masks_and_payloads(monkeypatch):
         sig = circuits_from_gp(obj) if entry.kind == "gp" else obj
         verdict = classify(sig).verdict
         if verdict in ("Strong", "WeakOnly"):
-            gp_from_dual_pair(sig, dual_circuits(sig))
+            gp_from_dual_pair(sig, cocircuit_signature_from_circuits(sig))
             rebuilt += 1
     assert rebuilt
     for hf in (SIGN, TROPICAL, TRIANGLE, PHASE):
@@ -255,6 +254,9 @@ def test_orthogonality_verdict_makes_no_element_call(monkeypatch):
             signatures += [sig, perturbed(sig, rng)]
     want = [oracles.full_orthogonality_verdict(sig) for sig in signatures]
     assert set(want) == {"Strong", "WeakOnly", "InvalidSignature"}
-    for name in ("mul", "inv", "eq", "invol", "neg"):
-        monkeypatch.setattr(Hyperfield, name, refuse)
+    for module in [getattr(hypermatroid, name) for name in (
+            "circuits", "gp", "hyperfields", "matroids", "vectors")]:
+        for name in ("mul", "inv", "eq", "invol", "neg"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     assert [orthogonality_verdict(sig) for sig in signatures] == want

@@ -87,17 +87,30 @@ def test_parse_dispatch_shapes():
     phi = CORPUS["sign-u24"].build()
     raw = json.loads(serialize(phi))
     assert isinstance(parse_object(raw), GPFunction)
-    from hypermatroid import circuits_from_gp, dual_circuits
+    from hypermatroid import (circuits_from_gp,
+                              cocircuit_signature_from_circuits)
     sig = circuits_from_gp(phi)
     assert isinstance(parse_object(json.loads(serialize(sig))), CircuitSignature)
+    cocircuits = cocircuit_signature_from_circuits(sig)
     pair_raw = {"circuits": json.loads(serialize(sig)),
-                "cocircuits": json.loads(serialize(dual_circuits(sig)))}
+                "cocircuits": json.loads(serialize(cocircuits))}
     pair = parse_object(pair_raw)
     assert isinstance(pair, tuple) and len(pair) == 2
     with pytest.raises(InputError):
         parse_object({"nonsense": 1})
     with pytest.raises(InputError):
         parse_object([1, 2, 3])
+
+
+def test_parse_object_refuses_bare_matroids_and_vectors():
+    """parse_object reads three shapes: GP function, dual pair and
+    signature.  A signature without its hyperfield names the missing
+    field; a bare vector matches no schema."""
+    with pytest.raises(InputError, match="'hyperfield'"):
+        parse_object({"ground_set": [1, 2, 3], "circuits": [[1, 2], [2, 3]]})
+    with pytest.raises(InputError, match="no known schema"):
+        parse_object({"hyperfield": "sign", "ground_set": [1, 2],
+                      "entries": {"1": 1, "2": -1}})
 
 
 def test_field_path_in_errors():
