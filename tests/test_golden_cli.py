@@ -12,8 +12,10 @@ functions with parallel labels (the weak-only entries and a realizable
 phase function), a realizable rank-4 function per built-in hyperfield
 with its signature, dual pair, minors, push-forwards and two
 signatures with one entry changed, realizable phase, phase[identity]
-and triangle functions of rank 3 and 4 from seeded matrices, and the
-built-in hyperfields, the exit code and the sha256 of stdout, plus the sha256 of every input file the commands read.  The inputs are
+and triangle functions of rank 3 and 4 from seeded matrices, GP minors
+whose greedy choices depend on the ground order, and the built-in
+hyperfields, the exit code and the sha256 of stdout, plus the sha256 of
+every input file the commands read.  The inputs are
 written from the corpus into a temporary directory, and the commands run
 in process.  Regenerate the file (only when an output
 change is intended) with
@@ -426,7 +428,25 @@ def commands() -> list:
         out.append(["check-gp", "--both", name])
     for name in seeded_inputs():
         out += [["circuits", name], ["check-gp", "--both", name]]
-    return out + rank4_commands()
+    return out + rank4_commands() + MINOR_PINS
+
+
+# GP minors whose greedy choices depend on the ground order: contracting
+# the parallel pair {5, 8}, a dependent set; deleting and contracting over
+# a ground whose label order is not its position order; deletions that
+# lower the rank ({2, 3, 6} spans a plane), so the basis completion inside
+# the deleted set is not empty, one of them with an odd reordering both
+# of the completion and of the contracted set; and a support failing
+# basis exchange.
+MINOR_PINS = [
+    ["minor", "--contract", "5,8", "gp-phase-r3-parallel.json"],
+    ["minor", "--delete", "1,4,5,7,8", "gp-phase-r3-parallel.json"],
+    ["minor", "--delete", "1,4,5,7,8", "--contract", "3", "gp-phase-r3-parallel.json"],
+    ["minor", "--delete", "a", "--contract", "e,d", "gp-sign-relabeled-perturbed.json"],
+    ["minor", "--delete", "a", "--contract", "e,d", "gp-tropical-relabeled-perturbed.json"],
+    ["minor", "--delete", "1,2,3,4,5,6,7", "--contract", "9", "gp-phase-r4-seeded.json"],
+    ["minor", "--delete", "1", "gp-sign-late-exchange.json"],
+]
 
 
 def run(directory: str, argv: list) -> dict:
