@@ -74,12 +74,11 @@ from .gp import (  # noqa: F401
 
 from .transforms import (  # noqa: F401
     HyperfieldHom,
-    contract_gp,
-    delete_gp,
     dual_gp,
     identity_hom,
     minimal_covectors,
     minor_circuits,
+    minor_gp,
     pushforward_circuits,
     pushforward_gp,
     rational_padic,

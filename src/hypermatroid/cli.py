@@ -40,6 +40,11 @@ function up to a unit, and a full dual pair a strong one (Baker-Bowler).
 a weak function do not depend on the basis used; it reads them from the
 table that decides Strong and builds no matroid, so it takes every
 ground set that `check-gp --weak` takes.
+`minor` deletes, then contracts.  On a function it evaluates with a
+greedy maximal independent subset of the contracted set and a greedy
+basis completion inside the deleted set as trailing arguments, both read
+off the support's bases, so it also takes every ground set that
+`check-gp --weak` takes; a support failing basis exchange exits 2.
 `dressian` is the three-term sweep of `check-gp --weak` without the
 basis-exchange scan; it reports the number of three-term (I, J) pairs,
 four per relation though it decides each relation once, and the first
@@ -67,7 +72,7 @@ from .gp import (GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp,
 from .hyperfields import TROPICAL
 from .matroids import validate_circuits
 from .serialization import hyperfield_from_id, parse_text, serialize
-from .transforms import (contract_gp, delete_gp, dual_gp, minor_circuits,
+from .transforms import (dual_gp, minor_circuits, minor_gp,
                          pushforward_circuits, pushforward_gp, rational_padic,
                          rational_sign, to_krasner)
 
@@ -206,23 +211,14 @@ def _cmd_minor(args) -> int:
     if not args.delete and not args.contract:
         raise InputError("nothing to do: pass --delete and/or --contract")
     if isinstance(obj, GPFunction):
-        deleted = _split_labels(args.delete, obj.ground)
-        contracted = _split_labels(args.contract, obj.ground)
-        if set(deleted) & set(contracted):
-            raise InputError("a label cannot be both deleted and contracted")
-        result = obj
-        if deleted:
-            result = delete_gp(result, deleted)
-        if contracted:
-            result = contract_gp(result, contracted)
-        _emit(result)
+        minor = minor_gp
     elif isinstance(obj, CircuitSignature):
-        deleted = _split_labels(args.delete, obj.ground)
-        contracted = _split_labels(args.contract, obj.ground)
-        _emit(minor_circuits(obj, deleted=deleted, contracted=contracted))
+        minor = minor_circuits
     else:
         raise InputError("expected a Grassmann-Pluecker object or a "
                          "circuit signature")
+    _emit(minor(obj, deleted=_split_labels(args.delete, obj.ground),
+                contracted=_split_labels(args.contract, obj.ground)))
     return 0
 
 
@@ -358,7 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(run=_cmd_dual)
 
-    p = sub.add_parser("minor", help="delete and/or contract labels")
+    p = sub.add_parser("minor", help="delete, then contract labels of a "
+                                     "function (of any size) or signature")
     p.add_argument("file")
     p.add_argument("--delete", default="", metavar="a,b")
     p.add_argument("--contract", default="", metavar="c")

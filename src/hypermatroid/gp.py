@@ -20,8 +20,10 @@ must be orthogonal to every cocircuit.
 The relation checkers run on raw payloads keyed by int masks of ground
 positions and build elements only for a witness (`relation_terms`).  The
 weak check takes the paper's form: each three-term Pluecker relation once
-(`failing_three_term`), and basis exchange by ANDs of per-element bitsets
-over the bases.  A weak function determines its dual pair (Baker-Bowler):
+(`failing_three_term`), and basis exchange on one bitset per element over
+the bases (`_support`), which the circuits and the minors read too: the
+GP side builds no `ClassicalMatroid`.  A weak function determines its
+dual pair (Baker-Bowler):
 each (r+1)-set I gives the circuit inside I, each (r-1)-set J the
 cocircuit off cl(J), and the (I, J) relation is their orthogonality sum.
 `_dual_pair` packs them once per function, one I or J per mask; Strong
@@ -105,7 +107,7 @@ class GPFunction:
         if not stored:
             raise InputError("identically zero (GP1 fails)")
         self.values = stored
-        self._matroid: Optional[ClassicalMatroid] = None
+        self._support: Optional[tuple] = None
         self._weak: object = _UNCHECKED
         self._pairs: Optional[tuple] = None
 
@@ -133,15 +135,6 @@ class GPFunction:
     def __call__(self, *labels) -> HFElement:
         return self.evaluate(labels)
 
-    def bases_support(self) -> frozenset:
-        return frozenset(frozenset(k) for k in self.values)
-
-    def underlying_matroid(self) -> ClassicalMatroid:
-        """The matroid on the support, built and validated on first use."""
-        if self._matroid is None:
-            self._matroid = ClassicalMatroid.from_bases(self.ground, self.bases_support())
-        return self._matroid
-
     def scale(self, alpha: HFElement) -> "GPFunction":
         if alpha.is_zero:
             raise InputError("scaling by zero")
@@ -156,30 +149,57 @@ class GPFunction:
 # -- relations ---------------------------------------------------------------
 
 
-def _first_exchange_failure(phi: GPFunction) -> Optional[dict]:
+def _support(phi: GPFunction) -> tuple:
+    """(masks, holders, failure), built once per function: the basis masks
+    in lex order of ground positions, bit k of `holders[e]` set when basis
+    k holds e, and `_first_exchange_failure`.  A set lies inside a basis
+    when the AND of its holders is nonzero."""
+    if phi._support is None:
+        masks = sorted((_mask(phi.ground, key) for key in phi.values),
+                       key=_positions)
+        holders = [sum(1 << k for k, mask in enumerate(masks) if mask >> e & 1)
+                   for e in range(len(phi.ground))]
+        phi._support = (masks, holders,
+                        _first_exchange_failure(phi.ground, masks, holders))
+    return phi._support
+
+
+def _first_exchange_failure(ground: GroundSet, masks: list,
+                            holders: list) -> Optional[dict]:
     """The first (B1, B2, x) failing basis exchange, or None: B1 outer and
-    B2 inner in the lex order of their ground positions, x in B1 - B2 in
-    ground order.  Bit k of `avoid[e]` is set when basis k misses e; the
-    B2 failing at x are the bits of the AND of `avoid` over x and every y
-    with B1 - x + y a basis: the lowest bit names B2, the least x holding
-    it x.  GP ground sets are uncapped, so no 2^n-subset table is built."""
-    bases = [(key, _mask(phi.ground, key)) for key in
-             sorted(phi.values, key=lambda k: tuple(map(phi.ground.index, k)))]
-    masks = {m for _, m in bases}
-    n = len(phi.ground)
-    avoid = [int("".join("0" if m >> e & 1 else "1" for _, m in reversed(bases)), 2)
-             for e in range(n)]
-    for b1, m1 in bases:
-        free = [(x, reduce(and_, [avoid[y] for y in range(n) if not m1 >> y & 1
-                                  and (m1 ^ 1 << x) | 1 << y in masks], avoid[x]))
-                for x in range(n) if m1 >> x & 1]
+    B2 inner in the order of `masks`, x in B1 - B2 in ground order.  The B2
+    failing at x miss every e with J + e a basis, J = B1 - x (x and the
+    cocircuit off cl(J)): the AND of the complements of their `holders`,
+    taken once per J.  The lowest bit of the OR over x names B2, the least
+    x holding it x.  No 2^n-subset table is built."""
+    every = (1 << len(masks)) - 1
+    avoid = [every ^ bits for bits in holders]
+    is_basis, blocked = set(masks), {}
+    for m1 in masks:
+        free = []
+        for x in _positions(m1):
+            J = m1 ^ 1 << x
+            if J not in blocked:
+                blocked[J] = reduce(and_, [avoid[e] for e in range(len(avoid))
+                                           if J | 1 << e in is_basis])
+            free.append((x, blocked[J]))
         low = reduce(or_, (bits for _, bits in free))
         if low:
             low &= -low
             x = next(x for x, bits in free if bits & low)
-            return {"axiom": "exchange", "B1": b1,
-                    "B2": bases[low.bit_length() - 1][0], "x": phi.ground.labels[x]}
+            return {"axiom": "exchange", "B1": _labels(ground, m1),
+                    "B2": _labels(ground, masks[low.bit_length() - 1]),
+                    "x": ground.labels[x]}
     return None
+
+
+def _matroid_support(phi: GPFunction) -> tuple:
+    """(masks, holders) of a support that is a matroid's basis family;
+    InputError naming the exchange failure otherwise."""
+    masks, holders, failure = _support(phi)
+    if failure is not None:
+        raise InputError(f"not a matroid: {failure}")
+    return masks, holders
 
 
 def relation_terms(phi: GPFunction, I: Sequence, J: Sequence) -> List[HFElement]:
@@ -297,7 +317,7 @@ def check_gp_weak(phi: GPFunction) -> Optional[dict]:
     """Basis exchange on the support, then the three-term relations; the
     scans run once per function, so `check-gp --both` pays for them once."""
     if phi._weak is _UNCHECKED:
-        phi._weak = _first_exchange_failure(phi) or failing_three_term(phi)
+        phi._weak = _support(phi)[2] or failing_three_term(phi)
     return None if phi._weak is None else dict(phi._weak)
 
 
@@ -366,11 +386,10 @@ def circuits_from_gp(phi: GPFunction) -> CircuitSignature:
     order, so float payloads come out bit for bit alike.  Recomputing
     against every basis containing C - x0 is a test oracle.  On a function
     that is not weak the result is that of the same sets; a support that is
-    not the basis family of a matroid raises InputError.
+    not the basis family of a matroid raises InputError
+    (`_matroid_support`).
     """
-    weak = check_gp_weak(phi)
-    if weak is not None and weak["axiom"] == "exchange":
-        raise InputError("the support is not the basis family of a matroid")
+    _matroid_support(phi)
     hf, labels = phi.hyperfield, phi.ground.labels
     product, negative, one = hf.product, hf.negative, hf.one()
     table = _payloads(phi)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import MismatchError
+from .errors import InputError, MismatchError
 from .sumsets import (EPS, TAU, ArcSet, FiniteSet, IntervalSet, SumSet,
                       TropicalSet, angle_close, fold, norm_angle)
 
@@ -64,6 +64,18 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _padic_abs(q: Fraction, p: int) -> Fraction:
+    """p**(-k) for the nonzero rational q, p**k the power of p in q."""
+    if not q:
+        raise ValueError("0 has no p-adic order")
+    value, n, d = Fraction(1), q.numerator, q.denominator
+    while n % p == 0:
+        n, value = n // p, value / p
+    while d % p == 0:
+        d, value = d // p, value * p
+    return value
 
 
 def _to_fraction(raw) -> Fraction:
@@ -309,12 +321,8 @@ class Tropical(_Infinite):
         return self.element(Fraction(2) ** rng.randint(0, 3))
 
     def from_rational(self, q: Fraction) -> HFElement:
-        """The 2-adic absolute value of a nonzero integer."""
-        n, two = abs(int(q)), 0
-        while n % 2 == 0:
-            n //= 2
-            two += 1
-        return self.element(Fraction(2) ** (-two))
+        """The 2-adic absolute value of a nonzero rational."""
+        return self.element(_padic_abs(q, 2))
 
     def to_json(self, el: HFElement):
         return _decimal_string(el.value) or \
@@ -543,7 +551,10 @@ class PrimeField(Hyperfield):
         return sum(payloads) % self.p == 0
 
     def from_rational(self, q: Fraction) -> HFElement:
-        return self.element(int(q))
+        """Numerator times the inverse of the denominator, mod p."""
+        if q.denominator % self.p == 0:
+            raise InputError(f"{q} has no residue in {self}")
+        return self.element(q.numerator * pow(q.denominator, -1, self.p))
 
 
 # -- the built-in hyperfields ---------------------------------------------

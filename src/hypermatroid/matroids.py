@@ -12,8 +12,9 @@ table has 2^|E| entries, so ground sets are capped
 
 A circuit family is validated once, when it enters the class: circuits a
 user supplies, the supports of a circuit signature, or the circuits
-`from_bases` derives from a basis family such as a GP function's support.
-What is derived from a matroid afterwards -- its bases, its dual and
+`from_bases` derives from a basis family.  GP functions build no
+matroid: their supports are answered by per-element bitsets over the
+bases (`gp._support`), on ground sets of any size.  What is derived from a matroid afterwards -- its bases, its dual and
 fundamental circuits -- is not checked again, since the dual of a matroid
 is a matroid.
 """
@@ -275,10 +276,6 @@ class ClassicalMatroid:
         s = frozenset(subset)
         return len(s) - self.rank(s)
 
-    def max_independent(self, subset: Iterable) -> tuple:
-        """The greedy (ground-order) maximal independent subset."""
-        return _labels(self.ground, self._greedy(_mask(self.ground, subset)))
-
     def _basis_mask_set(self) -> frozenset:
         if self._basis_masks is None:
             r = self.rank()
@@ -291,12 +288,6 @@ class ClassicalMatroid:
             self._bases = frozenset(frozenset(_labels(self.ground, b))
                                     for b in self._basis_mask_set())
         return self._bases
-
-    def extend_to_basis(self, independent_set: Iterable) -> tuple:
-        start = _mask(self.ground, independent_set)
-        if self._dep[start]:
-            raise InputError("cannot extend a dependent set to a basis")
-        return _labels(self.ground, self._greedy((1 << len(self.ground)) - 1, start))
 
     # -- duality and fundamental circuits ----------------------------------
 

@@ -6,23 +6,23 @@ parity of the shuffle putting (S, complement) into ground order.  The
 minor constructions pin the greedy (ground-order) choice wherever a
 maximal independent set or a basis completion is needed; independence of
 the result from that choice, up to a global unit, is covered by the test
-suite rather than re-verified on every call.
+suite rather than re-verified on every call.  A GP minor reads them off
+the support's bitsets (`gp._matroid_support`), on any ground set.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Iterable, Optional
 
 from .circuits import CircuitSignature
 from .errors import InputError, MismatchError
-from .gp import GPFunction, _perm_parity
+from .gp import GPFunction, _matroid_support, _perm_parity
 from .hyperfields import (KRASNER, RATIONALS, SIGN, TROPICAL, HFElement,
-                          Hyperfield, _is_prime, eq, fold_sum, invol,
-                          member_of_sum, mul, sample_element, signed)
+                          Hyperfield, _is_prime, _padic_abs, eq, fold_sum,
+                          invol, member_of_sum, mul, sample_element, signed)
 from .vectors import FVector, GroundSet, is_covector_of, supp_min, support
 
 
@@ -79,60 +79,59 @@ def minimal_covectors(sig: CircuitSignature) -> CircuitSignature:
 # -- minors --------------------------------------------------------------
 
 
-def contract_gp(phi: GPFunction, contracted: Iterable) -> GPFunction:
-    """The alternating function of the contraction away from A.
+def _kept(ground: GroundSet, deleted: Iterable, contracted: Iterable) -> tuple:
+    """(A, B, the labels outside both) for a minor deleting A and
+    contracting B; raises on unknown, shared or all labels."""
+    A, B = frozenset(deleted), frozenset(contracted)
+    for label in A | B:
+        ground.index(label)
+    overlap = A & B
+    if overlap:
+        raise InputError(f"delete and contract sets overlap: {list(ground.sort(overlap))}")
+    keep = tuple(label for label in ground if label not in A and label not in B)
+    if not keep:
+        raise InputError("minor removes the whole ground set")
+    return A, B, keep
 
-    Pins T = the greedy maximal independent subset of A and evaluates phi
-    with T as trailing arguments; any other choice of T gives the same
-    function up to a global unit.  Raises when nothing remains or the
-    contraction has rank 0.
+
+def minor_gp(phi: GPFunction, deleted: Iterable = (),
+             contracted: Iterable = ()) -> GPFunction:
+    """The alternating function of the minor: delete A, then contract B.
+
+    The rank is that of E - A less that of B.  Values evaluate phi with
+    T, the greedy (ground-order) maximal independent subset of B, then P,
+    the greedy completion inside A of the greedy basis of E - A, as
+    trailing arguments; other choices give the same function up to a
+    unit.  A greedy walk keeps a label while the AND of the support's
+    bitsets stays nonzero.  The signs of moving P and then T are applied
+    in turn, as a deletion then a contraction would, so float payloads
+    match bit for bit.  Raises on a support that is no matroid's, or a
+    minor of rank 0.
     """
-    A = frozenset(contracted)
-    for label in A:
-        phi.ground.index(label)
-    remaining = tuple(label for label in phi.ground if label not in A)
-    if not remaining:
-        raise InputError("contraction removes the whole ground set")
-    matroid = phi.underlying_matroid()
-    pinned = matroid.max_independent(A)
-    rank = phi.rank - len(pinned)
+    A, B, keep = _kept(phi.ground, deleted, contracted)
+    _, holders = _matroid_support(phi)
+    labels, pos = phi.ground.labels, phi.ground.index
+
+    def greedy(allowed: frozenset, running: int = -1) -> tuple:
+        picked = ()
+        for label, bits in zip(labels, holders):
+            if label in allowed and running & bits:
+                picked, running = picked + (label,), running & bits
+        return picked, running
+
+    base, running = greedy(frozenset(labels) - A)
+    pinned, _ = greedy(A, running)
+    tail, _ = greedy(B)
+    rank = len(base) - len(tail)
     if rank == 0:
-        raise InputError("contraction has rank 0 (the removed set spans)")
+        raise InputError("the minor has rank 0 (only loops remain, or the "
+                         "contracted set spans)")
     values = {}
-    for key in combinations(remaining, rank):
-        val = phi.evaluate(key + pinned)
-        if not val.is_zero:
-            values[key] = val
-    return GPFunction(phi.hyperfield, GroundSet(remaining), rank, values)
-
-
-def delete_gp(phi: GPFunction, deleted: Iterable) -> GPFunction:
-    """The alternating function of the deletion of A.
-
-    The rank drops to the rank of E - A; values are evaluations of phi
-    with a fixed completion (inside A, greedy) of a basis of E - A as
-    trailing arguments.  Raises when nothing remains or only loops would
-    remain.
-    """
-    A = frozenset(deleted)
-    for label in A:
-        phi.ground.index(label)
-    remaining = tuple(label for label in phi.ground if label not in A)
-    if not remaining:
-        raise InputError("deletion removes the whole ground set")
-    matroid = phi.underlying_matroid()
-    base = matroid.max_independent(remaining)
-    rank = len(base)
-    if rank == 0:
-        raise InputError("deletion has rank 0 (only loops remain)")
-    pinned = tuple(label for label in matroid.extend_to_basis(base)
-                   if label not in base)
-    values = {}
-    for key in combinations(remaining, rank):
-        val = phi.evaluate(key + pinned)
-        if not val.is_zero:
-            values[key] = val
-    return GPFunction(phi.hyperfield, GroundSet(remaining), rank, values)
+    for key in combinations(keep, rank):
+        value = phi.evaluate(phi.ground.sort(key + tail) + pinned)
+        if not value.is_zero:
+            values[key] = signed(value, _perm_parity([pos(x) for x in key + tail]))
+    return GPFunction(phi.hyperfield, GroundSet(keep), rank, values)
 
 
 def minor_circuits(sig: CircuitSignature, deleted: Iterable = (),
@@ -143,16 +142,7 @@ def minor_circuits(sig: CircuitSignature, deleted: Iterable = (),
     restricts every survivor away from B and keeps the nonzero ones of
     minimal support.
     """
-    A, B = frozenset(deleted), frozenset(contracted)
-    overlap = A & B
-    if overlap:
-        raise InputError(f"delete and contract sets overlap: {sorted(overlap)}")
-    for label in A | B:
-        sig.ground.index(label)
-    keep = tuple(label for label in sig.ground
-                 if label not in A and label not in B)
-    if not keep:
-        raise InputError("minor removes the whole ground set")
+    A, _, keep = _kept(sig.ground, deleted, contracted)
     ground = GroundSet(keep)
     survivors = [v.restrict(keep, ground) for v in sig.classes
                  if not (support(v) & A)]
@@ -216,21 +206,9 @@ def rational_padic(p: int) -> HyperfieldHom:
     def rule(el: HFElement) -> HFElement:
         if el.is_zero:
             return TROPICAL.zero()
-        q = el.value
-        order = _prime_multiplicity(q.numerator, p) \
-            - _prime_multiplicity(q.denominator, p)
-        return TROPICAL.element(Fraction(p) ** (-order))
+        return TROPICAL.element(_padic_abs(el.value, p))
 
     return HyperfieldHom(f"padic-{p}", RATIONALS, TROPICAL, rule)
-
-
-def _prime_multiplicity(n: int, p: int) -> int:
-    n = abs(n)
-    count = 0
-    while n % p == 0:
-        n //= p
-        count += 1
-    return count
 
 
 def validate_hom(hom: HyperfieldHom, sample_budget: int = 200,

@@ -21,15 +21,23 @@ cocircuit derivation: one `orthogonal` per pair, and fundamental
 circuits and classes looked up by frozensets of labels.
 `zero_in_phase_sum` is the greedy phase zero test that the package's
 sort-first test falls back on, and `check_C0_C2` the support axioms by
-the scan over every pair of classes.
+the scan over every pair of classes.  `bitset_exchange_witness` is the
+exchange scan on the support's bitsets without the package's memo on
+B1 - x, `gp_matroid` the matroid of a GP function's support by
+`ClassicalMatroid.from_bases`, and `minor_by_matroid` a GP minor as a
+deletion and then a contraction, each with its greedy choices (`greedy`)
+made on that matroid.
 """
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 import hypermatroid
-from hypermatroid import (CircuitSignature, Classification, FVector,
+from hypermatroid import (CircuitSignature, ClassicalMatroid, Classification,
+                          FVector, GPFunction, GroundSet, InputError,
                           RatioInconsistencyError, check_C3_doubleprime, check_strong_elimination,
                           check_weak_elimination, eq, inv, invol,
                           mul, neg, orthogonal, projectively_equal,
@@ -224,6 +232,73 @@ def exchange_witness(phi):
     return None
 
 
+def bitset_exchange_witness(phi):
+    """The first basis-exchange failure by bitsets, or None: bit k of
+    `avoid[e]` is set when basis k misses e, and the B2 failing at x are
+    the bits of the AND of `avoid` over x and every y with B1 - x + y a
+    basis, taken afresh for each (B1, x)."""
+    pos = phi.ground.index
+    bases = [(key, sum(1 << pos(x) for x in key))
+             for key in sorted(phi.values, key=lambda k: tuple(map(pos, k)))]
+    masks = {m for _, m in bases}
+    n = len(phi.ground)
+    avoid = [int("".join("0" if m >> e & 1 else "1" for _, m in reversed(bases)), 2)
+             for e in range(n)]
+    for b1, m1 in bases:
+        free = [(x, reduce(and_, [avoid[y] for y in range(n) if not m1 >> y & 1
+                                  and (m1 ^ 1 << x) | 1 << y in masks], avoid[x]))
+                for x in range(n) if m1 >> x & 1]
+        low = reduce(or_, (bits for _, bits in free))
+        if low:
+            low &= -low
+            x = next(x for x, bits in free if bits & low)
+            return {"axiom": "exchange", "B1": b1,
+                    "B2": bases[low.bit_length() - 1][0], "x": phi.ground.labels[x]}
+    return None
+
+
+def greedy(m, labels, picked=()):
+    """`picked` extended by each of `labels` outside it, in ground order,
+    that keeps it independent in m."""
+    for x in m.ground.sort(set(labels) - set(picked)):
+        if m.independent(picked + (x,)):
+            picked += (x,)
+    return picked
+
+
+def gp_matroid(phi):
+    """The matroid whose bases are the support of phi (capped at 16
+    labels, and InputError on a support that is no matroid's)."""
+    return ClassicalMatroid.from_bases(phi.ground, [frozenset(k) for k in phi.values])
+
+
+def minor_by_matroid(phi, deleted=(), contracted=()):
+    """The minor delete A, then contract B: the deletion evaluates phi
+    with the greedy completion of the greedy basis of E - A as trailing
+    arguments, the contraction the result with the greedy maximal
+    independent subset of B, each on the `gp_matroid` of its input."""
+    if deleted:
+        matroid = gp_matroid(phi)
+        remaining = tuple(x for x in phi.ground if x not in deleted)
+        base = greedy(matroid, remaining)
+        if not base:
+            raise InputError("deletion has rank 0")
+        pinned = greedy(matroid, deleted, base)[len(base):]
+        phi = GPFunction(phi.hyperfield, GroundSet(remaining), len(base), {
+            key: phi.evaluate(key + pinned)
+            for key in combinations(remaining, len(base))})
+    if contracted:
+        matroid = gp_matroid(phi)
+        remaining = tuple(x for x in phi.ground if x not in contracted)
+        pinned = greedy(matroid, contracted)
+        rank = phi.rank - len(pinned)
+        if not remaining or rank == 0:
+            raise InputError("contraction has rank 0")
+        phi = GPFunction(phi.hyperfield, GroundSet(remaining), rank, {
+            key: phi.evaluate(key + pinned) for key in combinations(remaining, rank)})
+    return phi
+
+
 def relation_pairs(phi, three_term_only):
     """Every (I, J) of the relation family, I outer and J inner, both in
     `combinations` order; three-term pairs have |I - J| = 3."""
@@ -299,7 +374,7 @@ def circuit_by_every_basis(phi, circuit):
     X(x_i) = (-1)^i phi(x0, B - x_i) / phi(B) for the i-th x_i of B in C."""
     x0 = min(circuit, key=phi.ground.index)
     hf = phi.hyperfield
-    for basis in bases_containing(phi.underlying_matroid(), circuit - {x0}):
+    for basis in bases_containing(gp_matroid(phi), circuit - {x0}):
         denom = inv(phi.value(basis))
         entries = {x0: hf.one()}
         for i, xi in enumerate(basis, start=1):
@@ -411,7 +486,7 @@ def cocircuit_signature_from_circuits(sig):
     full = frozenset(sig.ground.labels)
     vectors = []
     for cocircuit in sorted(matroid.cocircuits(), key=lambda c: sorted(map(pos, c))):
-        hyperplane_basis = frozenset(matroid.max_independent(full - cocircuit))
+        hyperplane_basis = frozenset(greedy(matroid, full - cocircuit))
 
         def circuit_between(e, f):
             basis = hyperplane_basis | {e}

@@ -140,6 +140,23 @@ def test_circuits_above_the_matroid_cap(capsys, tmp_path):
     assert circuits == [list(pair) for pair in combinations(labels, 2)]
 
 
+def test_minor_above_the_matroid_cap(capsys, tmp_path):
+    """`minor` reads its greedy choices off the support's bases, so it
+    takes a rank-1 tropical function on 20 labels: contracting the loop 4
+    keeps the rank, and deleting 1 drops its value."""
+    labels = tuple(range(1, 21))
+    phi = GPFunction(TROPICAL, GroundSet(labels), 1, {
+        (x,): TROPICAL.element(x) for x in labels if x % 4})
+    path = write(tmp_path, "gp.json", phi)
+    code, out, err = run(capsys, "minor", "--delete", "1", "--contract", "4", path)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["rank"] == 1
+    assert report["ground_set"] == [x for x in labels if x not in (1, 4)]
+    assert [v["subset"] for v in report["values"]] == [
+        [x] for x in labels if x % 4 and x != 1]
+
+
 def test_dual_on_gp(capsys, tmp_path):
     path = write(tmp_path, "gp.json", CORPUS["sign-k4"].build())
     code, out, _ = run(capsys, "dual", path)

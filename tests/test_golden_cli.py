@@ -436,8 +436,9 @@ def commands() -> list:
 # a ground whose label order is not its position order; deletions that
 # lower the rank ({2, 3, 6} spans a plane), so the basis completion inside
 # the deleted set is not empty, one of them with an odd reordering both
-# of the completion and of the contracted set; and a support failing
-# basis exchange.
+# of the completion and of the contracted set; a support failing basis
+# exchange; and the rank-1 function on 20 labels, past the cap of a
+# `ClassicalMatroid`.
 MINOR_PINS = [
     ["minor", "--contract", "5,8", "gp-phase-r3-parallel.json"],
     ["minor", "--delete", "1,4,5,7,8", "gp-phase-r3-parallel.json"],
@@ -446,6 +447,7 @@ MINOR_PINS = [
     ["minor", "--delete", "a", "--contract", "e,d", "gp-tropical-relabeled-perturbed.json"],
     ["minor", "--delete", "1,2,3,4,5,6,7", "--contract", "9", "gp-phase-r4-seeded.json"],
     ["minor", "--delete", "1", "gp-sign-late-exchange.json"],
+    ["minor", "--delete", "1", "--contract", "4", "gp-tropical-rank1-e20.json"],
 ]
 
 

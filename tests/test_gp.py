@@ -15,12 +15,13 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS,
                           check_gp_weak, circuits_from_gp,
                           cocircuit_signature_from_circuits, corpus_entries,
                           dual_gp, dual_pair_witness, eq,
-                          gf, gp_from_dual_pair, mul,
+                          gf, gp_from_dual_pair, minor_gp, mul,
                           nonorthogonal_pair, random_weak_gp, relation_terms,
-                          sample_element, support, zero_in_sum)
+                          sample_element, serialize, support, zero_in_sum)
 import hypermatroid.gp
 from hypermatroid.corpus import gp_from_matrix
 from hypermatroid.gp import failing_relation, failing_three_term
+from hypermatroid.matroids import _labels
 from hypermatroid.vectors import vectors_equal
 
 import oracles
@@ -89,9 +90,14 @@ def test_weak_witness_on_broken_values():
 
 def test_underlying_matroid_and_bases():
     phi = CORPUS["rational-k4"].build()
-    m = phi.underlying_matroid()
+    m = oracles.gp_matroid(phi)
     assert m.rank() == 3 and len(m.bases()) == 16
-    assert phi.bases_support() == frozenset(m.bases())
+    masks, holders, failure = hypermatroid.gp._support(phi)
+    assert failure is None and len(masks) == 16
+    assert {frozenset(_labels(phi.ground, mask)) for mask in masks} == m.bases()
+    for e, label in enumerate(phi.ground.labels):
+        assert [k for k in range(16) if holders[e] >> k & 1] == [
+            k for k, mask in enumerate(masks) if mask >> e & 1]
 
 
 def test_circuits_from_gp_matches_kernel_oracle():
@@ -415,6 +421,23 @@ def test_weak_check_on_random_families():
     assert failing >= 90
 
 
+def test_memoized_exchange_scan_matches_the_bitset_scan():
+    """The exchange scan takes the AND over the cocircuit off cl(B1 - x)
+    once per B1 - x; on random families of up to 8 labels, in a ground
+    order that is not their label order, matroids or not, it names the
+    witness of the scan that takes it once per (B1, x)."""
+    rng = random.Random(1204)
+    failing = 0
+    for _ in range(400):
+        rank = rng.randint(1, 4)
+        labels = rng.sample(range(1, 10), rng.randint(rank + 1, 8))
+        phi = random_family(rng, rank, labels, rng.choice([0.3, 0.5, 0.7, 0.9]))
+        want = oracles.bitset_exchange_witness(phi)
+        failing += want is not None
+        assert hypermatroid.gp._support(phi)[2] == want
+    assert 100 <= failing <= 300
+
+
 @pytest.mark.parametrize("rank, size", [(1, 20), (1, 24), (2, 20), (2, 24)])
 def test_exchange_on_grounds_above_the_matroid_cap(rank, size):
     """Ground sets larger than a matroid may have: the weak check must not
@@ -508,7 +531,7 @@ COUNT_COLUMNS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
 
 def test_strong_check_tests_each_wide_pair_once(monkeypatch):
     phi = phase_minors(COUNT_COLUMNS, [0.3 * k + 0.1 for k in range(10)])
-    matroid = phi.underlying_matroid()
+    matroid = oracles.gp_matroid(phi)
     overlaps = sorted(len(C & D) for C in matroid.circuits
                       for D in matroid.cocircuits() if len(C & D) >= 4)
     assert len(phi.values) < 210 and overlaps
@@ -552,12 +575,19 @@ def assert_derived_data_agrees(phi):
                                   if e.kind == "gp"])
 def test_circuits_from_gp_builds_no_matroid(monkeypatch, name):
     """The circuits are read off the relation table, each against its
-    first basis, with every ClassicalMatroid method made to raise."""
+    first basis, with every ClassicalMatroid method made to raise; so are
+    the weak verdict and every one-label deletion and contraction
+    (`minor_gp`), against the matroid-built oracles."""
     phi = CORPUS[name].build()
     pos = phi.ground.index
     want = [next(oracles.circuit_by_every_basis(phi, circuit)) for circuit in
-            sorted(phi.underlying_matroid().circuits,
+            sorted(oracles.gp_matroid(phi).circuits,
                    key=lambda c: sorted(map(pos, c)))]
+    weak = oracles.gp_witness(phi, True)
+    sides = [{side: (label,)} for label in phi.ground
+             for side in ("deleted", "contracted")]
+    minors = [minor_or_refusal(oracles.minor_by_matroid, phi, side)
+              for side in sides]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("circuits_from_gp used a ClassicalMatroid method")
@@ -568,6 +598,17 @@ def test_circuits_from_gp_builds_no_matroid(monkeypatch, name):
     got = circuits_from_gp(CORPUS[name].build()).classes
     assert len(got) == len(want)
     assert all(vectors_equal(x, y) for x, y in zip(got, want))
+    assert check_gp_weak(CORPUS[name].build()) == weak
+    assert [minor_or_refusal(minor_gp, CORPUS[name].build(), side)
+            for side in sides] == minors
+
+
+def minor_or_refusal(minor, phi, sides):
+    """The serialized minor, or None where it is refused (rank 0)."""
+    try:
+        return serialize(minor(phi, **sides))
+    except InputError:
+        return None
 
 
 def test_circuits_from_gp_refuses_a_support_that_is_not_a_matroid():

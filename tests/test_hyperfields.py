@@ -16,7 +16,8 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS,
                           cocircuit_signature_from_circuits,
                           double_distributivity_witness, dual_gp, eq,
                           fold_sum, gf, inv, invol, member_of_sum, mul, neg,
-                          sample_element, serialize, signed, zero_in_sum)
+                          rational_padic, sample_element, serialize, signed,
+                          zero_in_sum)
 from hypermatroid import hyperfields
 from hypermatroid.hyperfields import _zero_in_phase_sum
 from hypermatroid.sumsets import EPS, TAU, norm_angle
@@ -350,3 +351,26 @@ def test_derived_phase_output_spells_one_as_zero_angle(name):
     for text in (serialize(cocircuit_signature_from_circuits(circuits)),
                  serialize(dual_gp(phi))):
         assert "-0.0" not in text
+
+
+def test_from_rational_takes_non_integers():
+    """1/2 has 2-adic absolute value 2 (the valuation once looped on the
+    integer part 0), and 5/2 is 5 times the inverse of 2, which is 1 in
+    GF(3); a denominator divisible by p has no residue."""
+    assert TROPICAL.from_rational(Fraction(1, 2)).value == 2
+    assert gf(3).from_rational(Fraction(5, 2)).value == 1
+    with pytest.raises(InputError):
+        gf(3).from_rational(Fraction(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions().filter(bool))
+def test_from_rational_is_the_homomorphism(q):
+    """Tropical is the 2-adic absolute value `rational_padic(2)`, and
+    GF(p) a ring map: q times its denominator is its numerator."""
+    el = RATIONALS.element(q)
+    assert TROPICAL.from_rational(q).value == rational_padic(2)(el).value
+    for p in (2, 3, 5):
+        if q.denominator % p:
+            residue = gf(p).from_rational(q).value
+            assert residue * q.denominator % p == q.numerator % p

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermatroid import (ClassicalMatroid, GroundSet, InputError,
+from hypermatroid import (ClassicalMatroid, GPFunction, GroundSet, InputError,
                           corpus_entries, validate_circuits)
 from hypermatroid.matroids import modular_family
 
@@ -63,11 +63,10 @@ def test_bases():
 
 
 def test_max_independent_and_extension():
-    assert U24.max_independent((1, 2, 3)) == (1, 2)
-    basis = U24.extend_to_basis((3,))
-    assert 3 in basis and len(basis) == 2
-    with pytest.raises(InputError):
-        K4.extend_to_basis(("ab", "bc", "ac"))
+    assert oracles.greedy(U24, (1, 2, 3)) == (1, 2)
+    basis = oracles.greedy(U24, U24.ground, (3,))
+    assert basis[0] == 3 and len(basis) == 2
+    assert not K4.independent(("ab", "bc", "ac"))
 
 
 def test_dual_and_cocircuits():
@@ -192,7 +191,8 @@ def _corpus_matroids():
     for entry in corpus_entries():
         obj = entry.build()
         try:
-            found.append((entry.name, obj.underlying_matroid()))
+            found.append((entry.name, oracles.gp_matroid(obj)
+                          if isinstance(obj, GPFunction) else obj.underlying_matroid()))
         except InputError:
             pass  # not-a-matroid
     return found

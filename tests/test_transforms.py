@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           TROPICAL, HFElement, HyperfieldHom, InputError,
                           check_gp_strong, check_gp_weak, circuits_from_gp,
-                          cocircuit_signature_from_circuits, contract_gp,
-                          delete_gp, dual_gp, gf,
+                          cocircuit_signature_from_circuits, dual_gp, gf,
                           identity_hom, minimal_covectors, minor_circuits,
-                          projectively_equal, pushforward_circuits,
+                          minor_gp, projectively_equal, pushforward_circuits,
                           pushforward_gp, rational_padic, rational_sign,
-                          random_weak_gp, same_signature, to_krasner,
-                          validate_hom)
+                          random_weak_gp, same_signature, serialize,
+                          to_krasner, validate_hom)
 
-from oracles import equivalent_gp
+from oracles import equivalent_gp, gp_matroid, minor_by_matroid
 from strategies import ALL_KINDS, weak_functions
 
 GP_NAMES = ("krasner-u24", "krasner-k4", "sign-u13", "sign-u24", "sign-k4",
@@ -39,7 +38,7 @@ def test_double_dual_gp():
 
 def test_dual_underlying_matroid():
     for name, phi in entries():
-        assert dual_gp(phi).underlying_matroid() == phi.underlying_matroid().dual(), name
+        assert gp_matroid(dual_gp(phi)) == gp_matroid(phi).dual(), name
 
 
 def test_dual_rank():
@@ -88,15 +87,50 @@ def test_minor_theorems_on_weak_functions(phi):
     strong = check_gp_strong(phi) is None
     circuits = circuits_from_gp(phi)
     for label in phi.ground.labels:
-        for minor_gp, side in ((delete_gp, "deleted"), (contract_gp, "contracted")):
+        for side in ("deleted", "contracted"):
             try:
-                minor = minor_gp(phi, (label,))
+                minor = minor_gp(phi, **{side: (label,)})
             except InputError:  # a coloop deleted from, or a spanning
                 continue        # element contracted in, rank 1
             assert check_gp_weak(minor) is None
             assert not strong or check_gp_strong(minor) is None
             assert same_signature(circuits_from_gp(minor),
                                   minor_circuits(circuits, **{side: (label,)}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weak_functions(), st.randoms(use_true_random=False))
+def test_minor_gp_is_delete_then_contract(phi, rng):
+    """One pass on the support's bitsets serializes byte for byte as the
+    deletion and then the contraction, each on its `ClassicalMatroid`,
+    and refuses exactly the minors of rank 0."""
+    labels = list(phi.ground.labels)
+    rng.shuffle(labels)
+    cut, end = sorted(rng.sample(range(len(labels) + 1), 2))
+    deleted, contracted = labels[:cut], labels[cut:end]
+    try:
+        want = serialize(minor_by_matroid(phi, deleted, contracted))
+    except InputError:
+        with pytest.raises(InputError):
+            minor_gp(phi, deleted, contracted)
+        return
+    assert serialize(minor_gp(phi, deleted, contracted)) == want
+
+
+def test_minor_gp_on_the_corpus_is_delete_then_contract():
+    """Every disjoint pair of one-label sets, and every one-label deletion
+    or contraction, of each corpus function."""
+    for name, phi in entries():
+        labels = phi.ground.labels
+        cases = [((a,), ()) for a in labels] + [((), (b,)) for b in labels] + [
+            ((a,), (b,)) for a in labels for b in labels if a != b]
+        for deleted, contracted in cases:
+            try:
+                want = serialize(minor_by_matroid(phi, deleted, contracted))
+            except InputError:
+                continue
+            assert serialize(minor_gp(phi, deleted, contracted)) == want, (
+                name, deleted, contracted)
 
 
 def test_double_dual_circuits():
@@ -125,22 +159,24 @@ def test_minimal_covectors_rejects_infinite():
 
 def test_contract_delete_gp():
     phi = CORPUS["sign-k4"].build()
-    contracted = contract_gp(phi, ("ab",))
+    contracted = minor_gp(phi, contracted=("ab",))
     assert contracted.rank == 2
     assert "ab" not in contracted.ground
-    deleted = delete_gp(phi, ("cd",))
+    deleted = minor_gp(phi, deleted=("cd",))
     assert deleted.rank == 3
     assert "cd" not in deleted.ground
-    assert equivalent_gp(contract_gp(phi, ()), phi)
+    assert equivalent_gp(minor_gp(phi), phi)
     with pytest.raises(InputError):
-        delete_gp(phi, tuple(phi.ground))
+        minor_gp(phi, deleted=tuple(phi.ground))
+    with pytest.raises(InputError):
+        minor_gp(phi, deleted=("ab",), contracted=("ab", "cd"))
 
 
 def test_minor_underlying():
     phi = CORPUS["sign-k4"].build()
-    m = phi.underlying_matroid()
-    c = contract_gp(phi, ("ab",))
-    assert c.underlying_matroid().circuits == frozenset(
+    m = gp_matroid(phi)
+    c = minor_gp(phi, contracted=("ab",))
+    assert gp_matroid(c).circuits == frozenset(
         s for s in minor_circuits(circuits_from_gp(phi),
                                   contracted=("ab",)).supports())
     assert m.rank() - 1 == c.rank
@@ -151,8 +187,8 @@ def test_deletion_dual_is_dual_contraction():
     for name in ("sign-k4", "rational-k4", "tropical-u24"):
         phi = CORPUS[name].build()
         label = phi.ground.labels[0]
-        left = dual_gp(delete_gp(phi, (label,)))
-        right = contract_gp(dual_gp(phi), (label,))
+        left = dual_gp(minor_gp(phi, deleted=(label,)))
+        right = minor_gp(dual_gp(phi), contracted=(label,))
         assert equivalent_gp(left, right), name
         sig = circuits_from_gp(phi)
         sig_left = cocircuit_signature_from_circuits(
@@ -214,7 +250,7 @@ def test_pushforward_underlying():
     for name, phi in entries():
         hom = to_krasner(phi.hyperfield)
         pushed = pushforward_gp(hom, phi)
-        assert pushed.underlying_matroid() == phi.underlying_matroid(), name
+        assert gp_matroid(pushed) == gp_matroid(phi), name
         assert pushed.rank == phi.rank
 
 
