@@ -23,9 +23,9 @@ weak check takes the paper's form: each three-term Pluecker relation once
 (`failing_three_term`), and basis exchange on one bitset per element over
 the bases (`_support`), which the circuits and the minors read too: the
 GP side builds no `ClassicalMatroid`.  A weak function determines its
-dual pair (Baker-Bowler):
-each (r+1)-set I gives the circuit inside I, each (r-1)-set J the
-cocircuit off cl(J), and the (I, J) relation is their orthogonality sum.
+dual pair (Baker-Bowler): each (r+1)-set I gives the circuit inside I,
+each (r-1)-set J the cocircuit off cl(J), and the (I, J) relation is
+their orthogonality sum.
 `_dual_pair` packs them once per function, one I or J per mask; Strong
 (`failing_relation`), the circuits (`circuits_from_gp`) and the
 perfection sweep read them.  The walk over every (I, J) is the test
@@ -107,7 +107,7 @@ class GPFunction:
         if not stored:
             raise InputError("identically zero (GP1 fails)")
         self.values = stored
-        self._support: Optional[tuple] = None
+        self._bitsets: Optional[tuple] = None
         self._weak: object = _UNCHECKED
         self._pairs: Optional[tuple] = None
 
@@ -154,14 +154,14 @@ def _support(phi: GPFunction) -> tuple:
     in lex order of ground positions, bit k of `holders[e]` set when basis
     k holds e, and `_first_exchange_failure`.  A set lies inside a basis
     when the AND of its holders is nonzero."""
-    if phi._support is None:
+    if phi._bitsets is None:
         masks = sorted((_mask(phi.ground, key) for key in phi.values),
                        key=_positions)
         holders = [sum(1 << k for k, mask in enumerate(masks) if mask >> e & 1)
                    for e in range(len(phi.ground))]
-        phi._support = (masks, holders,
+        phi._bitsets = (masks, holders,
                         _first_exchange_failure(phi.ground, masks, holders))
-    return phi._support
+    return phi._bitsets
 
 
 def _first_exchange_failure(ground: GroundSet, masks: list,
@@ -193,13 +193,13 @@ def _first_exchange_failure(ground: GroundSet, masks: list,
     return None
 
 
-def _matroid_support(phi: GPFunction) -> tuple:
-    """(masks, holders) of a support that is a matroid's basis family;
+def _matroid_support(phi: GPFunction) -> list:
+    """The holders of a support that is a matroid's basis family;
     InputError naming the exchange failure otherwise."""
-    masks, holders, failure = _support(phi)
+    _, holders, failure = _support(phi)
     if failure is not None:
         raise InputError(f"not a matroid: {failure}")
-    return masks, holders
+    return holders
 
 
 def relation_terms(phi: GPFunction, I: Sequence, J: Sequence) -> List[HFElement]:

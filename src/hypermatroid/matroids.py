@@ -13,10 +13,11 @@ table has 2^|E| entries, so ground sets are capped
 A circuit family is validated once, when it enters the class: circuits a
 user supplies, the supports of a circuit signature, or the circuits
 `from_bases` derives from a basis family.  GP functions build no
-matroid: their supports are answered by per-element bitsets over the
-bases (`gp._support`), on ground sets of any size.  What is derived from a matroid afterwards -- its bases, its dual and
-fundamental circuits -- is not checked again, since the dual of a matroid
-is a matroid.
+matroid: per-element bitsets over their bases (`gp._support`) answer
+their support questions, on ground sets of any size.  What is derived
+from a matroid afterwards -- its bases, its dual and fundamental
+circuits -- is not checked again, since the dual of a matroid is a
+matroid.
 """
 
 from __future__ import annotations

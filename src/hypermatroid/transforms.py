@@ -109,7 +109,7 @@ def minor_gp(phi: GPFunction, deleted: Iterable = (),
     minor of rank 0.
     """
     A, B, keep = _kept(phi.ground, deleted, contracted)
-    _, holders = _matroid_support(phi)
+    holders = _matroid_support(phi)
     labels, pos = phi.ground.labels, phi.ground.index
 
     def greedy(allowed: frozenset, running: int = -1) -> tuple:

@@ -343,6 +343,20 @@ def test_mixed_labels_minor_of_a_non_matroid_support(capsys, tmp_path):
     assert err.startswith("error: not a matroid:") and err.count("\n") == 1
 
 
+def test_mixed_labels_minor_with_overlapping_sets(capsys, tmp_path):
+    """Labels both deleted and contracted are refused, listed in ground
+    order, for a signature and a function over int and str labels."""
+    ground = GroundSet(("a", 1, 2))
+    sig = CircuitSignature(SIGN, ground, [
+        FVector(SIGN, ground, {"a": SIGN.one(), 1: SIGN.one(), 2: SIGN.one()})])
+    phi = GPFunction(SIGN, ground, 1, {(x,): SIGN.one() for x in ground})
+    for obj in (sig, phi):
+        path = write(tmp_path, "obj.json", obj)
+        code, out, err = run(capsys, "minor", "--delete", "1,a", "--contract", "a,1", path)
+        assert (code, out) == (2, "")
+        assert err == "error: delete and contract sets overlap: ['a', 1]\n"
+
+
 def test_mixed_labels_name_the_inconsistent_cocircuit(capsys, tmp_path):
     """A phase signature over int and str labels with one entry changed:
     its derived cocircuit ratios disagree, and the message lists the

@@ -117,22 +117,6 @@ def test_minor_gp_is_delete_then_contract(phi, rng):
     assert serialize(minor_gp(phi, deleted, contracted)) == want
 
 
-def test_minor_gp_on_the_corpus_is_delete_then_contract():
-    """Every disjoint pair of one-label sets, and every one-label deletion
-    or contraction, of each corpus function."""
-    for name, phi in entries():
-        labels = phi.ground.labels
-        cases = [((a,), ()) for a in labels] + [((), (b,)) for b in labels] + [
-            ((a,), (b,)) for a in labels for b in labels if a != b]
-        for deleted, contracted in cases:
-            try:
-                want = serialize(minor_by_matroid(phi, deleted, contracted))
-            except InputError:
-                continue
-            assert serialize(minor_gp(phi, deleted, contracted)) == want, (
-                name, deleted, contracted)
-
-
 def test_double_dual_circuits():
     for name in ("sign-u24", "gf3-u24", "tropical-u24", "phase-u24-real"):
         sig = circuits_from_gp(CORPUS[name].build())
