@@ -63,7 +63,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from .circuits import (CircuitSignature, check_C0_C2, check_strong_elimination,
                        check_weak_elimination)
 from .errors import (ConsistencyError, InputError, InvalidDualPairError,
-                     RatioInconsistencyError)
+                     MismatchError, RatioInconsistencyError)
 from .hyperfields import HFElement, Hyperfield, inv, mul, neg, signed
 from .matroids import ClassicalMatroid, _labels, _mask, validate_circuits
 from .vectors import FVector, GroundSet
@@ -558,7 +558,15 @@ def dual_pair_witness(C: CircuitSignature,
     DP2 (signatures of a matroid and its dual), then DP3' (a circuit and a
     cocircuit meeting in at most 3 elements that are not orthogonal),
     named by the pair `nonorthogonal_pair` finds.  Whether a weak dual
-    pair is full (DP3) is not asked here."""
+    pair is full (DP3) is not asked here.  The pair loop pairs entries by
+    ground position, so D must share C's hyperfield and ground order
+    (MismatchError otherwise)."""
+    if D.hyperfield is not C.hyperfield:
+        raise MismatchError(f"cocircuits.hyperfield {D.hyperfield} is not "
+                            f"the circuits' {C.hyperfield}")
+    if D.ground.labels != C.ground.labels:
+        raise MismatchError(f"cocircuits.ground_set {list(D.ground.labels)} "
+                            f"is not the circuits' {list(C.ground.labels)}")
     try:
         matroid = C.underlying_matroid()
     except InputError:

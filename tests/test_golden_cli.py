@@ -2,7 +2,8 @@
 
 `golden_cli.json` records, for a fixed list of `hfm` commands over the
 corpus, its dual pairs (circuits with derived cocircuits), dual pairs
-broken on purpose, two functions failing a three-term relation, tropical
+broken on purpose, dual pairs whose cocircuits do not share the
+circuits' hyperfield or ground order, two functions failing a three-term relation, tropical
 and rational functions with mixed denominators (passing, and with one
 value changed), the two weak-only entries scaled by a unit, sign and
 tropical functions of rank 3 and 4 with one value changed (one over a
@@ -239,6 +240,31 @@ def broken_pairs(name: str) -> dict:
     }
 
 
+def mismatched_pairs() -> dict:
+    """{file name: dual pair} of a sign U(2,3) whose cocircuits do not
+    share the circuits' ground order or hyperfield: over the reversed
+    ground (position by position, one circuit/cocircuit pair would not be
+    orthogonal), over tropical, and over a fourth label.  `gp` pairs the
+    two signatures by ground position, so it must refuse each."""
+    phi = GPFunction(SIGN, GroundSet((1, 2, 3)), 2, {
+        (1, 2): SIGN.one(), (1, 3): SIGN.one(), (2, 3): SIGN.element(-1)})
+    pair = dual_pair(circuits_from_gp(phi))
+    cocircuits = pair["cocircuits"]
+
+    def moved(hf, labels, value=lambda el: el):
+        ground = GroundSet(labels)
+        return {**pair, "cocircuits": CircuitSignature(hf, ground, [
+            FVector(hf, ground, {label: value(el) for label, el in v.entries.items()})
+            for v in cocircuits.classes])}
+
+    return {
+        "pair-sign-u23-reversed.json": moved(SIGN, (3, 2, 1)),
+        "pair-sign-u23-tropical.json": moved(TROPICAL, (1, 2, 3),
+                                             lambda el: TROPICAL.one()),
+        "pair-sign-u23-fourth-label.json": moved(SIGN, (1, 2, 3, 4)),
+    }
+
+
 def write_inputs(directory: str) -> dict:
     """Write every input file into `directory`; {file name: sha256}."""
     files = {}
@@ -255,6 +281,8 @@ def write_inputs(directory: str) -> dict:
     for name in TWISTS:
         for file, pair in broken_pairs(name).items():
             files[file] = serialize(pair)
+    for file, pair in mismatched_pairs().items():
+        files[file] = serialize(pair)
     for name in ("tropical-mixed", "rational-mixed"):
         files[f"gp-{name}.json"] = serialize(mixed(name))
         files[f"gp-{name}-broken.json"] = serialize(mixed_broken(name))
@@ -428,7 +456,8 @@ def commands() -> list:
         out.append(["check-gp", "--both", name])
     for name in seeded_inputs():
         out += [["circuits", name], ["check-gp", "--both", name]]
-    return out + rank4_commands() + MINOR_PINS
+    return out + rank4_commands() + MINOR_PINS + \
+        [["gp", file] for file in mismatched_pairs()]
 
 
 # GP minors whose greedy choices depend on the ground order: contracting

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS,
-                          SIGN, TRIANGLE, TROPICAL, ClassicalMatroid,
-                          GPFunction, GroundSet, InputError,
-                          InvalidDualPairError, check_gp_strong,
+                          SIGN, TRIANGLE, TROPICAL, CircuitSignature,
+                          ClassicalMatroid, FVector, GPFunction, GroundSet,
+                          InputError, InvalidDualPairError, MismatchError,
+                          check_gp_strong,
                           check_gp_weak, circuits_from_gp,
                           cocircuit_signature_from_circuits, corpus_entries,
                           dual_gp, dual_pair_witness, eq,
@@ -143,6 +144,25 @@ def test_gp_from_dual_pair_rejects_non_pair():
     sig = circuits_from_gp(CORPUS["sign-u24"].build())
     with pytest.raises(InvalidDualPairError):
         gp_from_dual_pair(sig, sig)
+
+
+def test_dual_pair_witness_refuses_mismatched_signatures():
+    """The pair loop pairs entries by ground position, so cocircuits over
+    another ground order or hyperfield are malformed input, named by
+    their field, and not a DP3' failure."""
+    circuits = circuits_from_gp(CORPUS["sign-u24"].build())
+    cocircuits = cocircuit_signature_from_circuits(circuits)
+    reversed_ground = GroundSet(circuits.ground.labels[::-1])
+    moved = {
+        "cocircuits.ground_set": CircuitSignature(SIGN, reversed_ground, [
+            FVector(SIGN, reversed_ground, v.entries) for v in cocircuits.classes]),
+        "cocircuits.hyperfield": CircuitSignature(TROPICAL, circuits.ground, [
+            FVector(TROPICAL, circuits.ground, dict.fromkeys(v.entries, TROPICAL.one()))
+            for v in cocircuits.classes]),
+    }
+    for field, bad in moved.items():
+        with pytest.raises(MismatchError, match=field):
+            dual_pair_witness(circuits, bad)
 
 
 def test_pluecker_three_term_tropical():
