@@ -35,9 +35,8 @@ alone, so it runs only the first.  `gp` admits a weak dual pair by DP1,
 DP2 and DP3' (`gp.nonorthogonal_pair` decides DP3') and rebuilds its
 function without re-checking it: a weak dual pair determines one weak
 function up to a unit, and a full dual pair a strong one (Baker-Bowler).
-It exits 1 with the failing DP axiom, and 2 when the cocircuits do not
-share the circuits' hyperfield and ground order, since it pairs their
-entries by ground position.
+It exits 1 on a failing DP axiom, and 2 on cocircuits over another
+hyperfield or ground order, since it pairs entries by ground position.
 `circuits` admits a weak function and reads each circuit off the first
 (r+1)-set whose circuit it is, against one basis, since the circuits of
 a weak function do not depend on the basis used; it reads them from the

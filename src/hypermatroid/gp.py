@@ -33,10 +33,11 @@ oracle in `tests/oracles.py`.
 
 One loop, `_first_nonorthogonal`, answers every circuit/cocircuit
 orthogonality question on support masks and payloads, for functions and
-signatures alike: each class is packed once (`_pack`), an overlap is a
-popcount, and each pair is one call of the family's `zero_in_dot`, which
-forms the products x(e) invol(y(e)) and decides "0 in their sum" at
-once.  The cocircuit derivation and the dual-pair walk take bases and
+signatures alike: each class is packed once (`_pack`), a cocircuit as a
+row by position (`_cocircuit_pack`), an overlap is a popcount, and each
+pair is one call of the family's `zero_in_dot`, which forms the products
+x(e) invol(y(e)), one row lookup per circuit entry, and decides "0 in
+their sum" at once.  The cocircuit derivation and the dual-pair walk take bases and
 fundamental circuits as masks.
 
 The cocircuits are derived on payloads (`_cocircuit_payloads`): each
@@ -338,7 +339,7 @@ def check_gp_strong(phi: GPFunction) -> Optional[dict]:
 
 def _dual_pair(phi: GPFunction) -> tuple:
     """(circuits, cocircuits), built once per function: `_pack`-form packs
-    (I, circuit mask, {i: payload}) and (J, cocircuit mask, {x: payload})
+    (I, circuit mask, {i: payload}) and (J, cocircuit mask, row by position)
     in the order of `combinations` over the ground positions, on payloads
     made integral.  The circuit inside an (r+1)-set I is the i with I - i
     a basis, its entry at the k-th element (-1)^k phi(I - i); the
@@ -364,10 +365,10 @@ def _dual_pair(phi: GPFunction) -> tuple:
             cocircuit = sum(1 << x for x in positions
                             if not mask >> x & 1 and mask | (1 << x) in table)
             if cocircuit and cocircuit not in cocircuits:
-                cocircuits[cocircuit] = (J, cocircuit, {
-                    x: (negated if (mask & ((1 << x) - 1)).bit_count() % 2
-                        else table)[mask | (1 << x)]
-                    for x in positions if cocircuit >> x & 1})
+                cocircuits[cocircuit] = _cocircuit_pack(J, (
+                    (x, (negated if (mask & ((1 << x) - 1)).bit_count() % 2
+                         else table)[mask | (1 << x)])
+                    for x in positions if cocircuit >> x & 1), len(positions))
         phi._pairs = (list(circuits.values()), list(cocircuits.values()))
     return phi._pairs
 
@@ -421,9 +422,9 @@ def _positions(mask: int) -> list:
 
 def _pack(vectors: Iterable[FVector], dual: bool = False) -> list:
     """(vector, support mask, {position: payload} in ground order) per
-    vector, each entry through the involution on the cocircuit side
-    (`dual`).  Payloads are made integral per vector, which scales every
-    term of its pairs by one positive unit and so changes no verdict."""
+    vector; on the cocircuit side (`dual`) entries go through the involution
+    into a row (`_cocircuit_pack`).  Payloads are made integral per vector,
+    which scales every term of its pairs by one positive unit."""
     packs = []
     for v in vectors:
         pos, conjugate = v.ground.index, v.hyperfield.conjugate
@@ -432,18 +433,30 @@ def _pack(vectors: Iterable[FVector], dual: bool = False) -> list:
         if dual:
             payloads = {i: conjugate(a) for i, a in payloads.items()}
         payloads = _integral(payloads)
-        packs.append((v, sum(1 << i for i in payloads), payloads))
+        packs.append(_cocircuit_pack(v, payloads.items(), len(v.ground)) if dual
+                     else (v, sum(1 << i for i in payloads), payloads))
     return packs
+
+
+def _cocircuit_pack(y, entries: Iterable, size: int) -> tuple:
+    """(y, support mask, row) from (position, payload) pairs: the row holds
+    the payload at each of the `size` ground positions, None off the
+    support, so a kernel makes one lookup per position of the circuit."""
+    row, mask = [None] * size, 0
+    for i, a in entries:
+        row[i] = a
+        mask |= 1 << i
+    return y, mask, row
 
 
 def _first_nonorthogonal(xs: list, ys: list, hf: Hyperfield,
                          overlaps: range) -> Optional[tuple]:
-    """(overlap, x, y) for the first pair of packs x in xs and y in ys, in
-    xs x ys order, that meet in at most 3 positions, or in the least of
-    `overlaps`, and are not orthogonal; failing that, for the first
-    non-orthogonal pair of least overlap; else None.  Only pairs whose
-    overlap lies in `overlaps` are tested, and a pair whose overlap cannot
-    lower the least found is skipped."""
+    """(overlap, x, y) for the first pair of circuit packs x in xs and
+    cocircuit packs (rows) y in ys, in xs x ys order, that meet in at most
+    3 positions, or in the least of `overlaps`, and are not orthogonal;
+    failing that, for the first non-orthogonal pair of least overlap; else
+    None.  Only pairs whose overlap lies in `overlaps` are tested, and a
+    pair whose overlap cannot lower the least found is skipped."""
     zero_in_dot = hf.zero_in_dot
     least, limit = overlaps.start, overlaps.stop
     at_once = max(3, least)
@@ -558,15 +571,12 @@ def dual_pair_witness(C: CircuitSignature,
     DP2 (signatures of a matroid and its dual), then DP3' (a circuit and a
     cocircuit meeting in at most 3 elements that are not orthogonal),
     named by the pair `nonorthogonal_pair` finds.  Whether a weak dual
-    pair is full (DP3) is not asked here.  The pair loop pairs entries by
-    ground position, so D must share C's hyperfield and ground order
-    (MismatchError otherwise)."""
-    if D.hyperfield is not C.hyperfield:
-        raise MismatchError(f"cocircuits.hyperfield {D.hyperfield} is not "
-                            f"the circuits' {C.hyperfield}")
-    if D.ground.labels != C.ground.labels:
-        raise MismatchError(f"cocircuits.ground_set {list(D.ground.labels)} "
-                            f"is not the circuits' {list(C.ground.labels)}")
+    pair is full (DP3) is not asked here.  Entries pair by ground position,
+    so D over another hyperfield or ground order raises MismatchError."""
+    for field, ours, theirs in (("hyperfield", C.hyperfield, D.hyperfield), (
+            "ground_set", list(C.ground.labels), list(D.ground.labels))):
+        if theirs != ours:
+            raise MismatchError(f"cocircuits.{field} {theirs} is not the circuits' {ours}")
     try:
         matroid = C.underlying_matroid()
     except InputError:
@@ -662,10 +672,9 @@ def orthogonality_verdict(sig: CircuitSignature) -> str:
     element-level operation runs.
     """
     hf = sig.hyperfield
-    cocircuits = []
-    for _, payloads in _cocircuit_payloads(sig):
-        packed = _integral({i: hf.conjugate(w) for i, w in payloads.items()})
-        cocircuits.append((None, sum(1 << i for i in packed), packed))
+    cocircuits = [_cocircuit_pack(None, _integral(
+        {i: hf.conjugate(w) for i, w in payloads.items()}).items(), len(sig.ground))
+        for _, payloads in _cocircuit_payloads(sig)]
     pair = _first_nonorthogonal(_pack(sig.classes), cocircuits, hf, range(
         1, 4 if hf.doubly_distributive else len(sig.ground) + 1))
     if pair is None:

@@ -32,9 +32,10 @@ inverse (`inverse`), the involution (`conjugate`), equality (`equal`), the
 closed form for "0 in x1 + ... + xk" (`zero_in`) and membership of a
 nonzero payload in a sum (`member_in`).  The circuit/cocircuit pair loops
 ask "0 in the sum of the products over the shared positions" once per
-pair (`zero_in_dot`): by default `zero_in` of `product`s, which triangle
-and phase fuse.  The GP relation kernel and the cocircuit derivation call
-the payload operations directly.
+pair (`zero_in_dot`), one row lookup per circuit entry: by default
+`zero_in` of `product`s, which triangle fuses with the floats of `max` and
+`sum`, and phase with exact angles.  The GP relation kernel and the
+cocircuit derivation call the payload operations directly.
 
 The element operations are the module functions `mul`, `neg`, `inv`,
 `invol`, `eq`, `zero_in_sum` and `member_of_sum`: each checks that its
@@ -204,11 +205,11 @@ class Hyperfield:
         """Whether two nonzero payloads are the same element."""
         return a == b
 
-    def zero_in_dot(self, left, right: dict) -> bool:
-        """Whether 0 lies in the sum of the products a * right[i] over the
-        (i, a) of `left` with i in `right`: position, nonzero payload pairs
-        and a position -> nonzero payload map, some position shared."""
-        return self.zero_in([self.product(a, right[i]) for i, a in left if i in right])
+    def zero_in_dot(self, left, row: list) -> bool:
+        """Whether 0 lies in the sum of the products a * row[i] over the
+        (i, a) of `left` (position, nonzero payload) with row[i], read once,
+        not None: a row of payloads by position, some position shared."""
+        return self.zero_in([self.product(a, b) for i, a in left if (b := row[i]) is not None])
 
     def member_in(self, z, payloads: list) -> bool:
         """Whether the nonzero payload z lies in the sum of the payloads:
@@ -360,8 +361,18 @@ class Triangle(_Infinite):
         top = max(payloads)
         return top - (sum(payloads) - top) <= EPS * top
 
-    def zero_in_dot(self, left, right: dict) -> bool:
-        return self.zero_in([a * right[i] for i, a in left if i in right])
+    def zero_in_dot(self, left, row: list) -> bool:
+        """`zero_in` of the products in one pass, with its floats: `top` is
+        the first largest, as `max` gives, and `total` adds left to right
+        from 0.0 as `sum` does from 0 (Python < 3.12), since 0.0 + t is t."""
+        top = total = 0.0
+        for i, a in left:
+            if (b := row[i]) is not None:
+                t = a * b
+                total += t
+                if t > top:
+                    top = t
+        return top - (total - top) <= EPS * top
 
     def sample_unit(self, rng) -> HFElement:
         if rng.random() < 0.5:
@@ -444,14 +455,14 @@ class Phase(_Infinite):
     def zero_in(self, payloads: list) -> bool:
         return _zero_in_phase_sum([a for a in payloads if a is not None])
 
-    def zero_in_dot(self, left, right: dict) -> bool:
+    def zero_in_dot(self, left, row: list) -> bool:
         """Each product is bit for bit `norm_angle(a + b)`: both angles lie
         in [0, 2pi), so a + b lies in [0, 4pi), and subtracting 2pi from a
         sum in [2pi, 4pi) is exact (Sterbenz), as `fmod` is."""
         angles = []
         for i, a in left:
-            if i in right:
-                theta = a + right[i]
+            if (b := row[i]) is not None:
+                theta = a + b
                 if theta >= TAU:
                     theta -= TAU
                 angles.append(0.0 if TAU - theta <= EPS else theta)
@@ -750,13 +761,23 @@ def _zero_in_phase_sum(angles: list) -> bool:
     Sorted first: float differences grow with the exact ones, so when every
     neighbour gap and 2pi minus the widest difference exceed `EPS`, the
     greedy `_phase_distinct` would keep every angle, and the largest gap
-    decides at once; otherwise the greedy dedup runs."""
+    decides at once, in one pass making the comparisons of `min` and `max`;
+    otherwise the greedy dedup runs."""
     if len(angles) < 2:
         return not angles
     ordered = sorted(angles)
-    gaps = [b - a for a, b in zip(ordered, ordered[1:])]
-    if min(gaps) > EPS and TAU - (ordered[-1] - ordered[0]) > EPS:
-        return max(ordered[0] + TAU - ordered[-1], *gaps) <= math.pi + EPS
+    if TAU - (ordered[-1] - ordered[0]) > EPS:
+        widest, it = ordered[0] + TAU - ordered[-1], iter(ordered)
+        a = next(it)
+        for b in it:
+            gap = b - a
+            if gap <= EPS:
+                break
+            if gap > widest:
+                widest = gap
+            a = b
+        else:
+            return widest <= math.pi + EPS
     distinct = _phase_distinct(angles)
     if len(distinct) == 1:
         return False

@@ -20,7 +20,8 @@ package's element-level forms of its packed pair loop and mask-based
 cocircuit derivation: one `orthogonal` per pair, and fundamental
 circuits and classes looked up by frozensets of labels.
 `zero_in_phase_sum` is the greedy phase zero test that the package's
-sort-first test falls back on, and `check_C0_C2` the support axioms by
+sort-first test falls back on, `zero_in_dot` the pair kernel on a
+position -> payload map, as `zero_in` of the products, and `check_C0_C2` the support axioms by
 the scan over every pair of classes.  `bitset_exchange_witness` is the
 exchange scan on the support's bitsets without the package's memo on
 B1 - x, `gp_matroid` the matroid of a GP function's support by
@@ -523,3 +524,10 @@ def zero_in_phase_sum(angles):
         return False
     worst, _, _ = _phase_max_gap(distinct)
     return worst <= math.pi + EPS
+
+
+def zero_in_dot(hf, left, right):
+    """Whether 0 lies in the sum of the products a * right[i] over the
+    (i, a) of `left` with i in the map `right`: `zero_in` of `product`s,
+    the form every family's row kernel must agree with."""
+    return hf.zero_in([hf.product(a, right[i]) for i, a in left if i in right])

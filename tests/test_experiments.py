@@ -65,10 +65,10 @@ def test_sweep_runs_the_full_relation_scan(monkeypatch):
     family = type(SIGN)
     zero_in_dot = family.zero_in_dot
 
-    def wide_pairs_fail(self, left, right):
+    def wide_pairs_fail(self, left, row):
         left = list(left)
-        return zero_in_dot(self, left, right) and \
-            sum(i in right for i, _ in left) < 4
+        return zero_in_dot(self, left, row) and \
+            sum(row[i] is not None for i, _ in left) < 4
 
     monkeypatch.setattr(family, "zero_in_dot", wide_pairs_fail)
     report = run_perfection_experiment(

@@ -251,12 +251,60 @@ def phase_angles(draw):
     return angles
 
 
+# Each boundary of the sort-first test, on the threshold and at the
+# nearest floats on either side.  A neighbour gap g of EPS: 0.0 and g are
+# angle_close and the greedy test drops g, which makes the gap up to
+# pi + 1.5 EPS the widest; kept, g would split it.  A wrap gap: 2pi minus
+# a difference in [4, 8) is a multiple of 2**-50, so it never equals EPS,
+# and the two examples are the multiples on either side; when the greedy
+# test drops w, near 2pi, the gap from pi - 1.5 EPS on to 2pi is the
+# widest.  A widest gap of pi + EPS decides the verdict, on the single
+# pass and, after the greedy dedup of 0.5 EPS, on the fall-back.
+NEIGHBOUR = (math.nextafter(EPS, 0.0), EPS, math.nextafter(EPS, 1.0))
+WRAP_BELOW = TAU - math.ldexp(math.floor(math.ldexp(EPS, 50)), -50)
+WRAP = (WRAP_BELOW, math.nextafter(WRAP_BELOW, 0.0))
+WIDEST = (math.nextafter(math.pi + EPS, 0.0), math.pi + EPS,
+          math.nextafter(math.pi + EPS, 4.0))
+
+
 @settings(max_examples=1500, deadline=None)
 @given(phase_angles())
 @example([TAU - 0.5 * EPS, 0.0, math.pi + EPS])  # kept: the one below 2pi
 @example([0.0, TAU - 0.5 * EPS, math.pi - 0.5 * EPS])  # kept: 0
+@example([0.0, NEIGHBOUR[0], math.pi + 1.5 * EPS])
+@example([0.0, NEIGHBOUR[1], math.pi + 1.5 * EPS])
+@example([0.0, NEIGHBOUR[2], math.pi + 1.5 * EPS])
+@example([0.0, math.pi - 1.5 * EPS, WRAP[0]])
+@example([0.0, math.pi - 1.5 * EPS, WRAP[1]])
+@example([0.0, WIDEST[0]])
+@example([0.0, WIDEST[1]])
+@example([0.0, WIDEST[2]])
+@example([0.0, 0.5 * EPS, WIDEST[1]])
 def test_sort_first_phase_zero_test_matches_the_greedy_one(angles):
     assert _zero_in_phase_sum(angles) == oracles.zero_in_phase_sum(angles)
+
+
+def test_phase_boundary_examples_straddle_their_thresholds():
+    """The examples above sit where they claim: each verdict flips at the
+    threshold, in the direction its comparison says."""
+    assert [TAU - w <= EPS for w in WRAP] == [True, False]
+    assert [_zero_in_phase_sum([0.0, g, math.pi + 1.5 * EPS])
+            for g in NEIGHBOUR] == [False, False, True]
+    assert [_zero_in_phase_sum([0.0, math.pi - 1.5 * EPS, w])
+            for w in WRAP] == [False, True]
+    assert [_zero_in_phase_sum([0.0, w]) for w in WIDEST] == [True, True, False]
+    assert _zero_in_phase_sum([0.0, 0.5 * EPS, WIDEST[1]])
+
+
+def check_zero_in_dot(hf, left, right: dict, n: int):
+    """The family's kernel on `left` and the row of the map `right` over
+    n positions, with `left` as pairs and as a dict view, is `zero_in` of
+    the products (the dict kernel of `oracles`); returns the verdict."""
+    row = [right.get(i) for i in range(n)]
+    want = oracles.zero_in_dot(hf, left, right)
+    assert hf.zero_in_dot(left, row) == want
+    assert hf.zero_in_dot(dict(left).items(), row) == want
+    return want
 
 
 @settings(max_examples=300, deadline=None)
@@ -266,7 +314,8 @@ def test_zero_in_dot_is_zero_in_of_the_products(hf, seed):
     product to the hyperinverse of the last, so 0 lies in many sums."""
     rng = random.Random(seed)
     left, right, last = [], {}, None
-    for i in range(rng.randint(1, 7)):
+    n = rng.randint(1, 7)
+    for i in range(n):
         a = sample_element(hf, rng, nonzero=True)
         step = rng.choice(["left", "right", "shared", "negated"])
         if step != "right":
@@ -279,9 +328,24 @@ def test_zero_in_dot_is_zero_in_of_the_products(hf, seed):
             last = mul(a, hf.element(right[i]))
     if last is None:
         return
-    want = hf.zero_in([hf.product(a, right[i]) for i, a in left if i in right])
-    assert hf.zero_in_dot(left, right) == want
-    assert hf.zero_in_dot(dict(left).items(), right) == want
+    check_zero_in_dot(hf, left, right, n)
+
+
+# Triangle terms top and rest with top - rest exactly EPS * top: D =
+# 4503600 * 2**-52 is EPS * TOP, and TOP + (TOP - D), a multiple of
+# 2**-51, is exact.  Sums in [2, 4) step by 2**-51, so the nearest
+# differences on either side come from rest -+ 2**-51.
+TOP = float.fromhex("0x1.000001635e000p+0")
+D = 4503600 * 2.0 ** -52
+
+
+@pytest.mark.parametrize("step, verdict", [(-1, False), (0, True), (1, True)])
+def test_triangle_zero_in_dot_at_the_tolerance(step, verdict):
+    rest = TOP - D + step * 2.0 ** -51
+    assert EPS * TOP == D and TOP - ((TOP + rest) - TOP) == D - step * 2.0 ** -51
+    for left, right in (([(0, 1.0), (1, 1.0)], {0: TOP, 1: rest}),
+                        ([(0, rest), (1, TOP), (2, 2.0)], {0: 1.0, 1: 1.0})):
+        assert check_zero_in_dot(TRIANGLE, left, right, 3) is verdict
 
 
 PHASE_PAYLOADS = st.one_of(
@@ -297,7 +361,7 @@ def test_phase_fused_product_is_norm_angle_of_the_sum(a, b):
     bit the payload of the product."""
     seen = []
     with mock.patch.object(hyperfields, "_zero_in_phase_sum", seen.append):
-        PHASE.zero_in_dot([(0, a)], {0: b})
+        PHASE.zero_in_dot([(0, a)], [b])
     assert seen[0][0].hex() == norm_angle(a + b).hex() == PHASE.product(a, b).hex()
 
 
