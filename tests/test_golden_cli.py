@@ -15,7 +15,9 @@ with its signature, dual pair, minors, push-forwards and two
 signatures with one entry changed, realizable phase, phase[identity]
 and triangle functions of rank 3 and 4 from seeded matrices, GP minors
 whose greedy choices depend on the ground order, and the built-in
-hyperfields, the exit code and the sha256 of stdout, plus the sha256 of
+hyperfields, the corpus listing, and a signature that lists one class
+twice, the second time times a unit (dropped when the file is parsed),
+the exit code and the sha256 of stdout, plus the sha256 of
 every input file the commands read.  The inputs are
 written from the corpus into a temporary directory, and the commands run
 in process.  Regenerate the file (only when an output
@@ -265,6 +267,21 @@ def mismatched_pairs() -> dict:
     }
 
 
+# A corpus signature with its first class listed again, times a unit:
+# parsing keeps one class per projective class.
+DUPLICATE = ("phase-weak-not-strong", PHASE.element(2.0))
+
+
+def duplicated() -> CircuitSignature:
+    name, unit = DUPLICATE
+    sig = signature(CORPUS[name])
+    first = sig.classes[0]
+    again = FVector(sig.hyperfield, sig.ground,
+                    {label: mul(unit, el) for label, el in first.entries.items()})
+    return CircuitSignature(sig.hyperfield, sig.ground, sig.classes + (again,),
+                            dedup=False)
+
+
 def write_inputs(directory: str) -> dict:
     """Write every input file into `directory`; {file name: sha256}."""
     files = {}
@@ -283,6 +300,7 @@ def write_inputs(directory: str) -> dict:
             files[file] = serialize(pair)
     for file, pair in mismatched_pairs().items():
         files[file] = serialize(pair)
+    files[f"sig-{DUPLICATE[0]}-duplicate.json"] = serialize(duplicated())
     for name in ("tropical-mixed", "rational-mixed"):
         files[f"gp-{name}.json"] = serialize(mixed(name))
         files[f"gp-{name}-broken.json"] = serialize(mixed_broken(name))
@@ -456,8 +474,10 @@ def commands() -> list:
         out.append(["check-gp", "--both", name])
     for name in seeded_inputs():
         out += [["circuits", name], ["check-gp", "--both", name]]
+    duplicate = f"sig-{DUPLICATE[0]}-duplicate.json"
     return out + rank4_commands() + MINOR_PINS + \
-        [["gp", file] for file in mismatched_pairs()]
+        [["gp", file] for file in mismatched_pairs()] + \
+        [["demo", "--list"], ["classify", duplicate], ["dual", duplicate]]
 
 
 # GP minors whose greedy choices depend on the ground order: contracting
