@@ -15,10 +15,8 @@ from .hyperfields import (  # noqa: F401
     gf,
     inv,
     invol,
-    member_of_sum,
     mul,
     neg,
-    phase,
     sample_element,
     signed,
     zero_in_sum,
@@ -35,8 +33,6 @@ from .errors import (  # noqa: F401
 from .vectors import (  # noqa: F401
     FVector,
     GroundSet,
-    is_covector_of,
-    is_vector_of,
     orthogonal,
     projectively_equal,
     scalar_mul,
@@ -54,7 +50,6 @@ from .circuits import (  # noqa: F401
     check_C3_doubleprime,
     check_strong_elimination,
     check_weak_elimination,
-    same_signature,
 )
 
 from .gp import (  # noqa: F401
@@ -75,8 +70,6 @@ from .gp import (  # noqa: F401
 from .transforms import (  # noqa: F401
     HyperfieldHom,
     dual_gp,
-    identity_hom,
-    minimal_covectors,
     minor_circuits,
     minor_gp,
     pushforward_circuits,
@@ -84,7 +77,6 @@ from .transforms import (  # noqa: F401
     rational_padic,
     rational_sign,
     to_krasner,
-    validate_hom,
 )
 
 from .serialization import (  # noqa: F401
@@ -101,6 +93,5 @@ from .experiments import (  # noqa: F401
     ExperimentConfig,
     config_from_json,
     random_weak_gp,
-    random_weak_signature,
     run_perfection_experiment,
 )

@@ -80,19 +80,6 @@ class CircuitSignature:
                 f"classes={len(self.classes)})")
 
 
-def same_signature(a: CircuitSignature, b: CircuitSignature) -> bool:
-    """Whether two signatures carry the same projective classes."""
-    if a.hyperfield is not b.hyperfield or a.ground != b.ground:
-        return False
-    if len(a.classes) != len(b.classes):
-        return False
-    try:
-        return all(projectively_equal(x, b.class_with_support(support(x)))
-                   for x in a.classes)
-    except InputError:
-        return False
-
-
 # -- (C0)-(C2) ----------------------------------------------------------------
 
 

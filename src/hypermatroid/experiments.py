@@ -43,11 +43,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional
 
-from .circuits import CircuitSignature
 from .corpus import gp_from_matrix, weak_only_function
 from .errors import InputError
 from .gp import (GPFunction, _dual_pair, _first_nonorthogonal, _pack, _witness,
-                 check_gp_weak, circuits_from_gp, three_term_pairs)
+                 check_gp_weak, three_term_pairs)
 from .hyperfields import Hyperfield, sample_element
 from .vectors import FVector, GroundSet
 
@@ -109,13 +108,6 @@ def random_weak_gp(hf: Hyperfield, rng: random.Random, max_rank: int = 3,
             return phi
         return _mutate(phi, rng, rounds=rng.randint(1, 3))
     raise InputError(f"could not sample a weak-valid instance over {hf}")
-
-
-def random_weak_signature(hf: Hyperfield, rng: random.Random,
-                          max_rank: int = 3,
-                          max_ground: int = 6) -> CircuitSignature:
-    """Circuits of a random weak-valid alternating function."""
-    return circuits_from_gp(random_weak_gp(hf, rng, max_rank, max_ground))
 
 
 # -- the perfection sweep ----------------------------------------------------

@@ -133,15 +133,6 @@ class GPFunction:
             return self.hyperfield.zero()
         return signed(value, _perm_parity(positions))
 
-    def __call__(self, *labels) -> HFElement:
-        return self.evaluate(labels)
-
-    def scale(self, alpha: HFElement) -> "GPFunction":
-        if alpha.is_zero:
-            raise InputError("scaling by zero")
-        return GPFunction(self.hyperfield, self.ground, self.rank,
-                          {k: mul(alpha, v) for k, v in self.values.items()})
-
     def __repr__(self) -> str:
         return (f"GPFunction({self.hyperfield}, |E|={len(self.ground)}, "
                 f"rank={self.rank}, support={len(self.values)})")
@@ -472,12 +463,23 @@ def _first_nonorthogonal(xs: list, ys: list, hf: Hyperfield,
     return best
 
 
+def _same_frame(C: CircuitSignature, D: CircuitSignature) -> None:
+    """MismatchError unless D shares C's hyperfield and ground order: the
+    pair loop pairs entries by ground position."""
+    for field, ours, theirs in (("hyperfield", C.hyperfield, D.hyperfield), (
+            "ground_set", list(C.ground.labels), list(D.ground.labels))):
+        if theirs != ours:
+            raise MismatchError(f"cocircuits.{field} {theirs} is not the circuits' {ours}")
+
+
 def nonorthogonal_pair(C: CircuitSignature, D: CircuitSignature,
                        full: bool) -> Optional[tuple]:
     """(overlap, X, Y) for the first X in C and Y in D, in C x D order, that
     meet in at most 3 elements and are not orthogonal; failing that, with
     `full` set, for the first non-orthogonal pair of least overlap; else
-    None.  A pair whose overlap cannot lower the least found is skipped."""
+    None.  A pair whose overlap cannot lower the least found is skipped.
+    D over another hyperfield or ground order raises MismatchError."""
+    _same_frame(C, D)
     return _first_nonorthogonal(_pack(C.classes), _pack(D.classes, dual=True),
                                 C.hyperfield, range(1, len(C.ground) + 1 if full else 4))
 
@@ -573,10 +575,7 @@ def dual_pair_witness(C: CircuitSignature,
     named by the pair `nonorthogonal_pair` finds.  Whether a weak dual
     pair is full (DP3) is not asked here.  Entries pair by ground position,
     so D over another hyperfield or ground order raises MismatchError."""
-    for field, ours, theirs in (("hyperfield", C.hyperfield, D.hyperfield), (
-            "ground_set", list(C.ground.labels), list(D.ground.labels))):
-        if theirs != ours:
-            raise MismatchError(f"cocircuits.{field} {theirs} is not the circuits' {ours}")
+    _same_frame(C, D)
     try:
         matroid = C.underlying_matroid()
     except InputError:

@@ -28,20 +28,21 @@ one interned zero and one, sampling, the JSON codec, its flags, and the
 `sumsets` class that represents its hypersums exactly (`sums`).  Its
 arithmetic is stated once, on raw payloads: the product of two nonzero
 payloads (`product`), the hyperinverse (`negative`), the multiplicative
-inverse (`inverse`), the involution (`conjugate`), equality (`equal`), the
-closed form for "0 in x1 + ... + xk" (`zero_in`) and membership of a
-nonzero payload in a sum (`member_in`).  The circuit/cocircuit pair loops
-ask "0 in the sum of the products over the shared positions" once per
-pair (`zero_in_dot`), one row lookup per circuit entry: by default
-`zero_in` of `product`s, which triangle fuses with the floats of `max` and
-`sum`, and phase with exact angles.  The GP relation kernel and the
-cocircuit derivation call the payload operations directly.
+inverse (`inverse`), the involution (`conjugate`), equality (`equal`) and
+the closed form for "0 in x1 + ... + xk" (`zero_in`).  The
+circuit/cocircuit pair loops ask "0 in the sum of the products over the
+shared positions" once per pair (`zero_in_dot`), one row lookup per
+circuit entry: by default `zero_in` of `product`s, which triangle fuses
+with the same left-to-right floats, and phase with exact angles.  The GP
+relation kernel and the cocircuit derivation call the payload operations
+directly.
 
 The element operations are the module functions `mul`, `neg`, `inv`,
-`invol`, `eq`, `zero_in_sum` and `member_of_sum`: each checks that its
-operands share one hyperfield, handles zero, and calls the family's
-payload operation, so elements and payloads share one formula.  The fold
-oracle in `sumsets` cross-checks the closed forms.
+`invol`, `eq` and `zero_in_sum`: each checks that its operands share one
+hyperfield, handles zero, and calls the family's payload operation, so
+elements and payloads share one formula.  Membership of any element in a
+sum is asked of the fold in `sumsets` (`fold_sum`), the ground truth that
+the tests cross-check the closed forms against.
 """
 
 from __future__ import annotations
@@ -135,8 +136,7 @@ class Hyperfield:
     defaults here are products of payloads, hyperinverse -x = x, inverse
     1 / x, the identity involution, equality of payloads, `zero_in_dot` as
     `zero_in` of `product`s (overridden only to fuse the two, with equal
-    verdicts), `member_in` by reversibility, and the behaviour of the
-    finite families.
+    verdicts), and the behaviour of the finite families.
     """
 
     # what the payload of zero equals: 0, or None over phase
@@ -210,11 +210,6 @@ class Hyperfield:
         (i, a) of `left` (position, nonzero payload) with row[i], read once,
         not None: a row of payloads by position, some position shared."""
         return self.zero_in([self.product(a, b) for i, a in left if (b := row[i]) is not None])
-
-    def member_in(self, z, payloads: list) -> bool:
-        """Whether the nonzero payload z lies in the sum of the payloads:
-        by default 0 in payloads + (-z), by reversibility."""
-        return self.zero_in(payloads + [self.negative(z)])
 
     def sample(self, rng, nonzero: bool = False) -> HFElement:
         pool = self.elements()
@@ -358,13 +353,18 @@ class Triangle(_Infinite):
         return abs(a - b) <= EPS * max(a, b)
 
     def zero_in(self, payloads: list) -> bool:
-        top = max(payloads)
-        return top - (sum(payloads) - top) <= EPS * top
+        """`total` adds left to right, as `zero_in_dot` does: from Python
+        3.12 `sum` compensates float rounding, which could move a verdict
+        at the tolerance."""
+        top = total = 0.0
+        for t in payloads:
+            total += t
+            if t > top:
+                top = t
+        return top - (total - top) <= EPS * top
 
     def zero_in_dot(self, left, row: list) -> bool:
-        """`zero_in` of the products in one pass, with its floats: `top` is
-        the first largest, as `max` gives, and `total` adds left to right
-        from 0.0 as `sum` does from 0 (Python < 3.12), since 0.0 + t is t."""
+        """`zero_in` of the products in one pass, with the same floats."""
         top = total = 0.0
         for i, a in left:
             if (b := row[i]) is not None:
@@ -467,12 +467,6 @@ class Phase(_Infinite):
                     theta -= TAU
                 angles.append(0.0 if TAU - theta <= EPS else theta)
         return _zero_in_phase_sum(angles)
-
-    def member_in(self, z, payloads: list) -> bool:
-        """Tested directly as a positive combination of the nonzero
-        payloads, matching the n-ary sum."""
-        angles = [a for a in payloads if a is not None]
-        return bool(angles) and _phase_nonzero_member(z, angles)
 
     def sample_unit(self, rng) -> HFElement:
         return self.element(rng.uniform(0.0, TAU) + 1e-3)
@@ -590,14 +584,6 @@ def gf(p: int) -> PrimeField:
     return _PRIME_FIELDS[p]
 
 
-def phase(involution: str = "conjugation") -> Phase:
-    if involution == "conjugation":
-        return PHASE
-    if involution == "identity":
-        return PHASE_PLAIN
-    raise ValueError(f"unknown involution {involution!r}")
-
-
 # -- scalar arithmetic ----------------------------------------------------
 
 
@@ -673,8 +659,8 @@ def eq(a: HFElement, b: HFElement) -> bool:
 def fold_sum(terms: Iterable[HFElement]) -> SumSet:
     """The n-ary hypersum as an exact symbolic set (`sumsets.fold`).
 
-    The fold is the ground truth for n-ary sums; `zero_in_sum` and
-    `member_of_sum` are closed forms validated against it.
+    The fold is the ground truth for n-ary sums, and the one membership
+    rule; `zero_in_sum` is a closed form validated against it.
     """
     return fold(list(terms))
 
@@ -685,28 +671,14 @@ def zero_in_sum(terms: Iterable[HFElement]) -> bool:
     return _common(terms).zero_in([t.value for t in terms])
 
 
-def member_of_sum(z: HFElement, terms: Iterable[HFElement]) -> bool:
-    """Whether z lies in the n-ary hypersum of the terms.
-
-    For reversible hyperfields with associative folds this is the rule
-    "z in sum(terms) iff 0 in sum(terms + [-z])"; the phase hyperfield gets
-    a direct positive-combination test instead, matching its n-ary sum.
-    """
-    hf, terms = _with_target(z, terms)
-    payloads = [t.value for t in terms]
-    if z.is_zero:
-        return hf.zero_in(payloads)
-    return hf.member_in(z.value, payloads)
-
-
 def elimination_member(z: HFElement, terms: Iterable[HFElement]) -> bool:
     """Coordinate membership in the form the circuit axiom checkers use:
     0 in neg(z) + terms, under the n-ary zero rule.
 
     Whenever the n-ary hypersum is the iterated binary fold (every built-in
-    except phase) this equals member_of_sum, by reversibility.  Over phase
-    the n-ary rule is not the fold and reversibility fails at boundary
-    configurations, so this reading is strictly weaker there: it also
+    except phase) this is membership of z in the fold, by reversibility.
+    Over phase the n-ary rule is not the fold and reversibility fails at
+    boundary configurations, so this reading is strictly weaker there: it also
     accepts z when 0 lies in the hypersum of the terms alone, and it
     accepts the ends of open arcs.  Signatures derived from weak-valid
     alternating functions over phase satisfy the axioms only in this form.
@@ -737,20 +709,14 @@ def _phase_distinct(angles: list) -> list:
     return distinct
 
 
-def _phase_max_gap(distinct: list):
-    """Largest cyclic gap between consecutive directions, with its ends.
-
-    Returns (gap, lo, hi): the uncovered open sector runs counterclockwise
-    from lo to hi, so the directions all lie on the closed arc from hi
-    counterclockwise back around to lo.
-    """
+def _phase_max_gap(distinct: list) -> float:
+    """The largest cyclic gap between consecutive directions."""
     ordered = sorted(distinct)
     worst = ordered[0] + TAU - ordered[-1]
-    lo, hi = ordered[-1], ordered[0]
     for a, b in zip(ordered, ordered[1:]):
         if b - a > worst:
-            worst, lo, hi = b - a, a, b
-    return worst, lo, hi
+            worst = b - a
+    return worst
 
 
 def _zero_in_phase_sum(angles: list) -> bool:
@@ -781,36 +747,4 @@ def _zero_in_phase_sum(angles: list) -> bool:
     distinct = _phase_distinct(angles)
     if len(distinct) == 1:
         return False
-    worst, _, _ = _phase_max_gap(distinct)
-    return worst <= math.pi + EPS
-
-
-def _phase_nonzero_member(target: float, angles: list) -> bool:
-    """Whether the direction `target` is a strictly positive combination of
-    the given unit vectors."""
-    distinct = _phase_distinct(angles)
-    if len(distinct) == 1:
-        return angle_close(target, distinct[0])
-    worst, lo, hi = _phase_max_gap(distinct)
-    if worst < math.pi - EPS:
-        # The directions positively span the plane.
-        return True
-    if worst <= math.pi + EPS:
-        # Antipodal extremes; the covered sector is a closed half-plane.
-        interior = [
-            d for d in distinct
-            if not angle_close(d, lo) and not angle_close(d, hi)
-        ]
-        if not interior:
-            return angle_close(target, lo) or angle_close(target, hi)
-        return _angle_in_open_arc(target, hi, lo)
-    # All directions inside an open half-plane: an open sector, ends excluded.
-    return _angle_in_open_arc(target, hi, lo)
-
-
-def _angle_in_open_arc(theta: float, start: float, end: float) -> bool:
-    """Whether theta lies strictly inside the arc running counterclockwise
-    from start to end, staying clear of both ends by the tolerance."""
-    span = (end - start) % TAU
-    offset = (theta - start) % TAU
-    return EPS < offset < span - EPS
+    return _phase_max_gap(distinct) <= math.pi + EPS

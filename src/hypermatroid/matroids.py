@@ -220,10 +220,6 @@ class ClassicalMatroid:
         return m
 
     @classmethod
-    def from_circuits(cls, ground: GroundSet, circuits: Iterable[frozenset]) -> "ClassicalMatroid":
-        return cls(ground, circuits)
-
-    @classmethod
     def from_bases(cls, ground: GroundSet, bases: Iterable[frozenset]) -> "ClassicalMatroid":
         """The matroid with the given bases.
 
@@ -263,9 +259,6 @@ class ClassicalMatroid:
             if not dep[picked | low]:
                 picked |= low
         return picked
-
-    def independent(self, subset: Iterable) -> bool:
-        return not self._dep[_mask(self.ground, subset)]
 
     def rank(self, subset: Optional[Iterable] = None) -> int:
         s = frozenset(subset) if subset is not None else frozenset(self.ground.labels)
@@ -327,16 +320,6 @@ class ClassicalMatroid:
             if (b ^ f) | bit in bases:
                 circuit |= f
         return circuit
-
-    def fundamental_cocircuit(self, basis: Iterable, f) -> frozenset:
-        """The unique cocircuit avoiding basis - {f}, for f in the basis."""
-        b = frozenset(basis)
-        if b not in self.bases():
-            raise InputError("not a basis")
-        if f not in b:
-            raise InputError("element not in the basis")
-        dual = self.dual()
-        return dual.fundamental_circuit(frozenset(self.ground.labels) - b, f)
 
 
 # -- modularity -------------------------------------------------------------

@@ -15,7 +15,8 @@ hyperfield and hand the payloads to the representation.  `fold` is the
 ground-truth n-ary hypersum, kept closed inside these representations: a
 left fold of the binary rule, except that for phase the zero flag of a
 sum of three or more terms is decided globally from the term directions
-(see `fold`).  The closed-form membership predicates in `hyperfields` are
+(see `fold`).  It is the one membership rule, "z in x1 + ... + xk";
+the families' closed form for "0 in x1 + ... + xk" (`zero_in`) is
 validated against it by the test suite.
 """
 
@@ -135,9 +136,6 @@ class FiniteSet(SumSet):
     def _contains(self, payload) -> bool:
         return payload in self.data
 
-    def contains_zero(self) -> bool:
-        return self.hyperfield.zero_payload in self.data
-
     def has_nonzero(self) -> bool:
         return any(p != self.hyperfield.zero_payload for p in self.data)
 
@@ -190,10 +188,6 @@ class TropicalSet(SumSet):
     def _contains(self, payload) -> bool:
         tag, a = self.data
         return payload <= a if tag == "down" else payload == a
-
-    def contains_zero(self) -> bool:
-        tag, a = self.data
-        return tag == "down" or a == 0
 
     def has_nonzero(self) -> bool:
         return self.data[1] > 0
@@ -276,9 +270,6 @@ class IntervalSet(SumSet):
 
     def _contains(self, payload) -> bool:
         return any(lo - EPS <= payload <= hi + EPS for lo, hi in self.data)
-
-    def contains_zero(self) -> bool:
-        return self.data[0][0] <= EPS
 
     def has_nonzero(self) -> bool:
         return any(hi > EPS for _, hi in self.data)
@@ -369,9 +360,6 @@ class ArcSet(SumSet):
             if EPS < d < length - EPS:
                 return True
         return False
-
-    def contains_zero(self) -> bool:
-        return self.data[0]
 
     def has_nonzero(self) -> bool:
         _, points, arcs = self.data

@@ -12,18 +12,16 @@ the support's bitsets (`gp._matroid_support`), on any ground set.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Callable, Iterable, Optional
+from itertools import combinations
+from typing import Callable, Iterable
 
 from .circuits import CircuitSignature
 from .errors import InputError, MismatchError
 from .gp import GPFunction, _matroid_support, _perm_parity
 from .hyperfields import (KRASNER, RATIONALS, SIGN, TROPICAL, HFElement,
-                          Hyperfield, _is_prime, _padic_abs, eq, fold_sum,
-                          invol, member_of_sum, mul, sample_element, signed)
-from .vectors import FVector, GroundSet, is_covector_of, supp_min, support
+                          Hyperfield, _is_prime, _padic_abs, invol, signed)
+from .vectors import FVector, GroundSet, supp_min, support
 
 
 # -- duality -------------------------------------------------------------
@@ -52,28 +50,6 @@ def dual_gp(phi: GPFunction) -> GPFunction:
         parity = _perm_parity([pos(x) for x in key + comp])
         values[key] = signed(invol(val), parity)
     return GPFunction(phi.hyperfield, phi.ground, s, values)
-
-
-def minimal_covectors(sig: CircuitSignature) -> CircuitSignature:
-    """Exhaustive dual signature: the minimal-support nonzero vectors of
-    F^E orthogonal to every class, one representative per projective
-    class.
-
-    Enumerates all of F^E, so the hyperfield must be finite and the
-    ground set small; this is an oracle for
-    `gp.cocircuit_signature_from_circuits`, not a construction to use at
-    scale.
-    """
-    hf = sig.hyperfield
-    if not hf.is_finite:
-        raise InputError(f"{hf} is not finite; cannot enumerate the vectors")
-    pool = hf.elements()
-    found = []
-    for combo in product(pool, repeat=len(sig.ground)):
-        v = FVector(hf, sig.ground, dict(zip(sig.ground.labels, combo)))
-        if not v.is_zero and is_covector_of(v, sig.classes):
-            found.append(v)
-    return CircuitSignature(hf, sig.ground, supp_min(found), dedup=True)
 
 
 # -- minors --------------------------------------------------------------
@@ -156,7 +132,8 @@ def minor_circuits(sig: CircuitSignature, deleted: Iterable = (),
 @dataclass(frozen=True)
 class HyperfieldHom:
     """A map of hyperfields: 0 to 0, 1 to 1, multiplicative, and carrying
-    hypersums into hypersums.  validate_hom checks those rules."""
+    hypersums into hypersums.  The tests check those rules
+    (`tests/oracles.py`, `validate_hom`)."""
 
     name: str
     source: Hyperfield
@@ -171,10 +148,6 @@ class HyperfieldHom:
 
     def __repr__(self) -> str:
         return f"HyperfieldHom({self.name}: {self.source} -> {self.target})"
-
-
-def identity_hom(hf: Hyperfield) -> HyperfieldHom:
-    return HyperfieldHom("identity", hf, hf, lambda el: el)
 
 
 def to_krasner(source: Hyperfield) -> HyperfieldHom:
@@ -209,39 +182,6 @@ def rational_padic(p: int) -> HyperfieldHom:
         return TROPICAL.element(_padic_abs(el.value, p))
 
     return HyperfieldHom(f"padic-{p}", RATIONALS, TROPICAL, rule)
-
-
-def validate_hom(hom: HyperfieldHom, sample_budget: int = 200,
-                 seed: int = 0) -> Optional[dict]:
-    """First violation of the homomorphism rules, or None.
-
-    Exhaustive over finite sources, sampled (seeded) otherwise.  The sum
-    rule demands f(z) in f(x) + f(y) for every z in x + y; over infinite
-    sources z runs over sampled members of the exact sum set.
-    """
-    src = hom.source
-    if not hom(src.zero()).is_zero:
-        return {"rule": "zero", "value": hom(src.zero())}
-    if not eq(hom(src.one()), hom.target.one()):
-        return {"rule": "one", "value": hom(src.one())}
-    if src.is_finite:
-        pairs = [(x, y) for x in src.elements() for y in src.elements()]
-    else:
-        rng = random.Random(seed)
-        pairs = [(sample_element(src, rng), sample_element(src, rng))
-                 for _ in range(sample_budget)]
-    for x, y in pairs:
-        if not eq(hom(mul(x, y)), mul(hom(x), hom(y))):
-            return {"rule": "multiplicative", "x": x, "y": y}
-        if src.is_finite:
-            members = [z for z in src.elements() if member_of_sum(z, [x, y])]
-        else:
-            members = [HFElement(src, payload)
-                       for payload in fold_sum([x, y]).sample()]
-        for z in members:
-            if not member_of_sum(hom(z), [hom(x), hom(y)]):
-                return {"rule": "sum", "x": x, "y": y, "z": z}
-    return None
 
 
 # -- push-forwards ---------------------------------------------------------

@@ -146,13 +146,3 @@ def supp_min(vectors: Iterable[FVector]) -> list:
         if not any(other < s for _, other in items):
             out.append(v)
     return out
-
-
-def is_vector_of(v: FVector, cocircuits: Iterable[FVector]) -> bool:
-    """Whether v is orthogonal to every given cocircuit (element level)."""
-    return all(orthogonal(v, w) for w in cocircuits)
-
-
-def is_covector_of(v: FVector, circuits: Iterable[FVector]) -> bool:
-    """Whether v is orthogonal to every given circuit (element level)."""
-    return all(orthogonal(x, v) for x in circuits)

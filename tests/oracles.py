@@ -19,6 +19,12 @@ and `equivalent_gp` compares two functions up to a unit.
 package's element-level forms of its packed pair loop and mask-based
 cocircuit derivation: one `orthogonal` per pair, and fundamental
 circuits and classes looked up by frozensets of labels.
+`minimal_covectors` is the dual signature by enumerating F^E,
+`same_signature` compares two signatures class by class, and
+`validate_hom` checks the homomorphism rules, asking the fold
+(`fold_sum`) every membership question.  `independent` and
+`fundamental_cocircuit` read a `ClassicalMatroid`'s dependence table and
+dual.
 `zero_in_phase_sum` is the greedy phase zero test that the package's
 sort-first test falls back on, `zero_in_dot` the pair kernel on a
 position -> payload map, as `zero_in` of the products, and `check_C0_C2` the support axioms by
@@ -31,20 +37,23 @@ made on that matroid.
 """
 
 import math
+import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import and_, or_
 
 import hypermatroid
 from hypermatroid import (CircuitSignature, ClassicalMatroid, Classification,
-                          FVector, GPFunction, GroundSet, InputError,
-                          RatioInconsistencyError, check_C3_doubleprime, check_strong_elimination,
-                          check_weak_elimination, eq, inv, invol,
+                          FVector, GPFunction, GroundSet, HFElement,
+                          HyperfieldHom, InputError, RatioInconsistencyError,
+                          check_C3_doubleprime, check_strong_elimination,
+                          check_weak_elimination, eq, fold_sum, inv, invol,
                           mul, neg, orthogonal, projectively_equal,
-                          relation_terms, signed, support, validate_circuits,
-                          zero_in_sum)
+                          relation_terms, sample_element, signed, supp_min,
+                          support, validate_circuits, zero_in_sum)
 from hypermatroid.hyperfields import _phase_distinct, _phase_max_gap
+from hypermatroid.matroids import _mask
 from hypermatroid.sumsets import EPS
 
 
@@ -258,11 +267,26 @@ def bitset_exchange_witness(phi):
     return None
 
 
+def independent(m, subset):
+    """Whether a set of labels is independent in the matroid m."""
+    return not m._dep[_mask(m.ground, subset)]
+
+
+def fundamental_cocircuit(m, basis, f):
+    """The unique cocircuit of m avoiding basis - {f}, for f in the basis."""
+    b = frozenset(basis)
+    if b not in m.bases():
+        raise InputError("not a basis")
+    if f not in b:
+        raise InputError("element not in the basis")
+    return m.dual().fundamental_circuit(frozenset(m.ground.labels) - b, f)
+
+
 def greedy(m, labels, picked=()):
     """`picked` extended by each of `labels` outside it, in ground order,
     that keeps it independent in m."""
     for x in m.ground.sort(set(labels) - set(picked)):
-        if m.independent(picked + (x,)):
+        if independent(m, picked + (x,)):
             picked += (x,)
     return picked
 
@@ -365,7 +389,7 @@ def bases_containing(m, independent_set):
     start = frozenset(independent_set)
     rest = [x for x in m.ground if x not in start]
     for picks in combinations(rest, m.rank() - len(start)):
-        if m.independent(start | set(picks)):
+        if independent(m, start | set(picks)):
             yield m.ground.sort(start | set(picks))
 
 
@@ -522,8 +546,7 @@ def zero_in_phase_sum(angles):
     distinct = _phase_distinct(angles)
     if len(distinct) == 1:
         return False
-    worst, _, _ = _phase_max_gap(distinct)
-    return worst <= math.pi + EPS
+    return _phase_max_gap(distinct) <= math.pi + EPS
 
 
 def zero_in_dot(hf, left, right):
@@ -531,3 +554,68 @@ def zero_in_dot(hf, left, right):
     (i, a) of `left` with i in the map `right`: `zero_in` of `product`s,
     the form every family's row kernel must agree with."""
     return hf.zero_in([hf.product(a, right[i]) for i, a in left if i in right])
+
+
+def same_signature(a, b):
+    """Whether two signatures carry the same projective classes."""
+    if a.hyperfield is not b.hyperfield or a.ground != b.ground:
+        return False
+    if len(a.classes) != len(b.classes):
+        return False
+    try:
+        return all(projectively_equal(x, b.class_with_support(support(x)))
+                   for x in a.classes)
+    except InputError:
+        return False
+
+
+def minimal_covectors(sig):
+    """Exhaustive dual signature: the minimal-support nonzero vectors of
+    F^E orthogonal to every class, one representative per projective
+    class.  Enumerates all of F^E, so the hyperfield must be finite and
+    the ground set small: the oracle of `cocircuit_signature_from_circuits`."""
+    hf = sig.hyperfield
+    if not hf.is_finite:
+        raise InputError(f"{hf} is not finite; cannot enumerate the vectors")
+    found = []
+    for combo in product(hf.elements(), repeat=len(sig.ground)):
+        v = FVector(hf, sig.ground, dict(zip(sig.ground.labels, combo)))
+        if not v.is_zero and all(orthogonal(x, v) for x in sig.classes):
+            found.append(v)
+    return CircuitSignature(hf, sig.ground, supp_min(found), dedup=True)
+
+
+def identity_hom(hf):
+    return HyperfieldHom("identity", hf, hf, lambda el: el)
+
+
+def validate_hom(hom, sample_budget=200, seed=0):
+    """First violation of the homomorphism rules, or None.
+
+    Exhaustive over finite sources, sampled (seeded) otherwise.  The sum
+    rule demands f(z) in f(x) + f(y) for every z in x + y; over infinite
+    sources z runs over sampled members of the exact sum set.  The fold
+    answers every membership question."""
+    src = hom.source
+    if not hom(src.zero()).is_zero:
+        return {"rule": "zero", "value": hom(src.zero())}
+    if not eq(hom(src.one()), hom.target.one()):
+        return {"rule": "one", "value": hom(src.one())}
+    if src.is_finite:
+        pairs = [(x, y) for x in src.elements() for y in src.elements()]
+    else:
+        rng = random.Random(seed)
+        pairs = [(sample_element(src, rng), sample_element(src, rng))
+                 for _ in range(sample_budget)]
+    for x, y in pairs:
+        if not eq(hom(mul(x, y)), mul(hom(x), hom(y))):
+            return {"rule": "multiplicative", "x": x, "y": y}
+        total, image = fold_sum([x, y]), fold_sum([hom(x), hom(y)])
+        if src.is_finite:
+            members = [z for z in src.elements() if total.contains(z)]
+        else:
+            members = [HFElement(src, payload) for payload in total.sample()]
+        for z in members:
+            if not image.contains(hom(z)):
+                return {"rule": "sum", "x": x, "y": y, "z": z}
+    return None

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from hypermatroid import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
                           TRIANGLE, TROPICAL, CircuitSignature, FVector,
-                          GPFunction, GroundSet, eq, gf, mul, random_weak_gp,
-                          sample_element)
+                          GPFunction, GroundSet, circuits_from_gp, eq, gf, mul,
+                          random_weak_gp, sample_element)
 from hypermatroid.corpus import gp_from_matrix, weak_only_function
 
 import oracles
@@ -37,6 +37,17 @@ def units(hf):
         return st.floats(0.01, 6.28).map(hf.element)
     return st.integers(0, 2 ** 32).map(
         lambda seed: sample_element(hf, random.Random(seed), nonzero=True))
+
+
+def random_weak_signature(hf, rng, max_rank=3, max_ground=6):
+    """Circuits of a random weak-valid alternating function."""
+    return circuits_from_gp(random_weak_gp(hf, rng, max_rank, max_ground))
+
+
+def scale(phi, alpha):
+    """phi times the unit alpha."""
+    return GPFunction(phi.hyperfield, phi.ground, phi.rank,
+                      {key: mul(alpha, value) for key, value in phi.values.items()})
 
 
 def reordered(phi, labels):
@@ -138,7 +149,7 @@ def weak_candidate(rng):
              for key, value in psi.values.items()}))
     labels = list(phi.ground.labels)
     rng.shuffle(labels)
-    return reordered(phi.scale(random_unit(hf, rng)), tuple(labels))
+    return reordered(scale(phi, random_unit(hf, rng)), tuple(labels))
 
 
 def weak_functions():

@@ -16,15 +16,15 @@ from hypermatroid import (CORPUS, PHASE, RATIONALS, SIGN, TRIANGLE, TROPICAL,
                           check_weak_elimination, circuits_from_gp, classify,
                           cocircuit_signature_from_circuits, corpus_entries,
                           eq, gf, nonorthogonal_pair, orthogonal,
-                          orthogonality_verdict,
-                          random_weak_signature,
-                          same_signature, sample_element, scalar_mul,
+                          orthogonality_verdict, sample_element, scalar_mul,
                           serialize)
 import hypermatroid.circuits
 from hypermatroid.cli import main
 
 import oracles
-from strategies import ALL_KINDS, DOUBLY_DISTRIBUTIVE, perturbed, units
+from oracles import same_signature
+from strategies import (ALL_KINDS, DOUBLY_DISTRIBUTIVE, perturbed,
+                        random_weak_signature, units)
 
 
 def sign_vec(g, entries):

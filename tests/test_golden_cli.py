@@ -14,7 +14,7 @@ phase function), a realizable rank-4 function per built-in hyperfield
 with its signature, dual pair, minors, push-forwards and two
 signatures with one entry changed, realizable phase, phase[identity]
 and triangle functions of rank 3 and 4 from seeded matrices, GP minors
-whose greedy choices depend on the ground order, and the built-in
+whose greedy choices depend on the ground order, the built-in
 hyperfields, the corpus listing, and a signature that lists one class
 twice, the second time times a unit (dropped when the file is parsed),
 the exit code and the sha256 of stdout, plus the sha256 of
@@ -48,7 +48,7 @@ from hypermatroid.cli import main
 from hypermatroid.corpus import gp_from_matrix
 from hypermatroid.serialization import hyperfield_from_id
 
-from strategies import parallel_extension, phase_minors
+from strategies import parallel_extension, phase_minors, scale
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_cli.json")
@@ -305,7 +305,7 @@ def write_inputs(directory: str) -> dict:
         files[f"gp-{name}.json"] = serialize(mixed(name))
         files[f"gp-{name}-broken.json"] = serialize(mixed_broken(name))
     for name, unit in SCALED.items():
-        files[f"gp-{name}-scaled.json"] = serialize(CORPUS[name].build().scale(unit))
+        files[f"gp-{name}-scaled.json"] = serialize(scale(CORPUS[name].build(), unit))
     for i, hf in enumerate(HYPERFIELDS):
         files[f"exp-{i}.json"] = json.dumps({"hyperfield": hf, "samples": 10})
     for name, obj in {**weak_check_inputs(), **parallel_inputs(),

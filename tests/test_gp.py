@@ -28,8 +28,8 @@ from hypermatroid.vectors import vectors_equal
 import oracles
 from oracles import equivalent_gp
 from strategies import (ALL_KINDS, DOUBLY_DISTRIBUTIVE, NOT_DOUBLY_DISTRIBUTIVE,
-                        phase_minors, reordered, units, weak_candidate,
-                        weak_functions)
+                        phase_minors, reordered, scale, units,
+                        weak_candidate, weak_functions)
 
 
 def rational_u24():
@@ -59,7 +59,7 @@ def test_evaluate_signs():
 
 def test_scale_equivalence():
     phi = rational_u24()
-    scaled = phi.scale(RATIONALS.element(Fraction(-7, 3)))
+    scaled = scale(phi, RATIONALS.element(Fraction(-7, 3)))
     assert equivalent_gp(phi, scaled)
     assert not equivalent_gp(phi, CORPUS["rational-k4"].build())
 
@@ -149,7 +149,9 @@ def test_gp_from_dual_pair_rejects_non_pair():
 def test_dual_pair_witness_refuses_mismatched_signatures():
     """The pair loop pairs entries by ground position, so cocircuits over
     another ground order or hyperfield are malformed input, named by
-    their field, and not a DP3' failure."""
+    their field, and not a DP3' failure, nor a non-orthogonal pair: by
+    position, the reversed cocircuits of sign U(2,4) are not orthogonal
+    to every circuit, though by label they are."""
     circuits = circuits_from_gp(CORPUS["sign-u24"].build())
     cocircuits = cocircuit_signature_from_circuits(circuits)
     reversed_ground = GroundSet(circuits.ground.labels[::-1])
@@ -163,6 +165,8 @@ def test_dual_pair_witness_refuses_mismatched_signatures():
     for field, bad in moved.items():
         with pytest.raises(MismatchError, match=field):
             dual_pair_witness(circuits, bad)
+        with pytest.raises(MismatchError, match=field):
+            nonorthogonal_pair(circuits, bad, True)
 
 
 def test_pluecker_three_term_tropical():
@@ -328,7 +332,7 @@ def gp_variants(draw):
     """A function from gp_functions, its multiple by a unit, and the same
     function over a permuted ground order."""
     phi = draw(gp_functions())
-    return (phi, phi.scale(draw(units(phi.hyperfield))),
+    return (phi, scale(phi, draw(units(phi.hyperfield))),
             reordered(phi, draw(st.permutations(phi.ground.labels))))
 
 
@@ -345,7 +349,7 @@ def weak_only_variants(draw):
     """A weak-only corpus function times a unit, over a permuted ground."""
     phi = CORPUS[draw(st.sampled_from(["triangle-weak-not-strong",
                                        "phase-weak-not-strong"]))].build()
-    phi = phi.scale(draw(units(phi.hyperfield)))
+    phi = scale(phi, draw(units(phi.hyperfield)))
     return reordered(phi, draw(st.permutations(phi.ground.labels)))
 
 
@@ -372,7 +376,7 @@ def tied_triangle():
 ], ids=["weak-only-by-1e-6", "tie-by-682.89"])
 def test_triangle_verdicts_survive_scaling(build, factor):
     phi = build()
-    assert verdicts(phi.scale(TRIANGLE.element(factor))) == verdicts(phi)
+    assert verdicts(scale(phi, TRIANGLE.element(factor))) == verdicts(phi)
 
 
 # -- the three-term relations, one per class, and basis exchange -------------

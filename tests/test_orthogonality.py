@@ -21,13 +21,13 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           gf, gp_from_dual_pair,
                           nonorthogonal_pair, orthogonal,
                           orthogonality_verdict, random_weak_gp,
-                          random_weak_signature, run_perfection_experiment,
-                          serialize, vectors)
+                          run_perfection_experiment, serialize, vectors)
 from hypermatroid.corpus import gp_from_matrix
 from hypermatroid.gp import _cocircuit_payloads
 
 import oracles
-from strategies import ALL_KINDS, perturbed, weak_functions
+from strategies import (ALL_KINDS, perturbed, random_weak_signature,
+                        weak_functions)
 
 
 def derived(derive, sig):
@@ -128,9 +128,8 @@ def test_runtime_paths_take_masks_and_payloads(monkeypatch):
     circuits and the frozenset class lookup all refusing."""
     for module in [hypermatroid] + [getattr(hypermatroid, name) for name in (
             "circuits", "experiments", "gp", "transforms", "vectors")]:
-        for name in ("orthogonal", "is_vector_of", "is_covector_of"):
-            if getattr(module, name, None) is getattr(vectors, name):
-                monkeypatch.setattr(module, name, refuse)
+        if getattr(module, "orthogonal", None) is vectors.orthogonal:
+            monkeypatch.setattr(module, "orthogonal", refuse)
     monkeypatch.setattr(ClassicalMatroid, "fundamental_circuit", refuse)
     monkeypatch.setattr(CircuitSignature, "class_with_support", refuse)
     rebuilt = 0

@@ -11,12 +11,12 @@ import pytest
 from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           TROPICAL, CircuitSignature, GPFunction,
                           InputError, corpus_entries, eq, gf,
-                          hyperfield_from_id, parse_text, same_signature,
-                          sample_element, serialize)
+                          hyperfield_from_id, parse_text, sample_element,
+                          serialize)
 from hypermatroid.serialization import (element_from_json, element_to_json,
                                         parse_object)
 
-from oracles import equivalent_gp
+from oracles import equivalent_gp, same_signature
 from strategies import ALL_KINDS
 
 

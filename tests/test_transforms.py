@@ -11,13 +11,12 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           TROPICAL, HFElement, HyperfieldHom, InputError,
                           check_gp_strong, check_gp_weak, circuits_from_gp,
                           cocircuit_signature_from_circuits, dual_gp, gf,
-                          identity_hom, minimal_covectors, minor_circuits,
-                          minor_gp, projectively_equal, pushforward_circuits,
-                          pushforward_gp, rational_padic, rational_sign,
-                          random_weak_gp, same_signature, serialize,
-                          to_krasner, validate_hom)
+                          minor_circuits, minor_gp, projectively_equal,
+                          pushforward_circuits, pushforward_gp, rational_padic,
+                          rational_sign, random_weak_gp, serialize, to_krasner)
 
-from oracles import equivalent_gp, gp_matroid, minor_by_matroid
+from oracles import (equivalent_gp, gp_matroid, identity_hom, minimal_covectors,
+                     minor_by_matroid, same_signature, validate_hom)
 from strategies import ALL_KINDS, weak_functions
 
 GP_NAMES = ("krasner-u24", "krasner-k4", "sign-u13", "sign-u24", "sign-k4",
