@@ -1,19 +1,17 @@
 """Circuit signatures over a hyperfield, and the elimination axiom checkers.
 
-A signature stores one representative vector per projective class; the
-closure under nonzero scaling is implicit and scalings are generated on
-demand.  All checkers are scale-equivariant, so they pin one canonical
-scaling per quantified object instead of ranging over the (possibly
-infinite) unit group.
+A signature stores one table of payloads per projective class
+(`CircuitSignature`); the closure under nonzero scaling is implicit.  All
+checkers are scale-equivariant, so they pin one canonical scaling per
+quantified object instead of ranging over the (possibly infinite) unit
+group.
 
-`gp.orthogonality_verdict` decides weakness and strength by orthogonality
-with the derived cocircuit signature.  One lazy walk over the elimination
-instances only names witnesses: `check_weak_elimination` the C3' instance
-of a signature that is not weak, `check_strong_elimination` the C3
-instance of a weak-only one.  C3 on a pair is C3', and orthogonality has
-shown that every modular pair of a weak-only signature eliminates, so the
-C3 scan starts at families of three circuits.  `check_C3_doubleprime`, a
-third equivalent criterion, runs in the tests alone.
+`gp.orthogonality_verdict` decides weakness and strength on the tables.
+One lazy walk over the elimination instances, on the classes as FVectors,
+only names the witness of `gp.elimination_witness`: the C3' instance of a
+signature that is not weak (`check_weak_elimination`), the C3 instance
+of a weak-only one (`check_strong_elimination`).  `check_C3_doubleprime`,
+a third equivalent criterion, runs in the tests alone.
 """
 
 from __future__ import annotations
@@ -22,62 +20,82 @@ from itertools import combinations, product
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .hyperfields import (Hyperfield, elimination_member, inv, mul, neg,
-                          zero_in_sum)
-from .matroids import ClassicalMatroid, _mask, modular_family
+from .hyperfields import HFElement, Hyperfield, inv, mul, neg, zero_in_sum
+from .matroids import ClassicalMatroid, _labels, _mask, modular_family
 from .sumsets import fold
-from .vectors import FVector, GroundSet, projectively_equal, scalar_mul, support
+from .vectors import (FVector, GroundSet, _proportional, _table, scalar_mul,
+                      support)
 
 
 class CircuitSignature:
-    """A finite family of vectors in F^E, one per projective class."""
+    """A finite family of vectors in F^E, one per projective class.
+
+    Its state is one table per class, in class order: the support mask
+    (`_masks`) and {ground position: payload} in ground order
+    (`_payloads`), built directly by `serialization.signature_from_json`
+    and the cocircuit derivation (`_from_tables`), or read off FVectors by
+    the constructor.  A class proportional to a kept one of its support is
+    dropped (`dedup`; `dropped` counts them).  The FVectors (`classes`)
+    are a view built on first use, for the public API and witnesses, or
+    kept from the constructor's input; classification reads the tables.
+    """
 
     def __init__(self, hyperfield: Hyperfield, ground: GroundSet,
                  vectors: Iterable[FVector], dedup: bool = True):
-        self.hyperfield = hyperfield
-        self.ground = ground
-        kept: List[FVector] = []
-        masks: List[int] = []
-        # kept vectors by support mask: only vectors with equal supports
-        # can be projectively equal
-        by_support: Dict[int, List[FVector]] = {}
-        for v in vectors:
-            if v.hyperfield is not hyperfield:
-                raise InputError("vector over the wrong hyperfield")
-            if v.ground != ground:
-                raise InputError("vector over the wrong ground set")
-            mask = _mask(ground, v.entries)
-            same = by_support.setdefault(mask, [])
-            if dedup and any(projectively_equal(v, u) for u in same):
-                continue
-            kept.append(v)
-            masks.append(mask)
-            same.append(v)
-        self.classes: Tuple[FVector, ...] = tuple(kept)
-        # the support mask of each class, in class order
-        self._masks: Tuple[int, ...] = tuple(masks)
-        self._first_with_support = {supp: same[0] for supp, same in by_support.items()}
+        vectors = list(vectors)
+        if any(v.hyperfield is not hyperfield or v.ground != ground for v in vectors):
+            raise InputError("vector over the wrong hyperfield or ground set")
+        kept = self._keep(hyperfield, ground, [_table(v) for v in vectors], dedup)
+        self._classes = tuple(vectors[k] for k in kept)
+
+    @classmethod
+    def _from_tables(cls, hyperfield: Hyperfield, ground: GroundSet,
+                     tables: List[dict], dedup: bool = True) -> "CircuitSignature":
+        """The signature of {position: nonzero payload} tables in ground order."""
+        sig = cls.__new__(cls)
+        sig._keep(hyperfield, ground, tables, dedup)
+        return sig
+
+    def _keep(self, hyperfield: Hyperfield, ground: GroundSet,
+              tables: List[dict], dedup: bool) -> List[int]:
+        """Set the state from `tables`; the indices of those kept."""
+        self.hyperfield, self.ground = hyperfield, ground
+        kept, by_support = [], {}  # kept tables by support mask
+        for k, table in enumerate(tables):
+            same = by_support.setdefault(sum(1 << i for i in table), [])
+            if not (dedup and any(_proportional(hyperfield, table, t) for t in same)):
+                same.append(table)
+                kept.append(k)
+        self.dropped = len(tables) - len(kept)
+        self._payloads = tuple(tables[k] for k in kept)
+        self._masks = tuple(sum(1 << i for i in table) for table in self._payloads)
+        # the index of the first class of each support mask
+        self._first_with_support = {m: i for i, m in reversed(list(enumerate(self._masks)))}
+        self._classes: Optional[Tuple[FVector, ...]] = None
         self._matroid: Optional[ClassicalMatroid] = None
+        return kept
+
+    @property
+    def classes(self) -> Tuple[FVector, ...]:
+        if self._classes is None:
+            hf, labels = self.hyperfield, self.ground.labels
+            self._classes = tuple(FVector(hf, self.ground, {
+                labels[i]: HFElement(hf, a) for i, a in table.items()})
+                for table in self._payloads)
+        return self._classes
 
     def supports(self) -> List[frozenset]:
-        return [support(v) for v in self.classes]
+        return [frozenset(_labels(self.ground, mask)) for mask in self._masks]
 
     def underlying_matroid(self) -> ClassicalMatroid:
         """The matroid on the supports, built and validated on first use."""
         if self._matroid is None:
-            self._matroid = ClassicalMatroid(self.ground, self.supports())
+            self._matroid = ClassicalMatroid(self.ground, self._masks)
         return self._matroid
-
-    def class_with_support(self, supp: frozenset) -> FVector:
-        """The first class whose support is `supp`."""
-        try:
-            return self._first_with_support[_mask(self.ground, supp)]
-        except (KeyError, InputError):
-            raise InputError(f"no representative with support {sorted(supp)}") from None
 
     def __repr__(self) -> str:
         return (f"CircuitSignature({self.hyperfield}, |E|={len(self.ground)}, "
-                f"classes={len(self.classes)})")
+                f"classes={len(self._masks)})")
 
 
 # -- (C0)-(C2) ----------------------------------------------------------------
@@ -88,26 +106,23 @@ def check_C0_C2(sig: CircuitSignature) -> Optional[dict]:
     incomparability.  Returns None when all hold, else a witness: the
     first failing class, or pair of classes in `combinations` order.
 
-    Only classes with equal supports can be projectively equal, so C1
-    compares the later classes of each class's support mask; C2 tests
-    containment on the masks.  The scan over every pair is the test
-    oracle `oracles.check_C0_C2`."""
-    classes, masks = sig.classes, sig._masks
-    for v in classes:
-        if v.is_zero:
-            return {"axiom": "C0", "vector": v}
-    same: Dict[int, List[int]] = {}
-    for i, mask in enumerate(masks):
-        same.setdefault(mask, []).append(i)
-    for i, x in enumerate(classes):
-        for j in same[masks[i]]:
-            if j > i and projectively_equal(x, classes[j]):
-                return {"axiom": "C1", "vectors": [x, classes[j]],
-                        "reason": "duplicate projective class"}
-    for (i, mx), (j, my) in combinations(enumerate(masks), 2):
-        if (mx | my) in (mx, my):
-            return {"axiom": "C2", "vectors": [classes[i], classes[j]],
-                    "reason": "comparable supports in distinct classes"}
+    All three read the tables.  Projectively equal classes have equal,
+    so comparable, supports: C1 looks among the pairs with comparable
+    masks, which C2 reports otherwise.  The scan over every pair is the
+    test oracle `oracles.check_C0_C2`."""
+    masks, tables = sig._masks, sig._payloads
+    if 0 in masks:
+        return {"axiom": "C0", "vector": sig.classes[masks.index(0)]}
+    comparable = [(i, j) for (i, mx), (j, my) in combinations(enumerate(masks), 2)
+                  if (mx | my) in (mx, my)]
+    for i, j in comparable:
+        if masks[i] == masks[j] and _proportional(sig.hyperfield, tables[i], tables[j]):
+            return {"axiom": "C1", "vectors": [sig.classes[i], sig.classes[j]],
+                    "reason": "duplicate projective class"}
+    if comparable:
+        i, j = comparable[0]
+        return {"axiom": "C2", "vectors": [sig.classes[i], sig.classes[j]],
+                "reason": "comparable supports in distinct classes"}
     return None
 
 
@@ -119,7 +134,7 @@ def eliminating_circuits(sig: CircuitSignature, terms: Sequence[FVector],
     """The first signature class Z, in signature order, some nonzero
     multiple of which vanishes on `zeros_at` and has, at every coordinate
     f, 0 in neg(Z(f)) + (hypersum of the terms at f) under the n-ary zero
-    rule (see elimination_member); None when no class does.  The callers
+    rule (see check_C3_doubleprime); None when no class does.  The callers
     only ask whether an eliminating circuit exists (C3 and C3' in
     Baker-Bowler), so the scaled multiple is not built.
 
@@ -243,9 +258,14 @@ def check_C3_doubleprime(sig: CircuitSignature) -> Optional[dict]:
     of the underlying matroid, lies coordinatewise in the hypersum of the
     scaled fundamental-circuit classes.
 
-    Memberships use the zero-based reading (elimination_member), matching
-    the elimination checkers; the readings differ only over phase."""
-    matroid = sig.underlying_matroid()
+    Membership of z in a hypersum of terms is read as 0 in neg(z) + terms
+    under the n-ary zero rule, as the elimination checkers read it.  Where
+    the n-ary sum is the iterated binary fold (every built-in but phase)
+    that is membership in the fold, by reversibility.  Over phase it is
+    strictly weaker: it also accepts z when 0 lies in the sum of the terms
+    alone, and the ends of open arcs; signatures derived from weak-valid
+    functions over phase satisfy the axioms only in this form."""
+    hf, matroid = sig.hyperfield, sig.underlying_matroid()
     bases = sorted(matroid.bases(),
                    key=lambda b: tuple(sorted(sig.ground.index(x) for x in b)))
     # the rescaled fundamental circuits of each basis, keyed by the
@@ -257,15 +277,15 @@ def check_C3_doubleprime(sig: CircuitSignature) -> Optional[dict]:
                 by_basis[basis] = {}
                 for e in sig.ground:
                     if e not in basis:
-                        rep = sig.class_with_support(
-                            matroid.fundamental_circuit(basis, e))
+                        rep = sig.classes[sig._first_with_support[_mask(
+                            sig.ground, matroid.fundamental_circuit(basis, e))]]
                         by_basis[basis][e] = scalar_mul(inv(rep.entry(e)), rep)
             fundamentals = by_basis[basis]
             for f in sig.ground:
-                terms = [mul(x.entry(e), y.entry(f))
+                terms = [mul(x.entry(e), y.entry(f)).value
                          for e, y in fundamentals.items()
                          if not x.entry(e).is_zero]
-                if not elimination_member(x.entry(f), terms):
+                if not hf.zero_in(terms + [neg(x.entry(f)).value]):
                     return {"axiom": "C3''", "X": x,
                             "basis": sig.ground.sort(basis), "f": f}
     return None

@@ -10,31 +10,25 @@ Every checker runs in one thread and reports the first witness in its
 canonical order.  `check-gp` decides Strong by the three-term relations
 and basis exchange of `--weak` over the doubly distributive hyperfields
 (Krasner, sign, tropical, the rationals, GF(p)), where weak and strong
-coincide, and by the full relation family over triangle and phase.  For
-a weak function an (I, J) relation is, up to a unit, the orthogonality
-sum of the circuit inside I and the cocircuit off cl(J) (Baker-Bowler),
-and weakness makes the pairs meeting in at most 3 elements orthogonal,
-so one (I, J) per circuit/cocircuit pair meeting in 4 or more is
-checked.  A strong function is weak, so on a function that is not weak
-`--strong` reports the witness of `--weak`; on a weak one it reports the
-first failing (I, J) among those whose circuit and cocircuit meet
-least.  The walk over every (I, J) is the test oracle in
+coincide, and over triangle and phase by one (I, J) relation per
+circuit/cocircuit pair meeting in 4 or more (`gp.failing_relation`).  On
+a function that is not weak `--strong` reports the witness of `--weak`;
+on a weak one, the first failing (I, J) among those whose circuit and
+cocircuit meet least.  The walk over every (I, J) is the test oracle in
 `tests/oracles.py`.
 `check-circuits` and `classify` decide by orthogonality with the
-cocircuit signature derived from the circuits: a signature is weak when
-the derivation is consistent and every circuit and cocircuit meeting in
-at most 3 elements are orthogonal.  A weak signature is strong over the
-doubly distributive hyperfields, and over triangle and phase when every
-circuit is orthogonal to every cocircuit.  The elimination scans only
-name the failing instance: modular-pair elimination (C3') for a
-signature that is not weak, modular-family elimination (C3) for a
-weak-only one.  C3 on a pair is C3', and orthogonality has shown that
-every modular pair of a weak-only signature eliminates, so that scan
-starts at families of three circuits.  `check-circuits` reports weakness
-alone, so it runs only the first.  `gp` admits a weak dual pair by DP1,
-DP2 and DP3' (`gp.nonorthogonal_pair` decides DP3') and rebuilds its
-function without re-checking it: a weak dual pair determines one weak
-function up to a unit, and a full dual pair a strong one (Baker-Bowler).
+cocircuit signature derived from the circuits
+(`gp.orthogonality_verdict`); the elimination scans only name the
+failing instance (`gp.elimination_witness`): modular-pair elimination
+(C3') for a signature that is not weak, modular-family elimination (C3)
+for a weak-only one.  `check-circuits` reports weakness alone, so it
+runs only the first.  A signature file that lists a class twice, up to a
+unit, loses the later copy, and the command prints one `warning:` line
+on stderr.
+`gp` admits a weak dual pair by DP1, DP2 and DP3'
+(`gp.nonorthogonal_pair` decides DP3') and rebuilds its function without
+re-checking it: a weak dual pair determines one weak function up to a
+unit, and a full dual pair a strong one (Baker-Bowler).
 It exits 1 on a failing DP axiom, and 2 on cocircuits over another
 hyperfield or ground order, since it pairs entries by ground position.
 `circuits` admits a weak function and reads each circuit off the first
@@ -59,6 +53,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from dataclasses import replace
 from typing import Optional
 
@@ -92,7 +87,14 @@ def _read_text(path: str) -> str:
 
 
 def _load(path: str):
-    return parse_text(_read_text(path), path)
+    """The object the file describes; a warning of the parse (a dropped
+    duplicate class) goes to stderr as one line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        obj = parse_text(_read_text(path), path)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return obj
 
 
 def _emit(obj) -> None:
@@ -196,15 +198,15 @@ def _cmd_gp(args) -> int:
     return 0
 
 
+# the commands that take a function or a signature
+_EITHER = ((GPFunction, CircuitSignature),
+           "a Grassmann-Pluecker object or a circuit signature")
+
+
 def _cmd_dual(args) -> int:
-    obj = _load(args.file)
-    if isinstance(obj, GPFunction):
-        _emit(dual_gp(obj))
-    elif isinstance(obj, CircuitSignature):
-        _emit(cocircuit_signature_from_circuits(obj))
-    else:
-        raise InputError("expected a Grassmann-Pluecker object or a "
-                         "circuit signature")
+    obj = _want(_load(args.file), *_EITHER)
+    _emit(dual_gp(obj) if isinstance(obj, GPFunction)
+          else cocircuit_signature_from_circuits(obj))
     return 0
 
 
@@ -212,13 +214,7 @@ def _cmd_minor(args) -> int:
     obj = _load(args.file)
     if not args.delete and not args.contract:
         raise InputError("nothing to do: pass --delete and/or --contract")
-    if isinstance(obj, GPFunction):
-        minor = minor_gp
-    elif isinstance(obj, CircuitSignature):
-        minor = minor_circuits
-    else:
-        raise InputError("expected a Grassmann-Pluecker object or a "
-                         "circuit signature")
+    minor = minor_gp if isinstance(_want(obj, *_EITHER), GPFunction) else minor_circuits
     _emit(minor(obj, deleted=_split_labels(args.delete, obj.ground),
                 contracted=_split_labels(args.contract, obj.ground)))
     return 0
@@ -246,16 +242,9 @@ def _resolve_hom(name: str, source):
 
 
 def _cmd_pushforward(args) -> int:
-    obj = _load(args.file)
-    if isinstance(obj, GPFunction):
-        hom = _resolve_hom(args.hom, obj.hyperfield)
-        _emit(pushforward_gp(hom, obj))
-    elif isinstance(obj, CircuitSignature):
-        hom = _resolve_hom(args.hom, obj.hyperfield)
-        _emit(pushforward_circuits(hom, obj))
-    else:
-        raise InputError("expected a Grassmann-Pluecker object or a "
-                         "circuit signature")
+    obj = _want(_load(args.file), *_EITHER)
+    push = pushforward_gp if isinstance(obj, GPFunction) else pushforward_circuits
+    _emit(push(_resolve_hom(args.hom, obj.hyperfield), obj))
     return 0
 
 
@@ -309,16 +298,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Check and transform matroid data over hyperfields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("axioms", help="run the hyperfield axiom suite")
+    def command(name, run, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("axioms", _cmd_axioms, "run the hyperfield axiom suite")
     p.add_argument("--hyperfield", required=True,
                    help="krasner | sign | tropical | triangle | phase | "
                         "phase[identity] | rational | gf(p)")
     p.add_argument("--budget", type=int, default=24,
                    help="sample pool size for infinite hyperfields")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=_cmd_axioms)
 
-    p = sub.add_parser("check-gp", help="weak/strong relation checks")
+    p = command("check-gp", _cmd_check_gp, "weak/strong relation checks")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--weak", dest="strength", action="store_const",
@@ -327,64 +320,40 @@ def _build_parser() -> argparse.ArgumentParser:
                        const="strong")
     group.add_argument("--both", dest="strength", action="store_const",
                        const="both")
-    p.set_defaults(run=_cmd_check_gp)
 
-    p = sub.add_parser("check-circuits",
-                       help="support axioms, underlying matroid, and weak "
-                            "elimination for a circuit signature")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_check_circuits)
+    command("check-circuits", _cmd_check_circuits,
+            "support axioms, underlying matroid, and weak elimination for a "
+            "circuit signature").add_argument("file")
+    command("classify", _cmd_classify, "full verdict: Strong, WeakOnly, "
+            "InvalidSignature, or UnderlyingNotMatroid").add_argument("file")
+    command("circuits", _cmd_circuits, "derive the circuit signature of a "
+            "weak-valid Grassmann-Pluecker object").add_argument("file")
+    command("gp", _cmd_gp, "rebuild a rank-(|E|-|cocircuit overlap|) "
+            "function from a circuit/cocircuit pair").add_argument("file")
+    command("dual", _cmd_dual, "dualize a function or signature").add_argument("file")
 
-    p = sub.add_parser("classify",
-                       help="full verdict: Strong, WeakOnly, "
-                            "InvalidSignature, or UnderlyingNotMatroid")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_classify)
-
-    p = sub.add_parser("circuits",
-                       help="derive the circuit signature of a weak-valid "
-                            "Grassmann-Pluecker object")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_circuits)
-
-    p = sub.add_parser("gp", help="rebuild a rank-(|E|-|cocircuit overlap|) "
-                                  "function from a circuit/cocircuit pair")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_gp)
-
-    p = sub.add_parser("dual", help="dualize a function or signature")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_dual)
-
-    p = sub.add_parser("minor", help="delete, then contract labels of a "
-                                     "function (of any size) or signature")
+    p = command("minor", _cmd_minor, "delete, then contract labels of a "
+                "function (of any size) or signature")
     p.add_argument("file")
     p.add_argument("--delete", default="", metavar="a,b")
     p.add_argument("--contract", default="", metavar="c")
-    p.set_defaults(run=_cmd_minor)
 
-    p = sub.add_parser("pushforward",
-                       help="apply a coefficient homomorphism")
+    p = command("pushforward", _cmd_pushforward, "apply a coefficient homomorphism")
     p.add_argument("file")
     p.add_argument("--hom", required=True, metavar="krasner|sign|padic:<p>")
-    p.set_defaults(run=_cmd_pushforward)
 
-    p = sub.add_parser("dressian",
-                       help="three-term relation sweep for tropical input")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_dressian)
+    command("dressian", _cmd_dressian, "three-term relation sweep for "
+            "tropical input").add_argument("file")
 
-    p = sub.add_parser("demo", help="run a built-in corpus entry")
+    p = command("demo", _cmd_demo, "run a built-in corpus entry")
     p.add_argument("name", nargs="?")
     p.add_argument("--list", action="store_true")
-    p.set_defaults(run=_cmd_demo)
 
-    p = sub.add_parser("experiment", help="randomized perfection sweep")
+    p = command("experiment", _cmd_experiment, "randomized perfection sweep")
     p.add_argument("--config", required=True,
                    help="JSON file with hyperfield, bounds, samples, seed")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
-    p.set_defaults(run=_cmd_experiment)
 
     return parser
 

@@ -19,8 +19,8 @@ from .circuits import CircuitSignature
 from .errors import InputError
 from .gp import GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp, classify
 from .hyperfields import (KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE, HFElement,
-                          Hyperfield, gf, neg)
-from .vectors import FVector, GroundSet, support
+                          Hyperfield, gf)
+from .vectors import FVector, GroundSet
 from .transforms import (pushforward_gp, rational_padic, rational_sign,
                          to_krasner)
 
@@ -146,14 +146,11 @@ def _phase_example() -> GPFunction:
 def _sign_flipped_u24() -> CircuitSignature:
     """Circuits of the U(2,4) chirotope with one entry's sign flipped."""
     sig = circuits_from_gp(pushforward_gp(rational_sign(), _rational_u24()))
-    pos = sig.ground.index
-    victim = min(sig.classes, key=lambda v: sorted(map(pos, support(v))))
-    label = min(support(victim), key=pos)
-    entries = dict(victim.entries)
-    entries[label] = neg(entries[label])
-    twisted = FVector(SIGN, sig.ground, entries)
-    vectors = [twisted if v is victim else v for v in sig.classes]
-    return CircuitSignature(SIGN, sig.ground, vectors, dedup=False)
+    tables = [dict(table) for table in sig._payloads]
+    victim = min(tables, key=list)  # the least support, at its least position
+    first = next(iter(victim))
+    victim[first] = SIGN.negative(victim[first])
+    return CircuitSignature._from_tables(SIGN, sig.ground, tables, dedup=False)
 
 
 def _not_a_matroid() -> CircuitSignature:

@@ -48,7 +48,7 @@ from .errors import InputError
 from .gp import (GPFunction, _dual_pair, _first_nonorthogonal, _pack, _witness,
                  check_gp_weak, three_term_pairs)
 from .hyperfields import Hyperfield, sample_element
-from .vectors import FVector, GroundSet
+from .vectors import FVector, GroundSet, _table
 
 _REJECTION_TRIES = 20000
 
@@ -194,9 +194,10 @@ def run_perfection_experiment(cfg: ExperimentConfig) -> dict:
             # pair below is two candidates, named by their vectors
             candidates = [_random_candidate(hf, phi.ground, rng)
                           for _ in range(12)]
-            vectors = [v for v in xs + _pack(candidates) if v[1] and
+            tables = [(v, _table(v)) for v in candidates]
+            vectors = [v for v in xs + _pack(tables, hf) if v[1] and
                        _first_nonorthogonal([v], ys, hf, every) is None]
-            covectors = [w for w in ys + _pack(candidates, dual=True) if w[1]
+            covectors = [w for w in ys + _pack(tables, hf, len(phi.ground)) if w[1]
                          and _first_nonorthogonal(xs, [w], hf, every) is None]
             for v in vectors:
                 for w in covectors:

@@ -33,12 +33,18 @@ oracle in `tests/oracles.py`.
 
 One loop, `_first_nonorthogonal`, answers every circuit/cocircuit
 orthogonality question on support masks and payloads, for functions and
-signatures alike: each class is packed once (`_pack`), a cocircuit as a
-row by position (`_cocircuit_pack`), an overlap is a popcount, and each
-pair is one call of the family's `zero_in_dot`, which forms the products
-x(e) invol(y(e)), one row lookup per circuit entry, and decides "0 in
-their sum" at once.  The cocircuit derivation and the dual-pair walk take bases and
-fundamental circuits as masks.
+signatures alike: each class is packed once (`_pack`) from a signature's
+tables, a cocircuit as a row by position (`_cocircuit_pack`), an overlap
+is a popcount, and each pair is one call of the family's `zero_in_dot`,
+which forms the products x(e) invol(y(e)), one row lookup per circuit
+entry, and decides "0 in their sum" at once.  The cocircuit derivation
+and the dual-pair walk take bases and fundamental circuits as masks.
+
+Elements are still built for a function's values (parsed as elements),
+a relation's terms in a witness (`relation_terms`), the circuits of a
+function (`circuits_from_gp`), a rebuilt function (`gp_from_dual_pair`)
+and a signature's classes in a witness (`CircuitSignature.classes`):
+`classify` builds none on a Strong signature.
 
 The cocircuits are derived on payloads (`_cocircuit_payloads`): each
 W(e) is a ratio of the circuit X inside H + e + f0, H a basis of the
@@ -65,7 +71,7 @@ from .circuits import (CircuitSignature, check_C0_C2, check_strong_elimination,
                        check_weak_elimination)
 from .errors import (ConsistencyError, InputError, InvalidDualPairError,
                      MismatchError, RatioInconsistencyError)
-from .hyperfields import HFElement, Hyperfield, inv, mul, neg, signed
+from .hyperfields import HFElement, Hyperfield, mul, signed
 from .matroids import ClassicalMatroid, _labels, _mask, validate_circuits
 from .vectors import FVector, GroundSet
 
@@ -411,21 +417,20 @@ def _positions(mask: int) -> list:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _pack(vectors: Iterable[FVector], dual: bool = False) -> list:
-    """(vector, support mask, {position: payload} in ground order) per
-    vector; on the cocircuit side (`dual`) entries go through the involution
-    into a row (`_cocircuit_pack`).  Payloads are made integral per vector,
-    which scales every term of its pairs by one positive unit."""
+def _pack(items: Iterable[tuple], hf: Hyperfield, size: int = 0) -> list:
+    """(key, support mask, table) per (key, {position: payload} table in
+    ground order), such as the index and table of a signature's class
+    (`CircuitSignature._payloads`); given the ground `size`, the cocircuit
+    side: entries go through the involution into a row of that length
+    (`_cocircuit_pack`).  Payloads are made integral per table, which
+    scales every term of its pairs by one positive unit."""
     packs = []
-    for v in vectors:
-        pos, conjugate = v.ground.index, v.hyperfield.conjugate
-        payloads = {pos(label): v.entries[label].value
-                    for label in sorted(v.entries, key=pos)}
-        if dual:
-            payloads = {i: conjugate(a) for i, a in payloads.items()}
+    for key, payloads in items:
+        if size:
+            payloads = {i: hf.conjugate(a) for i, a in payloads.items()}
         payloads = _integral(payloads)
-        packs.append(_cocircuit_pack(v, payloads.items(), len(v.ground)) if dual
-                     else (v, sum(1 << i for i in payloads), payloads))
+        packs.append(_cocircuit_pack(key, payloads.items(), size) if size
+                     else (key, sum(1 << i for i in payloads), payloads))
     return packs
 
 
@@ -480,23 +485,25 @@ def nonorthogonal_pair(C: CircuitSignature, D: CircuitSignature,
     None.  A pair whose overlap cannot lower the least found is skipped.
     D over another hyperfield or ground order raises MismatchError."""
     _same_frame(C, D)
-    return _first_nonorthogonal(_pack(C.classes), _pack(D.classes, dual=True),
-                                C.hyperfield, range(1, len(C.ground) + 1 if full else 4))
+    hf, size = C.hyperfield, len(C.ground)
+    pair = _first_nonorthogonal(_pack(enumerate(C._payloads), hf),
+                                _pack(enumerate(D._payloads), hf, size),
+                                hf, range(1, size + 1 if full else 4))
+    return None if pair is None else (pair[0], C.classes[pair[1]], D.classes[pair[2]])
 
 
 def _circuit_ratio(sig: CircuitSignature):
     """ratio(basis, e, f): the payload of -X(f)/X(e) under the involution,
     X the class of the circuit inside basis + e + f, for a basis of a
     hyperplane that misses e and f."""
-    hf, labels = sig.hyperfield, sig.ground.labels
-    matroid, classes = sig.underlying_matroid(), sig._first_with_support
+    hf, tables, first = sig.hyperfield, sig._payloads, sig._first_with_support
+    matroid = sig.underlying_matroid()
     product, negative, inverse, conjugate = (hf.product, hf.negative,
                                              hf.inverse, hf.conjugate)
 
     def ratio(basis: int, e: int, f: int):
-        x = classes[matroid._fundamental_mask(basis | 1 << e, 1 << f)].entries
-        return conjugate(negative(product(x[labels[f]].value,
-                                          inverse(x[labels[e]].value))))
+        x = tables[first[matroid._fundamental_mask(basis | 1 << e, 1 << f)]]
+        return conjugate(negative(product(x[f], inverse(x[e]))))
 
     return ratio
 
@@ -510,8 +517,7 @@ def _cocircuit_payloads(sig: CircuitSignature) -> list:
     ratio, one = _circuit_ratio(sig), sig.hyperfield.one().value
     matroid, full = sig.underlying_matroid(), (1 << len(sig.ground)) - 1
     derived = []
-    for cocircuit in sorted((_mask(sig.ground, c) for c in matroid.cocircuits()),
-                            key=_positions):
+    for cocircuit in sorted(matroid.dual()._masks, key=_positions):
         basis = matroid._greedy(full ^ cocircuit)
         f0, *rest = _positions(cocircuit)
         payloads = {f0: one}
@@ -529,15 +535,10 @@ def cocircuit_signature_from_circuits(sig: CircuitSignature) -> CircuitSignature
     the ratio W(e)/W(f) is the negated inverted circuit ratio.  The pairs
     with the least element f0 of D define the representative anchored at
     W(f0) = 1 (`_cocircuit_payloads`), so they hold by construction; every
-    other pair is checked against it, on payloads.
-
-    X meets D in {e, f} exactly, and the check at (e, f) is the
-    orthogonality of X and W: 0 lies in X(e) invol(W(e)) + X(f) invol(W(f))
-    iff W(e)/W(f) is that ratio.  The two tests are the same relative
-    (triangle) or angular (phase) inequality and can differ only by
-    rounding at `EPS`.  So `orthogonality_verdict`, which tests every pair
-    meeting in 2, skips this check; `hfm dual` keeps it, to refuse with
-    the failing pair.
+    other pair is checked against it, on payloads.  The check at (e, f) is
+    the orthogonality of X and W, which meet in {e, f} (module docstring),
+    so `orthogonality_verdict` skips it; `hfm dual` keeps it, to refuse
+    with the failing pair.
 
     Orthogonality pairs a circuit entry with the involution of a cocircuit
     entry, so the ratios are built under the involution; with the identity
@@ -546,7 +547,7 @@ def cocircuit_signature_from_circuits(sig: CircuitSignature) -> CircuitSignature
     hf, labels = sig.hyperfield, sig.ground.labels
     product, inverse, equal = hf.product, hf.inverse, hf.equal
     ratio = _circuit_ratio(sig)
-    vectors = []
+    tables = []
     for basis, payloads in _cocircuit_payloads(sig):
         _, *rest = payloads
         for e, f in combinations(rest, 2):
@@ -555,9 +556,8 @@ def cocircuit_signature_from_circuits(sig: CircuitSignature) -> CircuitSignature
                 raise RatioInconsistencyError(
                     f"cocircuit {[labels[i] for i in payloads]} ratios "
                     f"disagree at ({labels[e]}, {labels[f]})")
-        vectors.append(FVector(hf, sig.ground, {
-            labels[i]: HFElement(hf, w) for i, w in payloads.items()}))
-    return CircuitSignature(hf, sig.ground, vectors)
+        tables.append(payloads)
+    return CircuitSignature._from_tables(hf, sig.ground, tables)
 
 
 # -- GP function from a dual pair ---------------------------------------------
@@ -608,7 +608,7 @@ def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature) -> GPFunction:
     if problem is not None:
         raise InvalidDualPairError(str(problem))
     hf, ground, labels = C.hyperfield, C.ground, C.ground.labels
-    matroid, classes = C.underlying_matroid(), C._first_with_support
+    matroid, tables, first = C.underlying_matroid(), C._payloads, C._first_with_support
     root = matroid._greedy((1 << len(labels)) - 1)
     values: Dict[int, HFElement] = {root: hf.one()}
     queue = deque([root])
@@ -619,11 +619,11 @@ def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature) -> GPFunction:
             if basis >> e & 1:
                 continue
             circ = matroid._fundamental_mask(basis, 1 << e)
-            rep = classes[circ]
+            x = tables[first[circ]]
             for f in _positions(circ ^ 1 << e):
                 new_basis = basis ^ 1 << f | 1 << e
                 if new_basis not in values:
-                    ratio = neg(mul(rep.entries[labels[f]], inv(rep.entries[labels[e]])))
+                    ratio = HFElement(hf, hf.negative(hf.product(x[f], hf.inverse(x[e]))))
                     values[new_basis] = signed(
                         mul(ratio, current),
                         (basis & ((1 << f) - 1)).bit_count()
@@ -660,22 +660,16 @@ def orthogonality_verdict(sig: CircuitSignature) -> str:
     those pairs are checked; elsewhere it is strong when every pair is
     orthogonal.
 
-    D is derived once and unchecked (`_cocircuit_payloads`), and packed
-    through the involution as `_pack` packs it.  The ratio check of
-    `cocircuit_signature_from_circuits` at a pair (e, f) of a cocircuit W
-    is the orthogonality of W with the circuit X inside H + e + f, which
-    meets W in {e, f} exactly: an overlap of 2, which the pair loop tests
-    anyway.  The two tests are the same relative (triangle) or angular
-    (phase) inequality and can differ only by rounding at `EPS`.  So a
-    signature whose ratios disagree is not weak here either, and no
-    element-level operation runs.
+    D is derived once and unchecked (`_cocircuit_payloads`): its ratio
+    check is a pair meeting in 2, which the loop tests anyway (module
+    docstring), so a signature whose ratios disagree is not weak here
+    either.  Both sides are packed from tables, and no element-level
+    operation runs.
     """
-    hf = sig.hyperfield
-    cocircuits = [_cocircuit_pack(None, _integral(
-        {i: hf.conjugate(w) for i, w in payloads.items()}).items(), len(sig.ground))
-        for _, payloads in _cocircuit_payloads(sig)]
-    pair = _first_nonorthogonal(_pack(sig.classes), cocircuits, hf, range(
-        1, 4 if hf.doubly_distributive else len(sig.ground) + 1))
+    hf, size = sig.hyperfield, len(sig.ground)
+    overlaps = range(1, 4 if hf.doubly_distributive else size + 1)
+    pair = _first_nonorthogonal(_pack(enumerate(sig._payloads), hf),
+                                _pack(_cocircuit_payloads(sig), hf, size), hf, overlaps)
     if pair is None:
         return "Strong"
     return "WeakOnly" if pair[0] > 3 else "InvalidSignature"

@@ -24,17 +24,19 @@ so hyperfields compare by identity:
   PrimeField    gf(p): the prime field GF(p) (int payload mod p)
 
 A family is its payload operations and its codec: payload normalisation,
-one interned zero and one, sampling, the JSON codec, its flags, and the
-`sumsets` class that represents its hypersums exactly (`sums`).  Its
-arithmetic is stated once, on raw payloads: the product of two nonzero
-payloads (`product`), the hyperinverse (`negative`), the multiplicative
-inverse (`inverse`), the involution (`conjugate`), equality (`equal`) and
-the closed form for "0 in x1 + ... + xk" (`zero_in`).  The
-circuit/cocircuit pair loops ask "0 in the sum of the products over the
-shared positions" once per pair (`zero_in_dot`), one row lookup per
-circuit entry: by default `zero_in` of `product`s, which triangle fuses
-with the same left-to-right floats, and phase with exact angles.  The GP
-relation kernel and the cocircuit derivation call the payload operations
+one interned zero and one, sampling, the JSON codec of payloads
+(`encode`, `decode`), its flags, and the `sumsets` class that represents
+its hypersums exactly (`sums`).  Its arithmetic is stated once, on raw
+payloads: the product of two nonzero payloads (`product`), the
+hyperinverse (`negative`), the multiplicative inverse (`inverse`), the
+involution (`conjugate`), equality (`equal`) and the closed form for
+"0 in x1 + ... + xk" (`zero_in`).  The circuit/cocircuit pair loops ask "0
+in the sum of the products over the shared positions" once per pair
+(`zero_in_dot`), one row lookup per circuit entry: by default `zero_in`
+of `product`s, which Krasner and sign fuse by cancelling on the fly,
+tropical by a running maximum and its count, triangle with the same
+left-to-right floats, and phase with exact angles.  The GP relation
+kernel and the cocircuit derivation call the payload operations
 directly.
 
 The element operations are the module functions `mul`, `neg`, `inv`,
@@ -226,13 +228,15 @@ class Hyperfield:
         determinants): by default its sign, +1 or the hyperinverse of 1."""
         return self._one if q > 0 else neg(self._one)
 
-    def to_json(self, el: HFElement):
-        return el.value
+    def encode(self, a):
+        """The JSON form of a payload."""
+        return a
 
-    def from_json(self, raw) -> HFElement:
+    def decode(self, raw):
+        """The payload a JSON value spells; ValueError when it spells none."""
         if not isinstance(raw, int) or isinstance(raw, bool):
             raise ValueError(f"expected an integer, got {raw!r}")
-        return self.element(raw)
+        return self.normalise(raw)
 
 
 class FiniteTable(Hyperfield):
@@ -282,9 +286,22 @@ class FiniteTable(Hyperfield):
                 seen.add(x)
         return not seen
 
+    def zero_in_dot(self, left, row: list) -> bool:
+        """`zero_in` of the products in one pass, stopping at the first
+        product that cancels one seen before."""
+        negative, seen = self._neg, set()
+        for i, a in left:
+            if (b := row[i]) is not None:
+                t = a * b
+                if negative[t] in seen:
+                    return True
+                seen.add(t)
+        return not seen
+
 
 class _Infinite(Hyperfield):
-    """A family with infinitely many elements: samples are zero or a unit."""
+    """A family with infinitely many elements: samples are zero or a unit,
+    and JSON spells a rational payload, an integer or a string."""
 
     is_finite = False
 
@@ -292,6 +309,11 @@ class _Infinite(Hyperfield):
         if not nonzero and rng.random() < 0.15:
             return self._zero
         return self.sample_unit(rng)
+
+    def decode(self, raw):
+        if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+            raise ValueError(f"expected an integer or string, got {raw!r}")
+        return self.normalise(Fraction(raw))
 
 
 class Tropical(_Infinite):
@@ -308,6 +330,19 @@ class Tropical(_Infinite):
         top = max(payloads)
         return top == 0 or payloads.count(top) >= 2
 
+    def zero_in_dot(self, left, row: list) -> bool:
+        """`zero_in` of the products in one pass: the running maximum and
+        how often it occurs."""
+        top = ties = 0
+        for i, a in left:
+            if (b := row[i]) is not None:
+                t = a * b
+                if t > top:
+                    top, ties = t, 1
+                elif t == top:
+                    ties += 1
+        return top == 0 or ties >= 2
+
     def sample_unit(self, rng) -> HFElement:
         num = rng.randint(1, 8)
         den = rng.choice([1, 1, 2, 4])
@@ -320,18 +355,8 @@ class Tropical(_Infinite):
         """The 2-adic absolute value of a nonzero rational."""
         return self.element(_padic_abs(q, 2))
 
-    def to_json(self, el: HFElement):
-        return _decimal_string(el.value) or \
-            f"{el.value.numerator}/{el.value.denominator}"
-
-    def from_json(self, raw) -> HFElement:
-        return self.element(_fraction_from_json(raw))
-
-
-def _fraction_from_json(raw) -> Fraction:
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise ValueError(f"expected an integer or string, got {raw!r}")
-    return Fraction(raw)
+    def encode(self, a):
+        return _decimal_string(a) or f"{a.numerator}/{a.denominator}"
 
 
 class Triangle(_Infinite):
@@ -386,13 +411,13 @@ class Triangle(_Infinite):
     def from_rational(self, q: Fraction) -> HFElement:
         return self.element(float(abs(q)))
 
-    def to_json(self, el: HFElement):
-        return repr(el.value)
+    def encode(self, a):
+        return repr(a)
 
-    def from_json(self, raw) -> HFElement:
+    def decode(self, raw):
         if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
             raise ValueError(f"expected a number or string, got {raw!r}")
-        return self.element(float(raw))
+        return self.normalise(float(raw))
 
 
 class Phase(_Infinite):
@@ -475,18 +500,18 @@ class Phase(_Infinite):
         angle = rng.uniform(0.0, 6.283)
         return self.element(1) if angle == 0.0 else self.element(angle)
 
-    def to_json(self, el: HFElement):
-        return 0 if el.is_zero else {"angle": el.value}
+    def encode(self, a):
+        return 0 if a is None else {"angle": a}
 
-    def from_json(self, raw) -> HFElement:
+    def decode(self, raw):
         if raw == 0 and not isinstance(raw, bool):
-            return self._zero
+            return None
         if isinstance(raw, dict) and set(raw) == {"angle"}:
             angle = raw["angle"]
             if isinstance(angle, bool) or not isinstance(angle, (int, float)):
                 raise ValueError(f"angle must be a number, got {angle!r}")
             angle = norm_angle(float(angle))
-            return self.element(1) if angle == 0.0 else self.element(angle)
+            return self.normalise(1 if angle == 0.0 else angle)
         raise ValueError(f'expected 0 or {{"angle": radians}}, got {raw!r}')
 
 
@@ -513,11 +538,8 @@ class Rationals(_Infinite):
     def from_rational(self, q: Fraction) -> HFElement:
         return self.element(q)
 
-    def to_json(self, el: HFElement):
-        return str(el.value)
-
-    def from_json(self, raw) -> HFElement:
-        return self.element(_fraction_from_json(raw))
+    def encode(self, a):
+        return str(a)
 
 
 class PrimeField(Hyperfield):
@@ -598,14 +620,6 @@ def _common(terms: list) -> Hyperfield:
     return hf
 
 
-def _with_target(z: HFElement, terms: Iterable[HFElement]) -> tuple:
-    """(hyperfield, term list) for a membership test of z."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("empty term list")
-    return _common([z] + terms), terms
-
-
 def mul(a: HFElement, b: HFElement) -> HFElement:
     hf = a.hyperfield
     if b.hyperfield is not hf:
@@ -669,22 +683,6 @@ def zero_in_sum(terms: Iterable[HFElement]) -> bool:
     """Whether 0 lies in the n-ary hypersum of the terms."""
     terms = list(terms)
     return _common(terms).zero_in([t.value for t in terms])
-
-
-def elimination_member(z: HFElement, terms: Iterable[HFElement]) -> bool:
-    """Coordinate membership in the form the circuit axiom checkers use:
-    0 in neg(z) + terms, under the n-ary zero rule.
-
-    Whenever the n-ary hypersum is the iterated binary fold (every built-in
-    except phase) this is membership of z in the fold, by reversibility.
-    Over phase the n-ary rule is not the fold and reversibility fails at
-    boundary configurations, so this reading is strictly weaker there: it also
-    accepts z when 0 lies in the hypersum of the terms alone, and it
-    accepts the ends of open arcs.  Signatures derived from weak-valid
-    alternating functions over phase satisfy the axioms only in this form.
-    """
-    hf, terms = _with_target(z, terms)
-    return hf.zero_in([t.value for t in terms] + [neg(z).value])
 
 
 def sample_element(hf: Hyperfield, rng, nonzero: bool = False) -> HFElement:

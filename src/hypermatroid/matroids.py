@@ -1,9 +1,9 @@
 """Classical matroids presented by their circuit sets.
 
 Frozensets of labels at the boundary, int masks inside: every public
-function and method takes and returns labels and frozensets of labels,
-while a matroid works on masks whose bit i stands for the label at ground
-position i.  A matroid keeps a dependence table, one byte per subset of
+function and method but the constructor, which takes circuit masks,
+takes and returns labels and frozensets of labels, while a matroid works
+on masks whose bit i stands for the label at ground position i.  A matroid keeps a dependence table, one byte per subset of
 the ground set, set exactly when the subset contains a circuit, so
 independence is one lookup, rank, bases and fundamental circuits are short
 loops of lookups, and the circuit axioms are decided on the table.  The
@@ -151,7 +151,7 @@ def validate_circuits(ground: GroundSet, circuits: Iterable[frozenset]) -> Optio
     modular pairs alone, which is what makes the construction sound).
     The first violation is reported in the order of `circuits`: pairs as
     `itertools.combinations` lists them, elements of a pair's
-    intersection in frozenset order.  Both rules are decided on the
+    intersection in ground order.  Both rules are decided on the
     dependence table (nesting by lookups, elimination by the rank test of
     `_spans_a_matroid`); the pairwise scan that names the first violation
     runs only when there is one.  Ground sets above the cap raise
@@ -159,52 +159,65 @@ def validate_circuits(ground: GroundSet, circuits: Iterable[frozenset]) -> Optio
     """
     _require_cap(ground)
     circuits = [frozenset(c) for c in circuits]
-    for c in circuits:
-        if not c:
-            return CircuitViolation("nonempty", {"circuit": c}, ground)
-        for label in c:
-            if label not in ground:
-                raise InputError(f"circuit label {label!r} not in ground set")
+    for label in frozenset().union(*circuits):
+        if label not in ground:
+            raise InputError(f"circuit label {label!r} not in ground set")
+    return _violation(ground, [_mask(ground, c) for c in circuits])[0]
+
+
+def _violation(ground: GroundSet, masks: list) -> tuple:
+    """(`validate_circuits` on circuit masks, their dependence table)."""
+    if 0 in masks:
+        return CircuitViolation("nonempty", {"circuit": frozenset()}, ground), None
     n = len(ground)
-    masks = [_mask(ground, c) for c in circuits]
     dep = _closure(n, masks, upward=True)
-    pairs = list(zip(circuits, masks))
     nested = len(set(masks)) < len(masks) or any(
         dep[m ^ (1 << i)] for m in masks for i in range(n) if m >> i & 1)
-    if nested:
-        for (c1, m1), (c2, m2) in combinations(pairs, 2):
-            if (m1 & m2) in (m1, m2):
-                return CircuitViolation("incomparable", {"first": c1, "second": c2},
-                                        ground)
-    if not _spans_a_matroid(n, dep):
-        # an antichain of nonempty sets fails elimination exactly when the
-        # sets containing none of its members are not a matroid's
-        for (c1, m1), (c2, m2) in combinations(pairs, 2):
-            for e in c1 & c2:
-                if not dep[(m1 | m2) & ~(1 << ground.index(e))]:
-                    return CircuitViolation("elimination",
-                                            {"first": c1, "second": c2, "element": e},
-                                            ground)
-    return None
+    # an antichain of nonempty sets fails elimination exactly when the
+    # sets containing none of its members are not a matroid's
+    if not nested and _spans_a_matroid(n, dep):
+        return None, dep
+    pairs = list(combinations([(frozenset(_labels(ground, m)), m) for m in masks], 2))
+    for (c1, m1), (c2, m2) in pairs:
+        if nested and (m1 & m2) in (m1, m2):
+            return CircuitViolation("incomparable", {"first": c1, "second": c2}, ground), dep
+    for (c1, m1), (c2, m2) in pairs:
+        for e in _labels(ground, m1 & m2):
+            if not dep[(m1 | m2) & ~(1 << ground.index(e))]:
+                return CircuitViolation("elimination",
+                                        {"first": c1, "second": c2, "element": e}, ground), dep
+    return None, dep
 
 
 class ClassicalMatroid:
-    def __init__(self, ground: GroundSet, circuits: Iterable[frozenset]):
-        circuits = frozenset(frozenset(c) for c in circuits)
-        violation = validate_circuits(ground, circuits)
+    """The matroid whose circuits are the distinct `masks`, validated as
+    `validate_circuits` validates circuits, on one dependence table.  The
+    circuits as label sets (`circuits`) are built on first use."""
+
+    def __init__(self, ground: GroundSet, masks: Iterable[int]):
+        _require_cap(ground)
+        masks = list(dict.fromkeys(masks))
+        violation, dep = _violation(ground, masks)
         if violation is not None:
             raise InputError(f"not a matroid: {violation.as_json()}")
-        self._setup(ground, circuits,
-                    _closure(len(ground), [_mask(ground, c) for c in circuits], upward=True))
+        self._setup(ground, masks, dep)
 
-    def _setup(self, ground: GroundSet, circuits: FrozenSet[frozenset], dep: bytes) -> None:
+    def _setup(self, ground: GroundSet, masks: List[int], dep: bytes) -> None:
         self.ground = ground
-        self.circuits: FrozenSet[frozenset] = circuits
+        self._masks = masks
+        self._circuits: Optional[FrozenSet[frozenset]] = None
         self._dep = dep
         self._rank_cache: dict = {}
         self._basis_masks: Optional[frozenset] = None
         self._bases: Optional[frozenset] = None
         self._dual: Optional[ClassicalMatroid] = None
+
+    @property
+    def circuits(self) -> FrozenSet[frozenset]:
+        if self._circuits is None:
+            self._circuits = frozenset(frozenset(_labels(self.ground, m))
+                                       for m in self._masks)
+        return self._circuits
 
     @classmethod
     def _from_basis_masks(cls, ground: GroundSet, basis_masks: frozenset) -> "ClassicalMatroid":
@@ -214,8 +227,7 @@ class ClassicalMatroid:
         n = len(ground)
         dep = _closure(n, basis_masks, upward=False).translate(_FLIP)
         m = cls.__new__(cls)
-        m._setup(ground, frozenset(frozenset(_labels(ground, c)) for c in _minimal_sets(n, dep)),
-                 dep)
+        m._setup(ground, _minimal_sets(n, dep), dep)
         m._basis_masks = basis_masks
         return m
 
@@ -235,7 +247,7 @@ class ClassicalMatroid:
             raise InputError("bases of unequal size")
         _require_cap(ground)
         masks = frozenset(_mask(ground, b) for b in bases)
-        m = cls(ground, cls._from_basis_masks(ground, masks).circuits)
+        m = cls(ground, cls._from_basis_masks(ground, masks)._masks)
         if m._basis_mask_set() != masks:
             raise InputError("the given family is not the basis set of a matroid")
         return m
@@ -294,9 +306,6 @@ class ClassicalMatroid:
             dual._dual = self
             self._dual = dual
         return self._dual
-
-    def cocircuits(self) -> frozenset:
-        return self.dual().circuits
 
     def fundamental_circuit(self, basis: Iterable, e) -> frozenset:
         """The unique circuit inside basis + {e}, for e outside the basis:

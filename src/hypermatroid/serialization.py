@@ -11,6 +11,11 @@ Schemas; `parse_object` reads the three top-level ones, by shape:
                 "values": [{"subset": [...], "value": element}, ...]}
   dual pair    {"circuits": signature, "cocircuits": signature}
 
+A signature is read into, and written from, its classes' tables of
+payloads (`CircuitSignature._payloads`, through each family's `encode`
+and `decode`); elements are built for a GP function's values, for the
+classes of a witness, and by `element_from_json`.
+
 Output is canonical: subsets and supports in ground order, entry maps in
 ground order, two-space indentation.  Parsing is tolerant about scalar
 spellings (ints where strings are canonical, either fraction or decimal
@@ -31,7 +36,7 @@ from .errors import InputError
 from .gp import Classification, GPFunction
 from .hyperfields import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
                           TRIANGLE, TROPICAL, HFElement, Hyperfield, gf)
-from .vectors import FVector, GroundSet
+from .vectors import FVector, GroundSet, _table
 
 _NAMED = {str(hf): hf for hf in (KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE,
                                    PHASE_PLAIN, RATIONALS)}
@@ -67,12 +72,17 @@ def element_to_json(el: HFElement):
     Triangle: the shortest roundtripping decimal string.  Phase: 0 for
     zero, {"angle": radians} otherwise.  Rationals: "p/q" (or "p").
     """
-    return el.hyperfield.to_json(el)
+    return el.hyperfield.encode(el.value)
 
 
 def element_from_json(hf: Hyperfield, raw, where: str) -> HFElement:
+    return HFElement(hf, _payload_from_json(hf, raw, where))
+
+
+def _payload_from_json(hf: Hyperfield, raw, where: str):
+    """The payload `hf.decode` reads from raw; its errors as InputError."""
     try:
-        return hf.from_json(raw)
+        return hf.decode(raw)
     except InputError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
@@ -103,21 +113,19 @@ def _is_label_list(raw, labels: set) -> bool:
         return False
 
 
-def _label_lookup(ground: GroundSet) -> dict:
-    return {str(label): label for label in ground}
-
-
 # -- vectors ------------------------------------------------------------------
 
 
-def fvector_to_json(v: FVector) -> dict:
-    entries = {str(label): element_to_json(v.entries[label])
-               for label in v.ground if label in v.entries}
-    return {"hyperfield": hyperfield_to_id(v.hyperfield), "entries": entries}
+def _table_to_json(hf: Hyperfield, ground: GroundSet, table: dict) -> dict:
+    """The FVector schema of a {position: payload} table in ground order."""
+    labels, encode = ground.labels, hf.encode
+    return {"hyperfield": hyperfield_to_id(hf),
+            "entries": {str(labels[i]): encode(a) for i, a in table.items()}}
 
 
-def fvector_from_json(raw, hf: Hyperfield, ground: GroundSet,
-                      where: str) -> FVector:
+def _table_from_json(raw, hf: Hyperfield, positions: dict, where: str) -> dict:
+    """{position: payload} in ground order of a JSON FVector, zeros left
+    out, given {label string: position}."""
     if not isinstance(raw, dict) or "entries" not in raw:
         raise InputError(f"{where}: expected an object with an 'entries' field")
     if "hyperfield" in raw:
@@ -128,14 +136,14 @@ def fvector_from_json(raw, hf: Hyperfield, ground: GroundSet,
     entries_raw = raw["entries"]
     if not isinstance(entries_raw, dict):
         raise InputError(f"{where}.entries: expected an object")
-    lookup = _label_lookup(ground)
-    entries = {}
+    table, zero = {}, hf.zero_payload
     for key, value in entries_raw.items():
-        if key not in lookup:
+        if key not in positions:
             raise InputError(f"{where}.entries.{key}: not a ground set label")
-        entries[lookup[key]] = element_from_json(hf, value,
-                                                 f"{where}.entries.{key}")
-    return FVector(hf, ground, entries)
+        a = _payload_from_json(hf, value, f"{where}.entries.{key}")
+        if a != zero:
+            table[positions[key]] = a
+    return dict(sorted(table.items()))
 
 
 # -- top-level objects ---------------------------------------------------------
@@ -145,7 +153,8 @@ def signature_to_json(sig: CircuitSignature) -> dict:
     return {
         "hyperfield": hyperfield_to_id(sig.hyperfield),
         "ground_set": list(sig.ground.labels),
-        "circuits": [fvector_to_json(v) for v in sig.classes],
+        "circuits": [_table_to_json(sig.hyperfield, sig.ground, table)
+                     for table in sig._payloads],
     }
 
 
@@ -158,12 +167,12 @@ def signature_from_json(raw, where: str = "signature") -> CircuitSignature:
     circuits_raw = raw["circuits"]
     if not isinstance(circuits_raw, list):
         raise InputError(f"{where}.circuits: expected a list")
-    vectors = [fvector_from_json(item, hf, ground, f"{where}.circuits[{i}]")
-               for i, item in enumerate(circuits_raw)]
-    sig = CircuitSignature(hf, ground, vectors, dedup=True)
-    if len(sig.classes) != len(vectors):
-        warnings.warn(f"{where}: {len(vectors) - len(sig.classes)} duplicate "
-                      "projective class(es) dropped", stacklevel=2)
+    positions = {str(label): i for i, label in enumerate(ground.labels)}
+    sig = CircuitSignature._from_tables(hf, ground, [
+        _table_from_json(item, hf, positions, f"{where}.circuits[{i}]")
+        for i, item in enumerate(circuits_raw)])
+    if sig.dropped:
+        warnings.warn(f"{where}: {sig.dropped} duplicate projective class(es) dropped")
     return sig
 
 
@@ -234,7 +243,7 @@ def to_jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, FVector):
-        return fvector_to_json(obj)
+        return _table_to_json(obj.hyperfield, obj.ground, _table(obj))
     if isinstance(obj, CircuitSignature):
         return signature_to_json(obj)
     if isinstance(obj, GPFunction):

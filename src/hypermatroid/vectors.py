@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from .errors import MismatchError
-from .hyperfields import HFElement, Hyperfield, eq, inv, invol, mul, zero_in_sum
+from .hyperfields import HFElement, Hyperfield, invol, mul, zero_in_sum
 
 
 class GroundSet:
@@ -100,24 +100,11 @@ def scalar_mul(alpha: HFElement, x: FVector) -> FVector:
                    {label: mul(alpha, el) for label, el in x.entries.items()})
 
 
-def _require_compatible(x: FVector, y: FVector):
-    if x.hyperfield is not y.hyperfield:
-        raise MismatchError("vectors over different hyperfields")
-    if x.ground != y.ground:
-        raise MismatchError("vectors over different ground sets")
-
-
-def vectors_equal(x: FVector, y: FVector) -> bool:
-    _require_compatible(x, y)
-    if set(x.entries) != set(y.entries):
-        return False
-    return all(eq(el, y.entries[label]) for label, el in x.entries.items())
-
-
 def orthogonal(x: FVector, y: FVector) -> bool:
     """Whether 0 lies in the hypersum of x(e) * invol(y(e)) over common
     support: the element-level API, and the oracle of `nonorthogonal_pair`."""
-    _require_compatible(x, y)
+    if x.hyperfield is not y.hyperfield or x.ground != y.ground:
+        raise MismatchError("vectors over different hyperfields or ground sets")
     common = set(x.entries) & set(y.entries)
     if not common:
         return True
@@ -127,15 +114,30 @@ def orthogonal(x: FVector, y: FVector) -> bool:
 
 
 def projectively_equal(x: FVector, y: FVector) -> bool:
-    """Whether x = alpha * y for some nonzero alpha."""
-    _require_compatible(x, y)
-    if set(x.entries) != set(y.entries):
-        return False
-    if not x.entries:
+    """Whether x = alpha * y for some nonzero alpha: proportional tables
+    (`_proportional`), as a signature compares its classes."""
+    if x.hyperfield is not y.hyperfield or x.ground != y.ground:
+        raise MismatchError("vectors over different hyperfields or ground sets")
+    return set(x.entries) == set(y.entries) and _proportional(
+        x.hyperfield, _table(x), _table(y))
+
+
+def _table(x: FVector) -> dict:
+    """{ground position: payload} of the entries, in ground order."""
+    pos = x.ground.index
+    return {pos(label): x.entries[label].value for label in x.ground.sort(x.entries)}
+
+
+def _proportional(hf: Hyperfield, x: dict, y: dict) -> bool:
+    """Whether the tables x and y, over one support in ground order,
+    differ by a unit: alpha = x/y at the least position, then x = alpha y
+    by the family's `equal` at every position."""
+    if not x:
         return True
-    anchor = next(iter(x.ground.sort(x.entries)))
-    alpha = mul(x.entries[anchor], inv(y.entries[anchor]))
-    return vectors_equal(x, scalar_mul(alpha, y))
+    product, equal = hf.product, hf.equal
+    anchor = next(iter(x))
+    alpha = product(x[anchor], hf.inverse(y[anchor]))
+    return all(equal(a, product(alpha, y[i])) for i, a in x.items())
 
 
 def supp_min(vectors: Iterable[FVector]) -> list:

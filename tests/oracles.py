@@ -20,11 +20,14 @@ package's element-level forms of its packed pair loop and mask-based
 cocircuit derivation: one `orthogonal` per pair, and fundamental
 circuits and classes looked up by frozensets of labels.
 `minimal_covectors` is the dual signature by enumerating F^E,
-`same_signature` compares two signatures class by class, and
+`same_signature` compares two signatures class by class, looking classes
+up by support (`class_with_support`), `vectors_equal` two vectors entry
+by entry, and
 `validate_hom` checks the homomorphism rules, asking the fold
 (`fold_sum`) every membership question.  `independent` and
 `fundamental_cocircuit` read a `ClassicalMatroid`'s dependence table and
-dual.
+dual; `matroid_of` builds one from label sets, and `cocircuits` reads its
+dual's circuits.
 `zero_in_phase_sum` is the greedy phase zero test that the package's
 sort-first test falls back on, `zero_in_dot` the pair kernel on a
 position -> payload map, as `zero_in` of the products, and `check_C0_C2` the support axioms by
@@ -265,6 +268,16 @@ def bitset_exchange_witness(phi):
             return {"axiom": "exchange", "B1": b1,
                     "B2": bases[low.bit_length() - 1][0], "x": phi.ground.labels[x]}
     return None
+
+
+def matroid_of(ground, circuits):
+    """The `ClassicalMatroid` of label sets, through their masks."""
+    return ClassicalMatroid(ground, [_mask(ground, c) for c in circuits])
+
+
+def cocircuits(m):
+    """The circuits of the dual, as label sets."""
+    return m.dual().circuits
 
 
 def independent(m, subset):
@@ -510,13 +523,13 @@ def cocircuit_signature_from_circuits(sig):
     pos = sig.ground.index
     full = frozenset(sig.ground.labels)
     vectors = []
-    for cocircuit in sorted(matroid.cocircuits(), key=lambda c: sorted(map(pos, c))):
+    for cocircuit in sorted(cocircuits(matroid), key=lambda c: sorted(map(pos, c))):
         hyperplane_basis = frozenset(greedy(matroid, full - cocircuit))
 
         def circuit_between(e, f):
             basis = hyperplane_basis | {e}
             circ = matroid.fundamental_circuit(basis, f)
-            return sig.class_with_support(circ)
+            return class_with_support(sig, circ)
 
         ordered = sig.ground.sort(cocircuit)
         f0 = ordered[0]
@@ -556,6 +569,23 @@ def zero_in_dot(hf, left, right):
     return hf.zero_in([hf.product(a, right[i]) for i, a in left if i in right])
 
 
+def class_with_support(sig, supp):
+    """The first class of sig whose support is `supp`; InputError if none."""
+    for v in sig.classes:
+        if support(v) == supp:
+            return v
+    raise InputError(f"no representative with support {sorted(supp)}")
+
+
+def vectors_equal(x, y):
+    """Whether two vectors over one hyperfield and ground set have the
+    same support and `eq` entries."""
+    assert x.hyperfield is y.hyperfield and x.ground == y.ground
+    if set(x.entries) != set(y.entries):
+        return False
+    return all(eq(el, y.entries[label]) for label, el in x.entries.items())
+
+
 def same_signature(a, b):
     """Whether two signatures carry the same projective classes."""
     if a.hyperfield is not b.hyperfield or a.ground != b.ground:
@@ -563,7 +593,7 @@ def same_signature(a, b):
     if len(a.classes) != len(b.classes):
         return False
     try:
-        return all(projectively_equal(x, b.class_with_support(support(x)))
+        return all(projectively_equal(x, class_with_support(b, support(x)))
                    for x in a.classes)
     except InputError:
         return False

@@ -260,6 +260,18 @@ def test_missing_file(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_dropped_duplicate_class_is_one_stderr_line(capsys, tmp_path):
+    """`classify` and `dual` on a signature that lists a class twice, the
+    second time times a unit, print their result and exactly one warning
+    line, which names the file and no source line of the package."""
+    from test_golden_cli import DUPLICATE, duplicated
+    path = write(tmp_path, f"sig-{DUPLICATE[0]}-duplicate.json", duplicated())
+    for command in ("classify", "dual"):
+        code, out, err = run(capsys, command, path)
+        assert code in (0, 1) and json.loads(out)
+        assert err == f"warning: {path}: 1 duplicate projective class(es) dropped\n"
+
+
 def test_malformed_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS,
@@ -344,6 +344,51 @@ def test_zero_in_dot_is_zero_in_of_the_products(hf, seed):
     if last is None:
         return
     check_zero_in_dot(hf, left, right, n)
+
+
+def fused_payload(hf, v: int, kind):
+    """A payload from a small int, as `kind` (int or Fraction): tropical
+    v or v/3, sign the parity's unit, Krasner 1; few values, so ties and
+    cancellations are common."""
+    if hf is TROPICAL:
+        return v if kind is int else Fraction(v, 3)
+    return kind(1 if hf is KRASNER or v % 2 else -1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([KRASNER, SIGN, TROPICAL]), st.sampled_from([int, Fraction]),
+       st.dictionaries(st.integers(0, 5), st.integers(1, 3), min_size=1),
+       st.dictionaries(st.integers(0, 5), st.integers(1, 3), min_size=1))
+def test_fused_kernels_on_int_and_fraction_payloads(hf, kind, left, right):
+    """The fused sign, Krasner and tropical kernels on the int payloads
+    the pair loop packs (`gp._integral`) and on `Fraction` payloads."""
+    assume(set(left) & set(right))
+    check_zero_in_dot(hf, [(i, fused_payload(hf, v, kind)) for i, v in sorted(left.items())],
+                      {i: fused_payload(hf, v, kind) for i, v in right.items()}, 6)
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+@pytest.mark.parametrize("hf, left, right, verdict", [
+    # products 6, 6, 2
+    pytest.param(TROPICAL, [(0, 2), (1, 3), (2, 1)], {0: 3, 1: 2, 2: 2}, True,
+                 id="tropical-tie-at-the-top"),
+    # 6 and 2
+    pytest.param(TROPICAL, [(0, 2), (1, 1), (3, 5)], {0: 3, 1: 2}, False,
+                 id="tropical-single-top"),
+    # a zero payload: the only product, so the top, is 0
+    pytest.param(TROPICAL, [(0, 0), (3, 5)], {0: 4}, True, id="tropical-zero-top"),
+    # 1, 1, -1: the third cancels the first two
+    pytest.param(SIGN, [(0, 1), (1, 1), (2, 1)], {0: 1, 1: 1, 2: -1}, True,
+                 id="sign-cancels"),
+    # -1, -1, -1
+    pytest.param(SIGN, [(0, 1), (1, -1), (2, 1)], {0: -1, 1: 1, 2: -1}, False,
+                 id="sign-does-not-cancel"),
+    pytest.param(KRASNER, [(0, 1), (2, 1)], {0: 1, 2: 1}, True, id="krasner-two-terms"),
+    pytest.param(KRASNER, [(0, 1), (2, 1)], {0: 1, 1: 1}, False, id="krasner-one-term"),
+])
+def test_fused_kernels_at_their_boundaries(hf, left, right, verdict, kind):
+    left = [(i, kind(a)) for i, a in left]
+    assert check_zero_in_dot(hf, left, {i: kind(b) for i, b in right.items()}, 4) is verdict
 
 
 # Triangle terms top and rest with top - rest exactly EPS * top: D =

@@ -5,7 +5,9 @@ that the runtime paths call neither element-level orthogonality nor
 label-level fundamental circuits, and that the verdict makes no
 element-level operation at all."""
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           nonorthogonal_pair, orthogonal,
                           orthogonality_verdict, random_weak_gp,
                           run_perfection_experiment, serialize, vectors)
+from hypermatroid.cli import main
 from hypermatroid.corpus import gp_from_matrix
 from hypermatroid.gp import _cocircuit_payloads
 
@@ -122,16 +125,17 @@ def refuse(*args, **kwargs):
     raise AssertionError("an element-level path was called")
 
 
-def test_runtime_paths_take_masks_and_payloads(monkeypatch):
+def test_runtime_paths_take_masks_and_payloads(monkeypatch, tmp_path, capsys):
     """classify, the dual, the dual-pair walk and the perfection sweep
-    run with element-level orthogonality, label-level fundamental
-    circuits and the frozenset class lookup all refusing."""
+    run with element-level orthogonality and label-level fundamental
+    circuits refusing; and `hfm classify` on a signature file builds no
+    HFElement and no FVector up to its verdict, so none on a Strong one:
+    a WeakOnly or InvalidSignature one builds them for its witness."""
     for module in [hypermatroid] + [getattr(hypermatroid, name) for name in (
             "circuits", "experiments", "gp", "transforms", "vectors")]:
         if getattr(module, "orthogonal", None) is vectors.orthogonal:
             monkeypatch.setattr(module, "orthogonal", refuse)
     monkeypatch.setattr(ClassicalMatroid, "fundamental_circuit", refuse)
-    monkeypatch.setattr(CircuitSignature, "class_with_support", refuse)
     rebuilt = 0
     for entry in corpus_entries():
         obj = entry.build()
@@ -146,6 +150,36 @@ def test_runtime_paths_take_masks_and_payloads(monkeypatch):
         assert report["samples"] == 5
     assert classify(circuits_from_gp(
         CORPUS["triangle-weak-not-strong"].build())).verdict == "WeakOnly"
+
+    built, at_verdict = Counter(), []
+    for cls in (HFElement, FVector):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    verdict = hypermatroid.gp.orthogonality_verdict
+
+    def counted_verdict(sig):
+        found = verdict(sig)
+        at_verdict.append(sum(built.values()))
+        return found
+
+    monkeypatch.setattr(hypermatroid.gp, "orthogonality_verdict", counted_verdict)
+    seen = Counter()
+    for entry in corpus_entries():
+        obj = entry.build()
+        path = tmp_path / f"{entry.name}.json"
+        path.write_text(serialize(circuits_from_gp(obj) if entry.kind == "gp" else obj))
+        built.clear()
+        at_verdict.clear()
+        main(["classify", str(path)])
+        got = json.loads(capsys.readouterr().out)["verdict"]
+        assert at_verdict in ([], [0])
+        if got == "Strong":
+            assert not built
+        seen[got, bool(built)] += 1
+    assert set(seen) == {("Strong", False), ("WeakOnly", True),
+                         ("InvalidSignature", True), ("UnderlyingNotMatroid", False)}
 
 
 # -- the unchecked derivation of orthogonality_verdict -------------------------

@@ -28,9 +28,6 @@ SAMPLE = "members of a hypersum, which the tests and oracles read"
 
 # reason per definition that stays although no golden command reaches it
 ALLOWED = {
-    "circuits.CircuitSignature.class_with_support": ONLY_C3_DOUBLEPRIME,
-    "hyperfields.elimination_member": ONLY_C3_DOUBLEPRIME,
-    "hyperfields._with_target": ONLY_C3_DOUBLEPRIME,
     "matroids.ClassicalMatroid.bases": ONLY_C3_DOUBLEPRIME,
     "sumsets.FiniteSet._difference_sample": AXIOMS_WITNESS,
     "sumsets.FiniteSet.describe": AXIOMS_WITNESS,

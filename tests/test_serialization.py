@@ -7,17 +7,20 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
-                          TROPICAL, CircuitSignature, GPFunction,
-                          InputError, corpus_entries, eq, gf,
-                          hyperfield_from_id, parse_text, sample_element,
-                          serialize)
+                          TROPICAL, CircuitSignature, FVector, GPFunction,
+                          InputError, check_C0_C2, circuits_from_gp, classify,
+                          corpus_entries, eq, gf, hyperfield_from_id, mul,
+                          parse_text, projectively_equal, sample_element,
+                          serialize, support)
 from hypermatroid.serialization import (element_from_json, element_to_json,
                                         parse_object)
 
 from oracles import equivalent_gp, same_signature
-from strategies import ALL_KINDS
+from strategies import ALL_KINDS, perturbed, random_weak_signature
 
 
 def test_hyperfield_identifiers_roundtrip():
@@ -162,3 +165,59 @@ def test_serialize_reports():
     text = serialize(result)
     data = json.loads(text)
     assert data["verdict"] == "Strong"
+
+
+def as_drawn(source, rng):
+    """A signature to write out: a random weak one over a hyperfield, or
+    the circuits of a weak-only corpus entry; half the time with one entry
+    changed."""
+    if isinstance(source, str):
+        sig = circuits_from_gp(CORPUS[source].build())
+    else:
+        sig = random_weak_signature(source, rng, max_rank=4, max_ground=7)
+    return perturbed(sig, rng) if rng.random() < 0.5 else sig
+
+
+@pytest.mark.parametrize("source", ALL_KINDS + [gf(5), "triangle-weak-not-strong",
+                                                "phase-weak-not-strong"], ids=str)
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_parsed_signature_matches_the_fvector_constructor(source, seed):
+    """A signature read from JSON, straight into its tables, and the same
+    classes given to the FVector constructor agree: the classes in order
+    (up to a unit, and exactly), the duplicates dropped, the C0-C2
+    witness, and the verdict of `classify` with its witness.  The classes
+    sometimes include one again times a unit and an empty one, and the
+    JSON lists zero-valued entries, in shuffled order."""
+    rng = random.Random(seed)
+    sig = as_drawn(source, rng)
+    hf, ground = sig.hyperfield, sig.ground
+    vectors = list(sig.classes)
+    if rng.random() < 0.6:
+        x, unit = rng.choice(vectors), sample_element(hf, rng, nonzero=True)
+        vectors.insert(rng.randrange(len(vectors) + 1), FVector(hf, ground, {
+            label: mul(unit, el) for label, el in x.entries.items()}))
+    if rng.random() < 0.2:
+        vectors.insert(rng.randrange(len(vectors) + 1), FVector(hf, ground, {}))
+    entries = []
+    for v in vectors:
+        items = list({**{label: hf.zero() for label in ground if rng.random() < 0.3},
+                      **v.entries}.items())
+        rng.shuffle(items)
+        entries.append(dict(items))
+    raw = {"hyperfield": str(hf), "ground_set": list(ground.labels),
+           "circuits": [{"entries": {str(label): element_to_json(el)
+                                     for label, el in items.items()}}
+                        for items in entries]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parsed = parse_object(json.loads(json.dumps(raw)))
+    built = CircuitSignature(hf, ground, [FVector(hf, ground, items) for items in entries])
+    assert parsed.dropped == built.dropped == len(vectors) - len(built.classes)
+    assert len(caught) == (built.dropped > 0)
+    assert len(parsed.classes) == len(built.classes)
+    assert all(support(x) == support(y) and projectively_equal(x, y)
+               for x, y in zip(parsed.classes, built.classes))
+    assert serialize(parsed) == serialize(built)
+    assert serialize(check_C0_C2(parsed)) == serialize(check_C0_C2(built))
+    assert serialize(classify(parsed)) == serialize(classify(built))
