@@ -15,9 +15,9 @@ with its signature, dual pair, minors, push-forwards and two
 signatures with one entry changed, realizable phase, phase[identity]
 and triangle functions of rank 3 and 4 from seeded matrices, GP minors
 whose greedy choices depend on the ground order, the built-in
-hyperfields, the corpus listing, and a signature that lists one class
+hyperfields, the corpus listing, a signature that lists one class
 twice, the second time times a unit (dropped when the file is parsed),
-the exit code and the sha256 of stdout, plus the sha256 of
+and malformed GP functions (exit 2), the exit code and the sha256 of stdout, plus the sha256 of
 every input file the commands read.  The inputs are
 written from the corpus into a temporary directory, and the commands run
 in process.  Regenerate the file (only when an output
@@ -282,6 +282,37 @@ def duplicated() -> CircuitSignature:
                             dedup=False)
 
 
+# GP inputs with one fault each, as changes to the JSON of sign-u24
+# (labels 1-4, rank 2, its six pairs in lex order): a subset out of
+# ground order, of the wrong size, with a label repeated, listed twice
+# or naming an unknown label; a rank out of range; every value zero;
+# and three with two faults, where the first one the parse meets names
+# the error.  `hfm` exits 2 on each; `test_serialization` pins the
+# messages.
+MALFORMED = {
+    "order": lambda raw: raw["values"][2].update(subset=[4, 1]),
+    "size": lambda raw: raw["values"][1].update(subset=[1, 3, 4]),
+    "repeated-label": lambda raw: raw["values"][1].update(subset=[3, 3]),
+    "repeated-subset": lambda raw: raw["values"].append({"subset": [2, 4], "value": -1}),
+    "unknown-label": lambda raw: raw["values"][3].update(subset=[2, 9]),
+    "rank-0": lambda raw: raw.update(rank=0),
+    "rank-5": lambda raw: raw.update(rank=5),
+    "zero": lambda raw: [item.update(value=0) for item in raw["values"]],
+    "order-then-value": lambda raw: (raw["values"][1].update(subset=[3, 1]),
+                                     raw["values"][4].update(value=7)),
+    "rank-and-order": lambda raw: (raw.update(rank=7),
+                                   raw["values"][0].update(subset=[2, 1])),
+    "zero-out-of-order": lambda raw: raw["values"][5].update(subset=[4, 3], value=0),
+}
+
+
+def malformed(case: str) -> dict:
+    """The JSON of sign-u24 with the fault MALFORMED[case]."""
+    raw = json.loads(serialize(CORPUS["sign-u24"].build()))
+    MALFORMED[case](raw)
+    return raw
+
+
 def write_inputs(directory: str) -> dict:
     """Write every input file into `directory`; {file name: sha256}."""
     files = {}
@@ -311,6 +342,8 @@ def write_inputs(directory: str) -> dict:
     for name, obj in {**weak_check_inputs(), **parallel_inputs(),
                       **rank4_inputs(), **seeded_inputs()}.items():
         files[name] = serialize(obj)
+    for case in MALFORMED:
+        files[f"gp-malformed-{case}.json"] = json.dumps(malformed(case))
     for hf in LARGE_SWEEPS:
         files[f"exp-{hf}-7.json"] = json.dumps(
             {"hyperfield": hf, "samples": 10, "max_ground": 7})
@@ -477,7 +510,8 @@ def commands() -> list:
     duplicate = f"sig-{DUPLICATE[0]}-duplicate.json"
     return out + rank4_commands() + MINOR_PINS + \
         [["gp", file] for file in mismatched_pairs()] + \
-        [["demo", "--list"], ["classify", duplicate], ["dual", duplicate]]
+        [["demo", "--list"], ["classify", duplicate], ["dual", duplicate]] + \
+        [["check-gp", "--both", f"gp-malformed-{case}.json"] for case in MALFORMED]
 
 
 # GP minors whose greedy choices depend on the ground order: contracting

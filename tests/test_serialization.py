@@ -16,11 +16,13 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           corpus_entries, eq, gf, hyperfield_from_id, mul,
                           parse_text, projectively_equal, sample_element,
                           serialize, support)
+from hypermatroid.cli import main
 from hypermatroid.serialization import (element_from_json, element_to_json,
                                         parse_object)
 
 from oracles import equivalent_gp, same_signature
 from strategies import ALL_KINDS, perturbed, random_weak_signature
+from test_golden_cli import MALFORMED, malformed
 
 
 def test_hyperfield_identifiers_roundtrip():
@@ -221,3 +223,30 @@ def test_parsed_signature_matches_the_fvector_constructor(source, seed):
     assert serialize(parsed) == serialize(built)
     assert serialize(check_C0_C2(parsed)) == serialize(check_C0_C2(built))
     assert serialize(classify(parsed)) == serialize(classify(built))
+
+
+# what `hfm` prints on stderr after "error: <file>" for each input of
+# `test_golden_cli.MALFORMED`
+MALFORMED_MESSAGES = {
+    "order": ": subset (4, 1) is not in ground order",
+    "size": ": subset (1, 3, 4) is not an 2-set",
+    "repeated-label": ": subset (3, 3) is not an 2-set",
+    "repeated-subset": ".values[6].subset: duplicate subset [2, 4]",
+    "unknown-label": ".values[3].subset: not a list of ground labels",
+    "rank-0": ": rank 0 out of range for |E| = 4",
+    "rank-5": ": rank 5 out of range for |E| = 4",
+    "zero": ": identically zero (GP1 fails)",
+    "order-then-value": ".values[4].value: sign payload must be -1, 0 or 1, got 7",
+    "rank-and-order": ": rank 7 out of range for |E| = 4",
+    "zero-out-of-order": ": subset (4, 3) is not in ground order",
+}
+
+
+def test_malformed_gp_inputs_exit_2_with_their_message(tmp_path, capsys):
+    assert set(MALFORMED_MESSAGES) == set(MALFORMED)
+    for case, message in MALFORMED_MESSAGES.items():
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(malformed(case)))
+        assert main(["check-gp", "--both", str(path)]) == 2, case
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {path}{message}\n"), case
