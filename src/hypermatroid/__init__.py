@@ -14,7 +14,6 @@ from .hyperfields import (  # noqa: F401
     fold_sum,
     gf,
     inv,
-    invol,
     mul,
     neg,
     sample_element,
@@ -37,7 +36,6 @@ from .vectors import (  # noqa: F401
     projectively_equal,
     scalar_mul,
     support,
-    supp_min,
 )
 
 from .matroids import ClassicalMatroid, validate_circuits  # noqa: F401

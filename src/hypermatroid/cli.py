@@ -159,8 +159,11 @@ def _cmd_check_circuits(args) -> int:
     witness = check_C0_C2(sig)
     out["supports"] = {"ok": witness is None, "witness": witness}
     if witness is None:
-        violation = validate_circuits(sig.ground, sig.supports())
-        witness = None if violation is None else violation.as_json()
+        try:
+            sig.underlying_matroid()
+        except InputError:
+            # name the violation; a ground set above the cap raises again
+            witness = validate_circuits(sig.ground, sig.supports()).as_json()
         out["underlying_matroid"] = {"ok": witness is None, "witness": witness}
     if witness is None:
         verdict = orthogonality_verdict(sig)

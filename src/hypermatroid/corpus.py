@@ -18,8 +18,7 @@ from typing import Callable, List, Tuple
 from .circuits import CircuitSignature
 from .errors import InputError
 from .gp import GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp, classify
-from .hyperfields import (KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE, HFElement,
-                          Hyperfield, gf)
+from .hyperfields import KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE, Hyperfield, gf
 from .vectors import FVector, GroundSet
 from .transforms import (pushforward_gp, rational_padic, rational_sign,
                          to_krasner)
@@ -64,9 +63,9 @@ def gp_from_matrix(hf: Hyperfield, labels: Tuple, columns) -> GPFunction:
     values = {}
     for picks in combinations(range(len(labels)), rank):
         d = _minor_det(columns, picks)
-        if d != 0:
-            values[tuple(labels[i] for i in picks)] = hf.from_rational(d)
-    return GPFunction(hf, GroundSet(labels), rank, values)
+        if d != 0 and (a := hf.from_rational(d).value) != hf.zero_payload:
+            values[sum(1 << i for i in picks)] = a
+    return GPFunction._from_table(hf, GroundSet(labels), rank, values)
 
 
 # U(2,4): four points on a line in general position.
@@ -264,8 +263,7 @@ def weak_only_function(hf: Hyperfield) -> GPFunction:
     with its payloads over hf itself: the relations do not involve the
     involution, so the phase entry is weak-only over phase[identity] too."""
     phi = CORPUS[hf.weak_only_example].build()
-    return GPFunction(hf, phi.ground, phi.rank, {
-        key: HFElement(hf, value.value) for key, value in phi.values.items()})
+    return GPFunction._from_table(hf, phi.ground, phi.rank, phi._table)
 
 
 def _expectation(check: str, expected, got, detail=None) -> dict:

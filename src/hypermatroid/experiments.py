@@ -48,6 +48,7 @@ from .errors import InputError
 from .gp import (GPFunction, _dual_pair, _first_nonorthogonal, _pack, _witness,
                  check_gp_weak, three_term_pairs)
 from .hyperfields import Hyperfield, sample_element
+from .matroids import _labels
 from .vectors import FVector, GroundSet, _table
 
 _REJECTION_TRIES = 20000
@@ -68,15 +69,15 @@ def _matrix_seeded(hf: Hyperfield, rng: random.Random, rank: int,
 
 
 def _mutate(phi: GPFunction, rng: random.Random, rounds: int) -> GPFunction:
-    """Random single-value rewrites, each kept only if still weak-valid."""
-    current = phi
-    keys = sorted(current.values)
+    """Random single-value rewrites, each kept only if still weak-valid;
+    the value rewritten is drawn in the order of the sorted label tuples."""
+    current, hf, ground = phi, phi.hyperfield, phi.ground
+    keys = sorted(phi._table, key=lambda mask: _labels(ground, mask))
     for _ in range(rounds):
         key = keys[rng.randrange(len(keys))]
-        values = dict(current.values)
-        values[key] = current.hyperfield.random_unit(rng)
-        candidate = GPFunction(current.hyperfield, current.ground,
-                               current.rank, values)
+        table = dict(current._table)
+        table[key] = hf.random_unit(rng).value
+        candidate = GPFunction._from_table(hf, ground, current.rank, table)
         if check_gp_weak(candidate) is None:
             current = candidate
     return current
@@ -95,9 +96,9 @@ def random_weak_gp(hf: Hyperfield, rng: random.Random, max_rank: int = 3,
     if hf.perturbable and pairs <= 24:
         ground = GroundSet(labels)
         for _ in range(_REJECTION_TRIES):
-            values = {key: hf.random_unit(rng)
-                      for key in combinations(labels, rank)}
-            phi = GPFunction(hf, ground, rank, values)
+            values = {sum(1 << i for i in key): hf.random_unit(rng).value
+                      for key in combinations(range(m), rank)}
+            phi = GPFunction._from_table(hf, ground, rank, values)
             if check_gp_weak(phi) is None:
                 return phi
     for _ in range(200):

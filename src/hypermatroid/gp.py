@@ -40,11 +40,14 @@ which forms the products x(e) invol(y(e)), one row lookup per circuit
 entry, and decides "0 in their sum" at once.  The cocircuit derivation
 and the dual-pair walk take bases and fundamental circuits as masks.
 
-Elements are still built for a function's values (parsed as elements),
-a relation's terms in a witness (`relation_terms`), the circuits of a
-function (`circuits_from_gp`), a rebuilt function (`gp_from_dual_pair`)
-and a signature's classes in a witness (`CircuitSignature.classes`):
-`classify` builds none on a Strong signature.
+A function keeps one {basis mask: payload} table of its nonzero values
+(`GPFunction`), which the JSON parser builds through the family's
+`decode` and `serialization.gp_to_json` writes; the circuits of a
+function (`circuits_from_gp`) and a rebuilt function
+(`gp_from_dual_pair`) are tables too.  Elements are built only for a
+relation's terms in a witness (`relation_terms`), a signature's classes
+in a witness (`CircuitSignature.classes`) and the public element views
+(`GPFunction.values`).
 
 The cocircuits are derived on payloads (`_cocircuit_payloads`): each
 W(e) is a ratio of the circuit X inside H + e + f0, H a basis of the
@@ -72,8 +75,8 @@ from .circuits import (CircuitSignature, check_C0_C2, check_strong_elimination,
 from .errors import (ConsistencyError, InputError, InvalidDualPairError,
                      MismatchError, RatioInconsistencyError)
 from .hyperfields import HFElement, Hyperfield, mul, signed
-from .matroids import ClassicalMatroid, _labels, _mask, validate_circuits
-from .vectors import FVector, GroundSet
+from .matroids import ClassicalMatroid, _labels, validate_circuits
+from .vectors import GroundSet
 
 
 def _perm_parity(values: Sequence[int]) -> int:
@@ -91,39 +94,49 @@ _UNCHECKED = object()
 
 
 class GPFunction:
-    """An alternating function from r-tuples of ground labels to F."""
+    """An alternating function from r-tuples of ground labels to F.
+
+    Its state is one table, {basis mask: payload} of the nonzero values
+    on position-sorted r-subsets (`_table`), built directly by
+    `serialization.gp_from_json` and the derivations (`_from_table`), or
+    read off elements by the constructor.  The elements (`values`, keyed
+    by label tuples in ground order) are a view built on first use, for
+    the public API, or kept from the constructor's input."""
 
     def __init__(self, hyperfield: Hyperfield, ground: GroundSet, rank: int,
                  values: Dict[tuple, HFElement]):
-        if rank < 1 or rank > len(ground):
-            raise InputError(f"rank {rank} out of range for |E| = {len(ground)}")
-        self.hyperfield = hyperfield
-        self.ground = ground
-        self.rank = rank
-        stored: Dict[tuple, HFElement] = {}
-        for key, value in values.items():
-            key = tuple(key)
-            if len(key) != rank or len(set(key)) != rank:
-                raise InputError(f"subset {key} is not an {rank}-set")
-            if ground.sort(key) != key:
-                raise InputError(f"subset {key} is not in ground order")
-            if value.hyperfield is not hyperfield:
-                raise InputError("value over the wrong hyperfield")
-            if not value.is_zero:
-                stored[key] = value
-        if not stored:
+        if any(value.hyperfield is not hyperfield for value in values.values()):
+            raise InputError("value over the wrong hyperfield")
+        self._keep(hyperfield, ground, rank, _subset_table(
+            hyperfield, ground, rank, {tuple(k): v.value for k, v in values.items()}))
+        self._values = {tuple(k): v for k, v in values.items() if not v.is_zero}
+
+    @classmethod
+    def _from_table(cls, hyperfield: Hyperfield, ground: GroundSet, rank: int,
+                    table: dict) -> "GPFunction":
+        """The function of a {basis mask: nonzero payload} table."""
+        phi = cls.__new__(cls)
+        phi._keep(hyperfield, ground, rank, table)
+        return phi
+
+    def _keep(self, hyperfield: Hyperfield, ground: GroundSet, rank: int,
+              table: dict) -> None:
+        if not table:
             raise InputError("identically zero (GP1 fails)")
-        self.values = stored
+        self.hyperfield, self.ground, self.rank = hyperfield, ground, rank
+        self._table = table
+        self._values: Optional[Dict[tuple, HFElement]] = None
         self._bitsets: Optional[tuple] = None
         self._weak: object = _UNCHECKED
         self._pairs: Optional[tuple] = None
 
-    def value(self, subset: Iterable) -> HFElement:
-        """The stored value on an unordered r-set of distinct labels."""
-        key = self.ground.sort(subset)
-        if len(key) != self.rank:
-            raise InputError(f"expected {self.rank} distinct labels, got {key}")
-        return self.values.get(key, self.hyperfield.zero())
+    @property
+    def values(self) -> Dict[tuple, HFElement]:
+        if self._values is None:
+            hf, ground = self.hyperfield, self.ground
+            self._values = {_labels(ground, m): HFElement(hf, a)
+                            for m, a in self._table.items()}
+        return self._values
 
     def evaluate(self, labels: Sequence) -> HFElement:
         """Alternating evaluation on an arbitrary tuple."""
@@ -133,15 +146,38 @@ class GPFunction:
         if len(set(labels)) != len(labels):
             return self.hyperfield.zero()
         positions = [self.ground.index(x) for x in labels]
-        key = tuple(self.ground.labels[i] for i in sorted(positions))
-        value = self.values.get(key)
+        value = self._table.get(sum(1 << i for i in positions))
         if value is None:
             return self.hyperfield.zero()
-        return signed(value, _perm_parity(positions))
+        return signed(HFElement(self.hyperfield, value), _perm_parity(positions))
 
     def __repr__(self) -> str:
         return (f"GPFunction({self.hyperfield}, |E|={len(self.ground)}, "
-                f"rank={self.rank}, support={len(self.values)})")
+                f"rank={self.rank}, support={len(self._table)})")
+
+
+def _subset_table(hf: Hyperfield, ground: GroundSet, rank: int, values: dict) -> dict:
+    """{basis mask: payload} of {label tuple: payload}, zeros left out;
+    InputError on a rank out of range, then on the first key that is not
+    an r-set of labels in ground order."""
+    if rank < 1 or rank > len(ground):
+        raise InputError(f"rank {rank} out of range for |E| = {len(ground)}")
+    index, zero, table = ground.index, hf.zero_payload, {}
+    for key, a in values.items():
+        if len(key) != rank or len(set(key)) != rank:
+            raise InputError(f"subset {key} is not an {rank}-set")
+        positions = [index(x) for x in key]
+        if positions != sorted(positions):
+            raise InputError(f"subset {key} is not in ground order")
+        if a != zero:
+            table[sum(1 << i for i in positions)] = a
+    return table
+
+
+def _crossings(x: int, y: int) -> int:
+    """The parity of the pairs i in x, j in y with i > j, for disjoint
+    masks: that of the shuffle putting x followed by y in ground order."""
+    return sum((x >> j).bit_count() for j in _positions(y)) % 2
 
 
 # -- relations ---------------------------------------------------------------
@@ -153,8 +189,7 @@ def _support(phi: GPFunction) -> tuple:
     k holds e, and `_first_exchange_failure`.  A set lies inside a basis
     when the AND of its holders is nonzero."""
     if phi._bitsets is None:
-        masks = sorted((_mask(phi.ground, key) for key in phi.values),
-                       key=_positions)
+        masks = sorted(phi._table, key=_positions)
         holders = [sum(1 << k for k, mask in enumerate(masks) if mask >> e & 1)
                    for e in range(len(phi.ground))]
         phi._bitsets = (masks, holders,
@@ -241,11 +276,6 @@ def _integral(table: dict) -> dict:
     return table
 
 
-def _payloads(phi: GPFunction) -> dict:
-    """{position mask: payload} of the stored values."""
-    return {_mask(phi.ground, k): v.value for k, v in phi.values.items()}
-
-
 def _failing_class(S: tuple, rest: list, pair: list, hf: Hyperfield) -> Optional[tuple]:
     """(I, J) of the first failing a < b < c < d in `rest`, or None, given
     pair[x][y] = phi(S + rest[x] + rest[y]) as a payload, None for zero."""
@@ -284,7 +314,7 @@ def failing_three_term(phi: GPFunction) -> Optional[dict]:
     n, r = len(phi.ground), phi.rank
     if r < 2:
         return None
-    table, best = _integral(_payloads(phi)), None
+    table, best = _integral(phi._table), None
     for S in combinations(range(n), r - 2):
         s = sum(1 << i for i in S)
         rest = [x for x in range(n) if not s >> x & 1]
@@ -345,7 +375,7 @@ def _dual_pair(phi: GPFunction) -> tuple:
     with no involution.  For a weak function they are its dual pair up to
     units (Baker-Bowler), so each mask keeps its first I or J."""
     if phi._pairs is None:
-        table, negative = _integral(_payloads(phi)), phi.hyperfield.negative
+        table, negative = _integral(phi._table), phi.hyperfield.negative
         negated = {m: negative(x) for m, x in table.items()}
         positions = range(len(phi.ground))
         circuits = {}
@@ -388,15 +418,14 @@ def circuits_from_gp(phi: GPFunction) -> CircuitSignature:
     (`_matroid_support`).
     """
     _matroid_support(phi)
-    hf, labels = phi.hyperfield, phi.ground.labels
-    product, negative, one = hf.product, hf.negative, hf.one()
-    table = _payloads(phi)
-    vectors = []
+    hf, table = phi.hyperfield, phi._table
+    product, negative, one = hf.product, hf.negative, hf.one().value
+    tables = []
     for I, circuit, _ in sorted(_dual_pair(phi)[0], key=lambda c: _positions(c[1])):
         x0 = (circuit & -circuit).bit_length() - 1
         basis = sum(1 << i for i in I) ^ 1 << x0
         denom = hf.inverse(table[basis])
-        entries = {labels[x0]: one}
+        entries = {x0: one}
         for i, xi in enumerate(_positions(basis), start=1):
             if circuit >> xi & 1:
                 rest = basis ^ 1 << xi
@@ -404,17 +433,22 @@ def circuits_from_gp(phi: GPFunction) -> CircuitSignature:
                 if (rest & ((1 << x0) - 1)).bit_count() % 2:
                     value = negative(value)
                 value = product(value, denom)
-                entries[labels[xi]] = HFElement(hf, negative(value) if i % 2 else value)
-        vectors.append(FVector(hf, phi.ground, entries))
-    return CircuitSignature(hf, phi.ground, vectors)
+                entries[xi] = negative(value) if i % 2 else value
+        tables.append(entries)
+    return CircuitSignature._from_tables(hf, phi.ground, tables)
 
 
 # -- orthogonality and cocircuits, on support masks and payloads -------------
 
 
 def _positions(mask: int) -> list:
-    """The ground positions of a mask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The ground positions of a mask, ascending, one lowest bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _pack(items: Iterable[tuple], hf: Hyperfield, size: int = 0) -> list:
@@ -564,7 +598,7 @@ def cocircuit_signature_from_circuits(sig: CircuitSignature) -> CircuitSignature
 
 
 def _signature_of(sig: CircuitSignature, matroid: ClassicalMatroid) -> bool:
-    return check_C0_C2(sig) is None and frozenset(sig.supports()) == matroid.circuits
+    return check_C0_C2(sig) is None and set(sig._masks) == set(matroid._masks)
 
 
 def dual_pair_witness(C: CircuitSignature,
@@ -607,15 +641,16 @@ def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature) -> GPFunction:
     problem = dual_pair_witness(C, D)
     if problem is not None:
         raise InvalidDualPairError(str(problem))
-    hf, ground, labels = C.hyperfield, C.ground, C.ground.labels
+    hf, n = C.hyperfield, len(C.ground)
+    product, negative, inverse = hf.product, hf.negative, hf.inverse
     matroid, tables, first = C.underlying_matroid(), C._payloads, C._first_with_support
-    root = matroid._greedy((1 << len(labels)) - 1)
-    values: Dict[int, HFElement] = {root: hf.one()}
+    root = matroid._greedy((1 << n) - 1)
+    values = {root: hf.one().value}
     queue = deque([root])
     while queue:
         basis = queue.popleft()
         current = values[basis]
-        for e in range(len(labels)):
+        for e in range(n):
             if basis >> e & 1:
                 continue
             circ = matroid._fundamental_mask(basis, 1 << e)
@@ -623,14 +658,13 @@ def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature) -> GPFunction:
             for f in _positions(circ ^ 1 << e):
                 new_basis = basis ^ 1 << f | 1 << e
                 if new_basis not in values:
-                    ratio = HFElement(hf, hf.negative(hf.product(x[f], hf.inverse(x[e]))))
-                    values[new_basis] = signed(
-                        mul(ratio, current),
-                        (basis & ((1 << f) - 1)).bit_count()
-                        + (new_basis & ((1 << e) - 1)).bit_count())
+                    value = product(negative(product(x[f], inverse(x[e]))), current)
+                    if ((basis & ((1 << f) - 1)).bit_count()
+                            + (new_basis & ((1 << e) - 1)).bit_count()) % 2:
+                        value = negative(value)
+                    values[new_basis] = value
                     queue.append(new_basis)
-    return GPFunction(hf, ground, matroid.rank(),
-                      {_labels(ground, b): v for b, v in values.items()})
+    return GPFunction._from_table(hf, C.ground, root.bit_count(), values)
 
 
 # -- classification ----------------------------------------------------------

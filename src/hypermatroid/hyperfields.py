@@ -644,14 +644,6 @@ def inv(a: HFElement) -> HFElement:
     return HFElement(a.hyperfield, a.hyperfield.inverse(a.value))
 
 
-def invol(a: HFElement) -> HFElement:
-    """The involution used in inner products (conjugation on phase)."""
-    if a.is_zero:
-        return a
-    value = a.hyperfield.conjugate(a.value)
-    return a if value is a.value else HFElement(a.hyperfield, value)
-
-
 def signed(a: HFElement, parity: int) -> HFElement:
     """(-1)**parity times a."""
     return neg(a) if parity % 2 else a

@@ -12,9 +12,10 @@ Schemas; `parse_object` reads the three top-level ones, by shape:
   dual pair    {"circuits": signature, "cocircuits": signature}
 
 A signature is read into, and written from, its classes' tables of
-payloads (`CircuitSignature._payloads`, through each family's `encode`
-and `decode`); elements are built for a GP function's values, for the
-classes of a witness, and by `element_from_json`.
+payloads (`CircuitSignature._payloads`), and a GP function its table of
+values by basis mask (`GPFunction._table`), both through each family's
+`encode` and `decode`; elements are built only for the classes of a
+witness.
 
 Output is canonical: subsets and supports in ground order, entry maps in
 ground order, two-space indentation.  Parsing is tolerant about scalar
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 from .circuits import CircuitSignature
 from .errors import InputError
-from .gp import Classification, GPFunction
+from .gp import Classification, GPFunction, _positions, _subset_table
 from .hyperfields import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
                           TRIANGLE, TROPICAL, HFElement, Hyperfield, gf)
 from .vectors import FVector, GroundSet, _table
@@ -73,10 +74,6 @@ def element_to_json(el: HFElement):
     zero, {"angle": radians} otherwise.  Rationals: "p/q" (or "p").
     """
     return el.hyperfield.encode(el.value)
-
-
-def element_from_json(hf: Hyperfield, raw, where: str) -> HFElement:
-    return HFElement(hf, _payload_from_json(hf, raw, where))
 
 
 def _payload_from_json(hf: Hyperfield, raw, where: str):
@@ -177,14 +174,13 @@ def signature_from_json(raw, where: str = "signature") -> CircuitSignature:
 
 
 def gp_to_json(phi: GPFunction) -> dict:
-    pos = phi.ground.index
-    keys = sorted(phi.values, key=lambda k: tuple(map(pos, k)))
+    labels, encode, table = phi.ground.labels, phi.hyperfield.encode, phi._table
     return {
         "hyperfield": hyperfield_to_id(phi.hyperfield),
-        "ground_set": list(phi.ground.labels),
+        "ground_set": list(labels),
         "rank": phi.rank,
-        "values": [{"subset": list(k), "value": element_to_json(phi.values[k])}
-                   for k in keys],
+        "values": [{"subset": [labels[i] for i in positions], "value": encode(table[mask])}
+                   for positions, mask in sorted((_positions(m), m) for m in table)],
     }
 
 
@@ -212,9 +208,10 @@ def gp_from_json(raw, where: str = "gp") -> GPFunction:
         key = tuple(subset)
         if key in values:
             raise InputError(f"{spot}.subset: duplicate subset {subset}")
-        values[key] = element_from_json(hf, item["value"], f"{spot}.value")
+        values[key] = _payload_from_json(hf, item["value"], f"{spot}.value")
     try:
-        return GPFunction(hf, ground, rank, values)
+        table = _subset_table(hf, ground, rank, values)
+        return GPFunction._from_table(hf, ground, rank, table)
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from None
 

@@ -18,10 +18,10 @@ from typing import Callable, Iterable
 
 from .circuits import CircuitSignature
 from .errors import InputError, MismatchError
-from .gp import GPFunction, _matroid_support, _perm_parity
+from .gp import GPFunction, _crossings, _matroid_support
 from .hyperfields import (KRASNER, RATIONALS, SIGN, TROPICAL, HFElement,
-                          Hyperfield, _is_prime, _padic_abs, invol, signed)
-from .vectors import FVector, GroundSet, supp_min, support
+                          Hyperfield, _is_prime, _padic_abs)
+from .vectors import GroundSet
 
 
 # -- duality -------------------------------------------------------------
@@ -39,17 +39,15 @@ def dual_gp(phi: GPFunction) -> GPFunction:
     s = m - phi.rank
     if s == 0:
         raise InputError("the dual would have rank 0 (full-rank function)")
-    labels = phi.ground.labels
-    pos = phi.ground.index
+    hf, full, table = phi.hyperfield, (1 << m) - 1, phi._table
     values = {}
-    for key in combinations(labels, s):
-        comp = tuple(label for label in labels if label not in key)
-        val = phi.value(comp)
-        if val.is_zero:
-            continue
-        parity = _perm_parity([pos(x) for x in key + comp])
-        values[key] = signed(invol(val), parity)
-    return GPFunction(phi.hyperfield, phi.ground, s, values)
+    for key in combinations(range(m), s):
+        mask = sum(1 << i for i in key)
+        value = table.get(full ^ mask)
+        if value is not None:
+            value = hf.conjugate(value)
+            values[mask] = hf.negative(value) if _crossings(mask, full ^ mask) else value
+    return GPFunction._from_table(hf, phi.ground, s, values)
 
 
 # -- minors --------------------------------------------------------------
@@ -89,25 +87,29 @@ def minor_gp(phi: GPFunction, deleted: Iterable = (),
     labels, pos = phi.ground.labels, phi.ground.index
 
     def greedy(allowed: frozenset, running: int = -1) -> tuple:
-        picked = ()
-        for label, bits in zip(labels, holders):
+        picked = 0
+        for i, (label, bits) in enumerate(zip(labels, holders)):
             if label in allowed and running & bits:
-                picked, running = picked + (label,), running & bits
+                picked, running = picked | 1 << i, running & bits
         return picked, running
 
     base, running = greedy(frozenset(labels) - A)
     pinned, _ = greedy(A, running)
     tail, _ = greedy(B)
-    rank = len(base) - len(tail)
+    rank = base.bit_count() - tail.bit_count()
     if rank == 0:
         raise InputError("the minor has rank 0 (only loops remain, or the "
                          "contracted set spans)")
+    hf, table, kept = phi.hyperfield, phi._table, [pos(label) for label in keep]
     values = {}
-    for key in combinations(keep, rank):
-        value = phi.evaluate(phi.ground.sort(key + tail) + pinned)
-        if not value.is_zero:
-            values[key] = signed(value, _perm_parity([pos(x) for x in key + tail]))
-    return GPFunction(phi.hyperfield, GroundSet(keep), rank, values)
+    for key in combinations(range(len(keep)), rank):
+        mask = sum(1 << kept[i] for i in key)
+        value = table.get(mask | tail | pinned)
+        if value is not None:
+            for parity in (_crossings(mask | tail, pinned), _crossings(mask, tail)):
+                value = hf.negative(value) if parity else value
+            values[sum(1 << i for i in key)] = value
+    return GPFunction._from_table(hf, GroundSet(keep), rank, values)
 
 
 def minor_circuits(sig: CircuitSignature, deleted: Iterable = (),
@@ -119,11 +121,15 @@ def minor_circuits(sig: CircuitSignature, deleted: Iterable = (),
     minimal support.
     """
     A, _, keep = _kept(sig.ground, deleted, contracted)
-    ground = GroundSet(keep)
-    survivors = [v.restrict(keep, ground) for v in sig.classes
-                 if not (support(v) & A)]
-    return CircuitSignature(sig.hyperfield, ground, supp_min(survivors),
-                            dedup=True)
+    at = {sig.ground.index(label): i for i, label in enumerate(keep)}
+    avoid = sum(1 << sig.ground.index(label) for label in A)
+    survivors = [{at[i]: a for i, a in table.items() if i in at}
+                 for mask, table in zip(sig._masks, sig._payloads) if not mask & avoid]
+    masks = [sum(1 << i for i in table) for table in survivors]
+    return CircuitSignature._from_tables(sig.hyperfield, GroundSet(keep), [
+        table for table, mask in zip(survivors, masks)
+        if mask and not any(other and other != mask and other | mask == mask
+                            for other in masks)])
 
 
 # -- hyperfield homomorphisms ---------------------------------------------
@@ -132,19 +138,23 @@ def minor_circuits(sig: CircuitSignature, deleted: Iterable = (),
 @dataclass(frozen=True)
 class HyperfieldHom:
     """A map of hyperfields: 0 to 0, 1 to 1, multiplicative, and carrying
-    hypersums into hypersums.  The tests check those rules
-    (`tests/oracles.py`, `validate_hom`)."""
+    hypersums into hypersums.  `rule` maps the payload of a unit of the
+    source to that of its image, a unit; called on an element, the hom
+    also maps 0 to 0.  The tests check the rules (`tests/oracles.py`,
+    `validate_hom`)."""
 
     name: str
     source: Hyperfield
     target: Hyperfield
-    rule: Callable[[HFElement], HFElement]
+    rule: Callable[[object], object]
 
     def __call__(self, el: HFElement) -> HFElement:
         if el.hyperfield is not self.source:
             raise MismatchError(
                 f"{self.name} expects elements of {self.source}, got {el.hyperfield}")
-        return self.rule(el)
+        if el.is_zero:
+            return self.target.zero()
+        return HFElement(self.target, self.rule(el.value))
 
     def __repr__(self) -> str:
         return f"HyperfieldHom({self.name}: {self.source} -> {self.target})"
@@ -154,19 +164,12 @@ def to_krasner(source: Hyperfield) -> HyperfieldHom:
     """x -> 0 if x = 0 else 1.  Defined for every hyperfield; on
     signatures and alternating functions it extracts the underlying
     matroid."""
-    return HyperfieldHom(f"{source}-to-krasner", source, KRASNER,
-                         lambda el: KRASNER.zero() if el.is_zero
-                         else KRASNER.one())
+    return HyperfieldHom(f"{source}-to-krasner", source, KRASNER, lambda a: 1)
 
 
 def rational_sign() -> HyperfieldHom:
     """The sign of a rational number."""
-    def rule(el: HFElement) -> HFElement:
-        if el.is_zero:
-            return SIGN.zero()
-        return SIGN.element(1 if el.value > 0 else -1)
-
-    return HyperfieldHom("sign", RATIONALS, SIGN, rule)
+    return HyperfieldHom("sign", RATIONALS, SIGN, lambda a: 1 if a > 0 else -1)
 
 
 def rational_padic(p: int) -> HyperfieldHom:
@@ -175,13 +178,7 @@ def rational_padic(p: int) -> HyperfieldHom:
     p**(-k) where p**k exactly divides x."""
     if not _is_prime(p):
         raise InputError(f"{p} is not prime")
-
-    def rule(el: HFElement) -> HFElement:
-        if el.is_zero:
-            return TROPICAL.zero()
-        return TROPICAL.element(_padic_abs(el.value, p))
-
-    return HyperfieldHom(f"padic-{p}", RATIONALS, TROPICAL, rule)
+    return HyperfieldHom(f"padic-{p}", RATIONALS, TROPICAL, lambda a: _padic_abs(a, p))
 
 
 # -- push-forwards ---------------------------------------------------------
@@ -193,10 +190,9 @@ def pushforward_circuits(hom: HyperfieldHom,
     become projectively equal merge."""
     if sig.hyperfield is not hom.source:
         raise MismatchError(f"{hom.name} does not apply to {sig.hyperfield}")
-    vectors = [FVector(hom.target, sig.ground,
-                       {label: hom(el) for label, el in v.entries.items()})
-               for v in sig.classes]
-    return CircuitSignature(hom.target, sig.ground, vectors, dedup=True)
+    rule = hom.rule
+    return CircuitSignature._from_tables(hom.target, sig.ground, [
+        {i: rule(a) for i, a in table.items()} for table in sig._payloads])
 
 
 def pushforward_gp(hom: HyperfieldHom, phi: GPFunction) -> GPFunction:
@@ -204,5 +200,6 @@ def pushforward_gp(hom: HyperfieldHom, phi: GPFunction) -> GPFunction:
     support, hence the underlying matroid, is unchanged."""
     if phi.hyperfield is not hom.source:
         raise MismatchError(f"{hom.name} does not apply to {phi.hyperfield}")
-    return GPFunction(hom.target, phi.ground, phi.rank,
-                      {key: hom(val) for key, val in phi.values.items()})
+    rule = hom.rule
+    return GPFunction._from_table(hom.target, phi.ground, phi.rank,
+                                  {m: rule(a) for m, a in phi._table.items()})

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from .errors import MismatchError
-from .hyperfields import HFElement, Hyperfield, invol, mul, zero_in_sum
+from .hyperfields import HFElement, Hyperfield, mul
 
 
 class GroundSet:
@@ -70,21 +70,10 @@ class FVector:
         self.ground.index(label)
         return self.entries.get(label, self.hyperfield.zero())
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{label}:{el.value}" for label, el in
                           sorted(self.entries.items(), key=lambda kv: self.ground.index(kv[0])))
         return f"FVector({inner})"
-
-    def restrict(self, keep: Iterable, ground: Optional[GroundSet] = None) -> "FVector":
-        keep = set(keep)
-        new_ground = ground if ground is not None else GroundSet(
-            label for label in self.ground if label in keep)
-        return FVector(self.hyperfield, new_ground,
-                       {label: el for label, el in self.entries.items() if label in keep})
 
 
 def support(x: FVector) -> frozenset:
@@ -105,12 +94,10 @@ def orthogonal(x: FVector, y: FVector) -> bool:
     support: the element-level API, and the oracle of `nonorthogonal_pair`."""
     if x.hyperfield is not y.hyperfield or x.ground != y.ground:
         raise MismatchError("vectors over different hyperfields or ground sets")
-    common = set(x.entries) & set(y.entries)
-    if not common:
-        return True
-    terms = [mul(x.entries[label], invol(y.entries[label]))
-             for label in x.ground.sort(common)]
-    return zero_in_sum(terms)
+    hf, common = x.hyperfield, set(x.entries) & set(y.entries)
+    return not common or hf.zero_in([
+        hf.product(x.entries[label].value, hf.conjugate(y.entries[label].value))
+        for label in x.ground.sort(common)])
 
 
 def projectively_equal(x: FVector, y: FVector) -> bool:
@@ -139,12 +126,3 @@ def _proportional(hf: Hyperfield, x: dict, y: dict) -> bool:
     alpha = product(x[anchor], hf.inverse(y[anchor]))
     return all(equal(a, product(alpha, y[i])) for i, a in x.items())
 
-
-def supp_min(vectors: Iterable[FVector]) -> list:
-    """The members whose support is minimal among the nonzero supports."""
-    items = [(v, support(v)) for v in vectors if not v.is_zero]
-    out = []
-    for v, s in items:
-        if not any(other < s for _, other in items):
-            out.append(v)
-    return out

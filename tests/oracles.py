@@ -51,12 +51,13 @@ from hypermatroid import (CircuitSignature, ClassicalMatroid, Classification,
                           FVector, GPFunction, GroundSet, HFElement,
                           HyperfieldHom, InputError, RatioInconsistencyError,
                           check_C3_doubleprime, check_strong_elimination,
-                          check_weak_elimination, eq, fold_sum, inv, invol,
+                          check_weak_elimination, eq, fold_sum, inv,
                           mul, neg, orthogonal, projectively_equal,
-                          relation_terms, sample_element, signed, supp_min,
+                          relation_terms, sample_element, signed,
                           support, validate_circuits, zero_in_sum)
 from hypermatroid.hyperfields import _phase_distinct, _phase_max_gap
 from hypermatroid.matroids import _mask
+from hypermatroid.serialization import _payload_from_json
 from hypermatroid.sumsets import EPS
 
 
@@ -413,7 +414,7 @@ def circuit_by_every_basis(phi, circuit):
     x0 = min(circuit, key=phi.ground.index)
     hf = phi.hyperfield
     for basis in bases_containing(gp_matroid(phi), circuit - {x0}):
-        denom = inv(phi.value(basis))
+        denom = inv(phi.evaluate(basis))
         entries = {x0: hf.one()}
         for i, xi in enumerate(basis, start=1):
             if xi in circuit:
@@ -427,7 +428,7 @@ def check_C0_C2(sig):
     first projectively equal pair in `combinations` order (C1), then the
     first pair with comparable supports (C2)."""
     for v in sig.classes:
-        if v.is_zero:
+        if not v.entries:
             return {"axiom": "C0", "vector": v}
     for x, y in combinations(sig.classes, 2):
         if projectively_equal(x, y):
@@ -610,13 +611,13 @@ def minimal_covectors(sig):
     found = []
     for combo in product(hf.elements(), repeat=len(sig.ground)):
         v = FVector(hf, sig.ground, dict(zip(sig.ground.labels, combo)))
-        if not v.is_zero and all(orthogonal(x, v) for x in sig.classes):
+        if v.entries and all(orthogonal(x, v) for x in sig.classes):
             found.append(v)
     return CircuitSignature(hf, sig.ground, supp_min(found), dedup=True)
 
 
 def identity_hom(hf):
-    return HyperfieldHom("identity", hf, hf, lambda el: el)
+    return HyperfieldHom("identity", hf, hf, lambda a: a)
 
 
 def validate_hom(hom, sample_budget=200, seed=0):
@@ -649,3 +650,28 @@ def validate_hom(hom, sample_budget=200, seed=0):
             if not image.contains(hom(z)):
                 return {"rule": "sum", "x": x, "y": y, "z": z}
     return None
+
+
+def element_from_json(hf, raw, where):
+    """The element a JSON value spells, as the parser reads a payload."""
+    return HFElement(hf, _payload_from_json(hf, raw, where))
+
+
+def supp_min(vectors):
+    """The members whose support is minimal among the nonzero supports."""
+    items = [(v, support(v)) for v in vectors if v.entries]
+    return [v for v, s in items if not any(other < s for _, other in items)]
+
+
+def restrict(x, keep, ground=None):
+    """x on the labels of `keep`, over `ground` or the kept labels in order."""
+    keep = set(keep)
+    if ground is None:
+        ground = GroundSet(label for label in x.ground if label in keep)
+    return FVector(x.hyperfield, ground,
+                   {label: el for label, el in x.entries.items() if label in keep})
+
+
+def invol(a):
+    """The involution of an element (conjugation on phase)."""
+    return a if a.is_zero else HFElement(a.hyperfield, a.hyperfield.conjugate(a.value))

@@ -13,6 +13,7 @@ from itertools import combinations
 
 import pytest
 
+import hypermatroid
 from hypermatroid import (CORPUS, SIGN, TROPICAL, CircuitSignature, FVector,
                           GPFunction, GroundSet, circuits_from_gp,
                           cocircuit_signature_from_circuits, corpus_entries,
@@ -93,6 +94,24 @@ def test_check_circuits_skips_the_strong_scan(capsys, tmp_path, monkeypatch,
 
     monkeypatch.setattr("hypermatroid.gp.check_strong_elimination", refuse)
     assert run(capsys, "check-circuits", path) == expected
+
+
+def test_check_circuits_decides_the_matroid_once(capsys, tmp_path, monkeypatch):
+    """check-circuits builds the underlying matroid once, as classify
+    does: one rank test (`matroids._spans_a_matroid`) on the sign-k4
+    circuits."""
+    path = write(tmp_path, "sig.json", circuits_from_gp(CORPUS["sign-k4"].build()))
+    spans, calls = hypermatroid.matroids._spans_a_matroid, []
+
+    def counting(*args):
+        calls.append(args)
+        return spans(*args)
+
+    monkeypatch.setattr(hypermatroid.matroids, "_spans_a_matroid", counting)
+    for command in ("check-circuits", "classify"):
+        calls.clear()
+        assert run(capsys, command, path)[0] == 0
+        assert len(calls) == 1, command
 
 
 def test_classify_verdicts(capsys, tmp_path):

@@ -31,11 +31,11 @@ def test_unknown_entry():
 
 def test_triangle_entry_values():
     phi = CORPUS["triangle-weak-not-strong"].build()
-    assert phi.value((1, 5, 6)).value == 4.0
-    assert phi.value((1, 2, 5)).value == 2.0
-    assert phi.value((1, 2, 6)).value == 2.0
-    assert phi.value((2, 3, 4)).value == 1.0
-    assert phi.value((4, 5, 6)).value == 1.0
+    assert phi.evaluate((1, 5, 6)).value == 4.0
+    assert phi.evaluate((1, 2, 5)).value == 2.0
+    assert phi.evaluate((1, 2, 6)).value == 2.0
+    assert phi.evaluate((2, 3, 4)).value == 1.0
+    assert phi.evaluate((4, 5, 6)).value == 1.0
     assert len(phi.values) == 20, "no vanishing minors: underlying U(3,6)"
 
 

@@ -15,7 +15,7 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS,
                           check_hyperfield_axioms, circuits_from_gp,
                           cocircuit_signature_from_circuits,
                           double_distributivity_witness, dual_gp, eq,
-                          fold_sum, gf, inv, invol, mul, neg,
+                          fold_sum, gf, inv, mul, neg,
                           rational_padic, sample_element, serialize, signed,
                           zero_in_sum)
 from hypermatroid import hyperfields
@@ -23,6 +23,7 @@ from hypermatroid.hyperfields import _zero_in_phase_sum
 from hypermatroid.sumsets import EPS, TAU, norm_angle
 
 import oracles
+from oracles import invol
 from strategies import ALL_KINDS, units
 
 ALL = (KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE, PHASE_PLAIN, RATIONALS, gf(3), gf(5))

@@ -125,12 +125,51 @@ def refuse(*args, **kwargs):
     raise AssertionError("an element-level path was called")
 
 
+def corpus_commands(tmp_path) -> list:
+    """The argv of every `hfm` command that reads a function or a
+    signature, on every corpus input: its function, its circuit signature
+    and its dual pair (the circuits with their derived cocircuits)."""
+    out = []
+    for entry in corpus_entries():
+        obj = entry.build()
+        sig = circuits_from_gp(obj) if entry.kind == "gp" else obj
+        files = {"gp": obj} if entry.kind == "gp" else {}
+        files["sig"] = sig
+        try:
+            files["pair"] = {"circuits": sig,
+                             "cocircuits": cocircuit_signature_from_circuits(sig)}
+        except (InputError, RatioInconsistencyError):
+            pass
+        paths = {}
+        for kind, data in files.items():
+            paths[kind] = str(tmp_path / f"{kind}-{entry.name}.json")
+            with open(paths[kind], "w", encoding="utf-8") as handle:
+                handle.write(serialize(data))
+        labels = [str(label) for label in sig.ground.labels]
+        homs = ["krasner"] + (["sign", "padic:2"] if sig.hyperfield is RATIONALS else [])
+        if "gp" in paths:
+            out += [["check-gp", paths["gp"]], ["circuits", paths["gp"]]]
+            if sig.hyperfield is TROPICAL:
+                out.append(["dressian", paths["gp"]])
+        for path in [paths[kind] for kind in ("gp", "sig") if kind in paths]:
+            out += [["dual", path], ["minor", path, "--delete", labels[0]],
+                    ["minor", path, "--delete", labels[0], "--contract", labels[-1]]]
+            out += [["pushforward", path, "--hom", hom] for hom in homs]
+        out += [["classify", paths["sig"]], ["check-circuits", paths["sig"]]]
+        if "pair" in paths:
+            out.append(["gp", paths["pair"]])
+    return out
+
+
 def test_runtime_paths_take_masks_and_payloads(monkeypatch, tmp_path, capsys):
     """classify, the dual, the dual-pair walk and the perfection sweep
     run with element-level orthogonality and label-level fundamental
-    circuits refusing; and `hfm classify` on a signature file builds no
+    circuits refusing; `hfm classify` on a signature file builds no
     HFElement and no FVector up to its verdict, so none on a Strong one:
-    a WeakOnly or InvalidSignature one builds them for its witness."""
+    a WeakOnly or InvalidSignature one builds them for its witness.  And
+    every command that reads a function or a signature, on every corpus
+    input, builds none from parse to output, except in naming a witness
+    (`gp._witness`, `gp.elimination_witness`), which starts at zero."""
     for module in [hypermatroid] + [getattr(hypermatroid, name) for name in (
             "circuits", "experiments", "gp", "transforms", "vectors")]:
         if getattr(module, "orthogonal", None) is vectors.orthogonal:
@@ -180,6 +219,32 @@ def test_runtime_paths_take_masks_and_payloads(monkeypatch, tmp_path, capsys):
         seen[got, bool(built)] += 1
     assert set(seen) == {("Strong", False), ("WeakOnly", True),
                          ("InvalidSignature", True), ("UnderlyingNotMatroid", False)}
+
+    at_witness = []
+
+    def counted(witness):
+        def naming(*args, **kwargs):
+            at_witness.append(sum(built.values()))
+            return witness(*args, **kwargs)
+        return naming
+
+    for module, name in ((hypermatroid.gp, "_witness"), (hypermatroid.gp, "elimination_witness"),
+                         (hypermatroid.cli, "elimination_witness")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    ran, witnesses = Counter(), Counter()
+    for argv in corpus_commands(tmp_path):
+        built.clear()
+        at_witness.clear()
+        main(argv)
+        capsys.readouterr()
+        assert at_witness[:1] in ([], [0]), argv
+        if not at_witness:
+            assert not built, (argv, dict(built))
+        ran[argv[0]] += 1
+        witnesses[argv[0]] += bool(at_witness)
+    assert set(ran) == {"check-gp", "circuits", "dressian", "dual", "minor",
+                        "pushforward", "classify", "check-circuits", "gp"}
+    assert witnesses == Counter({"check-gp": 2, "classify": 3, "check-circuits": 1})
 
 
 # -- the unchecked derivation of orthogonality_verdict -------------------------

@@ -1,10 +1,15 @@
 """JSON encodings: lossless roundtrips, diagnostics, canonical form."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import random
+import tempfile
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,15 +17,14 @@ from hypothesis import strategies as st
 
 from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           TROPICAL, CircuitSignature, FVector, GPFunction,
-                          InputError, check_C0_C2, circuits_from_gp, classify,
+                          GroundSet, InputError, check_C0_C2, circuits_from_gp, classify,
                           corpus_entries, eq, gf, hyperfield_from_id, mul,
                           parse_text, projectively_equal, sample_element,
                           serialize, support)
 from hypermatroid.cli import main
-from hypermatroid.serialization import (element_from_json, element_to_json,
-                                        parse_object)
+from hypermatroid.serialization import element_to_json, parse_object
 
-from oracles import equivalent_gp, same_signature
+from oracles import element_from_json, equivalent_gp, same_signature
 from strategies import ALL_KINDS, perturbed, random_weak_signature
 from test_golden_cli import MALFORMED, malformed
 
@@ -250,3 +254,108 @@ def test_malformed_gp_inputs_exit_2_with_their_message(tmp_path, capsys):
         assert main(["check-gp", "--both", str(path)]) == 2, case
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {path}{message}\n"), case
+
+
+def drawn_gp(hf, rng):
+    """(ground, rank, {label tuple: element}) in shuffled order, over a
+    ground of int and str labels listed out of their natural order: each
+    r-subset zero three times in ten, else a random unit, one of them a
+    unit."""
+    labels = rng.sample([1, 2, 3, 7, "a", "b", "c", "x"], rng.randint(1, 6))
+    ground, rank = GroundSet(labels), rng.randint(1, min(3, len(labels)))
+    keys = list(combinations(labels, rank))
+    values = {key: hf.zero() if rng.random() < 0.3
+              else sample_element(hf, rng, nonzero=True) for key in keys}
+    values[rng.choice(keys)] = sample_element(hf, rng, nonzero=True)
+    items = list(values.items())
+    rng.shuffle(items)
+    return ground, rank, dict(items)
+
+
+def gp_raw(hf, ground, rank, values):
+    return {"hyperfield": str(hf), "ground_set": list(ground.labels), "rank": rank,
+            "values": [{"subset": list(key), "value": element_to_json(el)}
+                       for key, el in values.items()]}
+
+
+def run_check_gp(raw):
+    """(exit code, stdout, stderr less "error: <file>") of `hfm check-gp`."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "gp.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(raw, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check-gp", path])
+    return code, out.getvalue(), err.getvalue().replace(f"error: {path}", "", 1)
+
+
+def faults(hf, ground, rank, values, rng):
+    """{fault: (changed JSON, changed elements or None, message after the
+    file name)} for the faults that apply to the drawn function."""
+    raw, labels = gp_raw(hf, ground, rank, values), list(ground.labels)
+    first = list(values)[0]
+    out = {}
+
+    def changed(subset):
+        """The JSON and elements with the first subset replaced."""
+        new = json.loads(json.dumps(raw))
+        new["values"][0]["subset"] = list(subset)
+        items = list(values.items())
+        return new, {tuple(subset): items[0][1], **dict(items[1:])}
+
+    if rank >= 2:
+        subset = first[::-1]
+        out["order"] = (*changed(subset), f": subset {subset} is not in ground order")
+        subset = first[:-1] + first[:1]
+        out["repeated-label"] = (*changed(subset), f": subset {subset} is not an {rank}-set")
+    if rank < len(labels):
+        subset = first + tuple(x for x in labels if x not in first)[:1]
+        out["size"] = (*changed(subset), f": subset {subset} is not an {rank}-set")
+    again = json.loads(json.dumps(raw))
+    again["values"].append(rng.choice(raw["values"]))
+    out["repeated-subset"] = (again, None, f".values[{len(values)}].subset: "
+                              f"duplicate subset {again['values'][-1]['subset']}")
+    unknown = json.loads(json.dumps(raw))
+    i = rng.randrange(len(values))
+    unknown["values"][i]["subset"][-1] = "zz"
+    out["unknown-label"] = (unknown, None, f".values[{i}].subset: not a list of ground labels")
+    for bad in (0, len(labels) + 1):
+        out[f"rank-{bad}"] = ({**raw, "rank": bad}, values,
+                              f": rank {bad} out of range for |E| = {len(labels)}")
+    zero = {key: hf.zero() for key in values}
+    out["zero"] = (gp_raw(hf, ground, rank, zero), zero, ": identically zero (GP1 fails)")
+    return out
+
+
+@pytest.mark.parametrize("hf", ALL_KINDS + [gf(5)], ids=str)
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_parsed_gp_matches_the_element_constructor(hf, seed):
+    """A GP function read from JSON, straight into its table, and the same
+    values given to the element constructor agree: the table (payloads
+    bit for bit), the element view in input order less the zeros, and the
+    canonical JSON, which lists the nonzero values by ground position.
+    The values include zeros and come in shuffled order over a ground
+    whose label order is not its position order.  A subset out of ground
+    order, of the wrong size, with a label repeated, listed twice or
+    naming an unknown label, a rank out of range and an identically zero
+    function exit 2 with their message, which the constructor raises too."""
+    rng = random.Random(seed)
+    ground, rank, values = drawn_gp(hf, rng)
+    parsed = parse_object(json.loads(json.dumps(gp_raw(hf, ground, rank, values))))
+    built = GPFunction(hf, ground, rank, values)
+    nonzero = {key: el for key, el in values.items() if not el.is_zero}
+    assert {m: repr(a) for m, a in parsed._table.items()} == \
+        {m: repr(a) for m, a in built._table.items()}
+    assert list(parsed._table) == [sum(1 << ground.index(x) for x in key) for key in nonzero]
+    assert list(parsed.values.items()) == list(built.values.items()) == list(nonzero.items())
+    canonical = sorted(nonzero, key=lambda key: [ground.index(x) for x in key])
+    assert serialize(parsed) == serialize(built) == json.dumps(
+        gp_raw(hf, ground, rank, {key: nonzero[key] for key in canonical}), indent=2)
+    for fault, (raw, elements, message) in faults(hf, ground, rank, values, rng).items():
+        assert run_check_gp(raw) == (2, "", message + "\n"), fault
+        if elements is not None:
+            with pytest.raises(InputError) as caught:
+                GPFunction(hf, ground, raw["rank"], elements)
+            assert str(caught.value) == message[2:], fault
