@@ -20,7 +20,8 @@ must be orthogonal to every cocircuit.
 The relation checkers run on raw payloads keyed by int masks of ground
 positions and build elements only for a witness (`relation_terms`).  The
 weak check takes the paper's form: each three-term Pluecker relation once
-(`failing_three_term`), and basis exchange on one bitset per element over
+(`failing_three_term`), on the family's `zero_in_dot`, and, unless the
+support holds every r-set, basis exchange on one bitset per element over
 the bases (`_support`), which the circuits and the minors read too: the
 GP side builds no `ClassicalMatroid`.  A weak function determines its
 dual pair (Baker-Bowler): each (r+1)-set I gives the circuit inside I,
@@ -278,26 +279,26 @@ def _integral(table: dict) -> dict:
 
 def _failing_class(S: tuple, rest: list, pair: list, hf: Hyperfield) -> Optional[tuple]:
     """(I, J) of the first failing a < b < c < d in `rest`, or None, given
-    pair[x][y] = phi(S + rest[x] + rest[y]) as a payload, None for zero."""
-    product, negative, zero_in = hf.product, hf.negative, hf.zero_in
-    for a, b, c in combinations(range(len(pair)), 3):
+    pair[x][y] = phi(S + rest[x] + rest[y]) as a payload, None for zero.
+    Per (a, b, c), c short of the last (which leaves no d), `left` holds
+    -phi(Sbc), phi(Sac), -phi(Sab) at a, b, c, zeros left out; `pair` is
+    symmetric, so row pair[d] holds phi(Sad), phi(Sbd), phi(Scd) there:
+    each d is one `zero_in_dot`, on the products in the relation's order."""
+    negative, zero_in_dot = hf.negative, hf.zero_in_dot
+    for a, b, c in combinations(range(len(pair) - 1), 3):
         ab, ac, bc = pair[a][b], pair[a][c], pair[b][c]
-        if ab is None and ac is None and bc is None:
-            continue
-        ab = None if ab is None else negative(ab)
-        bc = None if bc is None else negative(bc)
-        ad, bd, cd = pair[a], pair[b], pair[c]
-        for d in range(c + 1, len(pair)):
-            terms = []
-            if bc is not None and ad[d] is not None:
-                terms.append(product(bc, ad[d]))
-            if ac is not None and bd[d] is not None:
-                terms.append(product(ac, bd[d]))
-            if ab is not None and cd[d] is not None:
-                terms.append(product(ab, cd[d]))
-            if terms and not zero_in(terms):
-                return (tuple(sorted(S + (rest[a], rest[b], rest[c]))),
-                        tuple(sorted(S + (rest[d],))))
+        left = []
+        if bc is not None:
+            left.append((a, negative(bc)))
+        if ac is not None:
+            left.append((b, ac))
+        if ab is not None:
+            left.append((c, negative(ab)))
+        if left:
+            for d in range(c + 1, len(pair)):
+                if not zero_in_dot(left, pair[d]):
+                    return (tuple(sorted(S + (rest[a], rest[b], rest[c]))),
+                            tuple(sorted(S + (rest[d],))))
     return None
 
 
@@ -343,9 +344,13 @@ def failing_relation(phi: GPFunction) -> Optional[dict]:
 
 def check_gp_weak(phi: GPFunction) -> Optional[dict]:
     """Basis exchange on the support, then the three-term relations; the
-    scans run once per function, so `check-gp --both` pays for them once."""
+    scans run once per function, so `check-gp --both` pays for them once.
+    A table holding all C(n, r) r-sets is the basis family of the uniform
+    matroid U(r, n), for which exchange holds, so the exchange scan, which
+    could only return None there, is skipped."""
     if phi._weak is _UNCHECKED:
-        phi._weak = _support(phi)[2] or failing_three_term(phi)
+        uniform = len(phi._table) == comb(len(phi.ground), phi.rank)
+        phi._weak = (None if uniform else _support(phi)[2]) or failing_three_term(phi)
     return None if phi._weak is None else dict(phi._weak)
 
 

@@ -30,14 +30,15 @@ its hypersums exactly (`sums`).  Its arithmetic is stated once, on raw
 payloads: the product of two nonzero payloads (`product`), the
 hyperinverse (`negative`), the multiplicative inverse (`inverse`), the
 involution (`conjugate`), equality (`equal`) and the closed form for
-"0 in x1 + ... + xk" (`zero_in`).  The circuit/cocircuit pair loops ask "0
-in the sum of the products over the shared positions" once per pair
-(`zero_in_dot`), one row lookup per circuit entry: by default `zero_in`
-of `product`s, which Krasner and sign fuse by cancelling on the fly,
-tropical by a running maximum and its count, triangle with the same
-left-to-right floats, and phase with exact angles.  The GP relation
-kernel and the cocircuit derivation call the payload operations
-directly.
+"0 in x1 + ... + xk" (`zero_in`).  Every GP relation test asks "0 in the
+sum of the products over the shared positions" (`zero_in_dot`), one row
+lookup per left entry: the circuit/cocircuit pair loops once per pair,
+and the three-term scan once per relation, its left side per (a, b, c)
+and a row per d.  By default `zero_in_dot` is `zero_in` of `product`s,
+which Krasner and sign fuse by cancelling on the fly, tropical by a
+running maximum and its count, triangle with the same left-to-right
+floats, and phase with exact angles and its gap test inline.  The
+cocircuit derivation calls the payload operations directly.
 
 The element operations are the module functions `mul`, `neg`, `inv`,
 `invol`, `eq` and `zero_in_sum`: each checks that its operands share one
@@ -481,17 +482,28 @@ class Phase(_Infinite):
         return _zero_in_phase_sum([a for a in payloads if a is not None])
 
     def zero_in_dot(self, left, row: list) -> bool:
-        """Each product is bit for bit `norm_angle(a + b)`: both angles lie
-        in [0, 2pi), so a + b lies in [0, 4pi), and subtracting 2pi from a
-        sum in [2pi, 4pi) is exact (Sterbenz), as `fmod` is."""
-        angles = []
-        for i, a in left:
-            if (b := row[i]) is not None:
-                theta = a + b
-                if theta >= TAU:
-                    theta -= TAU
-                angles.append(0.0 if TAU - theta <= EPS else theta)
-        return _zero_in_phase_sum(angles)
+        """`_zero_in_phase_sum` of the products (`_phase_products`), with
+        its gap test inline on them sorted in place.  When a gap is within
+        `EPS`, the greedy dedup decides, which depends on the order of its
+        input: it takes the products formed again in the order of `left`,
+        which is read twice then (a list or a dict view)."""
+        angles = _phase_products(left, row)
+        if len(angles) < 2:
+            return not angles
+        angles.sort()
+        a, hi = angles[0], angles[-1]
+        if TAU - (hi - a) > EPS:
+            widest = a + TAU - hi
+            for b in angles[1:]:
+                gap = b - a
+                if gap <= EPS:
+                    break
+                if gap > widest:
+                    widest = gap
+                a = b
+            else:
+                return widest <= math.pi + EPS
+        return _zero_in_phase_sum(_phase_products(left, row))
 
     def sample_unit(self, rng) -> HFElement:
         return self.element(rng.uniform(0.0, TAU) + 1e-3)
@@ -685,6 +697,22 @@ def sample_element(hf: Hyperfield, rng, nonzero: bool = False) -> HFElement:
 # -- phase geometry -------------------------------------------------------
 
 
+def _phase_products(left, row: list) -> list:
+    """The angles of the products a * row[i] over the (i, a) of `left` with
+    row[i] not None, in that order.  Each is bit for bit `norm_angle(a +
+    b)`: both angles lie in [0, 2pi), so a + b lies in [0, 4pi), and
+    subtracting 2pi from a sum in [2pi, 4pi) is exact (Sterbenz), as
+    `fmod` is."""
+    angles = []
+    for i, a in left:
+        if (b := row[i]) is not None:
+            theta = a + b
+            if theta >= TAU:
+                theta -= TAU
+            angles.append(0.0 if TAU - theta <= EPS else theta)
+    return angles
+
+
 def _phase_distinct(angles: list) -> list:
     """The angles, each dropped when it is `angle_close` to one kept
     before it (inlined: this is the inner loop of the phase zero test)."""
@@ -718,7 +746,10 @@ def _zero_in_phase_sum(angles: list) -> bool:
     neighbour gap and 2pi minus the widest difference exceed `EPS`, the
     greedy `_phase_distinct` would keep every angle, and the largest gap
     decides at once, in one pass making the comparisons of `min` and `max`;
-    otherwise the greedy dedup runs."""
+    otherwise the greedy dedup runs.  Only the gap test sees the angles
+    sorted (a copy here, the kernel's own list in `Phase.zero_in_dot`):
+    which of two angles within `EPS` the dedup keeps depends on the order,
+    so it takes them in input order."""
     if len(angles) < 2:
         return not angles
     ordered = sorted(angles)

@@ -30,8 +30,11 @@ dual; `matroid_of` builds one from label sets, and `cocircuits` reads its
 dual's circuits.
 `zero_in_phase_sum` is the greedy phase zero test that the package's
 sort-first test falls back on, `zero_in_dot` the pair kernel on a
-position -> payload map, as `zero_in` of the products, and `check_C0_C2` the support axioms by
-the scan over every pair of classes.  `bitset_exchange_witness` is the
+position -> payload map, as `zero_in` of the products, and
+`failing_class_by_terms` the three-term class scan on term lists of
+`product`s and `negative`s, where the package asks the fused
+`zero_in_dot`.  `check_C0_C2` is the support axioms by the scan over
+every pair of classes.  `bitset_exchange_witness` is the
 exchange scan on the support's bitsets without the package's memo on
 B1 - x, `gp_matroid` the matroid of a GP function's support by
 `ClassicalMatroid.from_bases`, and `minor_by_matroid` a GP minor as a
@@ -568,6 +571,32 @@ def zero_in_dot(hf, left, right):
     (i, a) of `left` with i in the map `right`: `zero_in` of `product`s,
     the form every family's row kernel must agree with."""
     return hf.zero_in([hf.product(a, right[i]) for i, a in left if i in right])
+
+
+def failing_class_by_terms(S, rest, pair, hf):
+    """`gp._failing_class` on term lists: per (a, b, c, d) the nonzero
+    terms -phi(Sbc) phi(Sad), phi(Sac) phi(Sbd), -phi(Sab) phi(Scd) as
+    `product`s of `negative`s, in that order, then `zero_in` of them."""
+    product, negative, zero_in = hf.product, hf.negative, hf.zero_in
+    for a, b, c in combinations(range(len(pair)), 3):
+        ab, ac, bc = pair[a][b], pair[a][c], pair[b][c]
+        if ab is None and ac is None and bc is None:
+            continue
+        ab = None if ab is None else negative(ab)
+        bc = None if bc is None else negative(bc)
+        ad, bd, cd = pair[a], pair[b], pair[c]
+        for d in range(c + 1, len(pair)):
+            terms = []
+            if bc is not None and ad[d] is not None:
+                terms.append(product(bc, ad[d]))
+            if ac is not None and bd[d] is not None:
+                terms.append(product(ac, bd[d]))
+            if ab is not None and cd[d] is not None:
+                terms.append(product(ab, cd[d]))
+            if terms and not zero_in(terms):
+                return (tuple(sorted(S + (rest[a], rest[b], rest[c]))),
+                        tuple(sorted(S + (rest[d],))))
+    return None
 
 
 def class_with_support(sig, supp):

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -235,19 +237,20 @@ def reweighted(phi, rng):
 
 
 @st.composite
-def gp_functions(draw):
-    """Functions of rank 1-4 on 3 to 7 labels in shuffled ground order,
-    over all seven hyperfields and both phase involutions: minors of
-    [identity | random] integer matrices with shuffled columns
-    (realizable), random units on every r-subset (which often fail the
-    relations), and random units on a random set of r-subsets (which
-    often fail basis exchange).  Tropical and rational functions are
-    `reweighted` half of the time."""
-    hf = draw(st.sampled_from([KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE,
-                               PHASE_PLAIN, RATIONALS, gf(5)]))
-    rank = draw(st.integers(1, 4))
+def gp_functions(draw, kinds=(KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE,
+                              PHASE_PLAIN, RATIONALS, gf(5)),
+                 modes=("realizable", "values", "support"), min_rank=1):
+    """Functions of rank `min_rank` to 4 on up to 7 labels in shuffled
+    ground order, by default over all seven hyperfields and both phase
+    involutions, by default in three modes: minors of [identity | random]
+    integer matrices with shuffled columns (realizable), random units on
+    every r-subset (which often fail the relations), and random units on
+    a random set of r-subsets (which often fail basis exchange).  Tropical
+    and rational functions are `reweighted` half of the time."""
+    hf = draw(st.sampled_from(kinds))
+    rank = draw(st.integers(min_rank, 4))
     n = draw(st.integers(rank + 2, 7))
-    mode = draw(st.sampled_from(["realizable", "values", "support"]))
+    mode = draw(st.sampled_from(modes))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     labels = tuple(rng.sample(range(1, n + 1), n))
     keys = list(combinations(labels, rank))
@@ -394,10 +397,10 @@ def three_term_classes(phi):
 
 
 @st.composite
-def perturbed_functions(draw):
-    """A function from gp_functions with one value replaced by a random
+def perturbed_functions(draw, functions=gp_functions()):
+    """A function from `functions` with one value replaced by a random
     unit or, when it has others, dropped."""
-    phi = draw(gp_functions())
+    phi = draw(functions)
     key = draw(st.sampled_from(sorted(phi.values, key=phi.ground.sort)))
     values = dict(phi.values)
     if len(values) > 1 and draw(st.booleans()):
@@ -419,6 +422,46 @@ def test_three_term_classes_decide_as_one(phi):
             held = {zero_in_sum(relation_terms(phi, I, J)) for I, J in members}
             assert len(held) == 1, members
     assert failing_three_term(phi) == oracles.relation_witness(phi, True)
+
+
+# rank 2 on, where three-term relations exist
+WEAK_FUNCTIONS = gp_functions(ALL_KINDS + [gf(5)], ("realizable",), min_rank=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(WEAK_FUNCTIONS, perturbed_functions(WEAK_FUNCTIONS)))
+def test_three_term_scan_matches_the_term_lists(phi):
+    """The class scan on each family's fused `zero_in_dot` names the
+    witness, or None, that it names on term lists of `product`s and
+    `negative`s decided by `zero_in` (`oracles.failing_class_by_terms`),
+    over every built-in family and GF(5), on realizable functions and on
+    the same functions with one value replaced or dropped."""
+    want = failing_three_term(phi)
+    with mock.patch.object(hypermatroid.gp, "_failing_class",
+                           oracles.failing_class_by_terms):
+        assert failing_three_term(phi) == want
+
+
+@pytest.mark.parametrize("name", ["sign-u24", "phase-u24-real", "rational-u24"])
+def test_uniform_support_skips_the_exchange_scan(monkeypatch, name):
+    """A table holding every r-set is the basis family of U(r, n), so the
+    weak check runs no exchange scan on it; the same table less one basis
+    gets one, and both verdicts are those of the direct scans.  The
+    circuits still read the support's bitsets (`_matroid_support`)."""
+    calls, scan = [], hypermatroid.gp._first_exchange_failure
+    monkeypatch.setattr(hypermatroid.gp, "_first_exchange_failure",
+                        lambda *args: calls.append(args) or scan(*args))
+    phi = CORPUS[name].build()
+    assert len(phi._table) == comb(len(phi.ground), phi.rank)
+    assert check_gp_weak(phi) == oracles.gp_witness(phi, True)
+    assert calls == []
+    values = dict(phi.values)
+    del values[min(values, key=phi.ground.sort)]
+    fewer = GPFunction(phi.hyperfield, phi.ground, phi.rank, values)
+    assert check_gp_weak(fewer) == oracles.gp_witness(fewer, True)
+    assert len(calls) == 1
+    circuits_from_gp(phi)
+    assert len(calls) == 2
 
 
 def random_family(rng, rank, labels, density):

@@ -3,7 +3,6 @@
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -418,12 +417,76 @@ PHASE_PAYLOADS = st.one_of(
 @settings(max_examples=1000, deadline=None)
 @given(PHASE_PAYLOADS, PHASE_PAYLOADS)
 def test_phase_fused_product_is_norm_angle_of_the_sum(a, b):
-    """The angle `Phase.zero_in_dot` forms for a shared position is bit for
-    bit the payload of the product."""
-    seen = []
-    with mock.patch.object(hyperfields, "_zero_in_phase_sum", seen.append):
-        PHASE.zero_in_dot([(0, a)], [b])
-    assert seen[0][0].hex() == norm_angle(a + b).hex() == PHASE.product(a, b).hex()
+    """The angle the phase kernel forms for a shared position, for its gap
+    test and for its fall-back alike (`_phase_products`), is bit for bit
+    the payload of the product."""
+    angle, = hyperfields._phase_products([(0, a)], [b])
+    assert angle.hex() == norm_angle(a + b).hex() == PHASE.product(a, b).hex()
+
+
+# Where the product of a phase kernel argument lands, relative to an
+# earlier one: on it or within EPS/2 (a tie), 0.6 EPS on (chains of
+# these the greedy dedup resolves by input order), at its antipode, or
+# at pi -+ EPS/2 from it (a widest gap on either side of pi + EPS).
+KERNEL_STEPS = {"tie": (0.0, 0.5 * EPS, -0.5 * EPS), "chain": (0.6 * EPS, -0.6 * EPS),
+                "antipode": (math.pi,), "gap": (math.pi - 0.5 * EPS, math.pi + 0.5 * EPS)}
+
+
+@st.composite
+def phase_kernel_args(draw):
+    """(left, right, n) for the phase kernel: 1 to 6 shared positions in
+    shuffled order, whose products land at a uniform angle, at 2pi -
+    EPS/2 (which the kernel snaps to 0), or a `KERNEL_STEPS` step from an
+    earlier product, each split into a left payload and a row payload 0
+    (the unit 1), pi or uniform; and up to two positions on one side only."""
+    targets = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["uniform", "snap", *KERNEL_STEPS]))
+        if kind == "snap":
+            targets.append(TAU - 0.5 * EPS)
+        elif kind == "uniform" or not targets:
+            targets.append(draw(st.floats(0.0, TAU, exclude_max=True)))
+        else:
+            targets.append(draw(st.sampled_from(targets)) +
+                           draw(st.sampled_from(KERNEL_STEPS[kind])))
+    right = {}
+    for i, theta in enumerate(targets):
+        right[i] = draw(st.one_of(st.sampled_from([0.0, math.pi]),
+                                  st.floats(0.0, TAU, exclude_max=True).map(norm_angle)))
+    left = [(i, norm_angle(theta - right[i])) for i, theta in enumerate(targets)]
+    n = len(targets)
+    for side in draw(st.lists(st.sampled_from(["left", "right"]), max_size=2)):
+        angle = norm_angle(draw(st.floats(0.0, TAU, exclude_max=True)))
+        if side == "left":
+            left.append((n, angle))
+        else:
+            right[n] = angle
+        n += 1
+    return draw(st.permutations(left)), right, n
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.sampled_from([PHASE, PHASE_PLAIN]), phase_kernel_args())
+def test_phase_kernel_is_zero_in_of_the_products(hf, args):
+    """The kernel, gap test inline and greedy fall-back in the order of
+    `left`, is `zero_in` of the products and the greedy test on them."""
+    left, right, n = args
+    products = [hf.product(a, right[i]) for i, a in left if i in right]
+    assert check_zero_in_dot(hf, left, right, n) == oracles.zero_in_phase_sum(products)
+
+
+# 0, 0.6 EPS and 1.2 EPS chain: in this order the greedy dedup keeps 0
+# and 1.2 EPS, and the widest gap, from 1.2 EPS to pi + 2.1 EPS, is pi +
+# 0.9 EPS; with 0.6 EPS first it keeps only 0.6 EPS, and the gap from it
+# is pi + 1.5 EPS.  Sorted first, both orders would read the first.
+CHAIN = [0.0, 0.6 * EPS, 1.2 * EPS, math.pi + 2.1 * EPS]
+
+
+@pytest.mark.parametrize("order, verdict", [((0, 1, 2, 3), True), ((1, 0, 2, 3), False),
+                                            ((3, 1, 2, 0), False), ((2, 3, 0, 1), True)])
+def test_phase_kernel_falls_back_in_input_order(order, verdict):
+    left = [(k, CHAIN[k]) for k in order]
+    assert check_zero_in_dot(PHASE, left, dict.fromkeys(range(4), 0.0), 4) is verdict
 
 
 def bits(payload) -> str:
