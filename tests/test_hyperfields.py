@@ -155,6 +155,19 @@ def test_double_distributivity_split():
             assert witness["separating_point"], str(hf)
 
 
+@pytest.mark.parametrize("hf", ALL_KINDS, ids=str)
+def test_golden_axioms_families(hf):
+    """The hyperfields of the golden `hfm axioms` commands pass at the
+    command's defaults and report their family's flag, and the
+    double-distributivity search finds a witness exactly where the flag
+    is unset."""
+    report = check_hyperfield_axioms(hf, sample_budget=24, seed=0)
+    assert report.ok, [c.name for c in report.checks if not c.passed]
+    assert report.doubly_distributive == hf.doubly_distributive
+    found, _ = double_distributivity_witness(hf, seed=0)
+    assert found == (not hf.doubly_distributive)
+
+
 def test_fold_oracle_agreement():
     """zero_in_sum matches the symbolic fold."""
     rng = random.Random(23)
