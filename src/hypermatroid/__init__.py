@@ -11,7 +11,6 @@ from .hyperfields import (  # noqa: F401
     HFElement,
     Hyperfield,
     eq,
-    fold_sum,
     gf,
     inv,
     mul,
@@ -40,7 +39,7 @@ from .vectors import (  # noqa: F401
 
 from .matroids import ClassicalMatroid, validate_circuits  # noqa: F401
 
-from .axioms import check_hyperfield_axioms, double_distributivity_witness  # noqa: F401
+from .axioms import check_hyperfield_axioms  # noqa: F401
 
 from .circuits import (  # noqa: F401
     CircuitSignature,

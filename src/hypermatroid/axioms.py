@@ -1,28 +1,44 @@
-"""Self-checks for the hyperfield axioms.
+"""Self-checks of a hyperfield family's arithmetic, on its payload operations.
 
-Finite hyperfields are checked exhaustively; infinite ones are sampled with
-a seeded generator.  The report also records whether multiplication
-distributes over hypersums of hypersums (double distributivity), which
-separates the perfect hyperfields from the triangle and phase ones.
+Matroids over a hyperfield depend only on its null set, the formal sums
+x1 + ... + xk that contain 0 (Baker and Bowler, "Matroids over partial
+hyperstructures", where a group with a null set is a tract), and every
+verdict of the checkers is decided by a family's `zero_in` or
+`zero_in_dot`.  So the checks ask the operations the checkers run
+(`product`, `inverse`, `negative`, `equal`, `zero_in`) the tract axioms:
+
+  multiplicative-group  the units form a commutative group with 1, and a
+                        product of units is never 0
+  zero-terms            0 alone is null, and a 0 term changes no verdict
+  no-null-unit          no unit alone is null
+  unique-negative       0 lies in x + y iff y is negative(x), which is
+                        negative(1) * x
+  scaling               scaling every term by a unit changes no verdict
+  concatenation         two null sums written one after the other are null
+  order                 the verdict does not depend on the order of terms
+
+A family with at most `sample_budget` elements is checked on all of them:
+on every pair and triple of them, every sum of two or three of them and
+every two null sums among those.  Otherwise the pool is `sample_budget`
+distinct elements, 0, 1 and -1 and then seeded samples, and each of
+these is `sample_budget * 8` seeded draws from the pool.  The sums also
+hold every x + negative(x), and each is scaled by every unit, or when
+sampled by one drawn unit.
+
+The report states the family's `doubly_distributive` flag, on which the
+checkers branch; the tests check the flag against a search for
+(x + y)(z + t) != xz + xt + yz + yt on the symbolic hypersums.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .hyperfields import (
-    Hyperfield,
-    eq,
-    fold_sum,
-    inv,
-    mul,
-    neg,
-    sample_element,
-    zero_in_sum,
-)
+from .hyperfields import HFElement, Hyperfield, eq
 
 
 @dataclass
@@ -37,8 +53,6 @@ class AxiomReport:
     hyperfield: Hyperfield
     exhaustive: bool
     checks: list = field(default_factory=list)
-    doubly_distributive: bool = True
-    dd_witness: Optional[dict] = None
 
     @property
     def ok(self) -> bool:
@@ -50,156 +64,133 @@ class AxiomReport:
             "exhaustive": self.exhaustive,
             "axioms": [{"name": c.name, "passed": c.passed, "witness": c.witness}
                        for c in self.checks],
-            "doubly_distributive": self.doubly_distributive,
-            "dd_witness": self.dd_witness,
+            "doubly_distributive": self.hyperfield.doubly_distributive,
             "ok": self.ok,
         }
 
 
-def _pool(hf: Hyperfield, rng: random.Random, budget: int) -> list:
-    if hf.is_finite:
-        return hf.elements()
-    seen = [hf.zero(), hf.one(), neg(hf.one())]
-    for _ in range(budget * 50):
-        if len(seen) >= budget:
+def _same(hf: Hyperfield, a, b) -> bool:
+    """Whether two payloads, zero allowed, are the same element."""
+    return eq(HFElement(hf, a), HFElement(hf, b))
+
+
+def _pool(hf: Hyperfield, rng: random.Random, budget: int) -> tuple:
+    """(payloads, exhaustive): every element's when the family has at most
+    `budget`, else `budget` distinct ones, 0, 1 and -1 first."""
+    if hf.size <= budget:
+        return [x.value for x in hf.elements()], True
+    pool: list = []
+    one = hf.one().value
+    draws = (hf.sample(rng).value for _ in range(budget * 50))
+    for i, a in enumerate(itertools.chain((hf.zero_payload, one, hf.negative(one)), draws)):
+        if i >= 3 and len(pool) >= budget:
             break
-        x = sample_element(hf, rng)
-        if not any(eq(x, y) for y in seen):
-            seen.append(x)
-    return seen
+        if not any(_same(hf, a, b) for b in pool):
+            pool.append(a)
+    return pool, False
 
 
 def check_hyperfield_axioms(hf: Hyperfield, sample_budget: int = 24,
                             seed: int = 0) -> AxiomReport:
-    """Verify the hypergroup/hyperring axioms and probe double distributivity."""
+    """Check the tract axioms (see the module docstring) on the family's
+    payload operations; each check names its first failure."""
+    if sample_budget < 1:
+        raise ValueError(f"the sample budget must be at least 1, got {sample_budget}")
     rng = random.Random(seed)
-    report = AxiomReport(hf, exhaustive=hf.is_finite)
-    pool = _pool(hf, rng, sample_budget)
-    nonzero = [x for x in pool if not x.is_zero]
-    zero = hf.zero()
+    pool, exhaustive = _pool(hf, rng, sample_budget)
+    report = AxiomReport(hf, exhaustive)
+    zero, one = hf.zero_payload, hf.one().value
+    units = [a for a in pool if a != zero]
+    product, negative, zero_in = hf.product, hf.negative, hf.zero_in
+    epsilon = negative(one)
 
-    def run(name, failures):
-        report.checks.append(AxiomCheck(name, not failures, failures[0] if failures else None))
+    same = functools.partial(_same, hf)
 
-    # zero is the additive identity: 0 + x = {x}
-    fails = []
-    for x in pool:
-        s = fold_sum([zero, x])
-        if not (s.contains(x) and not any(
-                s.contains(y) for y in pool if not eq(y, x))):
-            fails.append({"x": repr(x)})
-    run("additive-identity", fails)
+    def draws(items: list, k: int) -> list:
+        return [tuple(rng.choice(items) for _ in range(k))
+                for _ in range(sample_budget * 8)]
 
-    # unique hyperinverse
-    fails = []
-    for x in pool:
-        if not zero_in_sum([x, neg(x)]):
-            fails.append({"x": repr(x), "problem": "0 not in x + (-x)"})
-            continue
-        others = [y for y in pool if not eq(y, neg(x)) and zero_in_sum([x, y])]
-        if others:
-            fails.append({"x": repr(x), "second_inverse": repr(others[0])})
-    run("unique-hyperinverse", fails)
+    def tuples(items: list, k: int) -> list:
+        return list(itertools.product(items, repeat=k)) if exhaustive else draws(items, k)
 
-    # reversibility: x in y + z iff z in x + (-y)
-    fails = []
-    triples = (itertools.product(pool, repeat=3) if hf.is_finite
-               else ((rng.choice(pool), rng.choice(pool), rng.choice(pool))
-                     for _ in range(sample_budget * 12)))
-    for x, y, z in triples:
-        lhs = fold_sum([y, z]).contains(x)
-        rhs = fold_sum([x, neg(y)]).contains(z)
-        if lhs != rhs:
-            fails.append({"x": repr(x), "y": repr(y), "z": repr(z)})
-    run("reversibility", fails)
+    def multisets(items: list, k: int) -> list:
+        """As `tuples`, for checks that reorder the tuple themselves."""
+        return (list(itertools.combinations_with_replacement(items, k)) if exhaustive
+                else draws(items, k))
 
-    # commutativity of the hypersum
-    fails = []
-    pairs = (itertools.product(pool, repeat=2) if hf.is_finite
-             else ((rng.choice(pool), rng.choice(pool)) for _ in range(sample_budget * 8)))
-    for x, y in pairs:
-        if not fold_sum([x, y]).equals(fold_sum([y, x])):
-            fails.append({"x": repr(x), "y": repr(y)})
-    run("commutativity", fails)
+    def scaled(u, terms) -> list:
+        return [a if a == zero else product(u, a) for a in terms]
 
-    # associativity on triples: the fold is permutation independent
-    fails = []
-    triples = (itertools.product(pool, repeat=3) if hf.is_finite
-               else ((rng.choice(pool), rng.choice(pool), rng.choice(pool))
-                     for _ in range(sample_budget * 8)))
-    for x, y, z in triples:
-        base = fold_sum([x, y, z])
-        if not all(base.equals(fold_sum(list(p)))
-                   for p in itertools.permutations([x, y, z])):
-            fails.append({"x": repr(x), "y": repr(y), "z": repr(z)})
-    run("associativity", fails)
+    def fail(problem: str, *payloads) -> dict:
+        return {"problem": problem, "payloads": [hf.encode(a) for a in payloads]}
 
-    # multiplication: commutative group on nonzero elements, absorbing zero
-    fails = []
-    for x in nonzero[:12]:
-        if not eq(mul(x, inv(x)), hf.one()):
-            fails.append({"x": repr(x), "problem": "x * inv(x) != 1"})
-    for x in pool[:12]:
-        if not mul(zero, x).is_zero:
-            fails.append({"x": repr(x), "problem": "0 * x != 0"})
-        if not eq(mul(hf.one(), x), x):
-            fails.append({"x": repr(x), "problem": "1 * x != x"})
-    pairs = (itertools.product(nonzero, repeat=2) if hf.is_finite
-             else ((rng.choice(nonzero), rng.choice(nonzero)) for _ in range(sample_budget * 4)))
-    for x, y in pairs:
-        if not eq(mul(x, y), mul(y, x)):
-            fails.append({"x": repr(x), "y": repr(y), "problem": "commutativity"})
-    run("multiplicative-group", fails)
+    def run(name: str, failures) -> None:
+        witness = next(failures, None)
+        report.checks.append(AxiomCheck(name, witness is None, witness))
 
-    # distributivity: a * (x + y) = a*x + a*y
-    fails = []
-    triples = (itertools.product(nonzero, pool, pool) if hf.is_finite
-               else ((rng.choice(nonzero), rng.choice(pool), rng.choice(pool))
-                     for _ in range(sample_budget * 8)))
-    for a, x, y in triples:
-        lhs = fold_sum([x, y]).scale(a)
-        rhs = fold_sum([mul(a, x), mul(a, y)])
-        if not lhs.equals(rhs):
-            fails.append({"a": repr(a), "x": repr(x), "y": repr(y)})
-    run("distributivity", fails)
+    def group():
+        for x in units:
+            if not same(product(one, x), x):
+                yield fail("1 * x != x", x)
+            if not same(product(x, hf.inverse(x)), one):
+                yield fail("x * inverse(x) != 1", x)
+        for x, y in tuples(units, 2):
+            if same(product(x, y), zero):
+                yield fail("x * y is 0", x, y)
+            elif not same(product(x, y), product(y, x)):
+                yield fail("x * y != y * x", x, y)
+        for x, y, w in tuples(units, 3):
+            if not same(product(product(x, y), w), product(x, product(y, w))):
+                yield fail("(x * y) * w != x * (y * w)", x, y, w)
 
-    found, witness = double_distributivity_witness(hf, seed=seed)
-    report.doubly_distributive = not found
-    report.dd_witness = witness
+    sums = [(x, negative(x)) for x in units] + multisets(pool, 2) + multisets(pool, 3)
+
+    def zero_terms():
+        if not zero_in([zero]):
+            yield fail("0 alone is not null", zero)
+        for terms in sums:
+            if zero_in([*terms, zero]) != zero_in(list(terms)):
+                yield fail("a 0 term changes the verdict", *terms)
+
+    def no_null_unit():
+        for x in units:
+            if zero_in([x]):
+                yield fail("x alone is null", x)
+
+    def unique_negative():
+        for x in units:
+            if not same(negative(x), product(epsilon, x)):
+                yield fail("negative(x) != negative(1) * x", x)
+        for x, y in itertools.chain(((one, y) for y in units), tuples(units, 2)):
+            if zero_in([x, y]) != same(y, negative(x)):
+                yield fail("0 in x + y is not y == negative(x)", x, y)
+
+    def scaling():
+        for terms in sums:
+            verdict = zero_in(list(terms))
+            for u in units if exhaustive else [rng.choice(units)]:
+                if zero_in(scaled(u, terms)) != verdict:
+                    yield fail("scaling the terms by the first changes the verdict",
+                               u, *terms)
+
+    def concatenation():
+        null = [terms for terms in sums if zero_in(list(terms))]
+        for s, t in multisets(null, 2) if null else ():
+            if not zero_in([*s, *t]):
+                yield fail("two null sums concatenated are not null", *s, *t)
+
+    def order():
+        for terms in sums:
+            verdict = zero_in(list(terms))
+            for shuffled in itertools.permutations(terms):
+                if zero_in(list(shuffled)) != verdict:
+                    yield fail("reordering the terms changes the verdict", *shuffled)
+
+    run("multiplicative-group", group())
+    run("zero-terms", zero_terms())
+    run("no-null-unit", no_null_unit())
+    run("unique-negative", unique_negative())
+    run("scaling", scaling())
+    run("concatenation", concatenation())
+    run("order", order())
     return report
-
-
-def double_distributivity_witness(hf: Hyperfield, seed: int = 0,
-                                  tries: int = 1000):
-    """Search for x, y, z, t with (x+y)(z+t) != xz + xt + yz + yt.
-
-    Returns (found, witness).  The witness records the quadruple and a
-    member of the right-hand side missing from the left (the product of
-    hypersums is always contained in the four-term hypersum, so a
-    difference shows up on that side).
-    """
-    rng = random.Random(seed)
-    quads = []
-    for raw in hf.dd_presets:
-        quads.append(tuple(hf.element(v) for v in raw))
-    while len(quads) < tries:
-        quads.append(tuple(sample_element(hf, rng) for _ in range(4)))
-    for x, y, z, t in quads:
-        lhs = fold_sum([x, y]).mul(fold_sum([z, t]))
-        rhs = fold_sum([mul(x, z), mul(x, t), mul(y, z), mul(y, t)])
-        if lhs.equals(rhs):
-            continue
-        found, payload = rhs.difference_sample(lhs)
-        if not found:
-            found, payload = lhs.difference_sample(rhs)
-            side = "lhs-only" if found else "unsampled"
-        else:
-            side = "rhs-only"
-        return True, {
-            "quadruple": [repr(v) for v in (x, y, z, t)],
-            "lhs": lhs.describe(),
-            "rhs": rhs.describe(),
-            "separating_point": repr(payload),
-            "side": side,
-        }
-    return False, None

@@ -45,6 +45,19 @@ off the support's bases, so it also takes every ground set that
 basis-exchange scan; it reports the number of three-term (I, J) pairs,
 four per relation though it decides each relation once, and the first
 failing one.
+`axioms` checks the tract axioms on the family's own payload operations,
+the ones every checker runs (`axioms.check_hyperfield_axioms`): the units
+form a commutative group, 0 is the neutral null sum and no unit is null,
+0 lies in x + y exactly when y is the hyperinverse of x, and whether 0
+lies in a sum survives scaling by a unit, concatenating two null sums and
+reordering.  A family with at most `--budget` elements (Krasner, sign,
+small prime fields) is checked on all of them; any other on a seeded
+pool of `--budget` elements and seeded draws from it.  The reported
+`doubly_distributive` is the family's flag, on which the checkers
+branch; the test suite checks it against a search on the exact
+hypersums.  It exits 0 when every check passes, 1 when one fails (its
+first failure is printed), and 2 for an unknown hyperfield or a
+`--budget` below 1.
 """
 
 from __future__ import annotations
@@ -127,6 +140,8 @@ def _split_labels(raw: Optional[str], ground) -> tuple:
 
 def _cmd_axioms(args) -> int:
     hf = hyperfield_from_id(args.hyperfield, "--hyperfield")
+    if args.budget < 1:
+        raise InputError(f"--budget must be at least 1, got {args.budget}")
     report = check_hyperfield_axioms(hf, sample_budget=args.budget,
                                      seed=args.seed)
     _emit(report.as_json())
@@ -311,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="krasner | sign | tropical | triangle | phase | "
                         "phase[identity] | rational | gf(p)")
     p.add_argument("--budget", type=int, default=24,
-                   help="sample pool size for infinite hyperfields")
+                   help="pool size: a family with at most this many elements is "
+                        "checked on all of them, any other on this many samples")
     p.add_argument("--seed", type=int, default=0)
 
     p = command("check-gp", _cmd_check_gp, "weak/strong relation checks")

@@ -516,18 +516,15 @@ def _same_frame(C: CircuitSignature, D: CircuitSignature) -> None:
             raise MismatchError(f"cocircuits.{field} {theirs} is not the circuits' {ours}")
 
 
-def nonorthogonal_pair(C: CircuitSignature, D: CircuitSignature,
-                       full: bool) -> Optional[tuple]:
+def nonorthogonal_pair(C: CircuitSignature, D: CircuitSignature) -> Optional[tuple]:
     """(overlap, X, Y) for the first X in C and Y in D, in C x D order, that
-    meet in at most 3 elements and are not orthogonal; failing that, with
-    `full` set, for the first non-orthogonal pair of least overlap; else
-    None.  A pair whose overlap cannot lower the least found is skipped.
+    meet in at most 3 elements and are not orthogonal (DP3'), else None.
     D over another hyperfield or ground order raises MismatchError."""
     _same_frame(C, D)
     hf, size = C.hyperfield, len(C.ground)
     pair = _first_nonorthogonal(_pack(enumerate(C._payloads), hf),
                                 _pack(enumerate(D._payloads), hf, size),
-                                hf, range(1, size + 1 if full else 4))
+                                hf, range(1, 4))
     return None if pair is None else (pair[0], C.classes[pair[1]], D.classes[pair[2]])
 
 
@@ -623,7 +620,7 @@ def dual_pair_witness(C: CircuitSignature,
         return {"axiom": "DP1", "reason": "not a signature of a matroid"}
     if not _signature_of(D, matroid.dual()):
         return {"axiom": "DP2", "reason": "not a signature of the dual matroid"}
-    pair = nonorthogonal_pair(C, D, False)
+    pair = nonorthogonal_pair(C, D)
     if pair is None:
         return None
     _, x, y = pair

@@ -43,9 +43,10 @@ cocircuit derivation calls the payload operations directly.
 The element operations are the module functions `mul`, `neg`, `inv`,
 `invol`, `eq` and `zero_in_sum`: each checks that its operands share one
 hyperfield, handles zero, and calls the family's payload operation, so
-elements and payloads share one formula.  Membership of any element in a
-sum is asked of the fold in `sumsets` (`fold_sum`), the ground truth that
-the tests cross-check the closed forms against.
+elements and payloads share one formula.  The exact hypersums of
+`sumsets` (`sums`, `sumsets.fold`) serve only the elimination witnesses
+(`circuits.eliminating_circuits`) at run time; the tests cross-check the
+closed forms against them.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import InputError, MismatchError
-from .sumsets import (EPS, TAU, ArcSet, FiniteSet, IntervalSet, SumSet,
-                      TropicalSet, angle_close, fold, norm_angle)
+from .sumsets import (EPS, TAU, ArcSet, FiniteSet, IntervalSet, TropicalSet,
+                      angle_close, norm_angle)
 
 
 def _is_prime(n: int) -> bool:
@@ -145,7 +146,8 @@ class Hyperfield:
     # what the payload of zero equals: 0, or None over phase
     zero_payload: object = 0
     sums = FiniteSet
-    is_finite = True
+    # the number of elements: math.inf for the infinite families
+    size: float
     # whether (a + b)(c + d) = ac + ad + bc + bd; this decides verdicts
     # (weak implies strong, so the checkers skip the full relation scan
     # and full orthogonality), so a wrong True gives wrong answers
@@ -154,8 +156,6 @@ class Hyperfield:
     nary_zero_is_fold = True
     # whether the sampler perturbs weak-valid functions by random units
     perturbable = True
-    # quadruples tried first when hunting a double distributivity failure
-    dd_presets: tuple = ()
     # the corpus entry of a weak-only function over this hyperfield
     weak_only_example: Optional[str] = None
 
@@ -249,6 +249,7 @@ class FiniteTable(Hyperfield):
         self.kind = name
         self._neg = negatives  # the hyperinverse of each nonzero payload
         self._payloads = (0,) + tuple(negatives)
+        self.size = len(self._payloads)
         self.perturbable = len(negatives) > 1  # Krasner has the one unit 1
         super().__init__(name)
 
@@ -304,7 +305,7 @@ class _Infinite(Hyperfield):
     """A family with infinitely many elements: samples are zero or a unit,
     and JSON spells a rational payload, an integer or a string."""
 
-    is_finite = False
+    size = math.inf
 
     def sample(self, rng, nonzero: bool = False) -> HFElement:
         if not nonzero and rng.random() < 0.15:
@@ -364,7 +365,6 @@ class Triangle(_Infinite):
     kind = "triangle"
     sums = IntervalSet
     doubly_distributive = False
-    dd_presets = ((1.0, 2.0, 1.0, 2.0), (1.0, 1.0, 1.0, 1.0), (2.0, 3.0, 1.0, 4.0))
     weak_only_example = "triangle-weak-not-strong"
 
     def normalise(self, raw):
@@ -432,9 +432,6 @@ class Phase(_Infinite):
     sums = ArcSet
     doubly_distributive = False
     nary_zero_is_fold = False
-    dd_presets = ((1, 4.0 * math.pi / 3.0, 1, 2.0 * math.pi / 3.0),
-                  (1, -1, 1, -1),
-                  (0.3, 0.3 + math.pi, 1.8, 2.9))
     weak_only_example = "phase-weak-not-strong"
 
     def __init__(self, conjugate: bool):
@@ -559,7 +556,7 @@ class PrimeField(Hyperfield):
     perturbable = False  # a random assignment over a field is never weak-valid
 
     def __init__(self, p: int):
-        self.p = p
+        self.p = self.size = p
         super().__init__(f"gf({p})")
 
     def normalise(self, raw):
@@ -573,6 +570,10 @@ class PrimeField(Hyperfield):
 
     def elements(self) -> list:
         return [self.element(i) for i in range(self.p)]
+
+    def sample(self, rng, nonzero: bool = False) -> HFElement:
+        """The draw `rng.choice` makes on `elements()`, without listing them."""
+        return self.element(rng.randrange(1 if nonzero else 0, self.p))
 
     def add(self, a, b) -> set:
         return {(a + b) % self.p}
@@ -672,15 +673,6 @@ def eq(a: HFElement, b: HFElement) -> bool:
 
 
 # -- hypersums ------------------------------------------------------------
-
-
-def fold_sum(terms: Iterable[HFElement]) -> SumSet:
-    """The n-ary hypersum as an exact symbolic set (`sumsets.fold`).
-
-    The fold is the ground truth for n-ary sums, and the one membership
-    rule; `zero_in_sum` is a closed form validated against it.
-    """
-    return fold(list(terms))
 
 
 def zero_in_sum(terms: Iterable[HFElement]) -> bool:

@@ -15,9 +15,12 @@ hyperfield and hand the payloads to the representation.  `fold` is the
 ground-truth n-ary hypersum, kept closed inside these representations: a
 left fold of the binary rule, except that for phase the zero flag of a
 sum of three or more terms is decided globally from the term directions
-(see `fold`).  It is the one membership rule, "z in x1 + ... + xk";
-the families' closed form for "0 in x1 + ... + xk" (`zero_in`) is
-validated against it by the test suite.
+(see `fold`).  At run time the sets serve only the elimination
+witnesses (`circuits.eliminating_circuits`: `fold`, `closure`, `scale`,
+`intersect`, `has_nonzero`).  The tests read the rest (`contains`,
+`equals`, `mul`, `sample`): the fold is the ground truth that the
+families' closed form for "0 in x1 + ... + xk" (`zero_in`) and their
+`doubly_distributive` flags are checked against.
 """
 
 from __future__ import annotations
@@ -107,16 +110,6 @@ class SumSet:
     def _equals(self, other: "SumSet") -> bool:
         return self.data == other.data
 
-    def difference_sample(self, other: "SumSet") -> tuple:
-        """(found, payload): a payload in self \\ other, if any.
-
-        Used to extract concrete witnesses when two hypersum expressions
-        that ought to agree do not.  For interval and arc sets the search
-        refines self by the boundaries of other and probes piece midpoints.
-        """
-        self._same(other.hyperfield, "sets over different hyperfields")
-        return self._difference_sample(other)
-
     def closure(self) -> "SumSet":
         """The topological closure of the set.
 
@@ -163,13 +156,6 @@ class FiniteSet(SumSet):
     def sample(self) -> list:
         """Representative payloads of this set (zero included when present)."""
         return sorted(self.data, key=repr)
-
-    def describe(self) -> dict:
-        return {"kind": "set", "members": sorted((repr(p) for p in self.data))}
-
-    def _difference_sample(self, other: "FiniteSet") -> tuple:
-        out = self.data - other.data
-        return (True, sorted(out, key=repr)[0]) if out else (False, None)
 
 
 def _trop(hf: Hyperfield, tag: str, value: Fraction) -> "TropicalSet":
@@ -232,22 +218,6 @@ class TropicalSet(SumSet):
         if a > 0:
             out.append(a / 2)
         return out
-
-    def describe(self) -> dict:
-        tag, a = self.data
-        return {"kind": tag, "value": str(a)}
-
-    def _difference_sample(self, other: "TropicalSet") -> tuple:
-        for payload in self.sample():
-            if not other._contains(payload):
-                return True, payload
-        tag_a, va = self.data
-        tag_b, vb = other.data
-        if tag_a == "down" and tag_b == "point" and va > 0:
-            probe = va / 3 if va / 3 != vb else va / 5
-            if not other._contains(probe):
-                return True, probe
-        return False, None
 
 
 def _canon_intervals(pieces: list) -> tuple:
@@ -315,23 +285,6 @@ class IntervalSet(SumSet):
             if hi > lo:
                 out += [(lo + hi) / 2.0, hi]
         return out
-
-    def describe(self) -> dict:
-        return {"kind": "intervals", "pieces": [[lo, hi] for lo, hi in self.data]}
-
-    def _difference_sample(self, other: "IntervalSet") -> tuple:
-        cuts = set()
-        for lo, hi in other.data:
-            cuts.add(lo)
-            cuts.add(hi)
-        for lo, hi in self.data:
-            marks = sorted({lo, hi} | {c for c in cuts if lo < c < hi})
-            probes = list(marks)
-            probes += [(x + y) / 2.0 for x, y in zip(marks, marks[1:])]
-            for probe in probes:
-                if not other._contains(probe):
-                    return True, probe
-        return False, None
 
 
 class ArcSet(SumSet):
@@ -452,34 +405,6 @@ class ArcSet(SumSet):
         out += list(points)
         out += [norm_angle(s + length / 2.0) for s, length in arcs]
         return out
-
-    def describe(self) -> dict:
-        has_zero, points, arcs = self.data
-        return {"kind": "arcs", "zero": has_zero,
-                "points": list(points),
-                "arcs": [[s, length] for s, length in arcs]}
-
-    def _difference_sample(self, other: "ArcSet") -> tuple:
-        za, pa, aa = self.data
-        zb = other.data[0]
-        if za and not zb:
-            return True, None
-        for p in pa:
-            if not other._contains(p):
-                return True, p
-        cuts = []
-        for s, length in other.data[2]:
-            cuts += [s, norm_angle(s + length)]
-        cuts += list(other.data[1])
-        for s, length in aa:
-            marks = sorted({0.0, length} |
-                           {d for d in (_ccw(s, c) for c in cuts) if EPS < d < length - EPS})
-            probes = [(x + y) / 2.0 for x, y in zip(marks, marks[1:])]
-            for off in probes:
-                payload = norm_angle(s + off)
-                if self._contains(payload) and not other._contains(payload):
-                    return True, payload
-        return False, None
 
 
 def fold(terms: list) -> SumSet:

@@ -24,7 +24,10 @@ circuits and classes looked up by frozensets of labels.
 up by support (`class_with_support`), `vectors_equal` two vectors entry
 by entry, and
 `validate_hom` checks the homomorphism rules, asking the fold
-(`fold_sum`) every membership question.  `independent` and
+(`sumsets.fold`) every membership question, as
+`double_distributivity_witness` asks it whether
+(x + y)(z + t) = xz + xt + yz + yt, the oracle of each family's
+`doubly_distributive` flag.  `independent` and
 `fundamental_cocircuit` read a `ClassicalMatroid`'s dependence table and
 dual; `matroid_of` builds one from label sets, and `cocircuits` reads its
 dual's circuits.
@@ -54,14 +57,14 @@ from hypermatroid import (CircuitSignature, ClassicalMatroid, Classification,
                           FVector, GPFunction, GroundSet, HFElement,
                           HyperfieldHom, InputError, RatioInconsistencyError,
                           check_C3_doubleprime, check_strong_elimination,
-                          check_weak_elimination, eq, fold_sum, inv,
+                          check_weak_elimination, eq, inv,
                           mul, neg, orthogonal, projectively_equal,
                           relation_terms, sample_element, signed,
                           support, validate_circuits, zero_in_sum)
 from hypermatroid.hyperfields import _phase_distinct, _phase_max_gap
 from hypermatroid.matroids import _mask
 from hypermatroid.serialization import _payload_from_json
-from hypermatroid.sumsets import EPS
+from hypermatroid.sumsets import EPS, fold
 
 
 def det(rows):
@@ -635,7 +638,7 @@ def minimal_covectors(sig):
     class.  Enumerates all of F^E, so the hyperfield must be finite and
     the ground set small: the oracle of `cocircuit_signature_from_circuits`."""
     hf = sig.hyperfield
-    if not hf.is_finite:
+    if math.isinf(hf.size):
         raise InputError(f"{hf} is not finite; cannot enumerate the vectors")
     found = []
     for combo in product(hf.elements(), repeat=len(sig.ground)):
@@ -661,7 +664,8 @@ def validate_hom(hom, sample_budget=200, seed=0):
         return {"rule": "zero", "value": hom(src.zero())}
     if not eq(hom(src.one()), hom.target.one()):
         return {"rule": "one", "value": hom(src.one())}
-    if src.is_finite:
+    finite = not math.isinf(src.size)
+    if finite:
         pairs = [(x, y) for x in src.elements() for y in src.elements()]
     else:
         rng = random.Random(seed)
@@ -670,14 +674,37 @@ def validate_hom(hom, sample_budget=200, seed=0):
     for x, y in pairs:
         if not eq(hom(mul(x, y)), mul(hom(x), hom(y))):
             return {"rule": "multiplicative", "x": x, "y": y}
-        total, image = fold_sum([x, y]), fold_sum([hom(x), hom(y)])
-        if src.is_finite:
+        total, image = fold([x, y]), fold([hom(x), hom(y)])
+        if finite:
             members = [z for z in src.elements() if total.contains(z)]
         else:
             members = [HFElement(src, payload) for payload in total.sample()]
         for z in members:
             if not image.contains(hom(z)):
                 return {"rule": "sum", "x": x, "y": y, "z": z}
+    return None
+
+
+# quadruples tried first, per family, by `double_distributivity_witness`
+DD_PRESETS = {
+    "triangle": ((1.0, 2.0, 1.0, 2.0), (1.0, 1.0, 1.0, 1.0), (2.0, 3.0, 1.0, 4.0)),
+    "phase": ((1, 4.0 * math.pi / 3.0, 1, 2.0 * math.pi / 3.0), (1, -1, 1, -1),
+              (0.3, 0.3 + math.pi, 1.8, 2.9)),
+}
+
+
+def double_distributivity_witness(hf, seed=0, tries=1000):
+    """The first quadruple (x, y, z, t), the family's presets first and
+    then seeded samples, with (x + y)(z + t) != xz + xt + yz + yt on the
+    exact hypersums, or None when none of `tries` is one."""
+    rng = random.Random(seed)
+    quads = [tuple(hf.element(v) for v in raw) for raw in DD_PRESETS.get(hf.kind, ())]
+    while len(quads) < tries:
+        quads.append(tuple(sample_element(hf, rng) for _ in range(4)))
+    for x, y, z, t in quads:
+        lhs = fold([x, y]).mul(fold([z, t]))
+        if not lhs.equals(fold([mul(x, z), mul(x, t), mul(y, z), mul(y, t)])):
+            return x, y, z, t
     return None
 
 

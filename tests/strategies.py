@@ -1,5 +1,7 @@
 """Hypothesis strategies shared by the property tests, and the function
-builders behind them."""
+builders behind them.  `every_overlap_pair` runs the package's
+circuit/cocircuit pair loop over every overlap, where `nonorthogonal_pair`
+stops at 3."""
 
 import random
 from fractions import Fraction
@@ -13,6 +15,7 @@ from hypermatroid import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
                           GPFunction, GroundSet, circuits_from_gp, eq, gf, mul,
                           random_weak_gp, sample_element)
 from hypermatroid.corpus import gp_from_matrix, weak_only_function
+from hypermatroid.gp import _first_nonorthogonal, _pack
 
 import oracles
 
@@ -37,6 +40,17 @@ def units(hf):
         return st.floats(0.01, 6.28).map(hf.element)
     return st.integers(0, 2 ** 32).map(
         lambda seed: sample_element(hf, random.Random(seed), nonzero=True))
+
+
+def every_overlap_pair(C, D):
+    """(overlap, X, Y) for the first X in C and Y in D, in C x D order, that
+    meet in at most 3 elements and are not orthogonal; failing that, for
+    the first non-orthogonal pair of least overlap; else None."""
+    hf, size = C.hyperfield, len(C.ground)
+    pair = _first_nonorthogonal(_pack(enumerate(C._payloads), hf),
+                                _pack(enumerate(D._payloads), hf, size),
+                                hf, range(1, size + 1))
+    return None if pair is None else (pair[0], C.classes[pair[1]], D.classes[pair[2]])
 
 
 def random_weak_signature(hf, rng, max_rank=3, max_ground=6):

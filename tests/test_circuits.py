@@ -23,8 +23,8 @@ from hypermatroid.cli import main
 
 import oracles
 from oracles import same_signature
-from strategies import (ALL_KINDS, DOUBLY_DISTRIBUTIVE, perturbed,
-                        random_weak_signature, units)
+from strategies import (ALL_KINDS, DOUBLY_DISTRIBUTIVE, every_overlap_pair,
+                        perturbed, random_weak_signature, units)
 
 
 def sign_vec(g, entries):
@@ -275,8 +275,8 @@ def test_orthogonality_verdict_matches_full_orthogonality(hf, seed, perturb):
        st.sampled_from(["none", "circuit", "cocircuit"]))
 def test_nonorthogonal_pair_finds_the_least_overlap(source, seed, perturb):
     """Against every pair tested: a failing pair meeting in at most 3
-    elements when there is one, else one of least overlap (with `full`
-    set).  The dual pairs are those of random weak signatures over each
+    elements when there is one, else one of least overlap (over every
+    overlap).  The dual pairs are those of random weak signatures over each
     hyperfield and of the weak-only corpus entries, whose failing pairs
     all meet in more than 3 elements, as drawn or with a perturbed
     circuit or cocircuit entry."""
@@ -293,8 +293,8 @@ def test_nonorthogonal_pair_finds_the_least_overlap(source, seed, perturb):
     overlaps = [len(set(x.entries) & set(y.entries))
                 for x in circuits.classes for y in cocircuits.classes
                 if not orthogonal(x, y)]
-    found = nonorthogonal_pair(circuits, cocircuits, full=True)
-    small = nonorthogonal_pair(circuits, cocircuits, full=False)
+    found = every_overlap_pair(circuits, cocircuits)
+    small = nonorthogonal_pair(circuits, cocircuits)
     if not overlaps:
         assert found is None and small is None
         return

@@ -48,6 +48,21 @@ def test_axioms_unknown_hyperfield(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("hyperfield, budget", [("tropical", "0"), ("phase", "-3"),
+                                                ("sign", "0")])
+def test_axioms_refuse_a_budget_below_one(capsys, hyperfield, budget):
+    """A budget below 1 would check nothing and pass."""
+    code, out, err = run(capsys, "axioms", "--hyperfield", hyperfield, "--budget", budget)
+    assert code == 2 and out == "" and "--budget" in err
+
+
+@pytest.mark.parametrize("hyperfield", ["gf(101)", "gf(1000003)"])
+def test_axioms_sample_a_field_larger_than_the_budget(capsys, hyperfield):
+    code, out, _ = run(capsys, "axioms", "--hyperfield", hyperfield)
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True and report["exhaustive"] is False
+
+
 def test_check_gp_both_sections(capsys, tmp_path):
     path = write(tmp_path, "gp.json", CORPUS["sign-u24"].build())
     code, out, _ = run(capsys, "check-gp", "--both", path)

@@ -29,7 +29,7 @@ from hypermatroid.matroids import _labels
 import oracles
 from oracles import equivalent_gp, vectors_equal
 from strategies import (ALL_KINDS, DOUBLY_DISTRIBUTIVE, NOT_DOUBLY_DISTRIBUTIVE,
-                        phase_minors, reordered, scale, units,
+                        every_overlap_pair, phase_minors, reordered, scale, units,
                         weak_candidate, weak_functions)
 
 
@@ -167,7 +167,7 @@ def test_dual_pair_witness_refuses_mismatched_signatures():
         with pytest.raises(MismatchError, match=field):
             dual_pair_witness(circuits, bad)
         with pytest.raises(MismatchError, match=field):
-            nonorthogonal_pair(circuits, bad, True)
+            nonorthogonal_pair(circuits, bad)
 
 
 def test_pluecker_three_term_tropical():
@@ -562,7 +562,7 @@ def test_failing_relations_are_the_nonorthogonal_pairs(phi):
     pairs meeting in at most 3 elements orthogonal."""
     circuits = circuits_from_gp(phi)
     cocircuits = cocircuit_signature_from_circuits(circuits)
-    pair = nonorthogonal_pair(circuits, cocircuits, full=True)
+    pair = every_overlap_pair(circuits, cocircuits)
     witness = failing_relation(phi)
     assert (witness is None) == (pair is None)
     if pair is not None:

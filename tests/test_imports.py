@@ -123,3 +123,37 @@ def test_element_operations_have_one_entry_point():
     a family defines payload operations under other names."""
     with open(os.path.join(PACKAGE, "hyperfields.py"), encoding="utf-8") as handle:
         assert shadowing_methods(handle.read()) == []
+
+
+# `hyperfields` reads the angle helpers and gives each family its `sums`
+# class; `circuits` folds hypersums for the elimination witnesses
+SUMSETS_IMPORTERS = ["circuits.py", "hyperfields.py"]
+
+
+def imports_module(source: str, module: str) -> bool:
+    """Whether the source imports `module` or a name from it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == module or \
+                    any(alias.name == module for alias in node.names):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[-1] == module for alias in node.names):
+                return True
+    return False
+
+
+def test_imports_module_is_found():
+    assert imports_module("from .sumsets import fold\n", "sumsets")
+    assert imports_module("from . import sumsets\n", "sumsets")
+    assert imports_module("import hypermatroid.sumsets\n", "sumsets")
+    assert not imports_module("from .hyperfields import EPS\n", "sumsets")
+
+
+def test_only_the_hypersum_layers_import_sumsets():
+    found = []
+    for name in MODULES:
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
+            if imports_module(handle.read(), "sumsets"):
+                found.append(name)
+    assert found == SUMSETS_IMPORTERS

@@ -29,8 +29,8 @@ from hypermatroid.corpus import gp_from_matrix
 from hypermatroid.gp import _cocircuit_payloads
 
 import oracles
-from strategies import (ALL_KINDS, perturbed, random_weak_signature,
-                        weak_functions)
+from strategies import (ALL_KINDS, every_overlap_pair, perturbed,
+                        random_weak_signature, weak_functions)
 
 
 def derived(derive, sig):
@@ -46,9 +46,8 @@ def derived(derive, sig):
 
 def assert_same_pair(C, D):
     """The packed loop names the oracle's (overlap, X, Y), the very class
-    objects, with `full` unset and set."""
-    for full in (False, True):
-        got = nonorthogonal_pair(C, D, full)
+    objects, stopping at overlap 3 and over every overlap."""
+    for got, full in ((nonorthogonal_pair(C, D), False), (every_overlap_pair(C, D), True)):
         want = oracles.nonorthogonal_pair(C, D, full)
         if want is None:
             assert got is None
@@ -282,7 +281,7 @@ def assert_ratio_check_is_subsumed(sig) -> bool:
                    if len(set(x.entries) & set(y.entries)) == 2]
         pair = nonorthogonal_pair(
             CircuitSignature(hf, ground, meeting, dedup=False),
-            CircuitSignature(hf, ground, [y]), full=False)
+            CircuitSignature(hf, ground, [y]))
         if pair is not None:
             assert not orthogonal(pair[1], pair[2])
             overlaps.append(pair[0])
