@@ -682,7 +682,7 @@ def zero_in_sum(terms: Iterable[HFElement]) -> bool:
 
 
 def sample_element(hf: Hyperfield, rng, nonzero: bool = False) -> HFElement:
-    """A pseudo-random element, for axiom sampling and property tests."""
+    """A pseudo-random element, for the perfection sweep and property tests."""
     return hf.sample(rng, nonzero)
 
 
