@@ -17,7 +17,9 @@ and triangle functions of rank 3 and 4 from seeded matrices, GP minors
 whose greedy choices depend on the ground order, the built-in
 hyperfields, the corpus listing, a signature that lists one class
 twice, the second time times a unit (dropped when the file is parsed),
-and malformed GP functions (exit 2), the exit code and the sha256 of stdout, plus the sha256 of
+and malformed GP functions (exit 2), the exit code and the sha256 of
+stdout and of stderr (an error or warning line names the input file
+relative to the directory the commands run in), plus the sha256 of
 every input file the commands read.  The inputs are
 written from the corpus into a temporary directory, and the commands run
 in process.  Regenerate the file (only when an output
@@ -313,6 +315,47 @@ def malformed(case: str) -> dict:
     return raw
 
 
+# Signature inputs with one fault each, as changes to the JSON of the
+# circuits of sign-u24 (labels 1-4, four classes of three entries): a
+# missing field, a class without entries or with entries that are not an
+# object, an unknown label, a bad payload, an inner hyperfield that
+# disagrees, and a class listed twice up to a unit (dropped with a
+# warning); and two with two faults, where the first one the parse meets
+# names the error.  A dual pair carries each fault in its cocircuits.
+# `test_serialization` pins the messages.
+MALFORMED_SIGNATURES = {
+    "missing-field": lambda raw: raw.pop("ground_set"),
+    "no-entries": lambda raw: raw["circuits"][1].pop("entries"),
+    "entries-not-object": lambda raw: raw["circuits"][1].update(entries=[1, 1, -1]),
+    "unknown-label": lambda raw: raw["circuits"][2]["entries"].update({"9": 1}),
+    "bad-payload": lambda raw: raw["circuits"][3]["entries"].update({"3": 7}),
+    "inner-hyperfield": lambda raw: raw["circuits"][0].update(hyperfield="tropical"),
+    "duplicate-class": lambda raw: raw["circuits"].append({"entries": {
+        key: -value for key, value in reversed(raw["circuits"][0]["entries"].items())}}),
+    "hyperfield-then-label": lambda raw: raw["circuits"][1].update(
+        hyperfield="gf(3)", entries={"x": 1}),
+    "payload-then-label": lambda raw: (raw["circuits"][1]["entries"].update({"1": 2}),
+                                       raw["circuits"][2]["entries"].update({"x": 1})),
+}
+
+
+def malformed_signature(case: str) -> dict:
+    """The JSON of the circuits of sign-u24 with the fault
+    MALFORMED_SIGNATURES[case]."""
+    raw = json.loads(serialize(circuits_from_gp(CORPUS["sign-u24"].build())))
+    MALFORMED_SIGNATURES[case](raw)
+    return raw
+
+
+def malformed_pair(case: str) -> dict:
+    """The dual pair of sign-u24 with the fault MALFORMED_SIGNATURES[case]
+    in its cocircuits."""
+    circuits = circuits_from_gp(CORPUS["sign-u24"].build())
+    raw = json.loads(serialize(cocircuit_signature_from_circuits(circuits)))
+    MALFORMED_SIGNATURES[case](raw)
+    return {"circuits": json.loads(serialize(circuits)), "cocircuits": raw}
+
+
 def write_inputs(directory: str) -> dict:
     """Write every input file into `directory`; {file name: sha256}."""
     files = {}
@@ -543,7 +586,8 @@ def run(directory: str, argv: list) -> dict:
             code = main(argv)
     finally:
         os.chdir(old)
-    return {"argv": argv, "exit": code, "stdout_sha256": _sha(stdout.getvalue())}
+    return {"argv": argv, "exit": code, "stdout_sha256": _sha(stdout.getvalue()),
+            "stderr_sha256": _sha(stderr.getvalue())}
 
 
 def record(directory: str) -> dict:

@@ -26,7 +26,8 @@ from hypermatroid.serialization import element_to_json, parse_object
 
 from oracles import element_from_json, equivalent_gp, same_signature
 from strategies import ALL_KINDS, perturbed, random_weak_signature
-from test_golden_cli import MALFORMED, malformed
+from test_golden_cli import (MALFORMED, MALFORMED_SIGNATURES, malformed,
+                             malformed_pair, malformed_signature)
 
 
 def test_hyperfield_identifiers_roundtrip():
@@ -254,6 +255,44 @@ def test_malformed_gp_inputs_exit_2_with_their_message(tmp_path, capsys):
         assert main(["check-gp", "--both", str(path)]) == 2, case
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {path}{message}\n"), case
+
+
+# what `hfm classify` prints on stderr after "error: <file>", or "warning:
+# <file>" for the dropped class, for each input of
+# `test_golden_cli.MALFORMED_SIGNATURES`; `hfm gp` on the dual pair with
+# the fault in its cocircuits prints the same after "<file>.cocircuits"
+MALFORMED_SIGNATURE_MESSAGES = {
+    "missing-field": ": missing field 'ground_set'",
+    "no-entries": ".circuits[1]: expected an object with an 'entries' field",
+    "entries-not-object": ".circuits[1].entries: expected an object",
+    "unknown-label": ".circuits[2].entries.9: not a ground set label",
+    "bad-payload": ".circuits[3].entries.3: sign payload must be -1, 0 or 1, got 7",
+    "inner-hyperfield": ".circuits[0].hyperfield: 'tropical' does not match the "
+                        "enclosing sign",
+    "duplicate-class": ": 1 duplicate projective class(es) dropped",
+    "hyperfield-then-label": ".circuits[1].hyperfield: 'gf(3)' does not match the "
+                             "enclosing sign",
+    "payload-then-label": ".circuits[1].entries.1: sign payload must be -1, 0 or 1, got 2",
+}
+
+
+def test_malformed_signatures_and_pairs_exit_2_with_their_message(tmp_path, capsys):
+    """Each fault exits 2 with its message, the first fault met naming it;
+    a class listed twice exits 0 with one warning line."""
+    assert set(MALFORMED_SIGNATURE_MESSAGES) == set(MALFORMED_SIGNATURES)
+    for case, message in MALFORMED_SIGNATURE_MESSAGES.items():
+        for command, raw, where in (("classify", malformed_signature(case), ""),
+                                    ("gp", malformed_pair(case), ".cocircuits")):
+            path = tmp_path / f"{command}-{case}.json"
+            path.write_text(json.dumps(raw))
+            code = main([command, str(path)])
+            out, err = capsys.readouterr()
+            if case == "duplicate-class":
+                assert code in (0, 1) and out, (command, case)
+                assert err == f"warning: {path}{where}{message}\n", (command, case)
+            else:
+                assert (code, out, err) == (2, "", f"error: {path}{where}{message}\n"), \
+                    (command, case)
 
 
 def drawn_gp(hf, rng):
