@@ -43,7 +43,7 @@ and the dual-pair walk take bases and fundamental circuits as masks.
 
 A function keeps one {basis mask: payload} table of its nonzero values
 (`GPFunction`), which the JSON parser builds through the family's
-`decode` and `serialization.gp_to_json` writes; the circuits of a
+`decode` and `serialization.serialize` writes; the circuits of a
 function (`circuits_from_gp`) and a rebuilt function
 (`gp_from_dual_pair`) are tables too.  Elements are built only for a
 relation's terms in a witness (`relation_terms`), a signature's classes
@@ -184,16 +184,23 @@ def _crossings(x: int, y: int) -> int:
 # -- relations ---------------------------------------------------------------
 
 
+def _uniform(phi: GPFunction) -> bool:
+    """Whether the table holds all C(n, r) r-sets: the basis family of the
+    uniform matroid U(r, n), for which basis exchange holds."""
+    return len(phi._table) == comb(len(phi.ground), phi.rank)
+
+
 def _support(phi: GPFunction) -> tuple:
     """(masks, holders, failure), built once per function: the basis masks
     in lex order of ground positions, bit k of `holders[e]` set when basis
-    k holds e, and `_first_exchange_failure`.  A set lies inside a basis
-    when the AND of its holders is nonzero."""
+    k holds e, and `_first_exchange_failure`, which is not run on a
+    uniform support (`_uniform`), where it could only return None.  A set
+    lies inside a basis when the AND of its holders is nonzero."""
     if phi._bitsets is None:
         masks = sorted(phi._table, key=_positions)
         holders = [sum(1 << k for k, mask in enumerate(masks) if mask >> e & 1)
                    for e in range(len(phi.ground))]
-        phi._bitsets = (masks, holders,
+        phi._bitsets = (masks, holders, None if _uniform(phi) else
                         _first_exchange_failure(phi.ground, masks, holders))
     return phi._bitsets
 
@@ -345,12 +352,10 @@ def failing_relation(phi: GPFunction) -> Optional[dict]:
 def check_gp_weak(phi: GPFunction) -> Optional[dict]:
     """Basis exchange on the support, then the three-term relations; the
     scans run once per function, so `check-gp --both` pays for them once.
-    A table holding all C(n, r) r-sets is the basis family of the uniform
-    matroid U(r, n), for which exchange holds, so the exchange scan, which
-    could only return None there, is skipped."""
+    A uniform support (`_uniform`) passes exchange without the support's
+    bitsets being built."""
     if phi._weak is _UNCHECKED:
-        uniform = len(phi._table) == comb(len(phi.ground), phi.rank)
-        phi._weak = (None if uniform else _support(phi)[2]) or failing_three_term(phi)
+        phi._weak = (None if _uniform(phi) else _support(phi)[2]) or failing_three_term(phi)
     return None if phi._weak is None else dict(phi._weak)
 
 

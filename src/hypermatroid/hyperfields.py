@@ -450,7 +450,6 @@ class Phase(_Infinite):
                 return 0.0
             if raw == -1:
                 return math.pi
-            raise ValueError(f"phase payload must be 0, +-1 or an angle, got {raw!r}")
         value = float(raw)
         if math.isinf(value) or math.isnan(value):
             raise ValueError(f"phase angle must be finite, got {raw!r}")

@@ -17,6 +17,23 @@ values by basis mask (`GPFunction._table`), both through each family's
 `encode` and `decode`; elements are built only for the classes of a
 witness.
 
+Each reader makes one pass over its object.  A GP function's table is
+built straight from its values: one {label: bit} lookup per label checks
+membership and ground order and builds the basis mask, which finds a
+repeated subset.  A signature's classes take one {label string:
+position} lookup per entry.  Each distinct payload spelling is decoded
+once per function or signature (`_decoded`), keyed by type and value,
+since `true`, `1` and `1.0` hash alike but need not decode alike.  The first bad field
+names the error, in the order of a walk that checks each value in turn
+(its shape, labels, a repeated subset, its payload), then the rank, then
+the size and ground order of each subset, then that some value is
+nonzero; that walk, and the signature's, are the test oracles.
+
+`serialize` writes a top-level GP function straight from its table
+(`_gp_text`), the text `json.dumps(..., indent=2)` writes for its schema;
+every other object, a function inside a report included, goes through
+`to_jsonable` and `json.dumps`.
+
 Output is canonical: subsets and supports in ground order, entry maps in
 ground order, two-space indentation.  Parsing is tolerant about scalar
 spellings (ints where strings are canonical, either fraction or decimal
@@ -82,8 +99,31 @@ def _payload_from_json(hf: Hyperfield, raw, where: str):
         return hf.decode(raw)
     except InputError:
         raise
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"{where}: {exc}") from None
+
+
+# what `_decoded` returns for a spelling of zero
+_ZERO = object()
+
+
+def _decoded(hf: Hyperfield, memo: dict, raw, where: str):
+    """The payload raw spells, or `_ZERO`, decoded once per spelling in
+    one object: `memo` is keyed by type and value, since `true`, `1` and
+    `1.0` hash alike but need not decode alike.  An unhashable spelling
+    (a phase {"angle": x}) is decoded every time."""
+    try:
+        return memo[type(raw), raw]
+    except KeyError:
+        key = type(raw), raw
+    except TypeError:
+        key = None
+    a = _payload_from_json(hf, raw, where)
+    if a == hf.zero_payload:
+        a = _ZERO
+    if key is not None:
+        memo[key] = a
+    return a
 
 
 # -- ground sets and labels --------------------------------------------------
@@ -100,16 +140,6 @@ def _parse_ground(raw, where: str) -> GroundSet:
     return GroundSet(raw)
 
 
-def _is_label_list(raw, labels: set) -> bool:
-    """Whether `raw` is a JSON list of members of `labels`."""
-    if not isinstance(raw, list):
-        return False
-    try:
-        return set(raw) <= labels
-    except TypeError:  # a JSON list or object inside is unhashable
-        return False
-
-
 # -- vectors ------------------------------------------------------------------
 
 
@@ -118,29 +148,6 @@ def _table_to_json(hf: Hyperfield, ground: GroundSet, table: dict) -> dict:
     labels, encode = ground.labels, hf.encode
     return {"hyperfield": hyperfield_to_id(hf),
             "entries": {str(labels[i]): encode(a) for i, a in table.items()}}
-
-
-def _table_from_json(raw, hf: Hyperfield, positions: dict, where: str) -> dict:
-    """{position: payload} in ground order of a JSON FVector, zeros left
-    out, given {label string: position}."""
-    if not isinstance(raw, dict) or "entries" not in raw:
-        raise InputError(f"{where}: expected an object with an 'entries' field")
-    if "hyperfield" in raw:
-        inner = hyperfield_from_id(raw["hyperfield"], f"{where}.hyperfield")
-        if inner is not hf:
-            raise InputError(f"{where}.hyperfield: {raw['hyperfield']!r} does "
-                             f"not match the enclosing {hyperfield_to_id(hf)}")
-    entries_raw = raw["entries"]
-    if not isinstance(entries_raw, dict):
-        raise InputError(f"{where}.entries: expected an object")
-    table, zero = {}, hf.zero_payload
-    for key, value in entries_raw.items():
-        if key not in positions:
-            raise InputError(f"{where}.entries.{key}: not a ground set label")
-        a = _payload_from_json(hf, value, f"{where}.entries.{key}")
-        if a != zero:
-            table[positions[key]] = a
-    return dict(sorted(table.items()))
 
 
 # -- top-level objects ---------------------------------------------------------
@@ -156,6 +163,9 @@ def signature_to_json(sig: CircuitSignature) -> dict:
 
 
 def signature_from_json(raw, where: str = "signature") -> CircuitSignature:
+    """The signature of a JSON object, its classes read in one pass: one
+    {label string: position} lookup per entry, zeros left out, each
+    distinct payload spelling decoded once."""
     for field in ("hyperfield", "ground_set", "circuits"):
         if field not in raw:
             raise InputError(f"{where}: missing field '{field}'")
@@ -165,15 +175,37 @@ def signature_from_json(raw, where: str = "signature") -> CircuitSignature:
     if not isinstance(circuits_raw, list):
         raise InputError(f"{where}.circuits: expected a list")
     positions = {str(label): i for i, label in enumerate(ground.labels)}
-    sig = CircuitSignature._from_tables(hf, ground, [
-        _table_from_json(item, hf, positions, f"{where}.circuits[{i}]")
-        for i, item in enumerate(circuits_raw)])
+    spelled, memo, tables = raw["hyperfield"], {}, []
+    for k, item in enumerate(circuits_raw):
+        spot = f"{where}.circuits[{k}]"
+        if not isinstance(item, dict) or "entries" not in item:
+            raise InputError(f"{spot}: expected an object with an 'entries' field")
+        if "hyperfield" in item and item["hyperfield"] != spelled:
+            inner = hyperfield_from_id(item["hyperfield"], f"{spot}.hyperfield")
+            if inner is not hf:
+                raise InputError(f"{spot}.hyperfield: {item['hyperfield']!r} does "
+                                 f"not match the enclosing {hyperfield_to_id(hf)}")
+        entries = item["entries"]
+        if not isinstance(entries, dict):
+            raise InputError(f"{spot}.entries: expected an object")
+        table, last, ordered = {}, -1, True
+        for key, value in entries.items():
+            i = positions.get(key)
+            if i is None:
+                raise InputError(f"{spot}.entries.{key}: not a ground set label")
+            a = _decoded(hf, memo, value, f"{spot}.entries.{key}")
+            if a is not _ZERO:
+                table[i] = a
+                ordered, last = ordered and i > last, i
+        tables.append(table if ordered else dict(sorted(table.items())))
+    sig = CircuitSignature._from_tables(hf, ground, tables)
     if sig.dropped:
         warnings.warn(f"{where}: {sig.dropped} duplicate projective class(es) dropped")
     return sig
 
 
 def gp_to_json(phi: GPFunction) -> dict:
+    """The GP function schema, for a function inside a report."""
     labels, encode, table = phi.ground.labels, phi.hyperfield.encode, phi._table
     return {
         "hyperfield": hyperfield_to_id(phi.hyperfield),
@@ -185,6 +217,14 @@ def gp_to_json(phi: GPFunction) -> dict:
 
 
 def gp_from_json(raw, where: str = "gp") -> GPFunction:
+    """The function of a JSON object, its {basis mask: payload} table
+    built in one pass over the values.  One {label: bit} lookup per label
+    checks membership and ground order and builds the mask, which finds
+    a repeated subset; each distinct payload spelling is decoded once.
+    A subset that is not a rank-set in ground order is named after the
+    pass, as is a rank out of range, since the per-value errors come
+    first: the shape of a value, its labels, a repeated subset and its
+    payload, in the order of the values."""
     for field in ("hyperfield", "ground_set", "rank", "values"):
         if field not in raw:
             raise InputError(f"{where}: missing field '{field}'")
@@ -196,32 +236,51 @@ def gp_from_json(raw, where: str = "gp") -> GPFunction:
     items = raw["values"]
     if not isinstance(items, list):
         raise InputError(f"{where}.values: expected a list")
-    labels = set(ground.labels)
-    values = {}
+    bit = {label: 1 << i for i, label in enumerate(ground.labels)}
+    memo, table = {}, {}
+    # the subsets that are not rank-sets in ground order, as label tuples
+    # for the repeat check, and the first of them
+    odd, first_odd = set(), None
     for i, item in enumerate(items):
-        spot = f"{where}.values[{i}]"
         if not isinstance(item, dict) or "subset" not in item or "value" not in item:
-            raise InputError(f"{spot}: expected {{'subset': ..., 'value': ...}}")
-        subset = item["subset"]
-        if not _is_label_list(subset, labels):
-            raise InputError(f"{spot}.subset: not a list of ground labels")
-        key = tuple(subset)
-        if key in values:
-            raise InputError(f"{spot}.subset: duplicate subset {subset}")
-        values[key] = _payload_from_json(hf, item["value"], f"{spot}.value")
+            raise InputError(f"{where}.values[{i}]: expected {{'subset': ..., 'value': ...}}")
+        subset, mask, last, canonical = item["subset"], 0, 0, False
+        try:
+            if not isinstance(subset, list):
+                raise TypeError
+            for x in subset:
+                b = bit[x]
+                if b <= last:  # out of ground order or repeated
+                    if not all(y in bit for y in subset):
+                        raise KeyError
+                    break
+                mask |= b
+                last = b
+            else:
+                canonical = len(subset) == rank
+        except (KeyError, TypeError):
+            raise InputError(f"{where}.values[{i}].subset: not a list of ground labels") from None
+        if canonical:
+            repeated = mask in table
+        else:
+            key = tuple(subset)
+            repeated = key in odd
+            odd.add(key)
+            if first_odd is None:
+                first_odd = key
+        if repeated:
+            raise InputError(f"{where}.values[{i}].subset: duplicate subset {subset}")
+        a = _decoded(hf, memo, item["value"], f"{where}.values[{i}].value")
+        if canonical:
+            table[mask] = a
     try:
-        table = _subset_table(hf, ground, rank, values)
-        return GPFunction._from_table(hf, ground, rank, table)
+        if first_odd is not None or not 1 <= rank <= len(ground):
+            # raises on the rank, else on first_odd, as the constructor does
+            _subset_table(hf, ground, rank, {first_odd: None})
+        return GPFunction._from_table(hf, ground, rank, {
+            m: a for m, a in table.items() if a is not _ZERO})
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from None
-
-
-def dual_pair_from_json(raw, where: str = "pair"):
-    for field in ("circuits", "cocircuits"):
-        if field not in raw:
-            raise InputError(f"{where}: missing field '{field}'")
-    return (signature_from_json(raw["circuits"], f"{where}.circuits"),
-            signature_from_json(raw["cocircuits"], f"{where}.cocircuits"))
 
 
 # -- generic encoding of reports and witnesses --------------------------------
@@ -258,8 +317,37 @@ def to_jsonable(obj):
     return repr(obj)
 
 
+def _gp_text(phi: GPFunction) -> str:
+    """The GP function schema as `json.dumps(..., indent=2)` writes it,
+    straight from the table: the values in the lex order of their ground
+    positions, each label and each distinct payload encoded once."""
+    dumps, encode = json.dumps, phi.hyperfield.encode
+    labels = [dumps(label) for label in phi.ground.labels]
+    spelled, items = {}, []
+    for positions, mask in sorted((_positions(m), m) for m in phi._table):
+        a = phi._table[mask]
+        value = spelled.get((type(a), a))
+        if value is None:
+            value = encode(a)
+            # a phase unit is {"angle": radians}, anything else a scalar
+            value = spelled[type(a), a] = "{" + ",".join([
+                f"\n        {dumps(k)}: {dumps(x)}" for k, x in value.items()
+            ]) + "\n      }" if isinstance(value, dict) else dumps(value)
+        items.append('    {\n      "subset": [\n        '
+                     + ",\n        ".join([labels[i] for i in positions])
+                     + '\n      ],\n      "value": ' + value + "\n    }")
+    return ('{\n  "hyperfield": ' + dumps(hyperfield_to_id(phi.hyperfield))
+            + ',\n  "ground_set": [\n    ' + ",\n    ".join(labels)
+            + '\n  ],\n  "rank": ' + dumps(phi.rank)
+            + ',\n  "values": [\n' + ",\n".join(items) + "\n  ]\n}")
+
+
 def serialize(obj) -> str:
-    """Canonical JSON text for any serializable object."""
+    """Canonical JSON text for any serializable object: a GP function
+    written from its table (`_gp_text`), anything else through
+    `to_jsonable` and `json.dumps(..., indent=2)`."""
+    if isinstance(obj, GPFunction):
+        return _gp_text(obj)
     return json.dumps(to_jsonable(obj), indent=2)
 
 
@@ -274,7 +362,8 @@ def parse_object(raw, where: str = "input"):
     if "values" in raw and "rank" in raw:
         return gp_from_json(raw, where)
     if "cocircuits" in raw and "circuits" in raw:
-        return dual_pair_from_json(raw, where)
+        return (signature_from_json(raw["circuits"], f"{where}.circuits"),
+                signature_from_json(raw["cocircuits"], f"{where}.cocircuits"))
     if "circuits" in raw:
         return signature_from_json(raw, where)
     raise InputError(f"{where}: shape matches no known schema")

@@ -47,6 +47,7 @@ made on that matroid.
 
 import math
 import random
+import warnings
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -63,7 +64,9 @@ from hypermatroid import (CircuitSignature, ClassicalMatroid, Classification,
                           support, validate_circuits, zero_in_sum)
 from hypermatroid.hyperfields import _phase_distinct, _phase_max_gap
 from hypermatroid.matroids import _mask
-from hypermatroid.serialization import _payload_from_json
+from hypermatroid.gp import _subset_table
+from hypermatroid.serialization import (_parse_ground, _payload_from_json,
+                                        hyperfield_from_id)
 from hypermatroid.sumsets import EPS, fold
 
 
@@ -711,6 +714,118 @@ def double_distributivity_witness(hf, seed=0, tries=1000):
 def element_from_json(hf, raw, where):
     """The element a JSON value spells, as the parser reads a payload."""
     return HFElement(hf, _payload_from_json(hf, raw, where))
+
+
+def gp_to_json(phi):
+    """The GP function schema from the element view: the values in the
+    order of their subsets' ground positions."""
+    ground, values = phi.ground, phi.values
+    keys = sorted(values, key=lambda key: [ground.index(x) for x in key])
+    return {"hyperfield": str(phi.hyperfield), "ground_set": list(ground.labels),
+            "rank": phi.rank,
+            "values": [{"subset": list(key), "value": values[key].hyperfield.encode(
+                values[key].value)} for key in keys]}
+
+
+def _is_label_list(raw, labels):
+    """Whether `raw` is a JSON list of members of `labels`."""
+    if not isinstance(raw, list):
+        return False
+    try:
+        return set(raw) <= labels
+    except TypeError:  # a JSON list or object inside is unhashable
+        return False
+
+
+def gp_from_json(raw, where="gp"):
+    """The GP reader by the two-pass walk: every value decoded on its
+    own into {label tuple: payload}, then the package's `_subset_table`."""
+    for field in ("hyperfield", "ground_set", "rank", "values"):
+        if field not in raw:
+            raise InputError(f"{where}: missing field '{field}'")
+    hf = hyperfield_from_id(raw["hyperfield"], f"{where}.hyperfield")
+    ground = _parse_ground(raw["ground_set"], f"{where}.ground_set")
+    rank = raw["rank"]
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise InputError(f"{where}.rank: expected an integer")
+    items = raw["values"]
+    if not isinstance(items, list):
+        raise InputError(f"{where}.values: expected a list")
+    labels = set(ground.labels)
+    values = {}
+    for i, item in enumerate(items):
+        spot = f"{where}.values[{i}]"
+        if not isinstance(item, dict) or "subset" not in item or "value" not in item:
+            raise InputError(f"{spot}: expected {{'subset': ..., 'value': ...}}")
+        subset = item["subset"]
+        if not _is_label_list(subset, labels):
+            raise InputError(f"{spot}.subset: not a list of ground labels")
+        key = tuple(subset)
+        if key in values:
+            raise InputError(f"{spot}.subset: duplicate subset {subset}")
+        values[key] = _payload_from_json(hf, item["value"], f"{spot}.value")
+    try:
+        table = _subset_table(hf, ground, rank, values)
+        return GPFunction._from_table(hf, ground, rank, table)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
+def _table_from_json(raw, hf, positions, where):
+    """{position: payload} in ground order of a JSON FVector, zeros left
+    out, given {label string: position}."""
+    if not isinstance(raw, dict) or "entries" not in raw:
+        raise InputError(f"{where}: expected an object with an 'entries' field")
+    if "hyperfield" in raw:
+        inner = hyperfield_from_id(raw["hyperfield"], f"{where}.hyperfield")
+        if inner is not hf:
+            raise InputError(f"{where}.hyperfield: {raw['hyperfield']!r} does "
+                             f"not match the enclosing {hf}")
+    entries_raw = raw["entries"]
+    if not isinstance(entries_raw, dict):
+        raise InputError(f"{where}.entries: expected an object")
+    table, zero = {}, hf.zero_payload
+    for key, value in entries_raw.items():
+        if key not in positions:
+            raise InputError(f"{where}.entries.{key}: not a ground set label")
+        a = _payload_from_json(hf, value, f"{where}.entries.{key}")
+        if a != zero:
+            table[positions[key]] = a
+    return dict(sorted(table.items()))
+
+
+def signature_from_json(raw, where="signature"):
+    """The signature reader by the walk that decodes every entry on its
+    own and sorts each class."""
+    for field in ("hyperfield", "ground_set", "circuits"):
+        if field not in raw:
+            raise InputError(f"{where}: missing field '{field}'")
+    hf = hyperfield_from_id(raw["hyperfield"], f"{where}.hyperfield")
+    ground = _parse_ground(raw["ground_set"], f"{where}.ground_set")
+    circuits_raw = raw["circuits"]
+    if not isinstance(circuits_raw, list):
+        raise InputError(f"{where}.circuits: expected a list")
+    positions = {str(label): i for i, label in enumerate(ground.labels)}
+    sig = CircuitSignature._from_tables(hf, ground, [
+        _table_from_json(item, hf, positions, f"{where}.circuits[{i}]")
+        for i, item in enumerate(circuits_raw)])
+    if sig.dropped:
+        warnings.warn(f"{where}: {sig.dropped} duplicate projective class(es) dropped")
+    return sig
+
+
+def parse_by_walk(raw, where="input"):
+    """`serialization.parse_object` on the walking readers."""
+    if not isinstance(raw, dict):
+        raise InputError(f"{where}: expected a JSON object")
+    if "values" in raw and "rank" in raw:
+        return gp_from_json(raw, where)
+    if "cocircuits" in raw and "circuits" in raw:
+        return (signature_from_json(raw["circuits"], f"{where}.circuits"),
+                signature_from_json(raw["cocircuits"], f"{where}.cocircuits"))
+    if "circuits" in raw:
+        return signature_from_json(raw, where)
+    raise InputError(f"{where}: shape matches no known schema")
 
 
 def supp_min(vectors):

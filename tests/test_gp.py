@@ -444,10 +444,11 @@ def test_three_term_scan_matches_the_term_lists(phi):
 
 @pytest.mark.parametrize("name", ["sign-u24", "phase-u24-real", "rational-u24"])
 def test_uniform_support_skips_the_exchange_scan(monkeypatch, name):
-    """A table holding every r-set is the basis family of U(r, n), so the
-    weak check runs no exchange scan on it; the same table less one basis
-    gets one, and both verdicts are those of the direct scans.  The
-    circuits still read the support's bitsets (`_matroid_support`)."""
+    """A table holding every r-set is the basis family of U(r, n), so
+    neither the weak check nor the circuits, which read the support's
+    bitsets (`_matroid_support`), run an exchange scan on it; the same
+    table less one basis gets one, and both verdicts are those of the
+    direct scans."""
     calls, scan = [], hypermatroid.gp._first_exchange_failure
     monkeypatch.setattr(hypermatroid.gp, "_first_exchange_failure",
                         lambda *args: calls.append(args) or scan(*args))
@@ -461,7 +462,7 @@ def test_uniform_support_skips_the_exchange_scan(monkeypatch, name):
     assert check_gp_weak(fewer) == oracles.gp_witness(fewer, True)
     assert len(calls) == 1
     circuits_from_gp(phi)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def random_family(rng, rank, labels, density):

@@ -100,6 +100,13 @@ def test_phase_element_zero_vs_unit():
     assert eq(PHASE.element(-1), PHASE.element(math.pi))
 
 
+def test_phase_reads_other_ints_as_angles():
+    """Besides 0, 1 and -1, an int is an angle in radians, as a float is."""
+    for n in (2, -2, 3, 7, 100):
+        assert PHASE.element(n) == PHASE.element(float(n))
+        assert eq(PHASE.element(n), PHASE.element(n + 2 * math.pi))
+
+
 def test_involution():
     a = PHASE.element(1.0)
     assert eq(invol(a), PHASE.element(2 * math.pi - 1.0))

@@ -24,8 +24,10 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
 from hypermatroid.cli import main
 from hypermatroid.serialization import element_to_json, parse_object
 
+import oracles
 from oracles import element_from_json, equivalent_gp, same_signature
 from strategies import ALL_KINDS, perturbed, random_weak_signature
+from test_cli import fuzz_documents, mutated
 from test_golden_cli import (MALFORMED, MALFORMED_SIGNATURES, malformed,
                              malformed_pair, malformed_signature)
 
@@ -130,6 +132,18 @@ def test_field_path_in_errors():
     with pytest.raises(InputError) as err:
         parse_object(raw)
     assert "values[0].value" in str(err.value)
+
+
+def test_payloads_too_large_for_a_float_are_input_errors():
+    """A triangle value or a phase angle that no float holds is refused
+    with its field, not a traceback."""
+    huge = 10 ** 400
+    for hf, value in ((TRIANGLE, huge), (PHASE, {"angle": huge})):
+        raw = json.loads(serialize(GPFunction(hf, GroundSet([1, 2]), 1,
+                                              {(1,): hf.one(), (2,): hf.one()})))
+        raw["values"][1]["value"] = value
+        with pytest.raises(InputError, match=r"^gp\.values\[1\]\.value: int too large"):
+            parse_object(raw, "gp")
 
 
 def test_gp_json_field_checks():
@@ -398,3 +412,147 @@ def test_parsed_gp_matches_the_element_constructor(hf, seed):
             with pytest.raises(InputError) as caught:
                 GPFunction(hf, ground, raw["rank"], elements)
             assert str(caught.value) == message[2:], fault
+
+
+# labels that JSON writes with escapes: quotes, backslashes, control and
+# non-ASCII characters
+LABELS = st.one_of(st.integers(-99, 99),
+                   st.text(st.sampled_from('ab"\\/\n\t\u00e9\u2713\U0001d54f '),
+                           min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_KINDS + [gf(5)]),
+       st.lists(LABELS, min_size=1, max_size=6, unique_by=str),
+       st.integers(1, 3), st.integers(0, 2 ** 32))
+def test_gp_writer_is_the_generic_encoder(hf, labels, rank, seed):
+    """`serialize` writes a GP function from its table, byte for byte the
+    indented encoding of its schema (`oracles.gp_to_json`, built from the
+    element view), and the text reads back to the same table; over every
+    family and GF(5), int and str labels, phase angles, tropical "p/q"
+    values and rank 1."""
+    rng, rank = random.Random(seed), min(rank, len(labels))
+    ground = GroundSet(labels)
+    keys = list(combinations(labels, rank))
+    values = {key: hf.zero() if rng.random() < 0.3
+              else sample_element(hf, rng, nonzero=True) for key in keys}
+    if hf is TROPICAL:
+        values.update({key: TROPICAL.element(Fraction(rng.randint(1, 9), 3))
+                       for key in keys if rng.random() < 0.3})
+    values[rng.choice(keys)] = sample_element(hf, rng, nonzero=True)
+    phi = GPFunction(hf, ground, rank, values)
+    text = serialize(phi)
+    assert text == json.dumps(oracles.gp_to_json(phi), indent=2)
+    again = parse_text(text)
+    assert again.ground == ground and again.rank == rank
+    assert {m: repr(a) for m, a in again._table.items()} == \
+        {m: repr(a) for m, a in phi._table.items()}
+
+
+def read_both(raw):
+    """(outcome, warnings) of `parse_object` and of the walking readers
+    (`oracles.parse_by_walk`) on one JSON value: the canonical text of
+    the object and the payload tables in order, or the error's type and
+    text."""
+    def outcome(read):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                obj = read(raw)
+            except Exception as exc:  # noqa: BLE001 - the type is compared
+                result = (type(exc).__name__, str(exc))
+            else:
+                parts = obj if isinstance(obj, tuple) else (obj,)
+                result = (serialize(obj), [
+                    [(m, repr(a)) for m, a in part._table.items()]
+                    if isinstance(part, GPFunction)
+                    else [sorted(t.items()) == list(t.items()) and repr(t)
+                          for t in part._payloads] for part in parts])
+        return result, [str(w.message) for w in caught]
+    return outcome(parse_object), outcome(oracles.parse_by_walk)
+
+
+@pytest.mark.parametrize("hf", ALL_KINDS + [gf(5)], ids=str)
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_one_pass_readers_match_the_walk(hf, seed):
+    """The one-pass readers build what the walking readers build, the
+    tables in the same order, on drawn GP functions and signatures (zeros
+    listed, values shuffled, labels out of natural order), and refuse
+    each fault of `faults` with the same text, also with a second fault
+    at a random value: a bad payload, its subset reversed, an empty
+    subset listed first, or an unknown label after the subset's other
+    labels or after them reversed."""
+    rng = random.Random(seed)
+    ground, rank, values = drawn_gp(hf, rng)
+    raw = json.loads(json.dumps(gp_raw(hf, ground, rank, values)))
+    new, old = read_both(raw)
+    assert new == old and isinstance(new[0][1], list)
+    for fault, (changed, _, _) in faults(hf, ground, rank, values, rng).items():
+        new, old = read_both(json.loads(json.dumps(changed)))
+        assert new == old and new[0][0] == "InputError", fault
+        for second in ("payload", "order", "empty", "label", "label-after-order"):
+            twice = json.loads(json.dumps(changed))
+            item = rng.choice(twice["values"])
+            if second == "empty":
+                twice["values"].insert(0, {**item, "subset": []})
+            elif second == "payload":
+                item["value"] = []
+            elif second == "order":
+                item["subset"] = item["subset"][::-1]
+            else:
+                item["subset"] = (item["subset"][::-1] if second == "label-after-order"
+                                  else item["subset"]) + ["zz"]
+            new, old = read_both(twice)
+            assert new == old, (fault, second)
+    doc = json.loads(serialize(as_drawn(hf, rng)))
+    zero = element_to_json(hf.zero())
+    for circuit in doc["circuits"]:
+        items = list(circuit["entries"].items()) + [
+            (str(label), zero) for label in doc["ground_set"] if rng.random() < 0.2
+            and str(label) not in circuit["entries"]]
+        rng.shuffle(items)
+        circuit["entries"] = dict(items)
+    doc["circuits"].append(dict(doc["circuits"][0]))
+    new, old = read_both(doc)
+    assert new == old and new[1], new
+
+
+def test_one_pass_readers_refuse_mutations_as_the_walk_does():
+    """On 400 seeded mutations of every input shape (the mutator of
+    `test_cli_survives_mutated_input`), the one-pass readers and the walk
+    accept the same objects and raise the same errors with the same
+    text."""
+    rng = random.Random(1601)
+    docs = fuzz_documents()
+    refused = 0
+    for _ in range(400):
+        try:
+            raw = json.loads(mutated(rng.choice(docs), rng))
+        except json.JSONDecodeError:
+            continue
+        new, old = read_both(raw)
+        assert new == old, raw
+        refused += new[0][0] == "InputError"
+    assert refused > 100
+
+
+@pytest.mark.parametrize("hf", [SIGN, KRASNER, gf(3), TRIANGLE], ids=str)
+def test_decode_memo_tells_spellings_apart(hf):
+    """`true`, `1` and `1.0` hash alike, so a memo keyed by the raw value
+    alone would read a later `true` or `1.0` as an earlier `1`: in either
+    order the one-pass readers accept or refuse as the walk does."""
+    spellings = [(1, True), (True, 1), (1, 1.0), (1.0, 1), (1, 1.0, True)]
+    for spelled in spellings:
+        gp = {"hyperfield": str(hf), "ground_set": list(range(len(spelled))),
+              "rank": 1, "values": [{"subset": [i], "value": v}
+                                    for i, v in enumerate(spelled)]}
+        sig = {"hyperfield": str(hf), "ground_set": list(range(len(spelled))),
+               "circuits": [{"entries": {str(i): v}} for i, v in enumerate(spelled)]}
+        for raw in (gp, sig):
+            new, old = read_both(json.loads(json.dumps(raw)))
+            assert new == old, (spelled, raw)
+            refused = new[0][0] == "InputError"
+            kinds = {type(v) for v in spelled}
+            assert refused == (bool in kinds or float in kinds and hf is not TRIANGLE), \
+                (spelled, new)
