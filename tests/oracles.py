@@ -43,6 +43,11 @@ B1 - x, `gp_matroid` the matroid of a GP function's support by
 `ClassicalMatroid.from_bases`, and `minor_by_matroid` a GP minor as a
 deletion and then a contraction, each with its greedy choices (`greedy`)
 made on that matroid.
+`gp_from_json`, `signature_from_json` and `parse_by_walk` are the JSON
+readers the package's one-pass readers replaced: each value decoded on
+its own, a GP function's subsets walked into a label-tuple dict and then
+through the package's `_subset_table`, and each class sorted.
+`gp_to_json` writes the GP function schema from the element view.
 """
 
 import math
@@ -66,7 +71,7 @@ from hypermatroid.hyperfields import _phase_distinct, _phase_max_gap
 from hypermatroid.matroids import _mask
 from hypermatroid.gp import _subset_table
 from hypermatroid.serialization import (_parse_ground, _payload_from_json,
-                                        hyperfield_from_id)
+                                        element_to_json, hyperfield_from_id)
 from hypermatroid.sumsets import EPS, fold
 
 
@@ -723,8 +728,8 @@ def gp_to_json(phi):
     keys = sorted(values, key=lambda key: [ground.index(x) for x in key])
     return {"hyperfield": str(phi.hyperfield), "ground_set": list(ground.labels),
             "rank": phi.rank,
-            "values": [{"subset": list(key), "value": values[key].hyperfield.encode(
-                values[key].value)} for key in keys]}
+            "values": [{"subset": list(key), "value": element_to_json(values[key])}
+                       for key in keys]}
 
 
 def _is_label_list(raw, labels):

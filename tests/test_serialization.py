@@ -463,11 +463,8 @@ def read_both(raw):
                 result = (type(exc).__name__, str(exc))
             else:
                 parts = obj if isinstance(obj, tuple) else (obj,)
-                result = (serialize(obj), [
-                    [(m, repr(a)) for m, a in part._table.items()]
-                    if isinstance(part, GPFunction)
-                    else [sorted(t.items()) == list(t.items()) and repr(t)
-                          for t in part._payloads] for part in parts])
+                result = (serialize(obj), [repr(part._table) if isinstance(
+                    part, GPFunction) else repr(part._payloads) for part in parts])
         return result, [str(w.message) for w in caught]
     return outcome(parse_object), outcome(oracles.parse_by_walk)
 
