@@ -3,9 +3,10 @@
 Matroids over a hyperfield depend only on its null set, the formal sums
 x1 + ... + xk that contain 0 (Baker and Bowler, "Matroids over partial
 hyperstructures", where a group with a null set is a tract), and every
-verdict of the checkers is decided by a family's `zero_in` or
+verdict of the checkers is decided by a family's null-set kernel
 `zero_in_dot`.  So the checks ask the operations the checkers run
-(`product`, `inverse`, `negative`, `equal`, `zero_in`) the tract axioms:
+(`product`, `inverse`, `negative`, `equal`, and `zero_in`, which is the
+kernel against the payload of 1) the tract axioms:
 
   multiplicative-group  the units form a commutative group with 1, and a
                         product of units is never 0

@@ -46,7 +46,8 @@ basis-exchange scan; it reports the number of three-term (I, J) pairs,
 four per relation though it decides each relation once, and the first
 failing one.
 `axioms` checks the tract axioms on the family's own payload operations,
-the ones every checker runs (`axioms.check_hyperfield_axioms`): the units
+the ones every checker runs, null sets through the kernel `zero_in_dot`
+(`axioms.check_hyperfield_axioms`): the units
 form a commutative group, 0 is the neutral null sum and no unit is null,
 0 lies in x + y exactly when y is the hyperinverse of x, and whether 0
 lies in a sum survives scaling by a unit, concatenating two null sums and
@@ -78,9 +79,9 @@ from .experiments import config_from_json, run_perfection_experiment
 from .gp import (GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp,
                  classify, cocircuit_signature_from_circuits,
                  elimination_witness, failing_three_term, gp_from_dual_pair,
-                 orthogonality_verdict, three_term_pairs)
+                 orthogonality_verdict, three_term_pairs,
+                 underlying_violation)
 from .hyperfields import TROPICAL
-from .matroids import validate_circuits
 from .serialization import hyperfield_from_id, parse_text, serialize
 from .transforms import (dual_gp, minor_circuits, minor_gp,
                          pushforward_circuits, pushforward_gp, rational_padic,
@@ -174,11 +175,7 @@ def _cmd_check_circuits(args) -> int:
     witness = check_C0_C2(sig)
     out["supports"] = {"ok": witness is None, "witness": witness}
     if witness is None:
-        try:
-            sig.underlying_matroid()
-        except InputError:
-            # name the violation; a ground set above the cap raises again
-            witness = validate_circuits(sig.ground, sig.supports()).as_json()
+        witness = underlying_violation(sig)
         out["underlying_matroid"] = {"ok": witness is None, "witness": witness}
     if witness is None:
         verdict = orthogonality_verdict(sig)

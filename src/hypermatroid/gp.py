@@ -733,6 +733,17 @@ def elimination_witness(sig: CircuitSignature, verdict: str) -> dict:
     return witness
 
 
+def underlying_violation(sig: CircuitSignature) -> Optional[dict]:
+    """The circuit axiom that the supports of `sig` violate, as JSON, or
+    None when they are the circuits of a matroid."""
+    try:
+        sig.underlying_matroid()
+    except InputError:
+        # name the violation; a ground set above the cap raises again
+        return validate_circuits(sig.ground, sig.supports()).as_json()
+    return None
+
+
 def classify(sig: CircuitSignature) -> Classification:
     """The verdict on a circuit signature, with its witness.
 
@@ -745,13 +756,9 @@ def classify(sig: CircuitSignature) -> Classification:
     basic = check_C0_C2(sig)
     if basic is not None:
         return Classification("InvalidSignature", basic)
-    try:
-        sig.underlying_matroid()
-    except InputError:
-        # name the violation; a ground set above the cap raises again
-        violation = validate_circuits(sig.ground, sig.supports())
-        return Classification("UnderlyingNotMatroid",
-                              {"axiom": "underlying", **violation.as_json()})
+    violation = underlying_violation(sig)
+    if violation is not None:
+        return Classification("UnderlyingNotMatroid", {"axiom": "underlying", **violation})
     verdict = orthogonality_verdict(sig)
     if verdict == "Strong":
         return Classification(verdict)

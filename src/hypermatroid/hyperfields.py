@@ -29,16 +29,16 @@ one interned zero and one, sampling, the JSON codec of payloads
 its hypersums exactly (`sums`).  Its arithmetic is stated once, on raw
 payloads: the product of two nonzero payloads (`product`), the
 hyperinverse (`negative`), the multiplicative inverse (`inverse`), the
-involution (`conjugate`), equality (`equal`) and the closed form for
-"0 in x1 + ... + xk" (`zero_in`).  Every GP relation test asks "0 in the
-sum of the products over the shared positions" (`zero_in_dot`), one row
-lookup per left entry: the circuit/cocircuit pair loops once per pair,
-and the three-term scan once per relation, its left side per (a, b, c)
-and a row per d.  By default `zero_in_dot` is `zero_in` of `product`s,
-which Krasner and sign fuse by cancelling on the fly, tropical by a
-running maximum and its count, triangle with the same left-to-right
-floats, and phase with exact angles and its gap test inline.  The
-cocircuit derivation calls the payload operations directly.
+involution (`conjugate`), equality (`equal`) and the null set, as the
+kernel that every GP relation test asks, "0 in the sum of the products
+over the shared positions" (`zero_in_dot`), one row lookup per left
+entry: the circuit/cocircuit pair loops once per pair, and the
+three-term scan once per relation, its left side per (a, b, c) and a
+row per d.  Krasner and sign cancel on the fly, tropical keeps a running
+maximum and its count, triangle left-to-right floats, and phase exact
+angles and a gap test.  "0 in x1 + ... + xk" (`zero_in`) is derived
+once: the kernel against the payload of 1, since x * 1 is x bit for
+bit.  The cocircuit derivation calls the payload operations directly.
 
 The element operations are the module functions `mul`, `neg`, `inv`,
 `invol`, `eq` and `zero_in_sum`: each checks that its operands share one
@@ -46,7 +46,7 @@ hyperfield, handles zero, and calls the family's payload operation, so
 elements and payloads share one formula.  The exact hypersums of
 `sumsets` (`sums`, `sumsets.fold`) serve only the elimination witnesses
 (`circuits.eliminating_circuits`) at run time; the tests cross-check the
-closed forms against them.
+null sets against them.
 """
 
 from __future__ import annotations
@@ -134,13 +134,15 @@ class HFElement:
 class Hyperfield:
     """A hyperfield: one interned instance of its family's class.
 
-    A family sets `kind` and `sums`, and implements `normalise` and
-    `zero_in`; it operates on payloads only, and the module functions
-    (`mul`, `neg`, ...) lift its operations to elements.  The other
+    A family sets `kind` and `sums`, and implements `normalise` and its
+    null set `zero_in_dot(left, row)`: whether 0 lies in the sum of the
+    products a * row[i] over the (i, a) of `left` (position, nonzero
+    payload) with row[i], read once, not None.  It operates on payloads
+    only, and the module functions (`mul`, `neg`, ...) lift its operations
+    to elements.  `zero_in` derives from `zero_in_dot`.  The other
     defaults here are products of payloads, hyperinverse -x = x, inverse
-    1 / x, the identity involution, equality of payloads, `zero_in_dot` as
-    `zero_in` of `product`s (overridden only to fuse the two, with equal
-    verdicts), and the behaviour of the finite families.
+    1 / x, the identity involution, equality of payloads, and the
+    behaviour of the finite families.
     """
 
     # what the payload of zero equals: 0, or None over phase
@@ -208,11 +210,12 @@ class Hyperfield:
         """Whether two nonzero payloads are the same element."""
         return a == b
 
-    def zero_in_dot(self, left, row: list) -> bool:
-        """Whether 0 lies in the sum of the products a * row[i] over the
-        (i, a) of `left` (position, nonzero payload) with row[i], read once,
-        not None: a row of payloads by position, some position shared."""
-        return self.zero_in([self.product(a, b) for i, a in left if (b := row[i]) is not None])
+    def zero_in(self, payloads: list) -> bool:
+        """Whether 0 lies in the sum of the payloads: `zero_in_dot` of the
+        nonzero ones against the payload of 1, since x * 1 is x bit for
+        bit and the kernels keep the order of the terms."""
+        zero = self.zero_payload
+        return self.zero_in_dot([(0, a) for a in payloads if a != zero], [self._one.value])
 
     def sample(self, rng, nonzero: bool = False) -> HFElement:
         pool = self.elements()
@@ -279,18 +282,8 @@ class FiniteTable(Hyperfield):
     def inverse(self, a):
         return a
 
-    def zero_in(self, payloads: list) -> bool:
-        seen = set()
-        for x in payloads:
-            if x:
-                if self._neg[x] in seen:
-                    return True
-                seen.add(x)
-        return not seen
-
     def zero_in_dot(self, left, row: list) -> bool:
-        """`zero_in` of the products in one pass, stopping at the first
-        product that cancels one seen before."""
+        """One pass, stopping at the first product that cancels one before."""
         negative, seen = self._neg, set()
         for i, a in left:
             if (b := row[i]) is not None:
@@ -328,13 +321,8 @@ class Tropical(_Infinite):
             raise ValueError(f"tropical payload must be nonnegative, got {raw!r}")
         return value
 
-    def zero_in(self, payloads: list) -> bool:
-        top = max(payloads)
-        return top == 0 or payloads.count(top) >= 2
-
     def zero_in_dot(self, left, row: list) -> bool:
-        """`zero_in` of the products in one pass: the running maximum and
-        how often it occurs."""
+        """The products' running maximum and how often it occurs."""
         top = ties = 0
         for i, a in left:
             if (b := row[i]) is not None:
@@ -378,19 +366,9 @@ class Triangle(_Infinite):
     def equal(self, a, b) -> bool:
         return abs(a - b) <= EPS * max(a, b)
 
-    def zero_in(self, payloads: list) -> bool:
-        """`total` adds left to right, as `zero_in_dot` does: from Python
-        3.12 `sum` compensates float rounding, which could move a verdict
-        at the tolerance."""
-        top = total = 0.0
-        for t in payloads:
-            total += t
-            if t > top:
-                top = t
-        return top - (total - top) <= EPS * top
-
     def zero_in_dot(self, left, row: list) -> bool:
-        """`zero_in` of the products in one pass, with the same floats."""
+        """`total` adds left to right: from Python 3.12 `sum` compensates
+        float rounding, which could move a verdict at the tolerance."""
         top = total = 0.0
         for i, a in left:
             if (b := row[i]) is not None:
@@ -474,15 +452,13 @@ class Phase(_Infinite):
     def equal(self, a, b) -> bool:
         return angle_close(a, b)
 
-    def zero_in(self, payloads: list) -> bool:
-        return _zero_in_phase_sum([a for a in payloads if a is not None])
-
     def zero_in_dot(self, left, row: list) -> bool:
-        """`_zero_in_phase_sum` of the products (`_phase_products`), with
-        its gap test inline on them sorted in place.  When a gap is within
-        `EPS`, the greedy dedup decides, which depends on the order of its
-        input: it takes the products formed again in the order of `left`,
-        which is read twice then (a list or a dict view)."""
+        """The gap test on the products (`_phase_products`), sorted: float
+        differences grow with the exact ones, so when every neighbour gap
+        and 2pi minus the widest difference exceed `EPS`, the greedy
+        `_phase_distinct` would keep every angle, and the widest gap
+        decides.  Otherwise the greedy dedup does, on the products formed
+        again in the order of `left`, read twice then (a list or a view)."""
         angles = _phase_products(left, row)
         if len(angles) < 2:
             return not angles
@@ -499,7 +475,8 @@ class Phase(_Infinite):
                 a = b
             else:
                 return widest <= math.pi + EPS
-        return _zero_in_phase_sum(_phase_products(left, row))
+        distinct = _phase_distinct(_phase_products(left, row))
+        return len(distinct) > 1 and _phase_max_gap(distinct) <= math.pi + EPS
 
     def sample_unit(self, rng) -> HFElement:
         return self.element(rng.uniform(0.0, TAU) + 1e-3)
@@ -536,8 +513,8 @@ class Rationals(_Infinite):
     def negative(self, a):
         return -a
 
-    def zero_in(self, payloads: list) -> bool:
-        return sum(payloads) == 0
+    def zero_in_dot(self, left, row: list) -> bool:
+        return sum(a * b for i, a in left if (b := row[i]) is not None) == 0
 
     def sample_unit(self, rng) -> HFElement:
         num = rng.randint(-9, 9) or 1
@@ -586,8 +563,8 @@ class PrimeField(Hyperfield):
     def inverse(self, a):
         return pow(a, -1, self.p)
 
-    def zero_in(self, payloads: list) -> bool:
-        return sum(payloads) % self.p == 0
+    def zero_in_dot(self, left, row: list) -> bool:
+        return sum(a * b for i, a in left if (b := row[i]) is not None) % self.p == 0
 
     def from_rational(self, q: Fraction) -> HFElement:
         """Numerator times the inverse of the denominator, mod p."""
@@ -726,37 +703,3 @@ def _phase_max_gap(distinct: list) -> float:
         if b - a > worst:
             worst = b - a
     return worst
-
-
-def _zero_in_phase_sum(angles: list) -> bool:
-    """0 in the hypersum of unit vectors iff 0 is a nonnegative combination
-    of them with not all weights zero; equivalently, the distinct directions
-    do not all fit inside an open half-plane, i.e. no cyclic gap exceeds pi.
-
-    Sorted first: float differences grow with the exact ones, so when every
-    neighbour gap and 2pi minus the widest difference exceed `EPS`, the
-    greedy `_phase_distinct` would keep every angle, and the largest gap
-    decides at once, in one pass making the comparisons of `min` and `max`;
-    otherwise the greedy dedup runs.  Only the gap test sees the angles
-    sorted (a copy here, the kernel's own list in `Phase.zero_in_dot`):
-    which of two angles within `EPS` the dedup keeps depends on the order,
-    so it takes them in input order."""
-    if len(angles) < 2:
-        return not angles
-    ordered = sorted(angles)
-    if TAU - (ordered[-1] - ordered[0]) > EPS:
-        widest, it = ordered[0] + TAU - ordered[-1], iter(ordered)
-        a = next(it)
-        for b in it:
-            gap = b - a
-            if gap <= EPS:
-                break
-            if gap > widest:
-                widest = gap
-            a = b
-        else:
-            return widest <= math.pi + EPS
-    distinct = _phase_distinct(angles)
-    if len(distinct) == 1:
-        return False
-    return _phase_max_gap(distinct) <= math.pi + EPS

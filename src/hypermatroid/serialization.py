@@ -60,10 +60,6 @@ _NAMED = {str(hf): hf for hf in (KRASNER, SIGN, TROPICAL, TRIANGLE, PHASE,
                                    PHASE_PLAIN, RATIONALS)}
 
 
-def hyperfield_to_id(hf: Hyperfield) -> str:
-    return str(hf)
-
-
 def hyperfield_from_id(text, where: str = "hyperfield") -> Hyperfield:
     if not isinstance(text, str):
         raise InputError(f"{where}: expected a hyperfield id string, got {text!r}")
@@ -146,7 +142,7 @@ def _parse_ground(raw, where: str) -> GroundSet:
 def _table_to_json(hf: Hyperfield, ground: GroundSet, table: dict) -> dict:
     """The FVector schema of a {position: payload} table in ground order."""
     labels, encode = ground.labels, hf.encode
-    return {"hyperfield": hyperfield_to_id(hf),
+    return {"hyperfield": str(hf),
             "entries": {str(labels[i]): encode(a) for i, a in table.items()}}
 
 
@@ -155,7 +151,7 @@ def _table_to_json(hf: Hyperfield, ground: GroundSet, table: dict) -> dict:
 
 def signature_to_json(sig: CircuitSignature) -> dict:
     return {
-        "hyperfield": hyperfield_to_id(sig.hyperfield),
+        "hyperfield": str(sig.hyperfield),
         "ground_set": list(sig.ground.labels),
         "circuits": [_table_to_json(sig.hyperfield, sig.ground, table)
                      for table in sig._payloads],
@@ -184,7 +180,7 @@ def signature_from_json(raw, where: str = "signature") -> CircuitSignature:
             inner = hyperfield_from_id(item["hyperfield"], f"{spot}.hyperfield")
             if inner is not hf:
                 raise InputError(f"{spot}.hyperfield: {item['hyperfield']!r} does "
-                                 f"not match the enclosing {hyperfield_to_id(hf)}")
+                                 f"not match the enclosing {hf}")
         entries = item["entries"]
         if not isinstance(entries, dict):
             raise InputError(f"{spot}.entries: expected an object")
@@ -208,7 +204,7 @@ def gp_to_json(phi: GPFunction) -> dict:
     """The GP function schema, for a function inside a report."""
     labels, encode, table = phi.ground.labels, phi.hyperfield.encode, phi._table
     return {
-        "hyperfield": hyperfield_to_id(phi.hyperfield),
+        "hyperfield": str(phi.hyperfield),
         "ground_set": list(labels),
         "rank": phi.rank,
         "values": [{"subset": [labels[i] for i in positions], "value": encode(table[mask])}
@@ -336,7 +332,7 @@ def _gp_text(phi: GPFunction) -> str:
         items.append('    {\n      "subset": [\n        '
                      + ",\n        ".join([labels[i] for i in positions])
                      + '\n      ],\n      "value": ' + value + "\n    }")
-    return ('{\n  "hyperfield": ' + dumps(hyperfield_to_id(phi.hyperfield))
+    return ('{\n  "hyperfield": ' + dumps(str(phi.hyperfield))
             + ',\n  "ground_set": [\n    ' + ",\n    ".join(labels)
             + '\n  ],\n  "rank": ' + dumps(phi.rank)
             + ',\n  "values": [\n' + ",\n".join(items) + "\n  ]\n}")

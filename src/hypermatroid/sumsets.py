@@ -19,8 +19,8 @@ sum of three or more terms is decided globally from the term directions
 witnesses (`circuits.eliminating_circuits`: `fold`, `closure`, `scale`,
 `intersect`, `has_nonzero`).  The tests read the rest (`contains`,
 `equals`, `mul`, `sample`): the fold is the ground truth that the
-families' closed form for "0 in x1 + ... + xk" (`zero_in`) and their
-`doubly_distributive` flags are checked against.
+families' null sets (`zero_in`, derived from the kernel `zero_in_dot`)
+and their `doubly_distributive` flags are checked against.
 """
 
 from __future__ import annotations

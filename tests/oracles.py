@@ -31,13 +31,15 @@ by entry, and
 `fundamental_cocircuit` read a `ClassicalMatroid`'s dependence table and
 dual; `matroid_of` builds one from label sets, and `cocircuits` reads its
 dual's circuits.
+`zero_in` is each family's closed form for "0 in x1 + ... + xk", the
+reference for the package's one null-set rule, the kernel `zero_in_dot`;
 `zero_in_phase_sum` is the greedy phase zero test that the package's
 sort-first test falls back on, `zero_in_dot` the pair kernel on a
 position -> payload map, as `zero_in` of the products, and
 `failing_class_by_terms` the three-term class scan on term lists of
-`product`s and `negative`s, where the package asks the fused
-`zero_in_dot`.  `check_C0_C2` is the support axioms by the scan over
-every pair of classes.  `bitset_exchange_witness` is the
+`product`s and `negative`s decided by `zero_in`, where the package asks
+the fused `zero_in_dot`.  `check_C0_C2` is the support axioms by the scan
+over every pair of classes.  `bitset_exchange_witness` is the
 exchange scan on the support's bitsets without the package's memo on
 B1 - x, `gp_matroid` the matroid of a GP function's support by
 `ClassicalMatroid.from_bases`, and `minor_by_matroid` a GP minor as a
@@ -67,7 +69,8 @@ from hypermatroid import (CircuitSignature, ClassicalMatroid, Classification,
                           mul, neg, orthogonal, projectively_equal,
                           relation_terms, sample_element, signed,
                           support, validate_circuits, zero_in_sum)
-from hypermatroid.hyperfields import _phase_distinct, _phase_max_gap
+from hypermatroid.hyperfields import (FiniteTable, Phase, PrimeField, Tropical,
+                                      Triangle, _phase_distinct, _phase_max_gap)
 from hypermatroid.matroids import _mask
 from hypermatroid.gp import _subset_table
 from hypermatroid.serialization import (_parse_ground, _payload_from_json,
@@ -577,18 +580,50 @@ def zero_in_phase_sum(angles):
     return _phase_max_gap(distinct) <= math.pi + EPS
 
 
+def zero_in(hf, payloads):
+    """Whether 0 lies in the sum of the payloads, by the family's closed
+    form: no nonzero term, or over Krasner and sign two terms that cancel,
+    over tropical a tie for the maximum, over triangle no term above the
+    sum of the rest (totalled left to right, as the kernel does), over
+    phase the greedy test, and a zero sum over the fields."""
+    terms = [a for a in payloads if a != hf.zero_payload]
+    if not terms:
+        return True
+    if isinstance(hf, FiniteTable):
+        seen = set()
+        for x in terms:
+            if hf.negative(x) in seen:
+                return True
+            seen.add(x)
+        return False
+    if isinstance(hf, Tropical):
+        return terms.count(max(terms)) >= 2
+    if isinstance(hf, Triangle):
+        top = total = 0.0
+        for t in terms:
+            total += t
+            if t > top:
+                top = t
+        return top - (total - top) <= EPS * top
+    if isinstance(hf, Phase):
+        return zero_in_phase_sum(terms)
+    if isinstance(hf, PrimeField):
+        return sum(terms) % hf.p == 0
+    return sum(terms) == 0
+
+
 def zero_in_dot(hf, left, right):
     """Whether 0 lies in the sum of the products a * right[i] over the
     (i, a) of `left` with i in the map `right`: `zero_in` of `product`s,
     the form every family's row kernel must agree with."""
-    return hf.zero_in([hf.product(a, right[i]) for i, a in left if i in right])
+    return zero_in(hf, [hf.product(a, right[i]) for i, a in left if i in right])
 
 
 def failing_class_by_terms(S, rest, pair, hf):
     """`gp._failing_class` on term lists: per (a, b, c, d) the nonzero
     terms -phi(Sbc) phi(Sad), phi(Sac) phi(Sbd), -phi(Sab) phi(Scd) as
     `product`s of `negative`s, in that order, then `zero_in` of them."""
-    product, negative, zero_in = hf.product, hf.negative, hf.zero_in
+    product, negative = hf.product, hf.negative
     for a, b, c in combinations(range(len(pair)), 3):
         ab, ac, bc = pair[a][b], pair[a][c], pair[b][c]
         if ab is None and ac is None and bc is None:
@@ -604,7 +639,7 @@ def failing_class_by_terms(S, rest, pair, hf):
                 terms.append(product(ac, bd[d]))
             if ab is not None and cd[d] is not None:
                 terms.append(product(ab, cd[d]))
-            if terms and not zero_in(terms):
+            if terms and not zero_in(hf, terms):
                 return (tuple(sorted(S + (rest[a], rest[b], rest[c]))),
                         tuple(sorted(S + (rest[d],))))
     return None

@@ -433,9 +433,10 @@ WEAK_FUNCTIONS = gp_functions(ALL_KINDS + [gf(5)], ("realizable",), min_rank=2)
 def test_three_term_scan_matches_the_term_lists(phi):
     """The class scan on each family's fused `zero_in_dot` names the
     witness, or None, that it names on term lists of `product`s and
-    `negative`s decided by `zero_in` (`oracles.failing_class_by_terms`),
-    over every built-in family and GF(5), on realizable functions and on
-    the same functions with one value replaced or dropped."""
+    `negative`s decided by the closed forms of `oracles.zero_in`
+    (`oracles.failing_class_by_terms`), over every built-in family and
+    GF(5), on realizable functions and on the same functions with one
+    value replaced or dropped."""
     want = failing_three_term(phi)
     with mock.patch.object(hypermatroid.gp, "_failing_class",
                            oracles.failing_class_by_terms):

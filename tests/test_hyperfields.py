@@ -17,7 +17,8 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS,
                           rational_padic, sample_element, serialize, signed,
                           zero_in_sum)
 from hypermatroid import hyperfields
-from hypermatroid.hyperfields import _zero_in_phase_sum
+from hypermatroid.hyperfields import (FiniteTable, Hyperfield, Phase, PrimeField,
+                                      Rationals, Triangle, Tropical)
 from hypermatroid.sumsets import EPS, TAU, fold, norm_angle
 
 import oracles
@@ -173,9 +174,21 @@ def test_golden_axioms_families(hf):
 
 
 def zero_in_wrong_on_three_terms(family):
-    """The family's `zero_in`, negated on three or more terms."""
+    """The family's derived `zero_in`, negated on three or more terms."""
     right = family.zero_in
     return lambda self, payloads: right(self, payloads) != (len(payloads) >= 3)
+
+
+def zero_in_dot_wrong_on_three_products(family):
+    """The family's kernel `zero_in_dot`, negated when it forms three or
+    more products."""
+    right = family.zero_in_dot
+
+    def zero_in_dot(self, left, row):
+        left = list(left)
+        formed = sum(row[i] is not None for i, _ in left)
+        return right(self, left, row) != (formed >= 3)
+    return zero_in_dot
 
 
 def negative_off_by_a_unit(family):
@@ -192,17 +205,29 @@ def negative_off_by_a_unit(family):
     return negative
 
 
-@pytest.mark.parametrize("name, broken", [("zero_in", zero_in_wrong_on_three_terms),
-                                          ("negative", negative_off_by_a_unit)])
+@pytest.mark.parametrize("name, broken",
+                         [("zero_in", zero_in_wrong_on_three_terms),
+                          ("zero_in_dot", zero_in_dot_wrong_on_three_products),
+                          ("negative", negative_off_by_a_unit)])
 @pytest.mark.parametrize("hf", ALL_KINDS + [gf(5)], ids=str)
 def test_axioms_fail_on_broken_arithmetic(monkeypatch, hf, name, broken):
-    """A family whose null-set rule or hyperinverse is wrong fails the
-    axiom suite.  The phase fold of `sumsets` takes its zero flag from
-    `Phase.zero_in` itself, so only checks on the family's own operations
-    can see a broken phase rule."""
+    """A family whose null-set kernel, the one every checker runs, its
+    derived `zero_in`, or its hyperinverse is wrong fails the axiom suite.
+    The phase fold of `sumsets` takes its zero flag from the kernel
+    itself, so only checks on the family's own operations can see a
+    broken phase rule."""
     family = type(hf)
     monkeypatch.setattr(family, name, broken(family))
     assert not check_hyperfield_axioms(hf, sample_budget=24, seed=0).ok
+
+
+@pytest.mark.parametrize("family", [FiniteTable, Tropical, Triangle, Phase,
+                                    Rationals, PrimeField], ids=lambda c: c.__name__)
+def test_each_family_states_its_null_set_once(family):
+    """A family defines the kernel `zero_in_dot`, and `zero_in` derives
+    from it on `Hyperfield` alone: no second closed form to keep equal."""
+    assert "zero_in_dot" in vars(family)
+    assert [c for c in family.__mro__ if "zero_in" in vars(c)] == [Hyperfield]
 
 
 def test_fold_oracle_agreement():
@@ -215,9 +240,9 @@ def test_fold_oracle_agreement():
 
 
 def test_triangle_zero_in_adds_left_to_right():
-    """`Triangle.zero_in` totals its terms left to right, as the pair
-    kernel `zero_in_dot` does: on these terms the compensated total of
-    `math.fsum` (and of `sum` from Python 3.12) decides the other way."""
+    """The triangle kernel, and so `zero_in`, totals its terms left to
+    right: on these terms the compensated total of `math.fsum` (and of
+    `sum` from Python 3.12) decides the other way."""
     terms = [1.0, 1.0 - EPS - 2e-15] + [4e-17] * 100
     total = 0.0
     for t in terms:
@@ -227,7 +252,7 @@ def test_triangle_zero_in_adds_left_to_right():
         return 1.0 - (total - 1.0) <= EPS
 
     assert verdict(total) != verdict(math.fsum(terms))
-    assert TRIANGLE.zero_in(terms) == verdict(total)
+    assert TRIANGLE.zero_in(terms) == oracles.zero_in(TRIANGLE, terms) == verdict(total)
     assert TRIANGLE.zero_in_dot(list(enumerate(terms)), [1.0] * len(terms)) == \
         verdict(total)
 
@@ -346,19 +371,22 @@ WIDEST = (math.nextafter(math.pi + EPS, 0.0), math.pi + EPS,
 @example([0.0, WIDEST[2]])
 @example([0.0, 0.5 * EPS, WIDEST[1]])
 def test_sort_first_phase_zero_test_matches_the_greedy_one(angles):
-    assert _zero_in_phase_sum(angles) == oracles.zero_in_phase_sum(angles)
+    """The kernel snaps an angle within `EPS` below 2pi to 0, as it does
+    each product (`_phase_products`), so the greedy test sees them so."""
+    snapped = [0.0 if TAU - a <= EPS else a for a in angles]
+    assert PHASE.zero_in(angles) == oracles.zero_in_phase_sum(snapped)
 
 
 def test_phase_boundary_examples_straddle_their_thresholds():
     """The examples above sit where they claim: each verdict flips at the
     threshold, in the direction its comparison says."""
     assert [TAU - w <= EPS for w in WRAP] == [True, False]
-    assert [_zero_in_phase_sum([0.0, g, math.pi + 1.5 * EPS])
+    assert [PHASE.zero_in([0.0, g, math.pi + 1.5 * EPS])
             for g in NEIGHBOUR] == [False, False, True]
-    assert [_zero_in_phase_sum([0.0, math.pi - 1.5 * EPS, w])
+    assert [PHASE.zero_in([0.0, math.pi - 1.5 * EPS, w])
             for w in WRAP] == [False, True]
-    assert [_zero_in_phase_sum([0.0, w]) for w in WIDEST] == [True, True, False]
-    assert _zero_in_phase_sum([0.0, 0.5 * EPS, WIDEST[1]])
+    assert [PHASE.zero_in([0.0, w]) for w in WIDEST] == [True, True, False]
+    assert PHASE.zero_in([0.0, 0.5 * EPS, WIDEST[1]])
 
 
 def check_zero_in_dot(hf, left, right: dict, n: int):
