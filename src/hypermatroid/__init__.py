@@ -1,4 +1,16 @@
-"""Matroids over hyperfields: exact arithmetic, axiom checkers, transforms."""
+"""Matroids over hyperfields: exact arithmetic, axiom checkers, transforms.
+
+The modules every command reads its input with load here: `errors`,
+`hyperfields` (and through it `sumsets`), `vectors`, `matroids`,
+`circuits`, `gp` and `serialization`.  `axioms`, `transforms`, `corpus`
+and `experiments` serve only some commands, so they load on first use:
+their exports, and the modules themselves, resolve through the module
+`__getattr__` below the first time they are read.  Each `hfm` command runs
+as a fresh process, so what it imports and never runs is paid on every
+run; `hfm check-gp` loads none of the four.
+"""
+
+import importlib
 
 from .hyperfields import (  # noqa: F401
     KRASNER,
@@ -39,8 +51,6 @@ from .vectors import (  # noqa: F401
 
 from .matroids import ClassicalMatroid, validate_circuits  # noqa: F401
 
-from .axioms import check_hyperfield_axioms  # noqa: F401
-
 from .circuits import (  # noqa: F401
     CircuitSignature,
     check_C0_C2,
@@ -64,18 +74,6 @@ from .gp import (  # noqa: F401
     relation_terms,
 )
 
-from .transforms import (  # noqa: F401
-    HyperfieldHom,
-    dual_gp,
-    minor_circuits,
-    minor_gp,
-    pushforward_circuits,
-    pushforward_gp,
-    rational_padic,
-    rational_sign,
-    to_krasner,
-)
-
 from .serialization import (  # noqa: F401
     hyperfield_from_id,
     parse_object,
@@ -84,11 +82,29 @@ from .serialization import (  # noqa: F401
     to_jsonable,
 )
 
-from .corpus import CORPUS, CorpusEntry, corpus_entries, get_entry, run_demo  # noqa: F401
+# the exports of the modules that load on first use, by module
+_LAZY = {
+    "axioms": ("check_hyperfield_axioms",),
+    "transforms": ("HyperfieldHom", "dual_gp", "minor_circuits", "minor_gp",
+                   "pushforward_circuits", "pushforward_gp", "rational_padic",
+                   "rational_sign", "to_krasner"),
+    "corpus": ("CORPUS", "CorpusEntry", "corpus_entries", "get_entry", "run_demo"),
+    "experiments": ("ExperimentConfig", "config_from_json", "random_weak_gp",
+                    "run_perfection_experiment"),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
-from .experiments import (  # noqa: F401
-    ExperimentConfig,
-    config_from_json,
-    random_weak_gp,
-    run_perfection_experiment,
-)
+
+def __getattr__(name: str):
+    """A lazy module, or an export of one, imported on first access and
+    then bound here like an eager one."""
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__getattr__(_OWNER[name]), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY, *_OWNER})

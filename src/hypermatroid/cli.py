@@ -4,7 +4,8 @@ JSON objects come in on a file argument (or "-" for stdin) and results
 go out as JSON on stdout.  Exit codes: 0 when every requested check
 passed or the requested object was produced, 1 when a checked property
 failed (the witness is printed on stdout), 2 for malformed input (the
-message goes to stderr).
+message goes to stderr).  Each command imports `axioms`, `transforms`,
+`corpus` or `experiments` itself, only when it runs them.
 
 Every checker runs in one thread and reports the first witness in its
 canonical order.  `check-gp` decides Strong by the three-term relations
@@ -65,27 +66,19 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import warnings
-from dataclasses import replace
 from typing import Optional
 
-from .axioms import check_hyperfield_axioms
 from .circuits import CircuitSignature, check_C0_C2
-from .corpus import corpus_entries, run_demo
 from .errors import InputError, InvalidDualPairError, RatioInconsistencyError
-from .experiments import config_from_json, run_perfection_experiment
 from .gp import (GPFunction, check_gp_strong, check_gp_weak, circuits_from_gp,
                  classify, cocircuit_signature_from_circuits,
                  elimination_witness, failing_three_term, gp_from_dual_pair,
                  orthogonality_verdict, three_term_pairs,
                  underlying_violation)
 from .hyperfields import TROPICAL
-from .serialization import hyperfield_from_id, parse_text, serialize
-from .transforms import (dual_gp, minor_circuits, minor_gp,
-                         pushforward_circuits, pushforward_gp, rational_padic,
-                         rational_sign, to_krasner)
+from .serialization import hyperfield_from_id, parse_text, read_json, serialize
 
 _PROPERTY_ERRORS = (InvalidDualPairError, RatioInconsistencyError)
 
@@ -140,6 +133,7 @@ def _split_labels(raw: Optional[str], ground) -> tuple:
 
 
 def _cmd_axioms(args) -> int:
+    from .axioms import check_hyperfield_axioms
     hf = hyperfield_from_id(args.hyperfield, "--hyperfield")
     if args.budget < 1:
         raise InputError(f"--budget must be at least 1, got {args.budget}")
@@ -219,6 +213,7 @@ _EITHER = ((GPFunction, CircuitSignature),
 
 
 def _cmd_dual(args) -> int:
+    from .transforms import dual_gp
     obj = _want(_load(args.file), *_EITHER)
     _emit(dual_gp(obj) if isinstance(obj, GPFunction)
           else cocircuit_signature_from_circuits(obj))
@@ -226,6 +221,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_minor(args) -> int:
+    from .transforms import minor_circuits, minor_gp
     obj = _load(args.file)
     if not args.delete and not args.contract:
         raise InputError("nothing to do: pass --delete and/or --contract")
@@ -236,6 +232,7 @@ def _cmd_minor(args) -> int:
 
 
 def _resolve_hom(name: str, source):
+    from .transforms import rational_padic, rational_sign, to_krasner
     if name == "krasner":
         return to_krasner(source)
     if name == "sign":
@@ -257,6 +254,7 @@ def _resolve_hom(name: str, source):
 
 
 def _cmd_pushforward(args) -> int:
+    from .transforms import pushforward_circuits, pushforward_gp
     obj = _want(_load(args.file), *_EITHER)
     push = pushforward_gp if isinstance(obj, GPFunction) else pushforward_circuits
     _emit(push(_resolve_hom(args.hom, obj.hyperfield), obj))
@@ -277,6 +275,7 @@ def _cmd_dressian(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .corpus import corpus_entries, run_demo
     if args.list:
         _emit([{"name": e.name, "kind": e.kind, "summary": e.summary}
                for e in corpus_entries()])
@@ -289,11 +288,10 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        raw = json.loads(_read_text(args.config))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{args.config}: invalid JSON ({exc})") from None
-    cfg = config_from_json(raw)
+    from dataclasses import replace
+
+    from .experiments import config_from_json, run_perfection_experiment
+    cfg = config_from_json(read_json(_read_text(args.config), args.config))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     report = run_perfection_experiment(cfg)

@@ -63,7 +63,6 @@ meeting in 2, derives W once, unchecked, and lets orthogonality decide.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -197,9 +196,14 @@ def _support(phi: GPFunction) -> tuple:
     uniform support (`_uniform`), where it could only return None.  A set
     lies inside a basis when the AND of its holders is nonzero."""
     if phi._bitsets is None:
-        masks = sorted(phi._table, key=_positions)
-        holders = [sum(1 << k for k, mask in enumerate(masks) if mask >> e & 1)
-                   for e in range(len(phi.ground))]
+        # each mask as a bit string, ground position 0 first: on masks of
+        # one size, descending strings are ascending position lists, and
+        # the string's column e, read from the last basis, is holders[e]
+        spelled = f"0{len(phi.ground)}b"
+        rows = sorted([format(mask, spelled)[::-1] for mask in phi._table],
+                      reverse=True)
+        masks = [int(row[::-1], 2) for row in rows]
+        holders = [int("".join(column)[::-1], 2) for column in zip(*rows)]
         phi._bitsets = (masks, holders, None if _uniform(phi) else
                         _first_exchange_failure(phi.ground, masks, holders))
     return phi._bitsets
@@ -677,10 +681,20 @@ def gp_from_dual_pair(C: CircuitSignature, D: CircuitSignature) -> GPFunction:
 # -- classification ----------------------------------------------------------
 
 
-@dataclass
 class Classification:
-    verdict: str  # InvalidSignature | UnderlyingNotMatroid | WeakOnly | Strong
-    witness: Optional[dict] = None
+    """A verdict, InvalidSignature, UnderlyingNotMatroid, WeakOnly or
+    Strong, with its witness; equal by class, verdict and witness."""
+
+    __slots__ = ("verdict", "witness")
+
+    def __init__(self, verdict: str, witness: Optional[dict] = None):
+        self.verdict = verdict
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.verdict, self.witness) == (other.verdict, other.witness)
 
     @property
     def ok(self) -> bool:

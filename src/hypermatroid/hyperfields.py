@@ -52,7 +52,6 @@ null sets against them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -61,14 +60,34 @@ from .sumsets import (EPS, TAU, ArcSet, FiniteSet, IntervalSet, TropicalSet,
                       angle_close, norm_angle)
 
 
+# Miller-Rabin to these bases decides primality exactly below the bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86 (2017)); the bound itself is a strong pseudoprime to all of them
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Whether n is prime, by deterministic Miller-Rabin; InputError for
+    an n at or above `_PRIME_BOUND`, which those bases do not decide."""
+    if n >= _PRIME_BOUND:
+        raise InputError(f"modulus {n} is too large: primality is decided "
+                         f"below {_PRIME_BOUND}")
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -84,12 +103,24 @@ def _padic_abs(q: Fraction, p: int) -> Fraction:
     return value
 
 
+# the largest decimal exponent a string payload may carry, Python's default
+# bound on the digits of an int read from a string: `Fraction` builds
+# 10**exponent, which takes unbounded time and memory past it
+_MAX_EXPONENT = 4300
+
+
 def _to_fraction(raw) -> Fraction:
     if isinstance(raw, Fraction):
         return raw
     if isinstance(raw, float):
         # go through the shortest decimal repr so 0.1 means 1/10
         return Fraction(repr(raw))
+    if isinstance(raw, str):
+        exponent = raw.lower().partition("e")[2]
+        if exponent.strip().lstrip("+-").replace("_", "").isdigit() and \
+                abs(int(exponent)) > _MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} "
+                             f"in absolute value: {raw!r}")
     if isinstance(raw, (int, str)):
         return Fraction(raw)
     raise ValueError(f"cannot read a rational from {raw!r}")
@@ -110,12 +141,23 @@ def _decimal_string(q: Fraction) -> Optional[str]:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-@dataclass(frozen=True)
 class HFElement:
-    """An element of a hyperfield.  Treat as immutable."""
+    """An element of a hyperfield.  Treat as immutable: equal and hashed by
+    (hyperfield, value)."""
 
-    hyperfield: "Hyperfield"
-    value: object
+    __slots__ = ("hyperfield", "value")
+
+    def __init__(self, hyperfield: "Hyperfield", value: object):
+        self.hyperfield = hyperfield
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.hyperfield, self.value) == (other.hyperfield, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.hyperfield, self.value))
 
     @property
     def is_zero(self) -> bool:
@@ -308,7 +350,7 @@ class _Infinite(Hyperfield):
     def decode(self, raw):
         if isinstance(raw, bool) or not isinstance(raw, (int, str)):
             raise ValueError(f"expected an integer or string, got {raw!r}")
-        return self.normalise(Fraction(raw))
+        return self.normalise(_to_fraction(raw))
 
 
 class Tropical(_Infinite):
@@ -455,8 +497,9 @@ class Phase(_Infinite):
     def zero_in_dot(self, left, row: list) -> bool:
         """The gap test on the products (`_phase_products`), sorted: float
         differences grow with the exact ones, so when every neighbour gap
-        and 2pi minus the widest difference exceed `EPS`, the greedy
-        `_phase_distinct` would keep every angle, and the widest gap
+        is 0.0 or exceeds `EPS`, and so does 2pi minus the widest
+        difference, the greedy `_phase_distinct` would keep one copy of
+        each distinct angle, in any input order, and the widest gap
         decides.  Otherwise the greedy dedup does, on the products formed
         again in the order of `left`, read twice then (a list or a view)."""
         angles = _phase_products(left, row)
@@ -468,6 +511,8 @@ class Phase(_Infinite):
             widest = a + TAU - hi
             for b in angles[1:]:
                 gap = b - a
+                if gap == 0.0:  # an exact repeat, as over the reals
+                    continue
                 if gap <= EPS:
                     break
                 if gap > widest:

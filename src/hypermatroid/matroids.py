@@ -22,7 +22,6 @@ matroid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, Iterable, List, Optional
 
@@ -93,11 +92,22 @@ def _minimal_sets(n: int, dep: bytes) -> List[int]:
     return [mask for mask, flag in enumerate(minimal) if flag]
 
 
-@dataclass
 class CircuitViolation:
-    rule: str
-    detail: dict
-    ground: GroundSet
+    """The circuit axiom a family of sets violates, with the sets that
+    violate it; equal by class, rule, detail and ground."""
+
+    __slots__ = ("rule", "detail", "ground")
+
+    def __init__(self, rule: str, detail: dict, ground: GroundSet):
+        self.rule = rule
+        self.detail = detail
+        self.ground = ground
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rule, self.detail, self.ground) == \
+            (other.rule, other.detail, other.ground)
 
     def as_json(self) -> dict:
         """The rule and detail, each set listed in ground order."""

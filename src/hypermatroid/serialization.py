@@ -365,9 +365,17 @@ def parse_object(raw, where: str = "input"):
     raise InputError(f"{where}: shape matches no known schema")
 
 
-def parse_text(text: str, where: str = "input"):
+def read_json(text: str, where: str = "input"):
+    """The JSON value of the text; InputError naming `where` for text that
+    is not JSON, nests too deeply for the decoder, or spells an integer
+    past Python's digit limit."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError(f"{where}: JSON nested too deeply") from None
+    except ValueError as exc:  # json.JSONDecodeError, or an int too long
         raise InputError(f"{where}: invalid JSON ({exc})") from None
-    return parse_object(raw, where)
+
+
+def parse_text(text: str, where: str = "input"):
+    return parse_object(read_json(text, where), where)

@@ -26,7 +26,6 @@ and their `doubly_distributive` flags are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
@@ -66,12 +65,23 @@ def _ccw(start: float, theta: float) -> float:
     return d
 
 
-@dataclass(frozen=True)
 class SumSet:
-    """An exact hypersum value.  `data` is shaped by the subclass."""
+    """An exact hypersum value.  `data` is shaped by the subclass.  Treat as
+    immutable: equal and hashed by class, hyperfield and data."""
 
-    hyperfield: Hyperfield
-    data: object
+    __slots__ = ("hyperfield", "data")
+
+    def __init__(self, hyperfield: Hyperfield, data: object):
+        self.hyperfield = hyperfield
+        self.data = data
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.hyperfield, self.data) == (other.hyperfield, other.data)
+
+    def __hash__(self) -> int:
+        return hash((self.hyperfield, self.data))
 
     def _same(self, hf: Hyperfield, what: str) -> None:
         if hf is not self.hyperfield:

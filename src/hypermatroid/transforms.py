@@ -12,7 +12,6 @@ the support's bitsets (`gp._matroid_support`), on any ground set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -135,18 +134,31 @@ def minor_circuits(sig: CircuitSignature, deleted: Iterable = (),
 # -- hyperfield homomorphisms ---------------------------------------------
 
 
-@dataclass(frozen=True)
 class HyperfieldHom:
     """A map of hyperfields: 0 to 0, 1 to 1, multiplicative, and carrying
     hypersums into hypersums.  `rule` maps the payload of a unit of the
     source to that of its image, a unit; called on an element, the hom
     also maps 0 to 0.  The tests check the rules (`tests/oracles.py`,
-    `validate_hom`)."""
+    `validate_hom`).  Treat as immutable: equal and hashed by name,
+    source, target and rule."""
 
-    name: str
-    source: Hyperfield
-    target: Hyperfield
-    rule: Callable[[object], object]
+    __slots__ = ("name", "source", "target", "rule")
+
+    def __init__(self, name: str, source: Hyperfield, target: Hyperfield,
+                 rule: Callable[[object], object]):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.rule = rule
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.source, self.target, self.rule) == \
+            (other.name, other.source, other.target, other.rule)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.source, self.target, self.rule))
 
     def __call__(self, el: HFElement) -> HFElement:
         if el.hyperfield is not self.source:

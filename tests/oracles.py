@@ -41,7 +41,7 @@ position -> payload map, as `zero_in` of the products, and
 the fused `zero_in_dot`.  `check_C0_C2` is the support axioms by the scan
 over every pair of classes.  `bitset_exchange_witness` is the
 exchange scan on the support's bitsets without the package's memo on
-B1 - x, `gp_matroid` the matroid of a GP function's support by
+B1 - x, `support_bitsets` those bitsets by a test per (element, basis), `gp_matroid` the matroid of a GP function's support by
 `ClassicalMatroid.from_bases`, and `minor_by_matroid` a GP minor as a
 deletion and then a contraction, each with its greedy choices (`greedy`)
 made on that matroid.
@@ -261,6 +261,17 @@ def exchange_witness(phi):
                 if not any((s1 - {x}) | {y} in base_sets for y in s2 - s1):
                     return {"axiom": "exchange", "B1": b1, "B2": b2, "x": x}
     return None
+
+
+def support_bitsets(phi):
+    """The basis masks of a GP function, sorted by their lists of ground
+    positions, and holders[e] with bit k set when basis k holds e, by one
+    test per (element, basis): what `gp._support` builds from bit
+    strings."""
+    n = len(phi.ground)
+    masks = sorted(phi._table, key=lambda m: [e for e in range(n) if m >> e & 1])
+    return masks, [sum(1 << k for k, mask in enumerate(masks) if mask >> e & 1)
+                   for e in range(n)]
 
 
 def bitset_exchange_witness(phi):

@@ -462,11 +462,17 @@ def replaced(doc, path, value):
     return doc
 
 
+# a value nested in 100,000 lists, spelled into the text after the mutation
+NESTED = "<nested>"
+
+
 def mutated(doc, rng):
     """The document as text after one seeded mutation: a value retyped,
-    wrapped in a list or dropped, or the text truncated."""
+    wrapped in a list, nested 100,000 lists deep, replaced by a decimal
+    string whose exponent is a billion, or dropped, or the text
+    truncated."""
     text = json.dumps(doc)
-    how = rng.choice(["retype", "wrap", "drop", "truncate"])
+    how = rng.choice(["retype", "wrap", "nest", "exponent", "drop", "truncate"])
     if how == "truncate":
         return text[:rng.randrange(len(text))]
     path, value = rng.choice(list(nodes(doc)))
@@ -474,9 +480,14 @@ def mutated(doc, rng):
         value = rng.choice(RETYPED)
     elif how == "wrap":
         value = [value]
+    elif how == "nest":
+        value = NESTED
+    elif how == "exponent":
+        value = "1e1000000000"
     else:
         value = DROP
-    return json.dumps(replaced(doc, path, value))
+    return json.dumps(replaced(doc, path, value)).replace(
+        json.dumps(NESTED), "[" * 100_000 + "]" * 100_000)
 
 
 def test_cli_survives_mutated_input(capsys, tmp_path):

@@ -17,7 +17,7 @@ and triangle functions of rank 3 and 4 from seeded matrices, GP minors
 whose greedy choices depend on the ground order, the built-in
 hyperfields, the corpus listing, a signature that lists one class
 twice, the second time times a unit (dropped when the file is parsed),
-and malformed GP functions (exit 2), the exit code and the sha256 of
+malformed GP functions and hostile inputs (exit 2), the exit code and the sha256 of
 stdout and of stderr (an error or warning line names the input file
 relative to the directory the commands run in), plus the sha256 of
 every input file the commands read.  The inputs are
@@ -356,6 +356,32 @@ def malformed_pair(case: str) -> dict:
     return {"circuits": json.loads(serialize(circuits)), "cocircuits": raw}
 
 
+# Hostile inputs, as text: JSON nested 100,000 lists deep; a tropical
+# and a rational value whose decimal exponent would make `Fraction` build
+# a number of a billion digits; a JSON integer past Python's 4,300-digit
+# limit; and a prime field whose modulus is past what the primality test
+# decides.  Each exits 2 at once, naming its field or file;
+# `test_serialization` pins the messages.
+HUGE_MODULUS = "gf(1000000000000000000000000000057)"
+
+
+def hostile_value(name: str, value) -> str:
+    raw = json.loads(serialize(CORPUS[name].build()))
+    raw["values"][1]["value"] = value
+    return json.dumps(raw)
+
+
+HOSTILE = {
+    "nested": lambda: "[" * 100_000 + "]" * 100_000,
+    "exponent": lambda: hostile_value("tropical-u24", "1e1000000000"),
+    "negative-exponent": lambda: hostile_value("rational-u24", "-1e-1000000000"),
+    "long-integer": lambda: hostile_value("rational-u24", "<int>").replace(
+        '"<int>"', "7" * 5000),
+    "modulus": lambda: json.dumps({**json.loads(serialize(CORPUS["sign-u24"].build())),
+                                   "hyperfield": HUGE_MODULUS}),
+}
+
+
 def write_inputs(directory: str) -> dict:
     """Write every input file into `directory`; {file name: sha256}."""
     files = {}
@@ -387,6 +413,8 @@ def write_inputs(directory: str) -> dict:
         files[name] = serialize(obj)
     for case in MALFORMED:
         files[f"gp-malformed-{case}.json"] = json.dumps(malformed(case))
+    for case, text in HOSTILE.items():
+        files[f"gp-hostile-{case}.json"] = text()
     for hf in LARGE_SWEEPS:
         files[f"exp-{hf}-7.json"] = json.dumps(
             {"hyperfield": hf, "samples": 10, "max_ground": 7})
@@ -554,7 +582,10 @@ def commands() -> list:
     return out + rank4_commands() + MINOR_PINS + \
         [["gp", file] for file in mismatched_pairs()] + \
         [["demo", "--list"], ["classify", duplicate], ["dual", duplicate]] + \
-        [["check-gp", "--both", f"gp-malformed-{case}.json"] for case in MALFORMED]
+        [["check-gp", "--both", f"gp-malformed-{case}.json"] for case in MALFORMED] + \
+        [["check-gp", "--both", f"gp-hostile-{case}.json"] for case in HOSTILE] + \
+        [["experiment", "--config", "gp-hostile-nested.json"],
+         ["axioms", "--hyperfield", HUGE_MODULUS]]
 
 
 # GP minors whose greedy choices depend on the ground order: contracting

@@ -493,7 +493,8 @@ def test_memoized_exchange_scan_matches_the_bitset_scan():
     """The exchange scan takes the AND over the cocircuit off cl(B1 - x)
     once per B1 - x; on random families of up to 8 labels, in a ground
     order that is not their label order, matroids or not, it names the
-    witness of the scan that takes it once per (B1, x)."""
+    witness of the scan that takes it once per (B1, x), on the masks and
+    holders that a test per (element, basis) builds."""
     rng = random.Random(1204)
     failing = 0
     for _ in range(400):
@@ -502,7 +503,9 @@ def test_memoized_exchange_scan_matches_the_bitset_scan():
         phi = random_family(rng, rank, labels, rng.choice([0.3, 0.5, 0.7, 0.9]))
         want = oracles.bitset_exchange_witness(phi)
         failing += want is not None
-        assert hypermatroid.gp._support(phi)[2] == want
+        masks, holders, got = hypermatroid.gp._support(phi)
+        assert (masks, holders) == oracles.support_bitsets(phi)
+        assert got == want
     assert 100 <= failing <= 300
 
 

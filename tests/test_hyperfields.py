@@ -1,5 +1,6 @@
 """Element arithmetic and the axiom suite for the built-in hyperfields."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -43,6 +44,48 @@ def test_gf_wants_primes():
     for bad in (0, 1, 4, 6, 9):
         with pytest.raises((InputError, ValueError)):
             gf(bad)
+
+
+def by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_is_trial_division_below_1e5():
+    assert [n for n in range(10 ** 5) if hyperfields._is_prime(n)] == \
+        [n for n in range(10 ** 5) if by_trial_division(n)]
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Whether the odd n passes the Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2 ** k, n) == n - 1 for k in range(s))
+
+
+# the least strong pseudoprimes to all of the first k prime bases, for
+# k = 1, 2, 3, 4, 5, 6, 7, 9 and 12 (OEIS A014233)
+STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747,
+                       3474749660383, 341550071728321, 3825123056546413051,
+                       318665857834031151167461]
+
+
+def test_is_prime_past_trial_division():
+    """Composites that fool the first bases, and primes and a product of
+    two primes near 2**64; the first 13 prime bases decide exactly below
+    3317044064679887385961981, itself a strong pseudoprime to all of
+    them, and a modulus from there on is refused."""
+    for n in STRONG_PSEUDOPRIMES:
+        assert strong_probable_prime(n, 2) and not hyperfields._is_prime(n), n
+    for n in (2 ** 31 - 1, 10 ** 9 + 7, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert hyperfields._is_prime(n), n
+    assert not hyperfields._is_prime((2 ** 31 - 1) * (10 ** 9 + 7))
+    bound = hyperfields._PRIME_BOUND
+    assert all(strong_probable_prime(bound, a) for a in hyperfields._PRIME_BASES)
+    for n in (bound, 10 ** 30 + 57):
+        with pytest.raises(InputError, match=f"modulus {n} is too large"):
+            gf(n)
 
 
 def test_zero_one_distinct():
@@ -565,6 +608,33 @@ CHAIN = [0.0, 0.6 * EPS, 1.2 * EPS, math.pi + 2.1 * EPS]
 def test_phase_kernel_falls_back_in_input_order(order, verdict):
     left = [(k, CHAIN[k]) for k in order]
     assert check_zero_in_dot(PHASE, left, dict.fromkeys(range(4), 0.0), 4) is verdict
+
+
+# Exact repeats, which every product list of a function realizable over
+# the reals has, its payloads being 0 and pi: all-0/pi lists, which the
+# sorted pass decides without the greedy dedup, and repeats mixed with a
+# pair EPS/2 apart, which it leaves to the dedup.
+REPEATS = [([0.0, 0.0], True), ([math.pi] * 3, True), ([0.0, math.pi, 0.0], True),
+           ([0.0, 0.0, math.pi, math.pi], True), ([0.0, math.pi, math.pi, math.pi], True),
+           ([0.0, 0.0, 0.5 * EPS, math.pi], False),
+           ([0.0, 0.5 * EPS, 0.5 * EPS, math.pi, math.pi + 0.5 * EPS], False),
+           ([1.0, 1.0, 1.0 + 0.5 * EPS, 1.0 + math.pi + EPS, 1.0 + math.pi + EPS], False)]
+
+
+@pytest.mark.parametrize("products, sorted_pass", REPEATS)
+def test_phase_kernel_on_exact_repeats(monkeypatch, products, sorted_pass):
+    """In every input order, with the 0/pi products at odd positions split
+    as pi times a row payload pi, the kernel is the greedy test on the
+    products; on all-0/pi lists it never calls the greedy dedup."""
+    if sorted_pass:
+        monkeypatch.setattr(hyperfields, "_phase_distinct", None)
+    n = len(products)
+    for order in itertools.permutations(range(n)):
+        right = {k: math.pi if products[k] in (0.0, math.pi) and k % 2 else 0.0
+                 for k in range(n)}
+        left = [(k, norm_angle(products[k] - right[k])) for k in order]
+        assert check_zero_in_dot(PHASE, left, right, n) is \
+            oracles.zero_in_phase_sum([products[k] for k in order]), order
 
 
 def bits(payload) -> str:

@@ -2,9 +2,14 @@
 private helper it defines is used somewhere in the package."""
 
 import ast
+import json
 import os
+import subprocess
+import sys
 
 import pytest
+
+import hypermatroid
 
 PACKAGE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src", "hypermatroid")
@@ -157,3 +162,118 @@ def test_only_the_hypersum_layers_import_sumsets():
             if imports_module(handle.read(), "sumsets"):
                 found.append(name)
     assert found == SUMSETS_IMPORTERS
+
+
+# -- what loads when -----------------------------------------------------------
+
+# the names the package exported when it imported every module eagerly, by
+# defining module; the modules themselves were exported too (`sumsets`
+# through `hyperfields`)
+EXPORTS = {
+    "axioms": ["check_hyperfield_axioms"],
+    "circuits": ["CircuitSignature", "check_C0_C2", "check_C3_doubleprime",
+                 "check_strong_elimination", "check_weak_elimination"],
+    "corpus": ["CORPUS", "CorpusEntry", "corpus_entries", "get_entry", "run_demo"],
+    "errors": ["ConsistencyError", "InputError", "InvalidDualPairError",
+               "MismatchError", "RatioInconsistencyError"],
+    "experiments": ["ExperimentConfig", "config_from_json", "random_weak_gp",
+                    "run_perfection_experiment"],
+    "gp": ["Classification", "GPFunction", "check_gp_strong", "check_gp_weak",
+           "circuits_from_gp", "classify", "cocircuit_signature_from_circuits",
+           "dual_pair_witness", "gp_from_dual_pair", "nonorthogonal_pair",
+           "orthogonality_verdict", "relation_terms"],
+    "hyperfields": ["HFElement", "Hyperfield", "KRASNER", "PHASE", "PHASE_PLAIN",
+                    "RATIONALS", "SIGN", "TRIANGLE", "TROPICAL", "eq", "gf", "inv",
+                    "mul", "neg", "sample_element", "signed", "zero_in_sum"],
+    "matroids": ["ClassicalMatroid", "validate_circuits"],
+    "serialization": ["hyperfield_from_id", "parse_object", "parse_text",
+                      "serialize", "to_jsonable"],
+    "sumsets": [],
+    "transforms": ["HyperfieldHom", "dual_gp", "minor_circuits", "minor_gp",
+                   "pushforward_circuits", "pushforward_gp", "rational_padic",
+                   "rational_sign", "to_krasner"],
+    "vectors": ["FVector", "GroundSet", "orthogonal", "projectively_equal",
+                "scalar_mul", "support"],
+}
+
+# what no checking or transforming command runs
+NOT_ON_THE_CHECK_PATH = ["dataclasses", "hypermatroid.axioms", "hypermatroid.corpus",
+                         "hypermatroid.experiments", "hypermatroid.transforms"]
+
+
+def fresh(code: str):
+    """What `code` prints as JSON, run in a new interpreter that finds the
+    package where this test does."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.abspath(PACKAGE))] +
+        [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, timeout=60)
+    return json.loads(done.stdout)
+
+
+def test_the_cli_loads_only_the_check_path():
+    """Importing the CLI loads none of the modules that only some commands
+    run, and the transforms load no `dataclasses`."""
+    loaded = fresh(
+        "import json, sys\nimport hypermatroid.cli\n"
+        f"gone = {NOT_ON_THE_CHECK_PATH!r}\n"
+        "after_cli = [m for m in gone if m in sys.modules]\n"
+        "import hypermatroid.transforms\n"
+        "print(json.dumps([after_cli, 'dataclasses' in sys.modules]))\n")
+    assert loaded == [[], False]
+
+
+def test_every_export_resolves_to_its_module():
+    """Each name the package exported when it loaded every module eagerly
+    is the defining module's object, on first access in a new interpreter,
+    and `dir` lists it."""
+    found = fresh(
+        "import importlib, json\nimport hypermatroid\n"
+        f"exports = {EXPORTS!r}\n"
+        "listed = set(dir(hypermatroid))\nbad = []\n"
+        "for module, names in exports.items():\n"
+        "    owner = importlib.import_module('hypermatroid.' + module)\n"
+        "    for name in names:\n"
+        "        if getattr(hypermatroid, name) is not getattr(owner, name):\n"
+        "            bad.append(name)\n"
+        "    if getattr(hypermatroid, module) is not owner:\n"
+        "        bad.append(module)\n"
+        "print(json.dumps([bad, sorted({*exports, *sum(exports.values(), [])} - listed)]))\n")
+    assert found == [[], []]
+    with pytest.raises(AttributeError):
+        hypermatroid.no_such_name  # noqa: B018
+
+
+def test_records_compare_as_their_dataclasses_did():
+    """The records that were dataclasses: equal when of one class with
+    equal fields, hashed by their fields when they were frozen, and
+    unhashable when they were not."""
+    from hypermatroid import (SIGN, TROPICAL, Classification, GroundSet,
+                              HFElement, HyperfieldHom)
+    from hypermatroid.matroids import CircuitViolation
+    from hypermatroid.sumsets import FiniteSet, TropicalSet
+
+    def rule(a):
+        return a
+
+    ground = GroundSet((1, 2))
+    frozen = [(HFElement(SIGN, 1), HFElement(SIGN, 1), HFElement(SIGN, -1)),
+              (FiniteSet(SIGN, frozenset({1})), FiniteSet(SIGN, frozenset({1})),
+               TropicalSet(SIGN, frozenset({1}))),
+              (HyperfieldHom("h", SIGN, SIGN, rule), HyperfieldHom("h", SIGN, SIGN, rule),
+               HyperfieldHom("h", SIGN, TROPICAL, rule))]
+    plain = [(Classification("WeakOnly", {"I": [1]}), Classification("WeakOnly", {"I": [1]}),
+              Classification("Strong")),
+             (CircuitViolation("nonempty", {}, ground), CircuitViolation("nonempty", {}, ground),
+              CircuitViolation("nonempty", {}, GroundSet((1,))))]
+    for a, same, other in frozen + plain:
+        assert a == same and not a != same and a != other and a != (a,)
+    for a, same, _ in frozen:
+        assert hash(a) == hash(same) and len({a, same}) == 1
+    for a, _, _ in plain:
+        with pytest.raises(TypeError):
+            hash(a)
+    assert repr(HFElement(SIGN, -1)) == "<sign:-1>"
+    assert repr(frozen[2][0]) == "HyperfieldHom(h: sign -> sign)"

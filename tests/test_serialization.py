@@ -28,8 +28,8 @@ import oracles
 from oracles import element_from_json, equivalent_gp, same_signature
 from strategies import ALL_KINDS, perturbed, random_weak_signature
 from test_cli import fuzz_documents, mutated
-from test_golden_cli import (MALFORMED, MALFORMED_SIGNATURES, malformed,
-                             malformed_pair, malformed_signature)
+from test_golden_cli import (HOSTILE, HUGE_MODULUS, MALFORMED, MALFORMED_SIGNATURES,
+                             malformed, malformed_pair, malformed_signature)
 
 
 def test_hyperfield_identifiers_roundtrip():
@@ -309,6 +309,38 @@ def test_malformed_signatures_and_pairs_exit_2_with_their_message(tmp_path, caps
                     (command, case)
 
 
+# what `hfm check-gp` prints on stderr after "error: <file>" for each input
+# of `test_golden_cli.HOSTILE`; `hfm experiment --config` on the nested
+# one, and `hfm axioms --hyperfield` on the huge modulus, print the same
+MODULUS_MESSAGE = ("modulus 1000000000000000000000000000057 is too large: "
+                   "primality is decided below 3317044064679887385961981")
+HOSTILE_MESSAGES = {
+    "nested": ": JSON nested too deeply",
+    "exponent": ".values[1].value: decimal exponent beyond 4300 in absolute "
+                "value: '1e1000000000'",
+    "negative-exponent": ".values[1].value: decimal exponent beyond 4300 in "
+                         "absolute value: '-1e-1000000000'",
+    "long-integer": ": invalid JSON (Exceeds the limit (4300 digits) for integer "
+                    "string conversion: value has 5000 digits; use "
+                    "sys.set_int_max_str_digits() to increase the limit)",
+    "modulus": ".hyperfield: " + MODULUS_MESSAGE,
+}
+
+
+def test_hostile_inputs_exit_2_with_their_message(tmp_path, capsys):
+    assert set(HOSTILE_MESSAGES) == set(HOSTILE)
+    for case, message in HOSTILE_MESSAGES.items():
+        path = tmp_path / f"{case}.json"
+        path.write_text(HOSTILE[case]())
+        assert main(["check-gp", "--both", str(path)]) == 2, case
+        assert capsys.readouterr() == ("", f"error: {path}{message}\n"), case
+    path = tmp_path / "nested.json"
+    assert main(["experiment", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: JSON nested too deeply\n")
+    assert main(["axioms", "--hyperfield", HUGE_MODULUS]) == 2
+    assert capsys.readouterr() == ("", f"error: --hyperfield: {MODULUS_MESSAGE}\n")
+
+
 def drawn_gp(hf, rng):
     """(ground, rank, {label tuple: element}) in shuffled order, over a
     ground of int and str labels listed out of their natural order: each
@@ -519,14 +551,15 @@ def test_one_pass_readers_refuse_mutations_as_the_walk_does():
     """On 400 seeded mutations of every input shape (the mutator of
     `test_cli_survives_mutated_input`), the one-pass readers and the walk
     accept the same objects and raise the same errors with the same
-    text."""
+    text; a text that is not JSON, or nests too deeply to decode, is
+    skipped."""
     rng = random.Random(1601)
     docs = fuzz_documents()
     refused = 0
     for _ in range(400):
         try:
             raw = json.loads(mutated(rng.choice(docs), rng))
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             continue
         new, old = read_both(raw)
         assert new == old, raw
