@@ -12,75 +12,24 @@ run; `hfm check-gp` loads none of the four.
 
 import importlib
 
-from .hyperfields import (  # noqa: F401
-    KRASNER,
-    PHASE,
-    PHASE_PLAIN,
-    RATIONALS,
-    SIGN,
-    TRIANGLE,
-    TROPICAL,
-    HFElement,
-    Hyperfield,
-    eq,
-    gf,
-    inv,
-    mul,
-    neg,
-    sample_element,
-    signed,
-    zero_in_sum,
-)
-
-from .errors import (  # noqa: F401
-    ConsistencyError,
-    InputError,
-    InvalidDualPairError,
-    MismatchError,
-    RatioInconsistencyError,
-)
-
-from .vectors import (  # noqa: F401
-    FVector,
-    GroundSet,
-    orthogonal,
-    projectively_equal,
-    scalar_mul,
-    support,
-)
-
+from .hyperfields import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,  # noqa: F401
+                          TRIANGLE, TROPICAL, HFElement, Hyperfield, eq, gf,
+                          inv, mul, neg, sample_element, signed, zero_in_sum)
+from .errors import (ConsistencyError, InputError, InvalidDualPairError,  # noqa: F401
+                     MismatchError, RatioInconsistencyError)
+from .vectors import (FVector, GroundSet, orthogonal,  # noqa: F401
+                      projectively_equal, scalar_mul, support)
 from .matroids import ClassicalMatroid, validate_circuits  # noqa: F401
-
-from .circuits import (  # noqa: F401
-    CircuitSignature,
-    check_C0_C2,
-    check_C3_doubleprime,
-    check_strong_elimination,
-    check_weak_elimination,
-)
-
-from .gp import (  # noqa: F401
-    Classification,
-    GPFunction,
-    check_gp_strong,
-    check_gp_weak,
-    circuits_from_gp,
-    classify,
-    cocircuit_signature_from_circuits,
-    dual_pair_witness,
-    gp_from_dual_pair,
-    nonorthogonal_pair,
-    orthogonality_verdict,
-    relation_terms,
-)
-
-from .serialization import (  # noqa: F401
-    hyperfield_from_id,
-    parse_object,
-    parse_text,
-    serialize,
-    to_jsonable,
-)
+from .circuits import (CircuitSignature, check_C0_C2,  # noqa: F401
+                       check_C3_doubleprime, check_strong_elimination,
+                       check_weak_elimination)
+from .gp import (Classification, GPFunction, check_gp_strong,  # noqa: F401
+                 check_gp_weak, circuits_from_gp, classify,
+                 cocircuit_signature_from_circuits, dual_pair_witness,
+                 gp_from_dual_pair, nonorthogonal_pair, orthogonality_verdict,
+                 relation_terms)
+from .serialization import (hyperfield_from_id, parse_object,  # noqa: F401
+                            parse_text, serialize, to_jsonable)
 
 # the exports of the modules that load on first use, by module
 _LAZY = {

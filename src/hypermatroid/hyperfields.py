@@ -109,18 +109,24 @@ def _padic_abs(q: Fraction, p: int) -> Fraction:
 _MAX_EXPONENT = 4300
 
 
+def _check_exponent(text: str) -> None:
+    """ValueError for a decimal string, such as "1e1000000000", whose
+    exponent exceeds `_MAX_EXPONENT` in absolute value; callers pass only
+    strings holding an "e" or "E"."""
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-")
+    if exponent.replace("_", "").isdigit() and int(exponent) > _MAX_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} "
+                         f"in absolute value: {text!r}")
+
+
 def _to_fraction(raw) -> Fraction:
     if isinstance(raw, Fraction):
         return raw
     if isinstance(raw, float):
         # go through the shortest decimal repr so 0.1 means 1/10
         return Fraction(repr(raw))
-    if isinstance(raw, str):
-        exponent = raw.lower().partition("e")[2]
-        if exponent.strip().lstrip("+-").replace("_", "").isdigit() and \
-                abs(int(exponent)) > _MAX_EXPONENT:
-            raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} "
-                             f"in absolute value: {raw!r}")
+    if isinstance(raw, str) and ("e" in raw or "E" in raw):
+        _check_exponent(raw)
     if isinstance(raw, (int, str)):
         return Fraction(raw)
     raise ValueError(f"cannot read a rational from {raw!r}")
@@ -350,7 +356,9 @@ class _Infinite(Hyperfield):
     def decode(self, raw):
         if isinstance(raw, bool) or not isinstance(raw, (int, str)):
             raise ValueError(f"expected an integer or string, got {raw!r}")
-        return self.normalise(_to_fraction(raw))
+        if isinstance(raw, str) and ("e" in raw or "E" in raw):
+            _check_exponent(raw)
+        return self.normalise(Fraction(raw))
 
 
 class Tropical(_Infinite):

@@ -41,7 +41,8 @@ position -> payload map, as `zero_in` of the products, and
 the fused `zero_in_dot`.  `check_C0_C2` is the support axioms by the scan
 over every pair of classes.  `bitset_exchange_witness` is the
 exchange scan on the support's bitsets without the package's memo on
-B1 - x, `support_bitsets` those bitsets by a test per (element, basis), `gp_matroid` the matroid of a GP function's support by
+B1 - x, `support_bitsets` those bitsets by a test per (element, basis),
+`gp_matroid` the matroid of a GP function's support by
 `ClassicalMatroid.from_bases`, and `minor_by_matroid` a GP minor as a
 deletion and then a contraction, each with its greedy choices (`greedy`)
 made on that matroid.

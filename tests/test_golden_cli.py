@@ -17,9 +17,9 @@ and triangle functions of rank 3 and 4 from seeded matrices, GP minors
 whose greedy choices depend on the ground order, the built-in
 hyperfields, the corpus listing, a signature that lists one class
 twice, the second time times a unit (dropped when the file is parsed),
-malformed GP functions and hostile inputs (exit 2), the exit code and the sha256 of
-stdout and of stderr (an error or warning line names the input file
-relative to the directory the commands run in), plus the sha256 of
+malformed GP functions and hostile inputs (exit 2), the exit code and
+the sha256 of stdout and of stderr (an error or warning line names the
+input file relative to the directory the commands run in), plus the sha256 of
 every input file the commands read.  The inputs are
 written from the corpus into a temporary directory, and the commands run
 in process.  Regenerate the file (only when an output
