@@ -1,5 +1,7 @@
 """Every name a package module imports is used in that module, and every
-private helper it defines is used somewhere in the package."""
+private helper it defines is used somewhere in the package.  Importing the
+CLI loads only the parse-and-check path, and the package still exports
+every name it exported when it loaded every module eagerly."""
 
 import ast
 import json
