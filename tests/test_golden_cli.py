@@ -17,7 +17,8 @@ and triangle functions of rank 3 and 4 from seeded matrices, GP minors
 whose greedy choices depend on the ground order, the built-in
 hyperfields, the corpus listing, a signature that lists one class
 twice, the second time times a unit (dropped when the file is parsed),
-malformed GP functions and hostile inputs (exit 2), the exit code and
+malformed GP functions and hostile inputs (exit 2), signatures failing
+C0 or C2 and dual pairs failing DP1, the exit code and
 the sha256 of stdout and of stderr (an error or warning line names the
 input file relative to the directory the commands run in), plus the sha256 of
 every input file the commands read.  The inputs are
@@ -339,6 +340,30 @@ MALFORMED_SIGNATURES = {
 }
 
 
+# Signatures that fail a support axiom or have no underlying matroid: the
+# circuits of sign-u24 plus one class, the zero vector (C0), class 0 with
+# one sign flipped (two classes on one support, C2) or a class on the
+# whole ground set, which holds every circuit (C2).  `gp` takes the last
+# two as the circuits of a pair with the cocircuits of sign-u24 (DP1).
+SUPPORT_FAULTS = ("zero", "shared", "nested")
+
+
+def support_fault(case: str) -> CircuitSignature:
+    sig = circuits_from_gp(CORPUS["sign-u24"].build())
+    hf, ground, first = sig.hyperfield, sig.ground, sig.classes[0]
+    label = ground.sort(first.entries)[0]
+    extra = {"zero": {},
+             "shared": {**first.entries, label: mul(hf.element(-1), first.entries[label])},
+             "nested": dict.fromkeys(ground.labels, hf.one())}[case]
+    return CircuitSignature(hf, ground, sig.classes + (FVector(hf, ground, extra),))
+
+
+def support_fault_pair(case: str) -> dict:
+    circuits = circuits_from_gp(CORPUS["sign-u24"].build())
+    return {"circuits": support_fault(case),
+            "cocircuits": cocircuit_signature_from_circuits(circuits)}
+
+
 def malformed_signature(case: str) -> dict:
     """The JSON of the circuits of sign-u24 with the fault
     MALFORMED_SIGNATURES[case]."""
@@ -401,6 +426,10 @@ def write_inputs(directory: str) -> dict:
     for file, pair in mismatched_pairs().items():
         files[file] = serialize(pair)
     files[f"sig-{DUPLICATE[0]}-duplicate.json"] = serialize(duplicated())
+    for case in SUPPORT_FAULTS:
+        files[f"sig-sign-u24-{case}.json"] = serialize(support_fault(case))
+    for case in SUPPORT_FAULTS[1:]:
+        files[f"pair-sign-u24-{case}.json"] = serialize(support_fault_pair(case))
     for name in ("tropical-mixed", "rational-mixed"):
         files[f"gp-{name}.json"] = serialize(mixed(name))
         files[f"gp-{name}-broken.json"] = serialize(mixed_broken(name))
@@ -585,7 +614,10 @@ def commands() -> list:
         [["check-gp", "--both", f"gp-malformed-{case}.json"] for case in MALFORMED] + \
         [["check-gp", "--both", f"gp-hostile-{case}.json"] for case in HOSTILE] + \
         [["experiment", "--config", "gp-hostile-nested.json"],
-         ["axioms", "--hyperfield", HUGE_MODULUS]]
+         ["axioms", "--hyperfield", HUGE_MODULUS]] + \
+        [[command, f"sig-sign-u24-{case}.json"] for case in SUPPORT_FAULTS
+         for command in ("classify", "check-circuits", "dual")] + \
+        [["gp", f"pair-sign-u24-{case}.json"] for case in SUPPORT_FAULTS[1:]]
 
 
 # GP minors whose greedy choices depend on the ground order: contracting
