@@ -1,10 +1,10 @@
 """Circuit signatures over a hyperfield, and the elimination axiom checkers.
 
 A signature stores one table of payloads per projective class
-(`CircuitSignature`); the closure under nonzero scaling is implicit.  All
-checkers are scale-equivariant, so they pin one canonical scaling per
-quantified object instead of ranging over the (possibly infinite) unit
-group.
+(`CircuitSignature`), so it is closed under nonzero scaling (C1) by
+construction.  All checkers are scale-equivariant, so they pin one
+canonical scaling per quantified object instead of ranging over the
+(possibly infinite) unit group.
 
 `gp.orthogonality_verdict` decides weakness and strength on the tables.
 One lazy walk over the elimination instances, on the classes as FVectors,
@@ -35,38 +35,39 @@ class CircuitSignature:
     (`_payloads`), built directly by `serialization.signature_from_json`
     and the cocircuit derivation (`_from_tables`), or read off FVectors by
     the constructor.  A class proportional to a kept one of its support is
-    dropped (`dedup`; `dropped` counts them).  The FVectors (`classes`)
-    are a view built on first use, for the public API and witnesses, or
-    kept from the constructor's input; classification reads the tables.
+    dropped (`dropped` counts them; C1 holds by construction); the first
+    support mask two kept classes share, or None, is `shared_support`.
+    The FVectors (`classes`) are built on first use or kept from the input.
     """
 
     def __init__(self, hyperfield: Hyperfield, ground: GroundSet,
-                 vectors: Iterable[FVector], dedup: bool = True):
+                 vectors: Iterable[FVector]):
         vectors = list(vectors)
         if any(v.hyperfield is not hyperfield or v.ground != ground for v in vectors):
             raise InputError("vector over the wrong hyperfield or ground set")
-        kept = self._keep(hyperfield, ground, [_table(v) for v in vectors], dedup)
+        kept = self._keep(hyperfield, ground, [_table(v) for v in vectors])
         self._classes = tuple(vectors[k] for k in kept)
 
     @classmethod
     def _from_tables(cls, hyperfield: Hyperfield, ground: GroundSet,
-                     tables: List[dict], dedup: bool = True) -> "CircuitSignature":
+                     tables: List[dict]) -> "CircuitSignature":
         """The signature of {position: nonzero payload} tables in ground order."""
         sig = cls.__new__(cls)
-        sig._keep(hyperfield, ground, tables, dedup)
+        sig._keep(hyperfield, ground, tables)
         return sig
 
     def _keep(self, hyperfield: Hyperfield, ground: GroundSet,
-              tables: List[dict], dedup: bool) -> List[int]:
+              tables: List[dict]) -> List[int]:
         """Set the state from `tables`; the indices of those kept."""
         self.hyperfield, self.ground = hyperfield, ground
         kept, by_support = [], {}  # kept tables by support mask
         for k, table in enumerate(tables):
             same = by_support.setdefault(sum(1 << i for i in table), [])
-            if not (dedup and any(_proportional(hyperfield, table, t) for t in same)):
+            if not any(_proportional(hyperfield, table, t) for t in same):
                 same.append(table)
                 kept.append(k)
         self.dropped = len(tables) - len(kept)
+        self.shared_support = next((m for m, same in by_support.items() if len(same) > 1), None)
         self._payloads = tuple(tables[k] for k in kept)
         self._masks = tuple(sum(1 << i for i in table) for table in self._payloads)
         # the index of the first class of each support mask
@@ -102,27 +103,16 @@ class CircuitSignature:
 
 
 def check_C0_C2(sig: CircuitSignature) -> Optional[dict]:
-    """Zero-freeness, proper projective representation, and support
-    incomparability.  Returns None when all hold, else a witness: the
-    first failing class, or pair of classes in `combinations` order.
-
-    All three read the tables.  Projectively equal classes have equal,
-    so comparable, supports: C1 looks among the pairs with comparable
-    masks, which C2 reports otherwise.  The scan over every pair is the
-    test oracle `oracles.check_C0_C2`."""
-    masks, tables = sig._masks, sig._payloads
+    """C0, then C2 on the masks (C1 holds by construction): None, or the
+    first zero class or comparable pair in `combinations` order.  The scan
+    over every pair is the test oracle `oracles.check_C0_C2`."""
+    masks = sig._masks
     if 0 in masks:
         return {"axiom": "C0", "vector": sig.classes[masks.index(0)]}
-    comparable = [(i, j) for (i, mx), (j, my) in combinations(enumerate(masks), 2)
-                  if (mx | my) in (mx, my)]
-    for i, j in comparable:
-        if masks[i] == masks[j] and _proportional(sig.hyperfield, tables[i], tables[j]):
-            return {"axiom": "C1", "vectors": [sig.classes[i], sig.classes[j]],
-                    "reason": "duplicate projective class"}
-    if comparable:
-        i, j = comparable[0]
-        return {"axiom": "C2", "vectors": [sig.classes[i], sig.classes[j]],
-                "reason": "comparable supports in distinct classes"}
+    for (i, mx), (j, my) in combinations(enumerate(masks), 2):
+        if (mx | my) in (mx, my):
+            return {"axiom": "C2", "vectors": [sig.classes[i], sig.classes[j]],
+                    "reason": "comparable supports in distinct classes"}
     return None
 
 

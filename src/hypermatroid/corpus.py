@@ -149,7 +149,7 @@ def _sign_flipped_u24() -> CircuitSignature:
     victim = min(tables, key=list)  # the least support, at its least position
     first = next(iter(victim))
     victim[first] = SIGN.negative(victim[first])
-    return CircuitSignature._from_tables(SIGN, sig.ground, tables, dedup=False)
+    return CircuitSignature._from_tables(SIGN, sig.ground, tables)
 
 
 def _not_a_matroid() -> CircuitSignature:

@@ -75,7 +75,7 @@ from .circuits import (CircuitSignature, check_C0_C2, check_strong_elimination,
 from .errors import (ConsistencyError, InputError, InvalidDualPairError,
                      MismatchError, RatioInconsistencyError)
 from .hyperfields import HFElement, Hyperfield, mul, signed
-from .matroids import ClassicalMatroid, _labels, validate_circuits
+from .matroids import _labels, validate_circuits
 from .vectors import GroundSet
 
 
@@ -587,8 +587,12 @@ def cocircuit_signature_from_circuits(sig: CircuitSignature) -> CircuitSignature
 
     Orthogonality pairs a circuit entry with the involution of a cocircuit
     entry, so the ratios are built under the involution; with the identity
-    involution this changes nothing.
+    involution this changes nothing.  Two classes on one support, like
+    supports that are not a matroid's circuits, raise InputError.
     """
+    if sig.shared_support is not None:
+        raise InputError(f"not a signature: two classes share the support "
+                         f"{list(_labels(sig.ground, sig.shared_support))}")
     hf, labels = sig.hyperfield, sig.ground.labels
     product, inverse, equal = hf.product, hf.inverse, hf.equal
     ratio = _circuit_ratio(sig)
@@ -608,10 +612,6 @@ def cocircuit_signature_from_circuits(sig: CircuitSignature) -> CircuitSignature
 # -- GP function from a dual pair ---------------------------------------------
 
 
-def _signature_of(sig: CircuitSignature, matroid: ClassicalMatroid) -> bool:
-    return check_C0_C2(sig) is None and set(sig._masks) == set(matroid._masks)
-
-
 def dual_pair_witness(C: CircuitSignature,
                       D: CircuitSignature) -> Optional[dict]:
     """First failure of the weak dual-pair requirements, or None: DP1 and
@@ -625,9 +625,9 @@ def dual_pair_witness(C: CircuitSignature,
         matroid = C.underlying_matroid()
     except InputError:
         return {"axiom": "DP1", "reason": "supports are not matroid circuits"}
-    if not _signature_of(C, matroid):
+    if C.shared_support is not None:
         return {"axiom": "DP1", "reason": "not a signature of a matroid"}
-    if not _signature_of(D, matroid.dual()):
+    if D.shared_support is not None or set(D._masks) != set(matroid.dual()._masks):
         return {"axiom": "DP2", "reason": "not a signature of the dual matroid"}
     pair = nonorthogonal_pair(C, D)
     if pair is None:

@@ -39,7 +39,8 @@ position -> payload map, as `zero_in` of the products, and
 `failing_class_by_terms` the three-term class scan on term lists of
 `product`s and `negative`s decided by `zero_in`, where the package asks
 the fused `zero_in_dot`.  `check_C0_C2` is the support axioms by the scan
-over every pair of classes.  `bitset_exchange_witness` is the
+over every pair of classes, and `dual_pair_supports` DP1 and DP2 by that
+scan and the circuit sets of the matroid and its dual.  `bitset_exchange_witness` is the
 exchange scan on the support's bitsets without the package's memo on
 B1 - x, `support_bitsets` those bitsets by a test per (element, basis),
 `gp_matroid` the matroid of a GP function's support by
@@ -471,6 +472,19 @@ def check_C0_C2(sig):
     return None
 
 
+def dual_pair_supports(C, D):
+    """"DP1", "DP2" or None: C must satisfy C0-C2 (`check_C0_C2`) with the
+    circuits of a matroid M as its supports, and D must satisfy C0-C2 with
+    the circuits of the dual of M as its supports."""
+    if check_C0_C2(C) is not None or \
+            validate_circuits(C.ground, C.supports()) is not None:
+        return "DP1"
+    if check_C0_C2(D) is not None or \
+            set(D.supports()) != cocircuits(matroid_of(C.ground, C.supports())):
+        return "DP2"
+    return None
+
+
 def classify_by_elimination(sig):
     """classify's verdict by elimination: InvalidSignature with the first
     failing C3' instance, else Strong when no C3 instance on three or more
@@ -700,7 +714,7 @@ def minimal_covectors(sig):
         v = FVector(hf, sig.ground, dict(zip(sig.ground.labels, combo)))
         if v.entries and all(orthogonal(x, v) for x in sig.classes):
             found.append(v)
-    return CircuitSignature(hf, sig.ground, supp_min(found), dedup=True)
+    return CircuitSignature(hf, sig.ground, supp_min(found))
 
 
 def identity_hom(hf):

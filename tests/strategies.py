@@ -85,7 +85,7 @@ def perturbed(sig, rng):
             break
     classes = list(sig.classes)
     classes[i] = FVector(hf, sig.ground, {**x.entries, label: value})
-    return CircuitSignature(hf, sig.ground, classes, dedup=False)
+    return CircuitSignature(hf, sig.ground, classes)
 
 
 def parallel_extension(phi, label, new, unit):

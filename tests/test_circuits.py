@@ -46,15 +46,19 @@ def test_dedup_of_projective_duplicates():
 
 
 def test_check_C0_C2_witnesses():
-    zero = FVector(SIGN, G4, {})
-    assert check_C0_C2(CircuitSignature(SIGN, G4, [zero], dedup=False))["axiom"] == "C0"
+    """A class and its multiple are one class, so C1 holds; C2 fires on
+    two classes on one support and on nested supports, C0 on a zero
+    class."""
     v = sign_vec(G4, {1: 1, 2: 1})
-    w = sign_vec(G4, {1: -1, 2: -1})
-    dup = CircuitSignature(SIGN, G4, [v, w], dedup=False)
-    assert check_C0_C2(dup)["axiom"] == "C1"
-    nested = CircuitSignature(SIGN, G4, [v, sign_vec(G4, {1: 1, 2: 1, 3: 1})],
-                              dedup=False)
-    assert check_C0_C2(nested)["axiom"] == "C2"
+    dup = CircuitSignature(SIGN, G4, [v, sign_vec(G4, {1: -1, 2: -1})])
+    assert len(dup.classes) == 1 and dup.dropped == 1
+    assert check_C0_C2(dup) is None
+    shared = CircuitSignature(SIGN, G4, [v, sign_vec(G4, {1: 1, 2: -1})])
+    assert check_C0_C2(shared)["axiom"] == "C2" and shared.shared_support == 0b11
+    nested = CircuitSignature(SIGN, G4, [v, sign_vec(G4, {1: 1, 2: 1, 3: 1})])
+    assert check_C0_C2(nested)["axiom"] == "C2" and nested.shared_support is None
+    zero = FVector(SIGN, G4, {})
+    assert check_C0_C2(CircuitSignature(SIGN, G4, [zero]))["axiom"] == "C0"
 
 
 # signatures whose classes are drawn as they are, duplicates kept
@@ -65,9 +69,10 @@ C0_C2_SOURCES = ["sign-flipped-u24", "triangle-weak-not-strong",
 @st.composite
 def support_axiom_candidates(draw):
     """A corpus signature or a random weak one over any hyperfield, with
-    classes added and the order shuffled, kept with `dedup` unset: a
-    multiple of a class (C1), a class with one entry changed or one entry
-    dropped (C2, equal or nested supports), or the zero vector (C0)."""
+    classes added and the order shuffled: a multiple of a class (dropped,
+    as a signature holds each projective class once), a class with one
+    entry changed or one entry dropped (C2, equal or nested supports), or
+    the zero vector (C0)."""
     source = draw(st.sampled_from(C0_C2_SOURCES + ALL_KINDS))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     if isinstance(source, str):
@@ -92,7 +97,7 @@ def support_axiom_candidates(draw):
         elif change == "zero":
             classes.append(FVector(hf, ground, {}))
     rng.shuffle(classes)
-    return CircuitSignature(hf, ground, classes, dedup=False)
+    return CircuitSignature(hf, ground, classes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,13 +209,13 @@ def test_classify_matches_elimination():
 WEAK_ONLY = ["triangle-weak-not-strong", "phase-weak-not-strong"]
 
 
-def permuted_rescaled(draw, sig, dedup=True):
+def permuted_rescaled(draw, sig):
     """sig in a permuted ground order with every class scaled by a unit."""
     hf = sig.hyperfield
     ground = GroundSet(draw(st.permutations(sig.ground.labels)))
     return CircuitSignature(hf, ground, [
         scalar_mul(draw(units(hf)), FVector(hf, ground, v.entries))
-        for v in sig.classes], dedup=dedup)
+        for v in sig.classes])
 
 
 @st.composite
@@ -407,7 +412,7 @@ def signature_variants(draw):
     sig = random_weak_signature(hf, rng, max_rank=3, max_ground=6)
     if draw(st.booleans()):
         sig = perturbed(sig, rng)
-    return sig, permuted_rescaled(draw, sig, dedup=False)
+    return sig, permuted_rescaled(draw, sig)
 
 
 @settings(max_examples=150, deadline=None)

@@ -299,7 +299,9 @@ def test_dropped_duplicate_class_is_one_stderr_line(capsys, tmp_path):
     second time times a unit, print their result and exactly one warning
     line, which names the file and no source line of the package."""
     from test_golden_cli import DUPLICATE, duplicated
-    path = write(tmp_path, f"sig-{DUPLICATE[0]}-duplicate.json", duplicated())
+    path = tmp_path / f"sig-{DUPLICATE[0]}-duplicate.json"
+    path.write_text(duplicated())
+    path = str(path)
     for command in ("classify", "dual"):
         code, out, err = run(capsys, command, path)
         assert code in (0, 1) and json.loads(out)

@@ -49,7 +49,7 @@ from hypermatroid import (CORPUS, PHASE, RATIONALS, SIGN, TRIANGLE, TROPICAL,
                           mul, serialize)
 from hypermatroid.cli import main
 from hypermatroid.corpus import gp_from_matrix
-from hypermatroid.serialization import hyperfield_from_id
+from hypermatroid.serialization import hyperfield_from_id, to_jsonable
 
 from strategies import parallel_extension, phase_minors, scale
 
@@ -275,14 +275,17 @@ def mismatched_pairs() -> dict:
 DUPLICATE = ("phase-weak-not-strong", PHASE.element(2.0))
 
 
-def duplicated() -> CircuitSignature:
+def duplicated() -> str:
+    """The signature's JSON with the copy appended by hand, since a
+    signature holds each projective class once."""
     name, unit = DUPLICATE
     sig = signature(CORPUS[name])
     first = sig.classes[0]
     again = FVector(sig.hyperfield, sig.ground,
                     {label: mul(unit, el) for label, el in first.entries.items()})
-    return CircuitSignature(sig.hyperfield, sig.ground, sig.classes + (again,),
-                            dedup=False)
+    raw = to_jsonable(sig)
+    raw["circuits"].append(to_jsonable(again))
+    return json.dumps(raw, indent=2)
 
 
 # GP inputs with one fault each, as changes to the JSON of sign-u24
@@ -425,7 +428,7 @@ def write_inputs(directory: str) -> dict:
             files[file] = serialize(pair)
     for file, pair in mismatched_pairs().items():
         files[file] = serialize(pair)
-    files[f"sig-{DUPLICATE[0]}-duplicate.json"] = serialize(duplicated())
+    files[f"sig-{DUPLICATE[0]}-duplicate.json"] = duplicated()
     for case in SUPPORT_FAULTS:
         files[f"sig-sign-u24-{case}.json"] = serialize(support_fault(case))
     for case in SUPPORT_FAULTS[1:]:

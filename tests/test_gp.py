@@ -1,6 +1,7 @@
 """Alternating functions: relation checks, derived circuits, dual pairs."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -145,6 +146,62 @@ def test_gp_from_dual_pair_rejects_non_pair():
     sig = circuits_from_gp(CORPUS["sign-u24"].build())
     with pytest.raises(InvalidDualPairError):
         gp_from_dual_pair(sig, sig)
+
+
+def with_change(sig, change, rng):
+    """sig with one class more or less: the zero vector, a class on the
+    support of a random class with one entry replaced by a random unit
+    (two classes on one support, or a multiple, which is dropped), a class
+    on the whole ground set, or without its last class."""
+    hf, ground, classes = sig.hyperfield, sig.ground, list(sig.classes)
+    x = rng.choice(classes)
+    if change == "zero":
+        classes.append(FVector(hf, ground, {}))
+    elif change == "shared":
+        label = rng.choice(ground.sort(x.entries))
+        classes.append(FVector(hf, ground, {
+            **x.entries, label: sample_element(hf, rng, nonzero=True)}))
+    elif change == "whole":
+        classes.append(FVector(hf, ground, dict.fromkeys(ground.labels, hf.one())))
+    elif change == "dropped":
+        classes.pop()
+    return CircuitSignature(hf, ground, classes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["sign-u24", "sign-k4", "gf3-u24", "tropical-u24",
+                        "rational-k4", "phase-weak-not-strong"]),
+       st.sampled_from(["circuits", "cocircuits"]),
+       st.sampled_from(["none", "zero", "shared", "whole", "dropped"]),
+       st.integers(0, 2 ** 32))
+def test_dp1_dp2_on_masks_match_the_support_axioms(name, side, change, seed):
+    """DP1 and DP2 read the masks and `shared_support`; the scan of C0-C2
+    and the circuit sets of the matroid and its dual give the same
+    verdict (`oracles.dual_pair_supports`)."""
+    circuits = circuits_from_gp(CORPUS[name].build())
+    pair = {"circuits": circuits,
+            "cocircuits": cocircuit_signature_from_circuits(circuits)}
+    pair[side] = with_change(pair[side], change, random.Random(seed))
+    witness = dual_pair_witness(pair["circuits"], pair["cocircuits"])
+    axiom = None if witness is None else witness["axiom"]
+    assert (None if axiom == "DP3'" else axiom) == \
+        oracles.dual_pair_supports(pair["circuits"], pair["cocircuits"])
+
+
+def test_cocircuits_refuse_a_shared_support():
+    """The matroid keeps each support once, so two classes on one support
+    would give a dual from the first alone: the derivation refuses them
+    first, naming the support."""
+    sig = circuits_from_gp(CORPUS["sign-u24"].build())
+    x = sig.classes[0]
+    label = sig.ground.sort(x.entries)[0]
+    flipped = FVector(SIGN, sig.ground, {**x.entries, label: mul(
+        SIGN.element(-1), x.entries[label])})
+    shared = CircuitSignature(SIGN, sig.ground, sig.classes + (flipped,))
+    support_text = str(list(sig.ground.sort(x.entries)))
+    with pytest.raises(InputError, match="two classes share the support " +
+                       re.escape(support_text)):
+        cocircuit_signature_from_circuits(shared)
 
 
 def test_dual_pair_witness_refuses_mismatched_signatures():

@@ -280,7 +280,7 @@ def assert_ratio_check_is_subsumed(sig) -> bool:
         meeting = [x for x in sig.classes
                    if len(set(x.entries) & set(y.entries)) == 2]
         pair = nonorthogonal_pair(
-            CircuitSignature(hf, ground, meeting, dedup=False),
+            CircuitSignature(hf, ground, meeting),
             CircuitSignature(hf, ground, [y]))
         if pair is not None:
             assert not orthogonal(pair[1], pair[2])
