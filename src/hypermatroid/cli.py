@@ -29,7 +29,8 @@ on stderr.
 `gp` admits a weak dual pair by DP1, DP2 and DP3'
 (`gp.nonorthogonal_pair` decides DP3') and rebuilds its function without
 re-checking it: a weak dual pair determines one weak function up to a
-unit, and a full dual pair a strong one (Baker-Bowler).
+unit, and a full dual pair a strong one (Baker-Bowler).  `dual` on a
+signature exits 2 when two classes share a support.
 It exits 1 on a failing DP axiom, and 2 on cocircuits over another
 hyperfield or ground order, since it pairs entries by ground position.
 `circuits` admits a weak function and reads each circuit off the first
@@ -240,10 +241,11 @@ def _resolve_hom(name: str, source):
     elif name.startswith("padic:"):
         raw = name[len("padic:"):]
         try:
-            p = int(raw)
+            hom = rational_padic(int(raw))
+        except InputError as exc:
+            raise InputError(f"--hom: {exc}") from None
         except ValueError:
             raise InputError(f"--hom padic wants an integer prime, got {raw!r}") from None
-        hom = rational_padic(p)
     else:
         raise InputError(f"unknown homomorphism {name!r} "
                          "(use krasner, sign, or padic:<p>)")

@@ -41,7 +41,7 @@ once: the kernel against the payload of 1, since x * 1 is x bit for
 bit.  The cocircuit derivation calls the payload operations directly.
 
 The element operations are the module functions `mul`, `neg`, `inv`,
-`invol`, `eq` and `zero_in_sum`: each checks that its operands share one
+`eq` and `zero_in_sum`: each checks that its operands share one
 hyperfield, handles zero, and calls the family's payload operation, so
 elements and payloads share one formula.  The exact hypersums of
 `sumsets` (`sums`, `sumsets.fold`) serve only the elimination witnesses
@@ -132,18 +132,31 @@ def _to_fraction(raw) -> Fraction:
     raise ValueError(f"cannot read a rational from {raw!r}")
 
 
+def _digits(n: int) -> str:
+    """str(n), also past Python's limit on the digits it writes."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(n))
+
+
+def _ratio_string(q: Fraction) -> str:
+    return _digits(q.numerator) + ("" if q.denominator == 1 else f"/{_digits(q.denominator)}")
+
+
 def _decimal_string(q: Fraction) -> Optional[str]:
-    """Exact decimal form, or None when the expansion does not terminate."""
-    places = 0  # the least with q.denominator | 10 ** places, if any
-    while 10 ** places % q.denominator:
-        if 2 ** places > q.denominator:
-            return None
-        places += 1
+    """Exact decimal form, or None when the denominator is not 2^a 5^b."""
+    twos = (q.denominator & -q.denominator).bit_length() - 1
+    fives = round(math.log(q.denominator >> twos, 5))
+    if 5 ** fives != q.denominator >> twos:
+        return None
+    places = max(twos, fives)
     scaled = q.numerator * 10 ** places // q.denominator
     if places == 0:
-        return str(scaled)
+        return _digits(scaled)
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(places + 1, "0")
+    digits = _digits(abs(scaled)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
@@ -182,7 +195,7 @@ class HFElement:
 class Hyperfield:
     """A hyperfield: one interned instance of its family's class.
 
-    A family sets `kind` and `sums`, and implements `normalise` and its
+    A family sets `sums`, and implements `normalise` and its
     null set `zero_in_dot(left, row)`: whether 0 lies in the sum of the
     products a * row[i] over the (i, a) of `left` (position, nonzero
     payload) with row[i], read once, not None.  It operates on payloads
@@ -297,7 +310,6 @@ class FiniteTable(Hyperfield):
     in a sum iff it has no nonzero term or two terms that cancel."""
 
     def __init__(self, name: str, negatives: dict):
-        self.kind = name
         self._neg = negatives  # the hyperinverse of each nonzero payload
         self._payloads = (0,) + tuple(negatives)
         self.size = len(self._payloads)
@@ -362,7 +374,6 @@ class _Infinite(Hyperfield):
 
 
 class Tropical(_Infinite):
-    kind = "tropical"
     sums = TropicalSet
 
     def normalise(self, raw):
@@ -396,11 +407,10 @@ class Tropical(_Infinite):
         return self.element(_padic_abs(q, 2))
 
     def encode(self, a):
-        return _decimal_string(a) or f"{a.numerator}/{a.denominator}"
+        return _decimal_string(a) or _ratio_string(a)
 
 
 class Triangle(_Infinite):
-    kind = "triangle"
     sums = IntervalSet
     doubly_distributive = False
     weak_only_example = "triangle-weak-not-strong"
@@ -455,7 +465,6 @@ class Phase(_Infinite):
     iterated binary fold: 0 lies in x1 + ... + xk iff the directions do
     not fit inside an open half-plane."""
 
-    kind = "phase"
     zero_payload = None
     sums = ArcSet
     doubly_distributive = False
@@ -554,7 +563,6 @@ class Phase(_Infinite):
 
 
 class Rationals(_Infinite):
-    kind = "rational"
     perturbable = False  # a random assignment over a field is never weak-valid
 
     def normalise(self, raw):
@@ -577,11 +585,10 @@ class Rationals(_Infinite):
         return self.element(q)
 
     def encode(self, a):
-        return str(a)
+        return _ratio_string(a)
 
 
 class PrimeField(Hyperfield):
-    kind = "gf"
     perturbable = False  # a random assignment over a field is never weak-valid
 
     def __init__(self, p: int):

@@ -756,8 +756,8 @@ def validate_hom(hom, sample_budget=200, seed=0):
 
 # quadruples tried first, per family, by `double_distributivity_witness`
 DD_PRESETS = {
-    "triangle": ((1.0, 2.0, 1.0, 2.0), (1.0, 1.0, 1.0, 1.0), (2.0, 3.0, 1.0, 4.0)),
-    "phase": ((1, 4.0 * math.pi / 3.0, 1, 2.0 * math.pi / 3.0), (1, -1, 1, -1),
+    Triangle: ((1.0, 2.0, 1.0, 2.0), (1.0, 1.0, 1.0, 1.0), (2.0, 3.0, 1.0, 4.0)),
+    Phase: ((1, 4.0 * math.pi / 3.0, 1, 2.0 * math.pi / 3.0), (1, -1, 1, -1),
               (0.3, 0.3 + math.pi, 1.8, 2.9)),
 }
 
@@ -767,7 +767,7 @@ def double_distributivity_witness(hf, seed=0, tries=1000):
     then seeded samples, with (x + y)(z + t) != xz + xt + yz + yt on the
     exact hypersums, or None when none of `tries` is one."""
     rng = random.Random(seed)
-    quads = [tuple(hf.element(v) for v in raw) for raw in DD_PRESETS.get(hf.kind, ())]
+    quads = [tuple(hf.element(v) for v in raw) for raw in DD_PRESETS.get(type(hf), ())]
     while len(quads) < tries:
         quads.append(tuple(sample_element(hf, rng) for _ in range(4)))
     for x, y, z, t in quads:

@@ -16,6 +16,7 @@ from hypermatroid import (KRASNER, PHASE, PHASE_PLAIN, RATIONALS, SIGN,
                           random_weak_gp, sample_element)
 from hypermatroid.corpus import gp_from_matrix, weak_only_function
 from hypermatroid.gp import _first_nonorthogonal, _pack
+from hypermatroid.hyperfields import Phase
 
 import oracles
 
@@ -34,9 +35,9 @@ def units(hf):
     hypersums of the elimination scans (`IntervalSet`) still use an
     absolute float tolerance, any phase angle, and the sampler's units
     elsewhere."""
-    if hf.kind == "triangle":
+    if hf is TRIANGLE:
         return st.floats(1e-3, 1e3).map(hf.element)
-    if hf.kind == "phase":
+    if isinstance(hf, Phase):
         return st.floats(0.01, 6.28).map(hf.element)
     return st.integers(0, 2 ** 32).map(
         lambda seed: sample_element(hf, random.Random(seed), nonzero=True))
@@ -126,7 +127,7 @@ def phase_minors(columns, angles):
 
 def random_unit(hf, rng):
     """A triangle modulus in [1e-3, 1e3] or a phase angle, as in `units`."""
-    if hf.kind == "triangle":
+    if hf is TRIANGLE:
         return hf.element(10 ** rng.uniform(-3.0, 3.0))
     return hf.element(rng.uniform(0.01, 6.28))
 

@@ -49,6 +49,7 @@ from hypermatroid import (CORPUS, PHASE, RATIONALS, SIGN, TRIANGLE, TROPICAL,
                           mul, serialize)
 from hypermatroid.cli import main
 from hypermatroid.corpus import gp_from_matrix
+from hypermatroid.hyperfields import Phase
 from hypermatroid.serialization import hyperfield_from_id, to_jsonable
 
 from strategies import parallel_extension, phase_minors, scale
@@ -410,6 +411,11 @@ HOSTILE = {
 }
 
 
+# A tropical and a rational value of 4,301 digits, past Python's limit on
+# the digits of an int written as a string; each is written exactly.
+LARGE = ("tropical-u24", "rational-u24")
+
+
 def write_inputs(directory: str) -> dict:
     """Write every input file into `directory`; {file name: sha256}."""
     files = {}
@@ -433,6 +439,8 @@ def write_inputs(directory: str) -> dict:
         files[f"sig-sign-u24-{case}.json"] = serialize(support_fault(case))
     for case in SUPPORT_FAULTS[1:]:
         files[f"pair-sign-u24-{case}.json"] = serialize(support_fault_pair(case))
+    for name in LARGE:
+        files[f"gp-{name}-large.json"] = hostile_value(name, "1e4300")
     for name in ("tropical-mixed", "rational-mixed"):
         files[f"gp-{name}.json"] = serialize(mixed(name))
         files[f"gp-{name}-broken.json"] = serialize(mixed_broken(name))
@@ -479,7 +487,7 @@ def slug(hf_id: str) -> str:
 
 def rank4(hf_id: str) -> GPFunction:
     hf = hyperfield_from_id(hf_id)
-    if hf.kind == "phase":
+    if isinstance(hf, Phase):
         phi = phase_minors(RANK4_COLUMNS, RANK4_ANGLES)
         return GPFunction(hf, phi.ground, 4, {
             key: hf.element(value.value) for key, value in phi.values.items()})
@@ -555,7 +563,7 @@ def seeded(hf_id: str, rank: int) -> GPFunction:
     columns = [tuple(rng.randint(-3, 3) for _ in range(rank))
                for _ in range(rank + 6)]
     hf = hyperfield_from_id(hf_id)
-    if hf.kind == "phase":
+    if isinstance(hf, Phase):
         phi = phase_minors(columns, [rng.uniform(0.0, 6.28) for _ in columns])
         return GPFunction(hf, phi.ground, rank, {
             key: hf.element(value.value) for key, value in phi.values.items()})
@@ -620,7 +628,11 @@ def commands() -> list:
          ["axioms", "--hyperfield", HUGE_MODULUS]] + \
         [[command, f"sig-sign-u24-{case}.json"] for case in SUPPORT_FAULTS
          for command in ("classify", "check-circuits", "dual")] + \
-        [["gp", f"pair-sign-u24-{case}.json"] for case in SUPPORT_FAULTS[1:]]
+        [["gp", f"pair-sign-u24-{case}.json"] for case in SUPPORT_FAULTS[1:]] + \
+        [["check-gp", "--both", f"gp-{name}-large.json"] for name in LARGE] + \
+        [["dual", "gp-tropical-u24-large.json"]] + \
+        [["pushforward", "--hom", f"padic:{p}", "gp-rational-u24.json"]
+         for p in (4, 3317044064679887385961981)]
 
 
 # GP minors whose greedy choices depend on the ground order: contracting

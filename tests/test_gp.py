@@ -25,6 +25,7 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, PHASE_PLAIN, RATIONALS,
 import hypermatroid.gp
 from hypermatroid.corpus import gp_from_matrix
 from hypermatroid.gp import failing_relation, failing_three_term
+from hypermatroid.hyperfields import Phase, PrimeField, Rationals
 from hypermatroid.matroids import _labels
 
 import oracles
@@ -257,13 +258,13 @@ def _pushed(hf, det):
     reads the matrix mod p."""
     if det == 0:
         return hf.zero()
-    if hf.kind in ("rational", "gf"):
+    if isinstance(hf, (Rationals, PrimeField)):
         return hf.element(det)
-    if hf.kind == "krasner":
+    if hf is KRASNER:
         return hf.one()
-    if hf.kind in ("sign", "phase"):
+    if hf is SIGN or isinstance(hf, Phase):
         return hf.element(1 if det > 0 else -1)
-    if hf.kind == "tropical":
+    if hf is TROPICAL:
         twos = (det & -det).bit_length() - 1
         return hf.element(Fraction(1, 2 ** twos))
     return hf.element(float(abs(det)))
