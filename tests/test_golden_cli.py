@@ -5,9 +5,11 @@ corpus, its dual pairs (circuits with derived cocircuits), dual pairs
 broken on purpose, dual pairs whose cocircuits do not share the
 circuits' hyperfield or ground order, two functions failing a three-term relation, tropical
 and rational functions with mixed denominators (passing, and with one
-value changed), the two weak-only entries scaled by a unit, sign and
-tropical functions of rank 3 and 4 with one value changed (one over a
-ground whose label order is not its position order), a support failing
+value changed), rational functions pushed forward to sign and by the 2-
+and 3-adic absolute values (one with powers of 2 and 3 in its entries),
+the two weak-only entries scaled by a unit, sign and tropical functions
+of rank 3 and 4 with one value changed (one over a ground whose label
+order is not its position order), a support failing
 basis exchange past its first basis, a rank-1 function on 20 labels,
 functions with parallel labels (the weak-only entries and a realizable
 phase function), a realizable rank-4 function per built-in hyperfield
@@ -124,6 +126,25 @@ def mixed_broken(name: str) -> GPFunction:
     hf = phi.hyperfield
     return GPFunction(hf, phi.ground, 3, {
         **phi.values, key: mul(hf.element(Fraction(5, 3)), phi.values[key])})
+
+
+# Rank 3 on six labels whose entries carry powers of 2 and 3 in their
+# numerators and denominators, so that the 2-adic and 3-adic absolute
+# values of its minors go above and below 1 and are written both as
+# decimals and as p/q.
+POWERS_COLUMNS = [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                  (Fraction(1, 2), Fraction(2, 9), Fraction(-27, 4)),
+                  (Fraction(3, 8), Fraction(-5, 6), Fraction(16, 81)),
+                  (Fraction(9, 32), Fraction(7, 12), Fraction(-1, 3))]
+
+
+def powers() -> GPFunction:
+    return gp_from_matrix(RATIONALS, MIXED_LABELS, [
+        tuple(map(Fraction, col)) for col in POWERS_COLUMNS])
+
+
+# the rational functions pushed forward along the rational homs
+PUSHED = ("gp-rational-u24.json", "gp-rational-k4.json", "gp-rational-powers.json")
 
 
 # the weak-only entries times a unit
@@ -444,6 +465,7 @@ def write_inputs(directory: str) -> dict:
     for name in ("tropical-mixed", "rational-mixed"):
         files[f"gp-{name}.json"] = serialize(mixed(name))
         files[f"gp-{name}-broken.json"] = serialize(mixed_broken(name))
+    files["gp-rational-powers.json"] = serialize(powers())
     for name, unit in SCALED.items():
         files[f"gp-{name}-scaled.json"] = serialize(scale(CORPUS[name].build(), unit))
     for i, hf in enumerate(HYPERFIELDS):
@@ -632,7 +654,10 @@ def commands() -> list:
         [["check-gp", "--both", f"gp-{name}-large.json"] for name in LARGE] + \
         [["dual", "gp-tropical-u24-large.json"]] + \
         [["pushforward", "--hom", f"padic:{p}", "gp-rational-u24.json"]
-         for p in (4, 3317044064679887385961981)]
+         for p in (4, 3317044064679887385961981)] + \
+        [["pushforward", "--hom", hom, file] for file in PUSHED
+         for hom in ("sign", "padic:2", "padic:3")] + \
+        [["pushforward", "--hom", "padic:2", "sig-r4-rational.json"]]
 
 
 # GP minors whose greedy choices depend on the ground order: contracting
