@@ -51,6 +51,7 @@ null sets against them.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -92,15 +93,23 @@ def _is_prime(n: int) -> bool:
 
 
 def _padic_abs(q: Fraction, p: int) -> Fraction:
-    """p**(-k) for the nonzero rational q, p**k the power of p in q."""
-    if not q:
+    """p**(-k) for the nonzero rational q, p**k the power of p in q.  k is
+    counted by integer division on the numerator or the denominator (p
+    divides at most one of them), and each p**(-k) is built once."""
+    n = q.numerator
+    if not n:
         raise ValueError("0 has no p-adic order")
-    value, n, d = Fraction(1), q.numerator, q.denominator
-    while n % p == 0:
-        n, value = n // p, value / p
-    while d % p == 0:
-        d, value = d // p, value * p
-    return value
+    k, d = 0, q.denominator
+    while not n % p:
+        n, k = n // p, k + 1
+    while not d % p:
+        d, k = d // p, k - 1
+    return _inverse_power(p, k)
+
+
+@functools.lru_cache(maxsize=256)
+def _inverse_power(p: int, k: int) -> Fraction:
+    return Fraction(p) ** -k
 
 
 # the largest decimal exponent a string payload may carry, Python's default

@@ -180,8 +180,8 @@ def to_krasner(source: Hyperfield) -> HyperfieldHom:
 
 
 def rational_sign() -> HyperfieldHom:
-    """The sign of a rational number."""
-    return HyperfieldHom("sign", RATIONALS, SIGN, lambda a: 1 if a > 0 else -1)
+    """The sign of a rational number, read off its numerator."""
+    return HyperfieldHom("sign", RATIONALS, SIGN, lambda a: 1 if a.numerator > 0 else -1)
 
 
 def rational_padic(p: int) -> HyperfieldHom:

@@ -23,6 +23,8 @@ circuits and classes looked up by frozensets of labels.
 `same_signature` compares two signatures class by class, looking classes
 up by support (`class_with_support`), `vectors_equal` two vectors entry
 by entry, and
+`padic_abs` is the p-adic absolute value by one `Fraction` division per
+factor of p, the reference for the package's count on integers, and
 `validate_hom` checks the homomorphism rules, asking the fold
 (`sumsets.fold`) every membership question, as
 `double_distributivity_witness` asks it whether
@@ -719,6 +721,18 @@ def minimal_covectors(sig):
 
 def identity_hom(hf):
     return HyperfieldHom("identity", hf, hf, lambda a: a)
+
+
+def padic_abs(q: Fraction, p: int) -> Fraction:
+    """p**(-k) for the nonzero rational q, p**k the power of p in q."""
+    if not q:
+        raise ValueError("0 has no p-adic order")
+    value, n, d = Fraction(1), q.numerator, q.denominator
+    while n % p == 0:
+        n, value = n // p, value / p
+    while d % p == 0:
+        d, value = d // p, value * p
+    return value
 
 
 def validate_hom(hom, sample_budget=200, seed=0):

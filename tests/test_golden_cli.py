@@ -54,6 +54,7 @@ from hypermatroid.corpus import gp_from_matrix
 from hypermatroid.hyperfields import Phase
 from hypermatroid.serialization import hyperfield_from_id, to_jsonable
 
+from oracles import padic_abs
 from strategies import parallel_extension, phase_minors, scale
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -95,12 +96,7 @@ MIXED_WEIGHTS = (Fraction(1, 3), Fraction(3, 5), Fraction(5, 7),
 
 def three_adic(q: Fraction) -> Fraction:
     """The 3-adic absolute value of a nonzero rational."""
-    value, n, d = Fraction(1), q.numerator, q.denominator
-    while n % 3 == 0:
-        n, value = n // 3, value / 3
-    while d % 3 == 0:
-        d, value = d // 3, value * 3
-    return value
+    return padic_abs(q, 3)
 
 
 def mixed(name: str) -> GPFunction:

@@ -14,7 +14,9 @@ from hypermatroid import (CORPUS, KRASNER, PHASE, RATIONALS, SIGN, TRIANGLE,
                           minor_circuits, minor_gp, projectively_equal,
                           pushforward_circuits, pushforward_gp, rational_padic,
                           rational_sign, random_weak_gp, serialize, to_krasner)
+from hypermatroid.hyperfields import _padic_abs
 
+import oracles
 from oracles import (equivalent_gp, gp_matroid, identity_hom, minimal_covectors,
                      minor_by_matroid, same_signature, validate_hom)
 from strategies import ALL_KINDS, weak_functions
@@ -223,6 +225,34 @@ def test_padic_values():
     assert hom(RATIONALS.element(Fraction(0))).is_zero
     with pytest.raises(InputError):
         rational_padic(6)
+
+
+def test_padic_values_of_one_order_share_one_fraction():
+    rule = rational_padic(3).rule
+    assert rule(Fraction(9, 2)) is rule(Fraction(-18, 5)) == Fraction(1, 9)
+
+
+# p ** k times a cofactor; the cofactor may hold further factors of p
+def _powered(p):
+    return st.builds(lambda k, c: p ** k * c, st.integers(0, 300),
+                     st.integers(1, 10 ** 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 2 ** 31 - 1)).flatmap(
+    lambda p: st.tuples(st.just(p), _powered(p), _powered(p), st.booleans())))
+def test_padic_abs_is_the_fraction_loop(case):
+    """The p-adic absolute value counted on the numerator and denominator
+    is the one found by one `Fraction` division per factor of p, and the
+    sign of a rational is read off its numerator."""
+    p, n, d, negative = case
+    q = Fraction(-n if negative else n, d)
+    assert _padic_abs(q, p) == oracles.padic_abs(q, p)
+    assert rational_padic(p).rule(q) == oracles.padic_abs(q, p)
+    assert rational_sign().rule(q) == (1 if q > 0 else -1)
+    for padic_abs in (_padic_abs, oracles.padic_abs):
+        with pytest.raises(ValueError):
+            padic_abs(Fraction(0), p)
 
 
 def test_pushforward_underlying():
