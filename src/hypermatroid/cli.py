@@ -43,6 +43,14 @@ greedy maximal independent subset of the contracted set and a greedy
 basis completion inside the deleted set as trailing arguments, both read
 off the support's bases, so it also takes every ground set that
 `check-gp --weak` takes; a support failing basis exchange exits 2.
+`pushforward --hom` maps every value along a hyperfield homomorphism:
+`krasner` from any hyperfield (0 to 0, every unit to 1), and from the
+rationals `sign` and `padic:<p>`, for a prime p, which sends q to
+p**(-v_p(q)) in the multiplicative presentation of the tropical
+hyperfield, v_p(q) being the power of p in q.  It exits 2 on a p that
+is not an integer, not prime or too large to test (the message starts
+`--hom`), on an unknown hom, and on a hom that starts at another
+hyperfield than the input's.
 `dressian` is the three-term sweep of `check-gp --weak` without the
 basis-exchange scan; it reports the number of three-term (I, J) pairs,
 four per relation though it decides each relation once, and the first
@@ -54,8 +62,13 @@ form a commutative group, 0 is the neutral null sum and no unit is null,
 0 lies in x + y exactly when y is the hyperinverse of x, and whether 0
 lies in a sum survives scaling by a unit, concatenating two null sums and
 reordering.  A family with at most `--budget` elements (Krasner, sign,
-small prime fields) is checked on all of them; any other on a seeded
-pool of `--budget` elements and seeded draws from it.  The reported
+small prime fields) is pooled whole, any other as a seeded pool of
+`--budget` elements.  A check runs on every case the pool gives when
+they number at most 8 x `--budget`, and otherwise on that many seeded
+draws from it (the scaling on one drawn unit per sum), so the budget
+bounds the time of every check.  The report's `exhaustive` is true when
+no check was sampled, false when the pool was, and otherwise lists the
+checks that ran on every case; the others were sampled.  The reported
 `doubly_distributive` is the family's flag, on which the checkers
 branch; the test suite checks it against a search on the exact
 hypersums.  It exits 0 when every check passes, 1 when one fails (its
@@ -324,7 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "phase[identity] | rational | gf(p)")
     p.add_argument("--budget", type=int, default=24,
                    help="pool size: a family with at most this many elements is "
-                        "checked on all of them, any other on this many samples")
+                        "pooled whole, any other as this many samples; a check "
+                        "with more than 8 times this many cases is sampled")
     p.add_argument("--seed", type=int, default=0)
 
     p = command("check-gp", _cmd_check_gp, "weak/strong relation checks")

@@ -17,8 +17,9 @@ with its signature, dual pair, minors, push-forwards and two
 signatures with one entry changed, realizable phase, phase[identity]
 and triangle functions of rank 3 and 4 from seeded matrices, GP minors
 whose greedy choices depend on the ground order, the built-in
-hyperfields, the corpus listing, a signature that lists one class
-twice, the second time times a unit (dropped when the file is parsed),
+hyperfields (and gf(97) with its checks sampled), the corpus listing, a
+signature that lists one class twice, the second time times a unit
+(dropped when the file is parsed),
 malformed GP functions and hostile inputs (exit 2), signatures failing
 C0 or C2 and dual pairs failing DP1, the exit code and
 the sha256 of stdout and of stderr (an error or warning line names the
@@ -653,7 +654,8 @@ def commands() -> list:
          for p in (4, 3317044064679887385961981)] + \
         [["pushforward", "--hom", hom, file] for file in PUSHED
          for hom in ("sign", "padic:2", "padic:3")] + \
-        [["pushforward", "--hom", "padic:2", "sig-r4-rational.json"]]
+        [["pushforward", "--hom", "padic:2", "sig-r4-rational.json"],
+         ["axioms", "--hyperfield", "gf(97)", "--budget", "100"]]
 
 
 # GP minors whose greedy choices depend on the ground order: contracting

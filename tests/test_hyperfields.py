@@ -216,6 +216,36 @@ def test_golden_axioms_families(hf):
     assert (witness is None) == hf.doubly_distributive
 
 
+def test_axioms_budget_bounds_every_check(monkeypatch):
+    """A whole pool's check with more than 8 x the budget cases runs on
+    that many draws: gf(97) at budget 100 asks the null-set rule some
+    twenty thousand times, where the enumeration asked it about 17
+    million.  Every check passes, and the report lists the one that
+    still ran on every case."""
+    hf, calls = gf(97), []
+    derived = PrimeField.zero_in
+    monkeypatch.setattr(PrimeField, "zero_in",
+                        lambda self, payloads: calls.append(1) or derived(self, payloads))
+    report = check_hyperfield_axioms(hf, sample_budget=100, seed=0)
+    assert report.ok and report.exhaustive
+    assert report.as_json()["exhaustive"] == ["no-null-unit"]
+    assert 0 < len(calls) < 30 * 800
+
+
+@pytest.mark.parametrize("budget, listed", [(100, True), (24, "scaling"), (4, False)])
+def test_axioms_report_which_checks_were_sampled(budget, listed):
+    """gf(5) has 54 sums and 4 units: all 216 scaled sums fit a budget of
+    100 (800 cases) but not one of 24 (192), and a budget of 4 samples
+    the pool itself."""
+    exhaustive = check_hyperfield_axioms(gf(5), sample_budget=budget).as_json()["exhaustive"]
+    if isinstance(listed, str):
+        names = ["multiplicative-group", "zero-terms", "no-null-unit",
+                 "unique-negative", "scaling", "concatenation", "order"]
+        assert exhaustive == [name for name in names if name != listed]
+    else:
+        assert exhaustive is listed
+
+
 def zero_in_wrong_on_three_terms(family):
     """The family's derived `zero_in`, negated on three or more terms."""
     right = family.zero_in
