@@ -51,7 +51,6 @@ null sets against them.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -92,10 +91,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _padic_abs(q: Fraction, p: int) -> Fraction:
+def _padic_abs(q: Fraction, p: int, powers: dict) -> Fraction:
     """p**(-k) for the nonzero rational q, p**k the power of p in q.  k is
     counted by integer division on the numerator or the denominator (p
-    divides at most one of them), and each p**(-k) is built once."""
+    divides at most one of them); `powers` keeps each p**(-k) built, by
+    k, so values of one order share one `Fraction`."""
     n = q.numerator
     if not n:
         raise ValueError("0 has no p-adic order")
@@ -104,12 +104,10 @@ def _padic_abs(q: Fraction, p: int) -> Fraction:
         n, k = n // p, k + 1
     while not d % p:
         d, k = d // p, k - 1
-    return _inverse_power(p, k)
-
-
-@functools.lru_cache(maxsize=256)
-def _inverse_power(p: int, k: int) -> Fraction:
-    return Fraction(p) ** -k
+    value = powers.get(k)
+    if value is None:
+        value = powers[k] = Fraction(p) ** -k
+    return value
 
 
 # the largest decimal exponent a string payload may carry, Python's default
@@ -413,7 +411,7 @@ class Tropical(_Infinite):
 
     def from_rational(self, q: Fraction) -> HFElement:
         """The 2-adic absolute value of a nonzero rational."""
-        return self.element(_padic_abs(q, 2))
+        return self.element(_padic_abs(q, 2, {}))
 
     def encode(self, a):
         return _decimal_string(a) or _ratio_string(a)

@@ -187,10 +187,13 @@ def rational_sign() -> HyperfieldHom:
 def rational_padic(p: int) -> HyperfieldHom:
     """The p-adic absolute value of a rational number, landing in the
     multiplicative presentation of the tropical hyperfield: x maps to
-    p**(-k) where p**k exactly divides x."""
+    p**(-k) where p**k exactly divides x.  The hom keeps each p**(-k) it
+    builds, so a push-forward builds one per order it meets."""
     if not _is_prime(p):
         raise InputError(f"{p} is not prime")
-    return HyperfieldHom(f"padic-{p}", RATIONALS, TROPICAL, lambda a: _padic_abs(a, p))
+    powers: dict = {}
+    return HyperfieldHom(f"padic-{p}", RATIONALS, TROPICAL,
+                         lambda a: _padic_abs(a, p, powers))
 
 
 # -- push-forwards ---------------------------------------------------------
