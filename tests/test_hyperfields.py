@@ -219,8 +219,8 @@ def test_golden_axioms_families(hf):
 def test_axioms_budget_bounds_every_check(monkeypatch):
     """A whole pool's check with more than 8 x the budget cases runs on
     that many draws: gf(97) at budget 100 asks the null-set rule some
-    twenty thousand times, where the enumeration asked it about 17
-    million.  Every check passes, and the report lists the one that
+    twenty thousand times, where the enumeration asked it 18.8 million
+    times.  Every check passes, and the report lists the one that
     still ran on every case."""
     hf, calls = gf(97), []
     derived = PrimeField.zero_in
